@@ -9,9 +9,11 @@ function jet along ``a`` and back along the inverse.  Every op's result
 is checked by an exact identity once timing is over: both composites
 are identities and the round trips return the input jets.
 
-Prints ``{"ready": true}`` once jetcalc is imported and the first arrow
-is built, then one JSON line with the per-op records.  With --trace 1 the ops run traced for
---seconds and are then replayed untraced to measure the overhead.
+Prints ``{"ready": true, ...}`` once jetcalc is imported and the first
+arrow is built, with the raw seconds of that set-up and its speed factor
+(see speed.py), then one JSON line with the per-op records.  With
+--trace 1 the ops run traced for --seconds and are then replayed
+untraced to measure the overhead.
 """
 
 import argparse
@@ -137,9 +139,8 @@ def main(argv):
     p.add_argument("--setup-only", action="store_true")
     args = p.parse_args(argv)
 
-    tracer.import_layers()
-    chain_inputs(args.seed, 0)
-    print(json.dumps({"ready": True}), flush=True)
+    _, setup_s, factor = speed.timed(lambda: (tracer.import_layers(), chain_inputs(args.seed, 0)))
+    print(json.dumps({"ready": True, "setup_s": setup_s, "speed": factor}), flush=True)
     if args.setup_only:
         return 0
 
@@ -150,7 +151,7 @@ def main(argv):
         records, failures = run_ops(args.seed, deadline, tr, args.limit)
         tr.uninstall()
         replay, _ = run_ops(args.seed, float("inf"), None, len(records), check=False)
-        result.update(absent=tr.absent, untraced_busy_s=sum(r["op_s"] * r["speed"] for r in replay))
+        result.update(absent=tr.absent, untraced_busy_s=speed.busy(replay))
     else:
         deadline = time.perf_counter() + args.seconds
         records, failures = run_ops(args.seed, deadline, None, args.limit)

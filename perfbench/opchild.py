@@ -2,7 +2,9 @@
 
 Usage: python3 perfbench/opchild.py [--trace | --import-only] -- ARGV...
 
-Imports the CLI (every layer, with --trace), then times
+With --import-only, times the first import of the CLI and prints its raw
+seconds and speed factor (see speed.py).  Otherwise imports the CLI
+(every layer, with --trace), then times
 ``jetcalc.cli.main(ARGV)`` with the report captured.  Prints one JSON
 line: the exit code, the op time, the sha256 of the report, the speed
 factor from probes just before and after the op (see speed.py) and, with
@@ -11,6 +13,7 @@ as exit code -1 with its traceback on stderr.
 """
 
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -73,9 +76,8 @@ def main(args):
     split = args.index("--")
     flags, argv = args[:split], args[split + 1:]
     if "--import-only" in flags:
-        import jetcalc.cli  # noqa: F401
-
-        print(json.dumps({"imported": jetcalc.cli.__name__}))
+        _, setup_s, factor = speed.timed(lambda: importlib.import_module("jetcalc.cli"))
+        print(json.dumps({"setup_s": setup_s, "speed": factor}))
         return 0
     print(json.dumps(run(argv, "--trace" in flags)))
     return 0

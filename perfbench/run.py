@@ -17,7 +17,8 @@ With --trace 0 the last stdout line carries the end-to-end metrics:
 ops_per_s (ops completed per second of wall time, interpreter starts
 included), op_s.p50 and op_s.p90 (op latency measured inside the child),
 setup_s (median of several set-ups: input generation plus the first
-import) and peak_rss_mb (largest child).  Op times are scaled to a
+import of jetcalc, each timed in the process that does it) and
+peak_rss_mb (largest child).  Op and set-up times are scaled to a
 reference machine speed (see speed.py); the lines before the JSON line
 print the raw values beside them, and fail_ratio.  With --trace 1 the
 same ops run traced for --seconds, are replayed untraced to measure the
@@ -55,7 +56,9 @@ import tracer  # noqa: E402
 import workloads  # noqa: E402
 
 WORKLOADS = ("sections", "arrows", "algebra", "prolong")
-SETUP_REPEATS = 9
+SETUP_REPEATS = 15
+# Ops per CLI workload that --record-golden digests.
+GOLDEN_OPS = 200
 # No op may start after this many seconds, and none may outlive it by
 # more than the per-op timeout, so a run always ends within 180 s.
 HARD_LIMIT_S = 165.0
@@ -79,13 +82,12 @@ def load_golden():
 # CLI workloads
 
 
-def cli_setup(workload, seed, seconds, rundir):
-    """Generate the run's ops, write their scenario files, import once."""
+def write_plan(ops, rundir):
+    """Write the ops' scenario files; return (op, argv) pairs naming them."""
     shutil.rmtree(rundir, ignore_errors=True)
     os.makedirs(rundir)
     plan = []
-    count = int(seconds / MIN_OP_S) + 10
-    for i, op in enumerate(workloads.take(workloads.cli_schedule(workload, seed), count)):
+    for i, op in enumerate(ops):
         argv = list(op.argv)
         for name, data in op.files.items():
             path = os.path.join(rundir, f"{i}-{name}.json")
@@ -93,13 +95,31 @@ def cli_setup(workload, seed, seconds, rundir):
                 fh.write(data)
             argv = [path if a == "{" + name + "}" else a for a in argv]
         plan.append((op, argv))
+    return plan
+
+
+def cli_setup(workload, seed, seconds):
+    """Generate the run's ops, then import jetcalc once in a fresh interpreter.
+
+    Returns the ops and the set-up's record: the raw seconds of the
+    generation plus those of the import, and the speed factor that scales
+    their sum as each part's own factor scales it.  Interpreter start and
+    writing the scenario files are left out: neither is jetcalc's work,
+    and file creation time on a shared host does not follow the probe.
+    """
+    count = int(seconds / MIN_OP_S) + 10
+    ops, gen_s, gen_speed = speed.timed(
+        lambda: workloads.take(workloads.cli_schedule(workload, seed), count))
     proc = subprocess.run(
         [sys.executable, OPCHILD, "--import-only", "--"],
         capture_output=True, text=True, env=child_env(), cwd=ROOT, timeout=60,
     )
     if proc.returncode != 0:
         raise RuntimeError(f"importing jetcalc failed:\n{proc.stderr}")
-    return plan
+    imp = json.loads(proc.stdout.splitlines()[-1])
+    raw = gen_s + imp["setup_s"]
+    scaled = gen_s * gen_speed + imp["setup_s"] * imp["speed"]
+    return ops, {"setup_s": raw, "speed": scaled / raw}
 
 
 def run_cli_ops(plan, seconds, trace, stop_at, limit=None):
@@ -158,8 +178,9 @@ def check_cli(records, golden):
 
 
 def start_worker(seed, seconds, trace, setup_only=False, limit=0):
-    """Spawn the worker; return it once it has imported jetcalc and built
-    its first arrow (later arrows are built between blocks, untimed)."""
+    """Spawn the worker; once it has imported jetcalc and built its first
+    arrow (later arrows are built between blocks, untimed), return it and
+    the set-up record from its ready line."""
     cmd = [sys.executable, WORKER, "--seed", str(seed), "--seconds", str(seconds),
            "--trace", str(int(trace))]
     if setup_only:
@@ -172,7 +193,7 @@ def start_worker(seed, seconds, trace, setup_only=False, limit=0):
         proc.kill()
         proc.communicate()
         raise RuntimeError("arrows worker failed to start")
-    return proc
+    return proc, json.loads(line)
 
 
 def finish_worker(proc, started):
@@ -200,20 +221,18 @@ def quantile(values, q):
 
 
 def end_to_end(records, setups, scaled=True):
-    """End-to-end metrics from the op records and the set-up times.
+    """End-to-end metrics from the op records and the set-up records.
 
-    Op times are scaled by each op's speed factor unless ``scaled`` is
-    false.  Set-up times stay raw: process start and imports follow the
-    host's speed only in part, and scaling them over-corrects.
+    Op and set-up times are scaled by their speed factors unless
+    ``scaled`` is false.
     """
     f = (lambda r: r["speed"]) if scaled else (lambda r: 1.0)
     lat = [r["op_s"] * f(r) for r in records]
-    busy = sum(r["wall_s"] * f(r) for r in records)
     return {
-        "ops_per_s": (len(records) / busy, "1/s"),
+        "ops_per_s": (len(records) / speed.busy(records, scaled), "1/s"),
         "op_s.p50": (quantile(lat, 0.5), "s"),
         "op_s.p90": (quantile(lat, 0.9), "s"),
-        "setup_s": (statistics.median(setups), "s"),
+        "setup_s": (statistics.median(s["setup_s"] * f(s) for s in setups), "s"),
         "peak_rss_mb": (resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024, "MB"),
     }
 
@@ -257,11 +276,6 @@ def _per_op(records, select, keys):
     return _ratio(calls, len(chosen))
 
 
-def busy(records):
-    """Scaled wall time of the ops, interpreter starts included."""
-    return sum(r["wall_s"] * r["speed"] for r in records)
-
-
 def per_layer(records, untraced_busy, absent):
     """Per-layer metrics of traced ops; self times are scaled like op times."""
     stats = {key: [0, 0.0] for key in tracer.TARGETS}
@@ -301,7 +315,7 @@ def per_layer(records, untraced_busy, absent):
         "repeat.invert_arrow_per_pushforward": _per_op(records, is_push, ("arrows.invert_arrow",)),
         "repeat.displacement_polynomials_per_pushforward": _per_op(
             records, is_push, ("arrows.Arrow.displacement_polynomials",)),
-        "trace.overhead_ratio": _ratio(untraced_busy, busy(records)),
+        "trace.overhead_ratio": _ratio(untraced_busy, speed.busy(records)),
         "trace.ops": len(records),
         "trace.op_s_sum": sum(r["op_s"] * r["speed"] for r in records),
         "trace.absent": len(set(absent)),
@@ -325,32 +339,44 @@ def write_spans(workload, seed, records):
 # one run
 
 
+def arrows_setup(seed):
+    """One set-up of a worker that exits once it is ready."""
+    proc, ready = start_worker(seed, 0, False, setup_only=True)
+    if proc.wait(timeout=60) != 0:
+        raise RuntimeError(f"arrows worker exited {proc.returncode}")
+    return ready
+
+
 def run_workload(workload, seed, seconds, trace, started):
-    """Returns (records, failures, setups, metrics)."""
-    setups = []
+    """Returns (records, failures, setups, metrics).
+
+    Untraced, half of the SETUP_REPEATS set-ups run after the ops, so
+    that their median spans the run and not only the host's speed at
+    its start.  Traced runs report no set-up time and skip those.
+    """
+    after = SETUP_REPEATS // 2
     if workload == "arrows":
-        for i in range(SETUP_REPEATS):
-            t0 = time.perf_counter()
-            proc = start_worker(seed, seconds, trace, setup_only=i < SETUP_REPEATS - 1)
-            setups.append(time.perf_counter() - t0)
-            if i < SETUP_REPEATS - 1 and proc.wait(timeout=60) != 0:
-                raise RuntimeError(f"arrows worker exited {proc.returncode}")
+        setups = [arrows_setup(seed) for _ in range(SETUP_REPEATS - after - 1)]
+        proc, ready = start_worker(seed, seconds, trace)
+        setups.append(ready)
         result = finish_worker(proc, started)
         records, failures = result["ops"], result["failures"]
         if trace:
             metrics = per_layer(records, result["untraced_busy_s"], result["absent"])
             write_spans(workload, seed, records)
         else:
+            setups += [arrows_setup(seed) for _ in range(after)]
             metrics = end_to_end(records, setups)
         return records, failures, setups, metrics
 
     golden = load_golden()
     rundir = os.path.join(OUT, f"run-{workload}-{os.getpid()}")
+    setups = []
     try:
-        for _ in range(SETUP_REPEATS):
-            t0 = time.perf_counter()
-            plan = cli_setup(workload, seed, seconds, rundir)
-            setups.append(time.perf_counter() - t0)
+        for _ in range(SETUP_REPEATS - after):
+            ops, setup = cli_setup(workload, seed, seconds)
+            setups.append(setup)
+        plan = write_plan(ops, rundir)
         records = run_cli_ops(plan, seconds, trace, started + HARD_LIMIT_S)
         failures = check_cli(records, golden)
         if trace:
@@ -359,9 +385,10 @@ def run_workload(workload, seed, seconds, trace, started):
             if len(replay) < len(records):
                 failures.append("untraced replay did not finish before the time limit")
             absent = next((r["absent"] for r in records if "absent" in r), [])
-            metrics = per_layer(records, busy(replay), absent)
+            metrics = per_layer(records, speed.busy(replay), absent)
             write_spans(workload, seed, records)
         else:
+            setups += [cli_setup(workload, seed, seconds)[1] for _ in range(after)]
             metrics = end_to_end(records, setups)
     finally:
         shutil.rmtree(rundir, ignore_errors=True)
@@ -391,13 +418,13 @@ def smoke():
     bad = 0
     for workload in WORKLOADS:
         if workload == "arrows":
-            result = finish_worker(start_worker(0, 1, False, limit=1), started)
+            result = finish_worker(start_worker(0, 1, False, limit=1)[0], started)
             failures = result["failures"] + [r["name"] for r in result["ops"] if r["rc"]]
             count = len(result["ops"])
         else:
             rundir = os.path.join(OUT, f"smoke-{workload}-{os.getpid()}")
             try:
-                plan = cli_setup(workload, 0, 1, rundir)
+                plan = write_plan(cli_setup(workload, 0, 1)[0], rundir)
                 records = run_cli_ops(plan, 1, False, started + HARD_LIMIT_S, limit=1)
             finally:
                 shutil.rmtree(rundir, ignore_errors=True)
@@ -408,13 +435,14 @@ def smoke():
     return bad
 
 
-def record_golden(ops_per_workload):
+def record_golden():
     """Digest every CLI report of the default seed's first ops."""
     golden = {}
     for workload in workloads.CLI_WORKLOADS:
         rundir = os.path.join(OUT, f"golden-{workload}")
         try:
-            plan = cli_setup(workload, 0, MIN_OP_S * ops_per_workload, rundir)[:ops_per_workload]
+            ops = workloads.take(workloads.cli_schedule(workload, 0), GOLDEN_OPS)
+            plan = write_plan(ops, rundir)
             unique = list({op.key(): (op, argv) for op, argv in plan}.values())
             records = run_cli_ops(unique, 0, False, time.perf_counter() + 3600, limit=len(unique))
         finally:
@@ -436,7 +464,7 @@ def main(argv=None):
     p.add_argument("--seconds", type=float, default=25)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--smoke", action="store_true")
-    p.add_argument("--record-golden", type=int, metavar="OPS", nargs="?", const=200)
+    p.add_argument("--record-golden", action="store_true")
     args = p.parse_args(argv)
     started = time.perf_counter()
 
@@ -446,7 +474,7 @@ def main(argv=None):
     if args.smoke:
         return 1 if smoke() else 0
     if args.record_golden:
-        record_golden(args.record_golden)
+        record_golden()
         return 0
     if args.workload is None:
         p.error("--workload is required")

@@ -69,7 +69,7 @@ def test_declared_metrics():
     declared = [(m["name"], m["unit"]) for m in spec["per_layer"]]
     expect(declared == run.per_layer_names(), "BENCHMARK.json per_layer differs from run.py")
     ops = [{"op_s": 1.0, "wall_s": 1.1, "speed": 1.0}, {"op_s": 2.0, "wall_s": 2.1, "speed": 1.0}]
-    e2e = run.end_to_end(ops, [0.1])
+    e2e = run.end_to_end(ops, [{"setup_s": 0.1, "speed": 1.0}])
     expect([(m["name"], m["unit"]) for m in spec["end_to_end"]]
            == [(name, unit) for name, (_, unit) in e2e.items()],
            "BENCHMARK.json end_to_end differs from run.py")
@@ -125,7 +125,7 @@ def test_every_target_observed():
         expect(not rec["absent"], f"absent trace targets: {rec['absent']}")
         observed |= set(rec["trace"]["stats"])
     # one block: every step of one chain per arrow shape
-    proc = run.start_worker(5, 60, True, limit=7 * len(workloads.ARROW_SHAPES))
+    proc, _ = run.start_worker(5, 60, True, limit=7 * len(workloads.ARROW_SHAPES))
     result = run.finish_worker(proc, time.perf_counter())
     expect(not result["failures"], f"arrows: {result['failures']}")
     for rec in result["ops"]:

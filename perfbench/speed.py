@@ -9,7 +9,9 @@ a drift that lasts longer than the run.
 So every timed op is paired with readings of a probe, a fixed
 ``fractions.Fraction`` loop that does not touch jetcalc, taken in the
 process that runs the op: just before and just after each CLI op, and at
-most ``EVERY_S`` before each library op of the arrows worker.  Timings
+most ``EVERY_S`` before each library op of the arrows worker.  Set-up
+work (input generation, the first import of jetcalc) is timed the same
+way, by ``timed``, inside the process that does it.  Timings
 are reported scaled to the probe's reference time,
 ``seconds * REFERENCE_S / probe_seconds``.  A change to jetcalc moves a
 scaled time as it moves the raw one; a host that is uniformly slower for
@@ -37,6 +39,25 @@ def probe():
             total += Fraction(1, i)
         times.append(time.perf_counter() - start)
     return sorted(times)[READINGS // 2]
+
+
+def timed(call):
+    """Run ``call()`` between two probes.
+
+    Returns its result, its raw seconds and the speed factor of the two
+    probes' mean.
+    """
+    before = probe()
+    start = time.perf_counter()
+    result = call()
+    seconds = time.perf_counter() - start
+    return result, seconds, REFERENCE_S / ((before + probe()) / 2)
+
+
+def busy(records, scaled=True):
+    """Wall time of op records, each scaled by its speed factor unless
+    ``scaled`` is false; for CLI ops it includes the interpreter start."""
+    return sum(r["wall_s"] * (r["speed"] if scaled else 1.0) for r in records)
 
 
 class Speed:
