@@ -443,7 +443,7 @@ def _run_bracket(scenario):
 
 
 def _run_prolong(scenario, kmax):
-    from .lie_equations import atiyah_exactness, prolongation_report, solve_system
+    from .lie_equations import _prolongation, atiyah_exactness
 
     structure = _parse_structure_jet(scenario)
     kmax = _bound("kmax", kmax, "kmax")
@@ -454,8 +454,7 @@ def _run_prolong(scenario, kmax):
             f"structure jet order {structure.order} cannot support kmax={kmax}"
         )
     try:
-        report = prolongation_report(structure, kmax)
-        top = solve_system(structure, kmax)
+        report, top = _prolongation(structure, kmax)
     except ValueError as exc:
         raise SchemaError(f"structure: {exc}")
     anchor = atiyah_exactness(top)
@@ -700,6 +699,8 @@ def _run_forms_suite(args):
     k = _bound("k", args.k, "k")
     degree = _bound("degree", args.degree, "degree")
     count = _bound("count", args.count, "count")
+    if n < 2:
+        raise SchemaError("forms needs n >= 2: the wedge check builds 2-forms")
     rng = random.Random(args.seed)
     checks = []
 

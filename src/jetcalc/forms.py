@@ -22,7 +22,7 @@ from .jets import (
     jet_product,
     vector_slots,
 )
-from .linalg import nullspace, rank, solve
+from .linalg import Echelon, nullspace, solve
 from .multiindex import multi_indices, order
 from .poly import Poly, _as_fraction
 from .spencer import jet_action, spencer_bracket
@@ -493,12 +493,8 @@ def theta_closed_under_product(spanning_sections, basis_sections, n, k, poly_deg
                 v[pos[(a, m)]] = c
         return v
 
-    span_rows = [flatten(sec) for sec in big_basis]
-    base_rank = rank(span_rows)
-    for prod in products:
-        if rank(span_rows + [flatten(prod)]) != base_rank:
-            return False
-    return True
+    span = Echelon(flatten(sec) for sec in big_basis)
+    return all(span.contains(flatten(prod)) for prod in products)
 
 
 class FormAtPoint:

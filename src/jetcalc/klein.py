@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from .jets import prolong_vector_field, vector_slots
 from .liealg import FiniteLieAlgebra
-from .linalg import nullspace, rank
+from .linalg import Echelon, nullspace, rank
 from .poly import Poly, _as_fraction
 from .spencer import algebraic_bracket
 
@@ -152,16 +152,15 @@ def isotropy_filtration(a, depth_max=10):
     if dims[-1] != len(kernel):
         raise AssertionError("filtration dipped below the realization kernel")
     ghost = h_basis(order)
-    if ghost and rank(ghost + kernel) != len(ghost):
+    ghost_span = Echelon(ghost)
+    if not all(ghost_span.contains(v) for v in kernel):
         raise AssertionError(
             "stable filtration subspace differs from the realization kernel"
         )
     for b in range(dim):
         for g in ghost:
             br = a.algebra.bracket(unit_vec(dim, b), g)
-            if any(c != 0 for c in br) and (
-                not ghost or rank(ghost + [br]) != len(ghost)
-            ):
+            if not ghost_span.contains(br):
                 raise AssertionError("ghost is not an ideal")
     return {
         "dims": dims[: order + 2],
@@ -217,12 +216,8 @@ def realized_jet_family(a, k_max):
     for k in range(1, k_max + 1):
         mat = [a.jet_at_point(unit_vec(dim, b), k) for b in range(dim)]
         # reduce to an independent spanning set
-        basis = []
-        for v in mat:
-            if any(c != 0 for c in v) and (
-                not basis or rank(basis + [v]) > len(basis)
-            ):
-                basis.append(v)
+        span = Echelon()
+        basis = [v for v in mat if span.add_row(v)]
         family.append(LinearJetSubspace(a.n, k, a.point, basis))
     return family
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from .arrows import pushforward_vector_jet
 from .jets import vector_slots
-from .linalg import invert, nullspace, rank
+from .linalg import Echelon, invert, nullspace, rank
 from .multiindex import (
     add,
     multi_binomial,
@@ -21,12 +21,18 @@ from .multiindex import (
 from .poly import Poly, _as_fraction
 
 
+def _is_natural(x):
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
 class StructureJet:
     """Jet of a metric or 2-form at a base point.
 
     Coefficients c[(i, j, alpha)] are the derivative values of the
     component functions; symmetric in (i, j) for metrics, antisymmetric
-    for 2-forms (stored on i < j).
+    for 2-forms (stored on i < j).  Component indices must lie in
+    0..n-1 and alpha must list n naturals; anything else raises
+    ValueError.
     """
 
     __slots__ = ("kind", "n", "order", "point", "coeffs")
@@ -40,7 +46,11 @@ class StructureJet:
         self.point = tuple(_as_fraction(x) for x in point)
         table = {}
         for (i, j, alpha), c in coeffs.items():
+            if not all(_is_natural(x) and x < n for x in (i, j)):
+                raise ValueError(f"component indices {i!r}, {j!r} not in 0..{n - 1}")
             alpha = tuple(alpha)
+            if len(alpha) != n or not all(_is_natural(a) for a in alpha):
+                raise ValueError(f"multi-index {list(alpha)!r} must list {n} naturals")
             if order(alpha) > order_:
                 raise ValueError("slot exceeds the declared jet order")
             c = _as_fraction(c)
@@ -122,7 +132,7 @@ class LinearJetSubspace:
     """A subspace of the order-k vector-jet fiber at a point, presented
     by a basis in the canonical slot coordinates."""
 
-    __slots__ = ("n", "k", "point", "basis")
+    __slots__ = ("n", "k", "point", "basis", "_span")
 
     def __init__(self, n, k, point, basis):
         self.n = n
@@ -132,8 +142,11 @@ class LinearJetSubspace:
         for v in basis:
             if len(v) != width:
                 raise ValueError("basis vector has wrong fiber dimension")
-        if basis and rank([list(v) for v in basis]) != len(basis):
-            raise ValueError("basis is linearly dependent")
+        # the echelon of the independence check answers every contains
+        self._span = Echelon()
+        for v in basis:
+            if not self._span.add_row(v):
+                raise ValueError("basis is linearly dependent")
         self.basis = [list(v) for v in basis]
 
     @property
@@ -141,11 +154,7 @@ class LinearJetSubspace:
         return len(self.basis)
 
     def contains(self, vector):
-        if all(x == 0 for x in vector):
-            return True
-        if not self.basis:
-            return False
-        return rank(self.basis + [list(vector)]) == len(self.basis)
+        return self._span.contains(vector)
 
     def contains_jet(self, jet_point):
         return self.contains(jet_point.as_vector())
@@ -188,16 +197,16 @@ def _lie_derivative_rows(structure, k):
                 rest = sub(alpha, beta)
                 for a in range(n):
                     # transport term xi^a d_a g_ij, differentiated
-                    row[pos[(a, beta)]] += c * structure.slot(
-                        i, j, add(rest, unit(n, a))
-                    )
+                    s = structure.slot(i, j, add(rest, unit(n, a)))
+                    if s:
+                        row[pos[(a, beta)]] += c * s
                     # frame terms g_aj d_i xi^a and g_ia d_j xi^a
-                    row[pos[(a, add(beta, unit(n, i)))]] += c * structure.slot(
-                        a, j, rest
-                    )
-                    row[pos[(a, add(beta, unit(n, j)))]] += c * structure.slot(
-                        i, a, rest
-                    )
+                    s = structure.slot(a, j, rest)
+                    if s:
+                        row[pos[(a, add(beta, unit(n, i)))]] += c * s
+                    s = structure.slot(i, a, rest)
+                    if s:
+                        row[pos[(a, add(beta, unit(n, j)))]] += c * s
             rows.append(row)
     return rows
 
@@ -247,6 +256,11 @@ def prolongation_report(structure, k_max):
     """Solution dimensions and restricted-projection surjectivity for
     orders 1..k_max; formal-integrability evidence only, up to the
     probed order."""
+    return _prolongation(structure, k_max)[0]
+
+
+def _prolongation(structure, k_max):
+    """The prolongation report and the order-k_max solution subspace."""
     orders = []
     prev = None
     for k in range(1, k_max + 1):
@@ -267,12 +281,13 @@ def prolongation_report(structure, k_max):
                 raise AssertionError("projection left the lower solution space")
         orders.append(entry)
         prev = sub
-    return {
+    report = {
         "kind": structure.kind,
         "n": structure.n,
         "k_max": k_max,
         "orders": orders,
     }
+    return report, prev
 
 
 class Christoffel:
@@ -450,6 +465,4 @@ def subspaces_equal(a, b):
         return False
     if a.dim != b.dim:
         return False
-    if not a.basis:
-        return True
-    return rank(a.basis + b.basis) == a.dim
+    return all(a.contains(v) for v in b.basis)

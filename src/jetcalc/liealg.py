@@ -6,7 +6,7 @@ and lower-central-series analysis."""
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import matmul, matvec, nullspace, rank, solve, zeros
+from .linalg import Echelon, matmul, matvec, nullspace, rank, rref, solve, zeros
 
 
 class FiniteLieAlgebra:
@@ -216,12 +216,10 @@ def ce_cohomology_dims(g, module, r_max):
 
 
 def _subalgebra_basis_check(g, s_basis):
-    rows = [list(v) for v in s_basis]
-    base_rank = rank(rows) if rows else 0
+    span = Echelon(s_basis)
     for i, u in enumerate(s_basis):
         for v in s_basis[i:]:
-            b = g.bracket(u, v)
-            if any(x != 0 for x in b) and rank(rows + [b]) != base_rank:
+            if not span.contains(g.bracket(u, v)):
                 return False
     return True
 
@@ -475,15 +473,13 @@ def nilpotency_analysis(g):
                 b = g.bracket(u, v)
                 if any(x != 0 for x in b):
                     next_span.append(b)
-        dim = rank(next_span) if next_span else 0
+        reduced, pivots = rref(next_span)
+        dim = len(pivots)
         dims.append(dim)
         if dim == 0 or dim == dims[-2]:
             break
         # basis of the next term
-        from .linalg import rref
-
-        reduced, pivots = rref(next_span)
-        current = [reduced[i] for i in range(len(pivots))]
+        current = reduced[:dim]
     return {
         "lower_central_series_dims": dims,
         "nilpotent": dims[-1] == 0,

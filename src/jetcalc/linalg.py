@@ -1,11 +1,125 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of lists of Fraction.  Everything here is plain
-Gaussian elimination; with exact rationals there are no tolerance
-decisions anywhere.
+Matrices are lists of lists of exact scalars (Fraction, int or a
+rational string); results are Fractions.  One elimination kernel sits
+under everything: `Echelon`, the reduced row echelon form of a row space
+kept as sparse rows `{column: Fraction}` and grown one row at a time.
+`rref`, `rank`, `nullspace`, `solve`, `invert`, `determinant`,
+`row_space_contains` and `same_row_space` are thin views of it, and a
+caller that tests many vectors against one span keeps the `Echelon` and
+calls `contains`.  With exact rationals there are no tolerance decisions
+anywhere.
 """
 
 from fractions import Fraction
+
+
+def _sparse(vector):
+    """Nonzero entries of a dense vector as {column: Fraction}."""
+    row = {}
+    for c, x in enumerate(vector):
+        # convert before testing: the string "0" is truthy
+        if not isinstance(x, Fraction):
+            x = Fraction(x)
+        if x:
+            row[c] = x
+    return row
+
+
+def _subtract(row, f, tail):
+    """row -= f * tail in place, dropping entries that cancel."""
+    for c, x in tail.items():
+        y = row.get(c)
+        if y is None:
+            row[c] = -f * x
+        else:
+            y -= f * x
+            if y:
+                row[c] = y
+            else:
+                del row[c]
+
+
+class Echelon:
+    """Reduced row echelon form of the span of the rows added so far.
+
+    Each pivot column maps to the tail of its row: the entries right of
+    the pivot outside every pivot column (the pivot entry itself is 1).
+    A new row is reduced on the existing pivots, its smallest remaining
+    column becomes a pivot, the row is normalised and that column is
+    cleared from the other rows.  The result is the unique RREF of the
+    span, whatever order the rows come in.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows=()):
+        self._rows = {}
+        for v in rows:
+            self.add_row(v)
+
+    @property
+    def rank(self):
+        return len(self._rows)
+
+    @property
+    def pivots(self):
+        return sorted(self._rows)
+
+    def _reduce(self, row):
+        rows = self._rows
+        for p in [c for c in row if c in rows]:
+            _subtract(row, row.pop(p), rows[p])
+        return row
+
+    def contains(self, vector):
+        """True iff the vector lies in the span."""
+        return not self._reduce(_sparse(vector))
+
+    def add_row(self, vector):
+        """Add a vector to the span; True iff it raised the rank."""
+        return self._insert(vector) is not None
+
+    def _insert(self, vector):
+        """add_row, returning (new pivot column, value of the reduced row
+        there) or None when the vector already lies in the span."""
+        row = self._reduce(_sparse(vector))
+        if not row:
+            return None
+        q = min(row)
+        pv = row.pop(q)
+        if pv != 1:
+            row = {c: x / pv for c, x in row.items()}
+        for tail in self._rows.values():
+            f = tail.pop(q, None)
+            if f is not None:
+                _subtract(tail, f, row)
+        self._rows[q] = row
+        return q, pv
+
+    def dense_rows(self, width):
+        """The nonzero RREF rows, in pivot order, as dense lists."""
+        out = []
+        for p in sorted(self._rows):
+            r = [Fraction(0)] * width
+            r[p] = Fraction(1)
+            for c, x in self._rows[p].items():
+                r[c] = x
+            out.append(r)
+        return out
+
+    def nullspace(self, width):
+        """Basis of the vectors of length width orthogonal to every row,
+        one per free column in increasing order."""
+        free = [c for c in range(width) if c not in self._rows]
+        index = {c: i for i, c in enumerate(free)}
+        basis = [[Fraction(0)] * width for _ in free]
+        for i, c in enumerate(free):
+            basis[i][c] = Fraction(1)
+        for p, tail in self._rows.items():
+            for c, x in tail.items():
+                basis[index[c]][p] = -x
+        return basis
 
 
 def zeros(rows, cols):
@@ -13,37 +127,19 @@ def zeros(rows, cols):
 
 
 def rref(matrix):
-    """Reduced row echelon form.  Returns (rref_rows, pivot_columns)."""
-    m = [[Fraction(x) for x in row] for row in matrix]
-    if not m:
+    """Reduced row echelon form.  Returns (rref_rows, pivot_columns);
+    the rows are dense, with the zero rows at the end."""
+    if not matrix:
         return [], []
-    rows, cols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+    cols = len(matrix[0])
+    ech = Echelon(matrix)
+    out = ech.dense_rows(cols)
+    out.extend([Fraction(0)] * cols for _ in range(len(matrix) - ech.rank))
+    return out, ech.pivots
 
 
 def rank(matrix):
-    return len(rref(matrix)[1])
+    return Echelon(matrix).rank
 
 
 def nullspace(matrix, cols=None):
@@ -51,18 +147,8 @@ def nullspace(matrix, cols=None):
     if not matrix:
         if cols is None:
             raise ValueError("empty matrix needs an explicit column count")
-        return [[Fraction(1) if i == j else Fraction(0) for i in range(cols)] for j in range(cols)]
-    m, pivots = rref(matrix)
-    ncols = len(matrix[0])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
-        basis.append(v)
-    return basis
+        return identity(cols)
+    return Echelon(matrix).nullspace(len(matrix[0]))
 
 
 def solve(matrix, rhs):
@@ -70,31 +156,23 @@ def solve(matrix, rhs):
     if not matrix:
         return None if any(b != 0 for b in rhs) else []
     ncols = len(matrix[0])
-    aug = [row + [b] for row, b in zip(matrix, rhs)]
-    m, pivots = rref(aug)
-    if ncols in pivots:
+    ech = Echelon(list(row) + [b] for row, b in zip(matrix, rhs))
+    if ncols in ech._rows:
         return None
     x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = m[r][ncols]
+    for p, tail in ech._rows.items():
+        x[p] = tail.get(ncols, Fraction(0))
     return x
 
 
 def row_space_contains(rows, vector):
     """True iff vector lies in the span of the given row vectors."""
-    if all(x == 0 for x in vector):
-        return True
-    if not rows:
-        return False
-    return rank(rows) == rank(rows + [vector])
+    return Echelon(rows).contains(vector)
 
 
 def same_row_space(rows_a, rows_b):
-    ra = rank(rows_a) if rows_a else 0
-    rb = rank(rows_b) if rows_b else 0
-    if ra != rb:
-        return False
-    return rank(rows_a + rows_b) == ra if (rows_a or rows_b) else True
+    # the RREF of a span is unique, so equal spans have equal echelons
+    return Echelon(rows_a)._rows == Echelon(rows_b)._rows
 
 
 def matmul(a, b):
@@ -123,32 +201,24 @@ def identity(n):
 def invert(matrix):
     """Inverse of a square matrix; raises ValueError if singular."""
     n = len(matrix)
-    aug = [[Fraction(x) for x in row] + ident_row for row, ident_row in zip(matrix, identity(n))]
-    m, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
+    ech = Echelon(list(row) + e for row, e in zip(matrix, identity(n)))
+    if ech.pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in m[:n]]
+    return [row[n:] for row in ech.dense_rows(2 * n)]
 
 
 def determinant(matrix):
-    n = len(matrix)
-    m = [[Fraction(x) for x in row] for row in matrix]
+    """Product of the pivot values of the rows, each reduced on the
+    earlier ones, signed by the parity of the order of their pivot
+    columns (the reduced rows are triangular in that order)."""
+    ech = Echelon()
     det = Fraction(1)
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    cols = []
+    for row in matrix:
+        step = ech._insert(row)
+        if step is None:
             return Fraction(0)
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+        q, pv = step
+        det *= -pv if sum(c > q for c in cols) % 2 else pv
+        cols.append(q)
     return det

@@ -69,6 +69,9 @@ class Poly:
         return isinstance(other, Poly) and self.n == other.n and self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a constant equals its scalar, so it must hash like it
+        if self.coeffs.keys() <= {(0,) * self.n}:
+            return hash(self.constant_term())
         return hash((self.n, frozenset(self.coeffs.items())))
 
     def __add__(self, other):
@@ -186,7 +189,6 @@ class Poly:
         """
         point = [_as_fraction(x) for x in point]
         out = {}
-        stack = [((0,) * self.n, self)]
         seen = {}
 
         def der(alpha):
@@ -203,7 +205,6 @@ class Poly:
             seen[alpha] = self
             return self
 
-        del stack
         deg = self.degree()
         from .multiindex import multi_indices
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from jetcalc.cli import main
 
 
@@ -149,3 +151,35 @@ def test_resource_bound_exits_3(capsys):
     code, out = run_cli(capsys, "extension", "--n", "3", "--k", "3", "--m", "2")
     assert code == 3
     assert "exceed" in json.loads(out)["error"] or "bounded" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        [5, 0, [0, 0], "1"],
+        [0, 1, [-1, 0], "1"],
+        [0, 1, [True, 0], "1"],
+        [0, 1, ["a", 0], "1"],
+    ],
+    ids=["component-index-out-of-range", "negative-exponent", "boolean-exponent", "string-exponent"],
+)
+def test_malformed_structure_jet_exits_2(capsys, tmp_path, entry):
+    scenario = {
+        "task": "prolongation",
+        "kind": "metric",
+        "n": 2,
+        "order": 2,
+        "point": ["0", "0"],
+        "coeffs": [[0, 0, [0, 0], "1"], [1, 1, [0, 0], "1"], entry],
+    }
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(scenario))
+    code, out = run_cli(capsys, "prolong", "--scenario", str(path), "--kmax", "1")
+    assert code == 2
+    assert "error" in json.loads(out)
+
+
+def test_forms_needs_two_variables(capsys):
+    code, out = run_cli(capsys, "forms", "--n", "1", "--k", "1", "--count", "1")
+    assert code == 2
+    assert "n >= 2" in json.loads(out)["error"]

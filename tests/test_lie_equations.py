@@ -140,6 +140,13 @@ def test_killing_system_needs_metric_jet_of_matching_order():
         killing_system(g, 2)
 
 
+def test_structure_jet_rejects_malformed_slots():
+    # the constructor validates, so library callers get a ValueError too
+    for key in [(5, 0, (0, 0)), (0, 1, (-1, 0)), (0, 1, (True, 0)), (0, 1, ("a", 0)), (0, 1, (0,))]:
+        with pytest.raises(ValueError):
+            StructureJet("metric", 2, 2, ZERO2, {(0, 0, (0, 0)): 1, key: 1})
+
+
 def test_levi_civita_flat_and_conformal():
     gamma = levi_civita(flat_metric())
     assert all(c == 0 for c in gamma.coeffs.values())

@@ -1,7 +1,13 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
+
 from jetcalc.linalg import (
+    Echelon,
     determinant,
     identity,
     invert,
@@ -9,6 +15,7 @@ from jetcalc.linalg import (
     matvec,
     nullspace,
     rank,
+    row_space_contains,
     rref,
     same_row_space,
     solve,
@@ -86,3 +93,129 @@ def test_same_row_space():
     c = [[Fraction(1), Fraction(0)]]
     assert same_row_space(a, b)
     assert not same_row_space(a, c)
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the echelon kernel against sympy's DomainMatrix
+
+
+def to_domain(matrix, cols):
+    rows = [[QQ(Fraction(x).numerator, Fraction(x).denominator) for x in row] for row in matrix]
+    return DomainMatrix(rows, (len(rows), cols), QQ)
+
+
+def from_domain(dm):
+    return [[Fraction(int(x.numerator), int(x.denominator)) for x in row] for row in dm.to_list()]
+
+
+def sympy_rref(matrix, cols):
+    reduced, pivots = to_domain(matrix, cols).rref()
+    return from_domain(reduced), list(pivots)
+
+
+# str and int entries exercise the conversion (the string "0" is truthy)
+ENTRIES = st.one_of(
+    st.just(0),
+    st.just("0"),
+    st.integers(-3, 3),
+    st.fractions(min_value=-4, max_value=4, max_denominator=5),
+    st.sampled_from(["1", "-2", "1/2", "-3/4"]),
+)
+
+
+@st.composite
+def matrices(draw):
+    # empty, wide and tall shapes; half the matrices mostly zeros, so that
+    # sparse rows, zero rows and zero columns all occur
+    rows = draw(st.integers(0, 7))
+    cols = draw(st.integers(0, 7))
+    if draw(st.booleans()):
+        entry = st.one_of(st.just(0), st.just(0), st.just(0), ENTRIES)
+    else:
+        entry = ENTRIES
+    return [[draw(entry) for _ in range(cols)] for _ in range(rows)], cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices(), st.randoms(use_true_random=False))
+def test_kernel_matches_sympy(case, rnd):
+    matrix, cols = case
+    want_rows, want_pivots = sympy_rref(matrix, cols)
+    got_rows, got_pivots = rref(matrix)
+    assert got_pivots == want_pivots
+    assert got_rows == want_rows
+    assert all(isinstance(x, Fraction) for row in got_rows for x in row)
+    assert rank(matrix) == len(want_pivots) == to_domain(matrix, cols).rank()
+    want_null = from_domain(to_domain(matrix, cols).nullspace()) if matrix else identity(cols)
+    assert nullspace(matrix, cols=cols) == want_null
+    # the RREF does not depend on the order the rows arrive in
+    shuffled = matrix[:]
+    rnd.shuffle(shuffled)
+    assert rref(shuffled) == (want_rows, want_pivots)
+    assert same_row_space(matrix, shuffled)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), st.data())
+def test_solve_matches_sympy(case, data):
+    matrix, cols = case
+    rhs = [data.draw(ENTRIES) for _ in matrix]
+    x = solve(matrix, rhs)
+    if not matrix:
+        assert x == ([] if all(Fraction(b) == 0 for b in rhs) else None)
+        return
+    augmented = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    reduced, pivots = sympy_rref(augmented, cols + 1)
+    if cols in pivots:
+        assert x is None
+        return
+    # the particular solution with every free variable zero
+    want = [Fraction(0)] * cols
+    for r, p in enumerate(pivots):
+        want[p] = reduced[r][cols]
+    assert x == want
+    assert matvec([[Fraction(v) for v in row] for row in matrix], x) == [Fraction(b) for b in rhs]
+
+
+def test_kernel_edge_shapes():
+    assert rref([]) == ([], [])
+    assert rank([]) == 0
+    assert rref([[], []]) == ([[], []], [])
+    assert nullspace([[0, "0"]]) == identity(2)
+    assert rref([["0", "0"], ["2", "1"]]) == ([[1, Fraction(1, 2)], [0, 0]], [0])
+    assert not row_space_contains([], [1, 0])
+    assert row_space_contains([], ["0", 0])
+    assert determinant([]) == 1
+    assert determinant([[0, 1], [1, 0]]) == -1
+
+
+def test_determinant_matches_sympy():
+    rng = random.Random(12)
+    for size in range(1, 6):
+        for _ in range(5):
+            a = rand_matrix(size, size, rng)
+            assert determinant(a) == Fraction(str(to_domain(a, size).det()))
+
+
+def test_subspace_contains_agrees_with_rank_test():
+    from jetcalc.jets import vector_slots
+    from jetcalc.lie_equations import LinearJetSubspace
+
+    rng = random.Random(14)
+    n, k = 2, 2
+    width = len(vector_slots(n, k))
+    for dim in range(0, width + 1, 3):
+        basis = []
+        span = Echelon()
+        while len(basis) < dim:
+            v = [Fraction(rng.choice((0, 0, 1, -2)), rng.randint(1, 3)) for _ in range(width)]
+            if span.add_row(v):
+                basis.append(v)
+        sub = LinearJetSubspace(n, k, (0, 0), basis)
+        for _ in range(20):
+            if basis and rng.random() < 0.5:
+                v = [sum(rng.randint(-2, 2) * b[i] for b in basis) for i in range(width)]
+            else:
+                v = [Fraction(rng.choice((0, 0, 0, 1, -1))) for _ in range(width)]
+            old = rank(basis + [v]) == dim
+            assert sub.contains(v) == old

@@ -67,3 +67,11 @@ def test_shift_recenters():
     for pt in [(Fraction(0), Fraction(0)), (Fraction(1, 3), Fraction(2))]:
         moved = tuple(x - ci for x, ci in zip(pt, c))
         assert q.evaluate(moved) == p.evaluate(pt)
+
+
+def test_constants_hash_like_their_scalars():
+    # equal objects must collapse in one set
+    assert len({Poly.const(2, 1), 1, Fraction(1)}) == 1
+    assert len({Poly.zero(3), 0, Fraction(0)}) == 1
+    assert len({Poly.const(2, "1/2"), Fraction(1, 2)}) == 1
+    assert {Poly.variable(2, 0), Poly.variable(2, 0) + 0} == {Poly.variable(2, 0)}
