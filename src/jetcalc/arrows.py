@@ -12,12 +12,7 @@ from fractions import Fraction
 from .linalg import invert as mat_invert
 from .multiindex import factorial, multi_indices, order, unit
 from .poly import Poly, _as_fraction
-from .jets import (
-    FunctionJetPoint,
-    VectorJetPoint,
-    function_slots,
-    jet_product,
-)
+from .jets import FunctionJetPoint, VectorJetPoint
 
 
 class Arrow:

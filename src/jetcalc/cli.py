@@ -120,7 +120,11 @@ def _parse_structure_jet(scenario):
             raise SchemaError(f"coeffs[{t}]: component indices must be integers")
         if not isinstance(alpha, list) or len(alpha) != n:
             raise SchemaError(f"coeffs[{t}]: alpha must list {n} naturals")
-        coeffs[(i, j, tuple(alpha))] = _frac(value, f"coeffs[{t}][3]")
+        key = (i, j, tuple(alpha))
+        c = _frac(value, f"coeffs[{t}][3]")
+        if coeffs.get(key, c) != c:
+            raise SchemaError(f"coeffs[{t}]: conflicting values for slot {list(key)}")
+        coeffs[key] = c
     try:
         return StructureJet(kind, n, order, point, coeffs)
     except ValueError as exc:
@@ -395,6 +399,7 @@ def _function_section(n, k, rng, degree):
 
 
 def _run_bracket(scenario):
+    from .klein import bracket_fields
     from .spencer import spencer_bracket
 
     n = _bound("n", _require(scenario, "n", int), "n")
@@ -410,17 +415,7 @@ def _run_bracket(scenario):
         ]
         fields.append(comps)
     x_comps, y_comps = fields
-    classical = [
-        sum(
-            (
-                x_comps[a] * y_comps[i].diff(a)
-                - y_comps[a] * x_comps[i].diff(a)
-                for a in range(n)
-            ),
-            Poly.zero(n),
-        )
-        for i in range(n)
-    ]
+    classical = bracket_fields(x_comps, y_comps)
     spencer = spencer_bracket(
         prolong_vector_field(x_comps, k), prolong_vector_field(y_comps, k)
     )
@@ -557,6 +552,7 @@ def _run_extension(n, k, m):
         extension_two_cocycle,
         is_split,
         nilpotency_analysis,
+        two_cocycle_witness,
     )
     from .multiindex import order
     from .spencer import jet_group_algebra
@@ -575,13 +571,16 @@ def _run_extension(n, k, m):
     ext = ExtensionData(E, a_indices)
     cocycle = extension_two_cocycle(ext)
     nonzero = sum(1 for v in cocycle.values() if any(c != 0 for c in v))
-    split = is_split(ext) if ext.ideal_is_abelian() else None
+    abelian = ext.ideal_is_abelian()
+    # the cocycle identity is defined only for an abelian ideal
+    witness = two_cocycle_witness(ext, cocycle) if abelian else None
+    split = is_split(ext) if abelian else None
     nil = nilpotency_analysis(ext.ideal_algebra())
     checks = [
         {
             "name": "cocycle_identity",
-            "pass": True,
-            "witness": None,
+            "pass": witness is None,
+            "witness": witness,
         }
     ]
     results = {
@@ -590,7 +589,7 @@ def _run_extension(n, k, m):
         "m": m,
         "total_dim": E.dim,
         "ideal_dim": len(a_indices),
-        "ideal_abelian": ext.ideal_is_abelian(),
+        "ideal_abelian": abelian,
         "cocycle_nonzero_pairs": nonzero,
         "is_split": split,
         "ideal_lower_central_series_dims": nil["lower_central_series_dims"],

@@ -227,9 +227,7 @@ def eval_form(omega, args):
         det = _poly_det(rows)
         if det is None or det.is_zero():
             continue
-        result = result + FunctionJetSection(
-            n, k, {a: p * det for a, p in sec.coeffs.items()}
-        )
+        result = result + sec.scale(det)
     return result
 
 
@@ -345,9 +343,7 @@ def interior_product(y_section, omega):
             sign, sec = omega.signed_coefficient((s,) + tuple(key))
             if sign == 0 or sec.is_zero():
                 continue
-            term = FunctionJetSection(
-                n, k, {a: p * ypoly for a, p in sec.coeffs.items()}
-            )
+            term = sec.scale(ypoly)
             total = total + (term if sign > 0 else -term)
         total = total.scale(Fraction(r))
         if not total.is_zero():

@@ -1,6 +1,13 @@
 """Jets of functions and vector fields on a single chart.
 
-A jet section of order k stores one coefficient polynomial per slot.
+Every jet is one slot table, `coeffs`, that maps each slot of order at
+most k to a value.  There are two slot layouts: a function jet has one
+slot per multi-index alpha, a vector jet one slot (i, alpha) per
+component i and multi-index alpha.  A jet section stores a coefficient
+`Poly` in each slot; a jet at a base point stores a `Fraction`.  The
+four classes below are the four combinations and share everything but
+their slot layout and the methods particular to them.
+
 Slots are derivative *values* (f_alpha stands for the value of the
 alpha-th derivative), not Taylor coefficients, and a section is not
 required to be holonomic: the slot f_{alpha+e_j} need not equal the
@@ -12,11 +19,8 @@ from fractions import Fraction
 from .multiindex import (
     add,
     factorial,
-    grlex_key,
-    leq,
     multi_binomial,
     multi_indices,
-    order,
     sub,
     sub_indices,
     unit,
@@ -38,219 +42,171 @@ def vector_slots(n, k, min_order=0):
     ]
 
 
-class FunctionJetSection:
-    """Element of J_k(M) over the chart: slot table alpha -> Poly."""
+class _JetTable:
+    """The slot table shared by all jets: `coeffs` holds every slot of
+    order <= k, in layout order.  A section (`_section`) holds Poly
+    values and its `point` is None; a jet at a point holds Fractions."""
 
-    __slots__ = ("n", "k", "coeffs")
+    __slots__ = ("n", "k", "point", "coeffs")
+    _section = False
 
-    def __init__(self, n, k, coeffs=None):
+    def __init__(self, n, k, point, coeffs=None):
         if n <= 0:
             raise ValueError("chart dimension must be positive")
         if k < 0:
             raise ValueError("jet order must be non-negative")
+        if not self._section:
+            point = tuple(_as_fraction(x) for x in point)
+            if len(point) != n:
+                raise ValueError("base point dimension mismatch")
         self.n = n
         self.k = k
-        table = {alpha: Poly.zero(n) for alpha in multi_indices(n, k)}
-        if coeffs:
-            for alpha, p in coeffs.items():
-                alpha = tuple(alpha)
-                if order(alpha) > k:
-                    raise ValueError(f"slot {alpha} exceeds order {k}")
-                if not isinstance(p, Poly):
-                    p = Poly.const(n, p)
-                table[alpha] = p
+        self.point = point
+        table = dict.fromkeys(self._slots(n, k), self._zero())
+        for s, v in (coeffs or {}).items():
+            if s not in table:
+                raise ValueError(f"{s} is not a slot of order at most {k}")
+            if not self._section:
+                v = _as_fraction(v)
+            elif not isinstance(v, Poly):
+                v = Poly.const(n, v)
+            table[s] = v
         self.coeffs = table
 
-    def slot(self, alpha):
-        return self.coeffs[tuple(alpha)]
+    def _zero(self):
+        return Poly.zero(self.n) if self._section else Fraction(0)
+
+    def like(self, k, coeffs):
+        """A jet of the same kind, dimension and base point at order k."""
+        jet = object.__new__(type(self))
+        _JetTable.__init__(jet, self.n, k, self.point, coeffs)
+        return jet
 
     def project(self, m):
         if not 0 <= m <= self.k:
             raise ValueError(f"projection order {m} out of range 0..{self.k}")
-        return FunctionJetSection(
-            self.n, m, {a: p for a, p in self.coeffs.items() if order(a) <= m}
-        )
+        return self.like(m, {s: self.coeffs[s] for s in self._slots(self.n, m)})
 
     def lift(self, m, top_slots=None):
         """Reinterpret at order m >= k; new slots zero unless supplied."""
         if m < self.k:
             raise ValueError("lift target below current order")
-        coeffs = dict(self.coeffs)
-        if top_slots:
-            for alpha, p in top_slots.items():
-                if order(alpha) <= self.k:
-                    raise ValueError("lift may only set new slots")
-                coeffs[tuple(alpha)] = p
-        return FunctionJetSection(self.n, m, coeffs)
-
-    def at(self, point):
-        return FunctionJetPoint(
-            self.n,
-            self.k,
-            point,
-            {a: p.evaluate(point) for a, p in self.coeffs.items()},
-        )
+        top_slots = top_slots or {}
+        if any(s in self.coeffs for s in top_slots):
+            raise ValueError("lift may only set new slots")
+        return self.like(m, {**self.coeffs, **top_slots})
 
     def is_zero(self):
-        return all(p.is_zero() for p in self.coeffs.values())
+        zero = self._zero()
+        return all(v == zero for v in self.coeffs.values())
+
+    def as_vector(self):
+        return list(self.coeffs.values())
 
     def __add__(self, other):
         self._check(other)
-        return FunctionJetSection(
-            self.n, self.k, {a: p + other.coeffs[a] for a, p in self.coeffs.items()}
-        )
+        return self.like(self.k, {s: v + other.coeffs[s] for s, v in self.coeffs.items()})
 
     def __sub__(self, other):
         self._check(other)
-        return FunctionJetSection(
-            self.n, self.k, {a: p - other.coeffs[a] for a, p in self.coeffs.items()}
-        )
+        return self.like(self.k, {s: v - other.coeffs[s] for s, v in self.coeffs.items()})
 
     def __neg__(self):
-        return FunctionJetSection(self.n, self.k, {a: -p for a, p in self.coeffs.items()})
+        return self.like(self.k, {s: -v for s, v in self.coeffs.items()})
 
     def scale(self, c):
-        return FunctionJetSection(self.n, self.k, {a: p * c for a, p in self.coeffs.items()})
+        """Multiply every slot by c: a rational, or a Poly for a section."""
+        return self.like(self.k, {s: v * c for s, v in self.coeffs.items()})
+
+    def _shape(self):
+        return (type(self), self.n, self.k, self.point)
 
     def __eq__(self, other):
         return (
-            isinstance(other, FunctionJetSection)
-            and (self.n, self.k) == (other.n, other.k)
+            isinstance(other, _JetTable)
+            and self._shape() == other._shape()
             and self.coeffs == other.coeffs
         )
 
     def __hash__(self):
-        return hash((self.n, self.k, frozenset(self.coeffs.items())))
+        return hash((self.n, self.k, self.point, frozenset(self.coeffs.items())))
 
     def _check(self, other):
-        if (self.n, self.k) != (other.n, other.k):
-            raise ValueError("jet order/dimension mismatch")
+        if self._shape() != other._shape():
+            raise ValueError("jet kind, dimension, order or base point mismatch")
 
     def __repr__(self):
-        nz = {a: p for a, p in self.coeffs.items() if not p.is_zero()}
-        return f"FunctionJetSection(n={self.n}, k={self.k}, {nz})"
+        at = "" if self.point is None else f", at={self.point}"
+        zero = self._zero()
+        nz = {s: v for s, v in self.coeffs.items() if v != zero}
+        return f"{type(self).__name__}(n={self.n}, k={self.k}{at}, {nz})"
 
 
-class VectorJetSection:
-    """Section of g_k(M) = J_k(T(M)): slot table (i, alpha) -> Poly."""
+class _FunctionLayout:
+    """Slots alpha, one per multi-index."""
 
-    __slots__ = ("n", "k", "coeffs")
+    __slots__ = ()
+    _slots = staticmethod(function_slots)
 
-    def __init__(self, n, k, coeffs=None):
-        if n <= 0:
-            raise ValueError("chart dimension must be positive")
-        if k < 0:
-            raise ValueError("jet order must be non-negative")
-        self.n = n
-        self.k = k
-        table = {slot: Poly.zero(n) for slot in vector_slots(n, k)}
-        if coeffs:
-            for (i, alpha), p in coeffs.items():
-                alpha = tuple(alpha)
-                if not 0 <= i < n:
-                    raise ValueError(f"component {i} out of range")
-                if order(alpha) > k:
-                    raise ValueError(f"slot {alpha} exceeds order {k}")
-                if not isinstance(p, Poly):
-                    p = Poly.const(n, p)
-                table[(i, alpha)] = p
-        self.coeffs = table
-
-    def slot(self, i, alpha):
-        return self.coeffs[(i, tuple(alpha))]
-
-    def project(self, m):
-        if not 0 <= m <= self.k:
-            raise ValueError(f"projection order {m} out of range 0..{self.k}")
-        return VectorJetSection(
-            self.n, m, {s: p for s, p in self.coeffs.items() if order(s[1]) <= m}
-        )
-
-    def lift(self, m, top_slots=None):
-        if m < self.k:
-            raise ValueError("lift target below current order")
-        coeffs = dict(self.coeffs)
-        if top_slots:
-            for (i, alpha), p in top_slots.items():
-                if order(alpha) <= self.k:
-                    raise ValueError("lift may only set new slots")
-                coeffs[(i, tuple(alpha))] = p
-        return VectorJetSection(self.n, m, coeffs)
-
-    def at(self, point):
-        return VectorJetPoint(
-            self.n,
-            self.k,
-            point,
-            {s: p.evaluate(point) for s, p in self.coeffs.items()},
-        )
-
-    def is_zero(self):
-        return all(p.is_zero() for p in self.coeffs.values())
-
-    def __add__(self, other):
-        self._check(other)
-        return VectorJetSection(
-            self.n, self.k, {s: p + other.coeffs[s] for s, p in self.coeffs.items()}
-        )
-
-    def __sub__(self, other):
-        self._check(other)
-        return VectorJetSection(
-            self.n, self.k, {s: p - other.coeffs[s] for s, p in self.coeffs.items()}
-        )
-
-    def __neg__(self):
-        return VectorJetSection(self.n, self.k, {s: -p for s, p in self.coeffs.items()})
-
-    def scale(self, c):
-        return VectorJetSection(self.n, self.k, {s: p * c for s, p in self.coeffs.items()})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, VectorJetSection)
-            and (self.n, self.k) == (other.n, other.k)
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.k, frozenset(self.coeffs.items())))
-
-    def _check(self, other):
-        if (self.n, self.k) != (other.n, other.k):
-            raise ValueError("jet order/dimension mismatch")
-
-    def __repr__(self):
-        nz = {s: p for s, p in self.coeffs.items() if not p.is_zero()}
-        return f"VectorJetSection(n={self.n}, k={self.k}, {nz})"
-
-
-class FunctionJetPoint:
-    """A function jet evaluated at a base point: slot table alpha -> Fraction."""
-
-    __slots__ = ("n", "k", "point", "coeffs")
-
-    def __init__(self, n, k, point, coeffs=None):
-        self.n = n
-        self.k = k
-        self.point = tuple(_as_fraction(x) for x in point)
-        if len(self.point) != n:
-            raise ValueError("base point dimension mismatch")
-        table = {alpha: Fraction(0) for alpha in multi_indices(n, k)}
-        if coeffs:
-            for alpha, c in coeffs.items():
-                table[tuple(alpha)] = _as_fraction(c)
-        self.coeffs = table
+    @staticmethod
+    def raised(alpha, j):
+        """The slot one derivative d_j above the slot alpha."""
+        return add(alpha, unit(len(alpha), j))
 
     def slot(self, alpha):
         return self.coeffs[tuple(alpha)]
 
-    def project(self, m):
-        if not 0 <= m <= self.k:
-            raise ValueError("projection order out of range")
+
+class _VectorLayout:
+    """Slots (i, alpha), one per component and multi-index."""
+
+    __slots__ = ()
+    _slots = staticmethod(vector_slots)
+
+    @staticmethod
+    def raised(slot, j):
+        """The slot one derivative d_j above the slot (i, alpha)."""
+        i, alpha = slot
+        return (i, add(alpha, unit(len(alpha), j)))
+
+    def slot(self, i, alpha):
+        return self.coeffs[(i, tuple(alpha))]
+
+
+class FunctionJetSection(_FunctionLayout, _JetTable):
+    """Element of J_k(M) over the chart: slot table alpha -> Poly."""
+
+    __slots__ = ()
+    _section = True
+
+    def __init__(self, n, k, coeffs=None):
+        super().__init__(n, k, None, coeffs)
+
+    def at(self, point):
         return FunctionJetPoint(
-            self.n, m, self.point, {a: c for a, c in self.coeffs.items() if order(a) <= m}
+            self.n, self.k, point, {a: p.evaluate(point) for a, p in self.coeffs.items()}
         )
+
+
+class VectorJetSection(_VectorLayout, _JetTable):
+    """Section of g_k(M) = J_k(T(M)): slot table (i, alpha) -> Poly."""
+
+    __slots__ = ()
+    _section = True
+
+    def __init__(self, n, k, coeffs=None):
+        super().__init__(n, k, None, coeffs)
+
+    def at(self, point):
+        return VectorJetPoint(
+            self.n, self.k, point, {s: p.evaluate(point) for s, p in self.coeffs.items()}
+        )
+
+
+class FunctionJetPoint(_FunctionLayout, _JetTable):
+    """A function jet evaluated at a base point: slot table alpha -> Fraction."""
+
+    __slots__ = ()
 
     def taylor_polynomial(self):
         """The polynomial with these slots as derivative values at the base point."""
@@ -265,72 +221,11 @@ class FunctionJetPoint:
                 p = p + shifted
         return p
 
-    def as_vector(self):
-        return [self.coeffs[a] for a in multi_indices(self.n, self.k)]
 
-    def __add__(self, other):
-        self._check(other)
-        return FunctionJetPoint(
-            self.n, self.k, self.point, {a: c + other.coeffs[a] for a, c in self.coeffs.items()}
-        )
-
-    def __sub__(self, other):
-        self._check(other)
-        return FunctionJetPoint(
-            self.n, self.k, self.point, {a: c - other.coeffs[a] for a, c in self.coeffs.items()}
-        )
-
-    def scale(self, c):
-        c = _as_fraction(c)
-        return FunctionJetPoint(
-            self.n, self.k, self.point, {a: v * c for a, v in self.coeffs.items()}
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FunctionJetPoint)
-            and (self.n, self.k, self.point) == (other.n, other.k, other.point)
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.k, self.point, frozenset(self.coeffs.items())))
-
-    def _check(self, other):
-        if (self.n, self.k, self.point) != (other.n, other.k, other.point):
-            raise ValueError("jet point mismatch")
-
-    def __repr__(self):
-        nz = {a: c for a, c in self.coeffs.items() if c}
-        return f"FunctionJetPoint(n={self.n}, k={self.k}, at={self.point}, {nz})"
-
-
-class VectorJetPoint:
+class VectorJetPoint(_VectorLayout, _JetTable):
     """A vector jet evaluated at a base point: slot table (i, alpha) -> Fraction."""
 
-    __slots__ = ("n", "k", "point", "coeffs")
-
-    def __init__(self, n, k, point, coeffs=None):
-        self.n = n
-        self.k = k
-        self.point = tuple(_as_fraction(x) for x in point)
-        if len(self.point) != n:
-            raise ValueError("base point dimension mismatch")
-        table = {slot: Fraction(0) for slot in vector_slots(n, k)}
-        if coeffs:
-            for (i, alpha), c in coeffs.items():
-                table[(i, tuple(alpha))] = _as_fraction(c)
-        self.coeffs = table
-
-    def slot(self, i, alpha):
-        return self.coeffs[(i, tuple(alpha))]
-
-    def project(self, m):
-        if not 0 <= m <= self.k:
-            raise ValueError("projection order out of range")
-        return VectorJetPoint(
-            self.n, m, self.point, {s: c for s, c in self.coeffs.items() if order(s[1]) <= m}
-        )
+    __slots__ = ()
 
     def taylor_field(self):
         """Component polynomials with these slots as derivative values."""
@@ -344,45 +239,6 @@ class VectorJetPoint:
             )
             fields.append(pt.taylor_polynomial())
         return fields
-
-    def as_vector(self):
-        return [self.coeffs[s] for s in vector_slots(self.n, self.k)]
-
-    def __add__(self, other):
-        self._check(other)
-        return VectorJetPoint(
-            self.n, self.k, self.point, {s: c + other.coeffs[s] for s, c in self.coeffs.items()}
-        )
-
-    def __sub__(self, other):
-        self._check(other)
-        return VectorJetPoint(
-            self.n, self.k, self.point, {s: c - other.coeffs[s] for s, c in self.coeffs.items()}
-        )
-
-    def scale(self, c):
-        c = _as_fraction(c)
-        return VectorJetPoint(
-            self.n, self.k, self.point, {s: v * c for s, v in self.coeffs.items()}
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, VectorJetPoint)
-            and (self.n, self.k, self.point) == (other.n, other.k, other.point)
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.k, self.point, frozenset(self.coeffs.items())))
-
-    def _check(self, other):
-        if (self.n, self.k, self.point) != (other.n, other.k, other.point):
-            raise ValueError("jet point mismatch")
-
-    def __repr__(self):
-        nz = {s: c for s, c in self.coeffs.items() if c}
-        return f"VectorJetPoint(n={self.n}, k={self.k}, at={self.point}, {nz})"
 
 
 def vector_point_from_coords(n, k, point, coords):
@@ -418,8 +274,6 @@ def prolong_vector_field(components, k):
 
 def jet_product(f, g):
     """The product on J_k(M): (f*g)_alpha = sum C(alpha,beta) f_beta g_{alpha-beta}."""
-    if isinstance(f, FunctionJetPoint) != isinstance(g, FunctionJetPoint):
-        raise ValueError("cannot mix sections and point values")
     f._check(g)
     out = {}
     for alpha in multi_indices(f.n, f.k):
@@ -428,9 +282,7 @@ def jet_product(f, g):
             term = multi_binomial(alpha, beta) * f.slot(beta) * g.slot(sub(alpha, beta))
             total = term if total is None else total + term
         out[alpha] = total
-    if isinstance(f, FunctionJetPoint):
-        return FunctionJetPoint(f.n, f.k, f.point, out)
-    return FunctionJetSection(f.n, f.k, out)
+    return f.like(f.k, out)
 
 
 def jet_unit(n, k):
@@ -439,24 +291,15 @@ def jet_unit(n, k):
 
 
 def is_holonomic(section):
-    """Check f_{alpha+e_j} = d_j f_alpha for every slot of order < k.
+    """Check that the slot raised by e_j is d_j of the slot, for every
+    slot of order < k of a function or vector jet section.
 
-    Returns (True, None) or (False, first_violating_slot).
+    Returns (True, None) or (False, (j, first_violating_slot)).
     """
-    n, k = section.n, section.k
-    if isinstance(section, FunctionJetSection):
-        for alpha in multi_indices(n, k - 1) if k >= 1 else []:
-            for j in range(n):
-                up = add(alpha, unit(n, j))
-                if section.slot(up) != section.slot(alpha).diff(j):
-                    return False, (j, alpha)
+    if section.k == 0:
         return True, None
-    if isinstance(section, VectorJetSection):
-        for alpha in multi_indices(n, k - 1) if k >= 1 else []:
-            for j in range(n):
-                up = add(alpha, unit(n, j))
-                for i in range(n):
-                    if section.slot(i, up) != section.slot(i, alpha).diff(j):
-                        return False, (i, j, alpha)
-        return True, None
-    raise TypeError("expected a jet section")
+    for s, p in section.project(section.k - 1).coeffs.items():
+        for j in range(section.n):
+            if section.coeffs[section.raised(s, j)] != p.diff(j):
+                return False, (j, s)
+    return True, None

@@ -5,7 +5,7 @@ examples."""
 
 from fractions import Fraction
 
-from .jets import prolong_vector_field, vector_slots
+from .jets import prolong_vector_field
 from .liealg import FiniteLieAlgebra
 from .linalg import Echelon, nullspace, rank
 from .poly import Poly, _as_fraction

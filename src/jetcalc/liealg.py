@@ -6,7 +6,7 @@ and lower-central-series analysis."""
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import Echelon, matmul, matvec, nullspace, rank, rref, solve, zeros
+from .linalg import Echelon, matvec, nullspace, rank, rref, solve, zeros
 
 
 class FiniteLieAlgebra:
@@ -32,11 +32,7 @@ class FiniteLieAlgebra:
                 raise ValueError(f"structure constants fail at {witness}")
 
     def bracket(self, u, v):
-        out = [Fraction(0)] * self.dim
-        for (i, j, k), c in self.structure.items():
-            if u[i] != 0 and v[j] != 0:
-                out[k] += c * u[i] * v[j]
-        return out
+        return lie_bracket(self.dim, self.structure, u, v)
 
     def basis_vector(self, i):
         e = [Fraction(0)] * self.dim
@@ -60,18 +56,20 @@ class FiniteLieAlgebra:
         return LieModule(self, m, [zeros(m, m) for _ in range(self.dim)])
 
 
+def lie_bracket(dim, structure, u, v):
+    """[u, v] in coordinates, from structure constants c[(i, j, k)]."""
+    out = [Fraction(0)] * dim
+    for (i, j, k), c in structure.items():
+        if u[i] != 0 and v[j] != 0:
+            out[k] += c * u[i] * v[j]
+    return out
+
+
 def validate_lie_algebra(dim, structure):
     """Exact antisymmetry + Jacobi check; returns (ok, witness)."""
     for (i, j, k), c in structure.items():
         if structure.get((j, i, k), Fraction(0)) != -c:
             return False, ("antisymmetry", i, j, k)
-    def br(u, v):
-        out = [Fraction(0)] * dim
-        for (i, j, k), c in structure.items():
-            if u[i] != 0 and v[j] != 0:
-                out[k] += c * u[i] * v[j]
-        return out
-
     basis = []
     for i in range(dim):
         e = [Fraction(0)] * dim
@@ -82,8 +80,8 @@ def validate_lie_algebra(dim, structure):
             for k in range(j + 1, dim):
                 total = [Fraction(0)] * dim
                 for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner = br(basis[b], basis[c])
-                    term = br(basis[a], inner)
+                    inner = lie_bracket(dim, structure, basis[b], basis[c])
+                    term = lie_bracket(dim, structure, basis[a], inner)
                     total = [x + y for x, y in zip(total, term)]
                 if any(x != 0 for x in total):
                     return False, ("jacobi", i, j, k)
@@ -389,8 +387,8 @@ class ExtensionData:
 def extension_two_cocycle(ext):
     """omega(q1, q2) = [sigma q1, sigma q2] - sigma [q1, q2], valued in A.
 
-    Returns a dict (i, j) -> A-coordinates for i < j basis pairs of Q,
-    verified to satisfy the cocycle identity.
+    Returns a dict (i, j) -> A-coordinates for i < j basis pairs of Q;
+    `two_cocycle_witness` checks the cocycle identity.
     """
     Q = ext.Q
     cocycle = {}
@@ -404,12 +402,13 @@ def extension_two_cocycle(ext):
             if any(diff[a] != 0 for a in ext.q_lift):
                 raise ValueError("section defect leaves the ideal")
             cocycle[(i, j)] = ext.project_to_a(diff)
-    if ext.ideal_is_abelian():
-        _verify_two_cocycle(ext, cocycle)
     return cocycle
 
 
-def _verify_two_cocycle(ext, cocycle):
+def two_cocycle_witness(ext, cocycle):
+    """The first basis triple [i, j, k] of Q at which the cyclic cocycle
+    identity sum_cyc rho(x)w(y,z) - sum_cyc w([x,y],z) = 0 fails, or
+    None when it holds; the ideal must be abelian."""
     Q = ext.Q
     module = ext.kernel_module()
 
@@ -433,13 +432,12 @@ def _verify_two_cocycle(ext, cocycle):
                             sub = [
                                 x + ce * y for x, y in zip(sub, omega(e, a))
                             ]
-                    # cyclic cocycle identity:
-                    # sum_cyc rho(x)w(y,z) - sum_cyc w([x,y],z) = 0
                     total = [
                         t + x - y for t, x, y in zip(total, term, sub)
                     ]
                 if any(x != 0 for x in total):
-                    raise AssertionError("extension defect is not a 2-cocycle")
+                    return [i, j, k]
+    return None
 
 
 def is_split(ext):

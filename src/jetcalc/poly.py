@@ -7,7 +7,7 @@ every operation returns a fresh Poly.
 
 from fractions import Fraction
 
-from .multiindex import add, factorial, order, sub_indices, unit
+from .multiindex import add, factorial, order, unit
 
 
 def _as_fraction(x):

@@ -1,6 +1,7 @@
 """Bracket calculus on jets: algebraic bracket, Spencer operator,
 Spencer bracket, the action of vector jets on function jets, and the
-Lie algebra of the isotropy jet group.
+Lie algebra of the isotropy jet group, a `FiniteLieAlgebra` whose
+structure constants come from the jet-level bracket.
 
 The Spencer operator measures the failure of a section to be holonomic;
 the Spencer bracket corrects the algebraic bracket by Spencer terms so
@@ -9,13 +10,8 @@ that it closes at the same order and satisfies the Jacobi identity.
 
 from fractions import Fraction
 
-from .jets import (
-    FunctionJetPoint,
-    FunctionJetSection,
-    VectorJetPoint,
-    VectorJetSection,
-    vector_slots,
-)
+from .jets import FunctionJetSection, VectorJetPoint, vector_slots
+from .liealg import FiniteLieAlgebra
 from .multiindex import (
     add,
     multi_binomial,
@@ -63,35 +59,41 @@ class CovectorIndexedSection:
         )
 
 
-def algebraic_bracket(x_jet, y_jet):
-    """The pointwise bracket on jets, dropping one order.
-
-    Obtained by formally differentiating the classical bracket formula
-    and substituting slots:
+def _bracket_slots(x_jet, y_jet, k):
+    """Slots of order <= k of the jet-level bracket formula
     {X,Y}^i_alpha = sum_{beta<=alpha} C(alpha,beta)
-        (xi^a_beta eta^i_{(alpha-beta)+e_a} - eta^a_beta xi^i_{(alpha-beta)+e_a}).
-    """
-    _check_pair(x_jet, y_jet)
-    if x_jet.k < 1:
-        raise ValueError("algebraic bracket needs order at least 1")
-    n, k = x_jet.n, x_jet.k
+        (xi^a_beta eta^i_{(alpha-beta)+e_a} - eta^a_beta xi^i_{(alpha-beta)+e_a}),
+    over the terms whose slots exist at the order of the inputs."""
+    x_jet._check(y_jet)
+    n = x_jet.n
     out = {}
-    for alpha in multi_indices(n, k - 1):
+    for alpha in multi_indices(n, k):
         for i in range(n):
-            total = _zero_like(x_jet)
+            total = 0
             for beta in sub_indices(alpha):
                 c = multi_binomial(alpha, beta)
                 rest = sub(alpha, beta)
                 for a in range(n):
                     up = add(rest, unit(n, a))
+                    if order(up) > x_jet.k:
+                        continue
                     total = total + c * (
                         x_jet.slot(a, beta) * y_jet.slot(i, up)
                         - y_jet.slot(a, beta) * x_jet.slot(i, up)
                     )
             out[(i, alpha)] = total
-    if isinstance(x_jet, VectorJetPoint):
-        return VectorJetPoint(n, k - 1, x_jet.point, out)
-    return VectorJetSection(n, k - 1, out)
+    return x_jet.like(k, out)
+
+
+def algebraic_bracket(x_jet, y_jet):
+    """The pointwise bracket on jets, dropping one order.
+
+    Obtained by formally differentiating the classical bracket formula
+    and substituting slots.
+    """
+    if x_jet.k < 1:
+        raise ValueError("algebraic bracket needs order at least 1")
+    return _bracket_slots(x_jet, y_jet, x_jet.k - 1)
 
 
 def isotropy_bracket(x_jet, y_jet):
@@ -101,108 +103,44 @@ def isotropy_bracket(x_jet, y_jet):
     closes at full order k (every slot of order k+1 is multiplied by an
     order-0 slot, which is zero).
     """
-    _check_pair(x_jet, y_jet)
-    n, k = x_jet.n, x_jet.k
-    z = (0,) * n
-    for a in range(n):
+    x_jet._check(y_jet)
+    z = (0,) * x_jet.n
+    for a in range(x_jet.n):
         if x_jet.slot(a, z) != 0 or y_jet.slot(a, z) != 0:
             raise ValueError("isotropy bracket needs vanishing order-0 part")
-    out = {}
-    for alpha in multi_indices(n, k):
-        for i in range(n):
-            total = _zero_like(x_jet)
-            for beta in sub_indices(alpha):
-                if order(beta) == 0:
-                    continue  # order-0 slots vanish on J_{k,0}
-                c = multi_binomial(alpha, beta)
-                rest = sub(alpha, beta)
-                for a in range(n):
-                    up = add(rest, unit(n, a))
-                    if order(up) > k:
-                        continue  # partner slot would be order 0
-                    total = total + c * (
-                        x_jet.slot(a, beta) * y_jet.slot(i, up)
-                        - y_jet.slot(a, beta) * x_jet.slot(i, up)
-                    )
-            out[(i, alpha)] = total
-    if isinstance(x_jet, VectorJetPoint):
-        return VectorJetPoint(n, k, x_jet.point, out)
-    return VectorJetSection(n, k, out)
+    return _bracket_slots(x_jet, y_jet, x_jet.k)
 
 
-def spencer_operator_vec(section):
-    """D: g_{k+1} -> T* tensor g_k, slot (j; i, alpha) = d_j xi^i_alpha - xi^i_{alpha+e_j}."""
+def spencer_operator(section):
+    """D: J_{k+1} -> T* tensor J_k and g_{k+1} -> T* tensor g_k, with
+    slot (j; s) = d_j (slot s) - (slot s raised by e_j)."""
     if section.k < 1:
         raise ValueError("Spencer operator needs order at least 1")
-    n, k = section.n, section.k - 1
-    parts = []
-    for j in range(n):
-        coeffs = {}
-        for alpha in multi_indices(n, k):
-            for i in range(n):
-                coeffs[(i, alpha)] = section.slot(i, alpha).diff(j) - section.slot(
-                    i, add(alpha, unit(n, j))
-                )
-        parts.append(VectorJetSection(n, k, coeffs))
-    return CovectorIndexedSection(n, k, parts)
+    low = section.project(section.k - 1)
+    parts = [
+        low.like(
+            low.k,
+            {
+                s: p.diff(j) - section.coeffs[section.raised(s, j)]
+                for s, p in low.coeffs.items()
+            },
+        )
+        for j in range(section.n)
+    ]
+    return CovectorIndexedSection(section.n, low.k, parts)
 
 
-def spencer_operator_fun(section):
-    """D: J_{k+1} -> T* tensor J_k, function-valued."""
-    if section.k < 1:
-        raise ValueError("Spencer operator needs order at least 1")
-    n, k = section.n, section.k - 1
-    parts = []
-    for j in range(n):
-        coeffs = {}
-        for alpha in multi_indices(n, k):
-            coeffs[alpha] = section.slot(alpha).diff(j) - section.slot(
-                add(alpha, unit(n, j))
-            )
-        parts.append(FunctionJetSection(n, k, coeffs))
-    return CovectorIndexedSection(n, k, parts)
-
-
-def _zero_like(jet):
-    if isinstance(jet, (VectorJetPoint, FunctionJetPoint)):
-        return Fraction(0)
-    return Poly.zero(jet.n)
-
-
-def _check_pair(x_jet, y_jet):
-    if (x_jet.n, x_jet.k) != (y_jet.n, y_jet.k):
-        raise ValueError("jet order/dimension mismatch")
-    if isinstance(x_jet, VectorJetPoint) and x_jet.point != y_jet.point:
-        raise ValueError("base point mismatch")
-
-
-def _lift_vector(section, lift_policy, rng=None, degree=2):
+def _lift(section, lift_policy, rng=None, degree=2):
+    """Lift a section by one order, with zero or seeded random new slots."""
     if lift_policy == "zero":
         return section.lift(section.k + 1)
     if lift_policy == "random":
         if rng is None:
             raise ValueError("random lift needs an rng")
-        n, k = section.n, section.k
-        top = {}
-        for alpha in multi_indices(n, k + 1, k_min=k + 1):
-            for i in range(n):
-                top[(i, alpha)] = _random_poly(n, rng, degree)
-        return section.lift(k + 1, top)
-    raise ValueError(f"unknown lift policy {lift_policy!r}")
-
-
-def _lift_function(section, lift_policy, rng=None, degree=2):
-    if lift_policy == "zero":
-        return section.lift(section.k + 1)
-    if lift_policy == "random":
-        if rng is None:
-            raise ValueError("random lift needs an rng")
-        n, k = section.n, section.k
-        top = {
-            alpha: _random_poly(n, rng, degree)
-            for alpha in multi_indices(n, k + 1, k_min=k + 1)
-        }
-        return section.lift(k + 1, top)
+        new = [s for s in section.lift(section.k + 1).coeffs if s not in section.coeffs]
+        return section.lift(
+            section.k + 1, {s: _random_poly(section.n, rng, degree) for s in new}
+        )
     raise ValueError(f"unknown lift policy {lift_policy!r}")
 
 
@@ -223,20 +161,9 @@ def _contract_with_order0(x_section, covector):
     zero = (0,) * n
     result = None
     for a in range(n):
-        term = _scale_section(covector.part(a), x_section.slot(a, zero))
+        term = covector.part(a).scale(x_section.slot(a, zero))
         result = term if result is None else result + term
     return result
-
-
-def _scale_section(section, poly):
-    """Multiply every slot of a jet section by a polynomial (module structure)."""
-    if isinstance(section, VectorJetSection):
-        return VectorJetSection(
-            section.n, section.k, {s: p * poly for s, p in section.coeffs.items()}
-        )
-    return FunctionJetSection(
-        section.n, section.k, {a: p * poly for a, p in section.coeffs.items()}
-    )
 
 
 def spencer_bracket(x_section, y_section, lift_policy="zero", rng=None):
@@ -245,11 +172,11 @@ def spencer_bracket(x_section, y_section, lift_policy="zero", rng=None):
     """
     if (x_section.n, x_section.k) != (y_section.n, y_section.k):
         raise ValueError("jet order/dimension mismatch")
-    x_lift = _lift_vector(x_section, lift_policy, rng)
-    y_lift = _lift_vector(y_section, lift_policy, rng)
+    x_lift = _lift(x_section, lift_policy, rng)
+    y_lift = _lift(y_section, lift_policy, rng)
     main = algebraic_bracket(x_lift, y_lift)
-    dx = spencer_operator_vec(x_lift)
-    dy = spencer_operator_vec(y_lift)
+    dx = spencer_operator(x_lift)
+    dy = spencer_operator(y_lift)
     return main + _contract_with_order0(x_section, dy) - _contract_with_order0(y_section, dx)
 
 
@@ -278,15 +205,18 @@ def jet_action(x_section, f_section, lift_policy="zero", rng=None):
     order: the Leibniz action on a lift plus the Spencer correction."""
     if (x_section.n, x_section.k) != (f_section.n, f_section.k):
         raise ValueError("jet order/dimension mismatch")
-    f_lift = _lift_function(f_section, lift_policy, rng)
+    f_lift = _lift(f_section, lift_policy, rng)
     main = algebraic_action_star(x_section, f_lift)
-    df = spencer_operator_fun(f_lift)
+    df = spencer_operator(f_lift)
     return main + _contract_with_order0(x_section, df)
 
 
-class JetGroupAlgebra:
-    """The Lie algebra of the isotropy jet group at a point: slots
-    (i, alpha) with 1 <= |alpha| <= k, bracket from the jet-level formula."""
+class JetGroupAlgebra(FiniteLieAlgebra):
+    """The Lie algebra of the isotropy jet group at a point: basis slots
+    (i, alpha) with 1 <= |alpha| <= k, structure constants from the
+    jet-level bracket, antisymmetry and Jacobi checked on construction."""
+
+    __slots__ = ("n", "k", "slots")
 
     def __init__(self, n, k, check=True):
         if k < 1:
@@ -294,13 +224,7 @@ class JetGroupAlgebra:
         self.n = n
         self.k = k
         self.slots = vector_slots(n, k, min_order=1)
-        self.dim = len(self.slots)
-        self._index = {s: i for i, s in enumerate(self.slots)}
-        self.structure = self._structure_constants()
-        if check:
-            ok, witness = self.check_jacobi()
-            if not ok:
-                raise AssertionError(f"Jacobi identity failed at {witness}")
+        super().__init__(len(self.slots), self._structure_constants(), check=check)
 
     def _basis_jet(self, idx):
         i, alpha = self.slots[idx]
@@ -310,8 +234,9 @@ class JetGroupAlgebra:
 
     def _structure_constants(self):
         table = {}
-        for p in range(self.dim):
-            for q in range(p + 1, self.dim):
+        dim = len(self.slots)
+        for p in range(dim):
+            for q in range(p + 1, dim):
                 br = isotropy_bracket(self._basis_jet(p), self._basis_jet(q))
                 col = [br.slot(i, alpha) for (i, alpha) in self.slots]
                 for r, c in enumerate(col):
@@ -320,38 +245,9 @@ class JetGroupAlgebra:
                         table[(q, p, r)] = -c
         return table
 
-    def bracket_coords(self, u, v):
-        out = [Fraction(0)] * self.dim
-        for (p, q, r), c in self.structure.items():
-            if u[p] != 0 and v[q] != 0:
-                out[r] += c * u[p] * v[q]
-        return out
-
-    def check_jacobi(self):
-        basis = []
-        for p in range(self.dim):
-            e = [Fraction(0)] * self.dim
-            e[p] = Fraction(1)
-            basis.append(e)
-        for p in range(self.dim):
-            for q in range(p + 1, self.dim):
-                for r in range(q + 1, self.dim):
-                    total = [Fraction(0)] * self.dim
-                    for a, b, c in ((p, q, r), (q, r, p), (r, p, q)):
-                        inner = self.bracket_coords(basis[b], basis[c])
-                        term = self.bracket_coords(basis[a], inner)
-                        total = [x + y for x, y in zip(total, term)]
-                    if any(x != 0 for x in total):
-                        return False, (p, q, r)
-        return True, None
-
     def finite_lie_algebra(self):
-        from .liealg import FiniteLieAlgebra
-
-        c = {}
-        for (p, q, r), v in self.structure.items():
-            c[(p, q, r)] = v
-        return FiniteLieAlgebra(self.dim, c)
+        """This algebra: it is a FiniteLieAlgebra, checked on construction."""
+        return self
 
 
 def jet_group_algebra(n, k):

@@ -104,6 +104,12 @@ def test_extension_builtin(capsys):
     assert res["ideal_abelian"] is True
     assert res["cocycle_nonzero_pairs"] == 0
     assert res["is_split"] is True
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["cocycle_identity"] == {
+        "name": "cocycle_identity",
+        "pass": True,
+        "witness": None,
+    }
 
 
 def test_bracket_scenario(capsys, tmp_path):
@@ -183,3 +189,24 @@ def test_forms_needs_two_variables(capsys):
     code, out = run_cli(capsys, "forms", "--n", "1", "--k", "1", "--count", "1")
     assert code == 2
     assert "n >= 2" in json.loads(out)["error"]
+
+
+def test_conflicting_duplicate_structure_slot_exits_2(capsys, tmp_path):
+    scenario = {
+        "task": "prolongation",
+        "kind": "metric",
+        "n": 2,
+        "order": 2,
+        "point": ["0", "0"],
+        "coeffs": [[0, 0, [0, 0], "1"], [1, 1, [0, 0], "1"], [1, 1, [0, 0], "5"]],
+    }
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(scenario))
+    code, out = run_cli(capsys, "prolong", "--scenario", str(path), "--kmax", "1")
+    assert code == 2
+    assert "conflicting" in json.loads(out)["error"]
+    # repeating a slot with the same value is not a conflict
+    scenario["coeffs"][2] = [1, 1, [0, 0], "1"]
+    path.write_text(json.dumps(scenario))
+    code, out = run_cli(capsys, "prolong", "--scenario", str(path), "--kmax", "1")
+    assert code == 0

@@ -1,0 +1,49 @@
+"""Source hygiene: no unused imports, and a stdlib-only runtime."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+PACKAGE = SRC / "jetcalc"
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_imports():
+    unused = [entry for p in sorted(PACKAGE.glob("*.py")) for entry in _unused_imports(p)]
+    assert unused == []
+
+
+def test_modules_import_only_the_standard_library():
+    probe = (
+        "import importlib, sys\n"
+        "before = set(sys.modules)\n"
+        f"for m in {MODULES!r}:\n"
+        "    importlib.import_module('jetcalc.' + m)\n"
+        "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "jetcalc.cli" in out
+    outside = [
+        m for m in out
+        if m.split(".")[0] not in sys.stdlib_module_names and m.split(".")[0] != "jetcalc"
+    ]
+    assert outside == []

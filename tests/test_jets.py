@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from jetcalc.jets import (
+    FunctionJetPoint,
     FunctionJetSection,
+    VectorJetPoint,
     VectorJetSection,
     function_slots,
     is_holonomic,
@@ -106,3 +110,74 @@ def test_taylor_polynomial_reconstructs_truncation():
     taylor = jet.taylor_polynomial()
     # degree <= 2 part of p
     assert taylor == Poly(1, {(0,): Fraction(1), (1,): Fraction(2)})
+
+
+POINT_KIND = {FunctionJetSection: FunctionJetPoint, VectorJetSection: VectorJetPoint}
+SECTIONS = list(POINT_KIND)
+ALL_KINDS = SECTIONS + list(POINT_KIND.values())
+POINT = (Fraction(1, 2), Fraction(-1, 3))
+
+
+def make_jet(cls, n, k, rng, point=POINT):
+    """A random jet of the given class with every slot set."""
+    vector = cls in (VectorJetSection, VectorJetPoint)
+    slots = vector_slots(n, k) if vector else function_slots(n, k)
+    if cls in SECTIONS:
+        return cls(n, k, {s: rand_poly(n, rng, 2) for s in slots})
+    values = {s: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for s in slots}
+    return cls(n, k, point[:n], values)
+
+
+@pytest.mark.parametrize("cls", ALL_KINDS)
+def test_jet_arithmetic_equality_and_hash(cls):
+    rng = random.Random(6)
+    a = make_jet(cls, 2, 2, rng)
+    b = make_jet(cls, 2, 2, rng)
+    assert a + b - b == a
+    assert -a == a.scale(-1)
+    assert a - a == a.scale(0)
+    twin = make_jet(cls, 2, 2, random.Random(6))
+    assert twin is not a and twin == a and hash(twin) == hash(a)
+    assert len({a, twin, b}) == 2
+    assert a.project(a.k) == a
+
+
+@pytest.mark.parametrize("cls", ALL_KINDS)
+def test_jet_mismatches_raise(cls):
+    rng = random.Random(7)
+    a = make_jet(cls, 2, 2, rng)
+    others = [make_jet(cls, 2, 1, rng), make_jet(cls, 1, 2, rng)]
+    if cls in SECTIONS:
+        others.append(make_jet(POINT_KIND[cls], 2, 2, rng))
+    else:
+        others.append(make_jet(cls, 2, 2, rng, point=(Fraction(0), Fraction(0))))
+        with pytest.raises(TypeError):
+            cls(2, 2, None)
+    for other in others:
+        with pytest.raises(ValueError):
+            a + other
+        with pytest.raises(ValueError):
+            a - other
+        assert a != other
+
+
+@pytest.mark.parametrize("cls", SECTIONS)
+def test_section_evaluation_projection_lift_and_validation(cls):
+    rng = random.Random(8)
+    a = make_jet(cls, 2, 3, rng)
+    for m in range(4):
+        assert a.at(POINT).project(m) == a.project(m).at(POINT)
+    old_slot = next(iter(a.coeffs))
+    with pytest.raises(ValueError):
+        a.lift(4, {old_slot: Poly.const(2, 1)})
+    new_slot = list(a.lift(4).coeffs)[-1]
+    assert a.lift(4, {new_slot: Poly.const(2, 1)}).project(3) == a
+    if cls is FunctionJetSection:
+        bad_slots = [(2, 0)]
+    else:
+        bad_slots = [(2, (0, 0)), (0, (2, 0))]
+    for bad in bad_slots:
+        with pytest.raises(ValueError):
+            cls(2, 1, {bad: 1})
+    with pytest.raises(ValueError):
+        cls(2, -1)

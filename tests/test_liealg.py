@@ -11,6 +11,7 @@ from jetcalc.liealg import (
     nilpotency_analysis,
     relative_ce_cohomology_dims,
     ce_cohomology_dims,
+    two_cocycle_witness,
     validate_lie_algebra,
 )
 from jetcalc.spencer import jet_group_algebra
@@ -108,9 +109,9 @@ def test_one_variable_jet_group_structure():
         v = [Fraction(0)] * 3
         v[power - 1] = Fraction(factorial(power))
         e.append(v)
-    assert g.bracket_coords(e[0], e[1]) == e[1]
-    assert g.bracket_coords(e[0], e[2]) == [2 * c for c in e[2]]
-    assert g.bracket_coords(e[1], e[2]) == [Fraction(0)] * 3
+    assert g.bracket(e[0], e[1]) == e[1]
+    assert g.bracket(e[0], e[2]) == [2 * c for c in e[2]]
+    assert g.bracket(e[1], e[2]) == [Fraction(0)] * 3
 
 
 def test_one_variable_jet_group_extension_splits_with_abelian_kernel():
@@ -154,3 +155,33 @@ def test_two_variable_jet_group_extension_is_nonsplit_with_nonabelian_kernel():
     nonzero = sum(1 for v in cocycle.values() if any(c != 0 for c in v))
     assert nonzero > 0
     assert not is_split(ext2)
+
+
+def _jet_group_extension_n2_k3_m2():
+    from jetcalc.multiindex import order
+
+    g = jet_group_algebra(2, 3)
+    return ExtensionData(g, [i for i, (c, al) in enumerate(g.slots) if order(al) > 2])
+
+
+def test_two_cocycle_witness_none_on_true_cocycles():
+    for ext in (ExtensionData(heisenberg(), [2]), _jet_group_extension_n2_k3_m2()):
+        assert ext.ideal_is_abelian()
+        assert two_cocycle_witness(ext, extension_two_cocycle(ext)) is None
+
+
+def test_two_cocycle_witness_finds_every_single_entry_corruption():
+    ext = _jet_group_extension_n2_k3_m2()
+    cocycle = extension_two_cocycle(ext)
+    corruptions = 0
+    for pair, value in cocycle.items():
+        for a in range(len(value)):
+            bad = dict(cocycle)
+            bad[pair] = list(value)
+            bad[pair][a] += 1
+            witness = two_cocycle_witness(ext, bad)
+            assert isinstance(witness, list) and len(witness) == 3
+            assert witness == sorted(set(witness))
+            corruptions += 1
+            if corruptions == 40:
+                return
