@@ -2,9 +2,18 @@
 
 An Arrow stores the Taylor data of the underlying diffeomorphism as
 derivative values c[(i, alpha)] for 1 <= |alpha| <= k; the |alpha| = 0
-data is the target point.  Composition is truncated composition of the
-Taylor polynomials (multivariate chain rule up to order k) and
-inversion solves the triangular system order by order.
+data is the target point.  Every operation works in local coordinates,
+u = x - source and v = y - target, where the arrow is its displacement
+A(u) = sum_alpha c[(i, alpha)] / alpha! * u^alpha, a truncated power
+series without constant term.  Slot values and Taylor coefficients
+differ only by the factor alpha!, and `_taylor` / `_slot_values` are
+the one conversion between them.  On that single Taylor path:
+
+- composition is the truncated series composition B(A(u));
+- inversion solves C(A(u)) = u degree by degree;
+- a function jet f is carried to F(C(v)), and a vector jet X to
+  (DA . X)(C(v)), where F and X are local Taylor polynomials at the
+  source and C is the displacement of the inverse arrow.
 """
 
 from fractions import Fraction
@@ -13,6 +22,30 @@ from .linalg import invert as mat_invert
 from .multiindex import factorial, multi_indices, order, unit
 from .poly import Poly, _as_fraction
 from .jets import FunctionJetPoint, VectorJetPoint
+
+
+def _taylor(n, values):
+    """The local Taylor polynomial of derivative values {alpha: value}:
+    the coefficient of u^alpha is value / alpha!."""
+    return Poly(n, {alpha: v / factorial(alpha) for alpha, v in values.items()})
+
+
+def _slot_values(p):
+    """Inverse of `_taylor`: the derivative values {alpha: alpha! * coefficient}."""
+    return {alpha: c * factorial(alpha) for alpha, c in p.coeffs.items()}
+
+
+def _taylor_components(n, table):
+    """One local Taylor polynomial per component of an (i, alpha) slot table."""
+    parts = [{} for _ in range(n)]
+    for (i, alpha), v in table.items():
+        parts[i][alpha] = v
+    return [_taylor(n, part) for part in parts]
+
+
+def _component_slots(polys):
+    """Inverse of `_taylor_components`."""
+    return {(i, alpha): v for i, p in enumerate(polys) for alpha, v in _slot_values(p).items()}
 
 
 class Arrow:
@@ -89,16 +122,8 @@ class Arrow:
         )
 
     def displacement_polynomials(self):
-        """Components of the map minus its target, in powers of (x - source)."""
-        out = []
-        for i in range(self.n):
-            p = Poly.zero(self.n)
-            for alpha in multi_indices(self.n, self.k, k_min=1):
-                c = self.coeffs[(i, alpha)]
-                if c != 0:
-                    p = p + Poly.monomial(self.n, alpha, c / factorial(alpha))
-            out.append(p)
-        return out
+        """The components of A(u), the map minus its target in powers of u."""
+        return _taylor_components(self.n, self.coeffs)
 
     def __eq__(self, other):
         return (
@@ -110,9 +135,6 @@ class Arrow:
 
     def __hash__(self):
         return hash((self.n, self.k, self.source, self.target, frozenset(self.coeffs.items())))
-
-    def is_identity(self):
-        return self == Arrow.identity(self.n, self.k, self.source)
 
     def __repr__(self):
         nz = {s: c for s, c in self.coeffs.items() if c}
@@ -127,85 +149,41 @@ def compose_arrows(b, a):
         raise ValueError("arrow order/dimension mismatch")
     if a.target != b.source:
         raise ValueError("arrows do not chain: target(a) != source(b)")
-    n, k = a.n, a.k
-    da = a.displacement_polynomials()  # u = A(x) - y0 in powers of x - x0
-    db = b.displacement_polynomials()  # B(y) - z0 in powers of y - y0
-    coeffs = {}
-    for i in range(n):
-        comp = db[i].compose(da, k)  # powers of x - x0, truncated at degree k
-        for alpha in multi_indices(n, k, k_min=1):
-            c = comp.coeffs.get(alpha, Fraction(0))
-            coeffs[(i, alpha)] = c * factorial(alpha)
-    return Arrow(n, k, a.source, b.target, coeffs)
+    da = a.displacement_polynomials()
+    comp = [p.compose(da, a.k) for p in b.displacement_polynomials()]
+    return Arrow(a.n, a.k, a.source, b.target, _component_slots(comp))
 
 
 def invert_arrow(a):
-    """The inverse arrow, solved degree by degree from C(A(x)) = x."""
+    """The inverse arrow, solved degree by degree from C(A(u)) = u."""
     n, k = a.n, a.k
     da = a.displacement_polynomials()
     linv = mat_invert(a.linear_part())
-    # unknown inverse displacement C(u), built as homogeneous layers
-    c_parts = [
-        sum(
-            (Poly.monomial(n, unit(n, j), linv[i][j]) for j in range(n)),
-            Poly.zero(n),
-        )
-        for i in range(n)
-    ]
+    lin = [Poly(n, {unit(n, j): linv[i][j] for j in range(n)}) for i in range(n)]
+    c_parts = list(lin)
     for d in range(2, k + 1):
-        residual = []
-        for i in range(n):
-            comp = c_parts[i].compose(da, d)
-            target = Poly.variable(n, i)
-            residual.append(
-                Poly(
-                    n,
-                    {
-                        m: v
-                        for m, v in (target - comp).coeffs.items()
-                        if order(m) == d
-                    },
-                )
-            )
-        # C_d(L x) = residual_d(x), so C_d(u) = residual_d(L^{-1} u)
-        lin_subs = [
-            sum(
-                (Poly.monomial(n, unit(n, j), linv[i][j]) for j in range(n)),
-                Poly.zero(n),
-            )
-            for i in range(n)
+        # R_d, the degree-d part of u - C(A(u)), is -C(A(u))_d for d >= 2;
+        # adding the layer R_d(L^{-1} v) to C cancels it
+        residual = [
+            Poly(n, {m: -v for m, v in c.compose(da, d).coeffs.items() if order(m) == d})
+            for c in c_parts
         ]
-        for i in range(n):
-            c_parts[i] = c_parts[i] + residual[i].compose(lin_subs, d)
-    coeffs = {}
-    for i in range(n):
-        for alpha in multi_indices(n, k, k_min=1):
-            c = c_parts[i].coeffs.get(alpha, Fraction(0))
-            coeffs[(i, alpha)] = c * factorial(alpha)
-    return Arrow(n, k, a.target, a.source, coeffs)
+        c_parts = [c + r.compose(lin, d) for c, r in zip(c_parts, residual)]
+    return Arrow(n, k, a.target, a.source, _component_slots(c_parts))
 
 
-def _inverse_map_polynomials(a):
-    """Polynomial components of a^{-1} around the target, in chart coordinates."""
-    inv = invert_arrow(a)
-    n = a.n
-    comps = []
-    disp = inv.displacement_polynomials()
-    for i in range(n):
-        shifted_vars = [
-            Poly.variable(n, j) - a.target[j] for j in range(n)
-        ]
-        p = disp[i].compose(shifted_vars, a.k) + inv.target[i]
-        comps.append(p)
-    return comps
+def _inverse_displacement(a, k):
+    """C(v), the inverse displacement truncated at degree k (an arrow has
+    order at least 1)."""
+    return invert_arrow(a.project(max(k, 1))).displacement_polynomials()
 
 
 def pushforward_vector_jet(a, x_jet):
     """Transport a vector k-jet along an arrow of order k+1.
 
-    Computed on the holonomic Taylor representative: the pushforward of
-    the polynomial field by the arrow's polynomial map, re-jetted at the
-    target.  The result depends only on the jet data.
+    The k-jet of (DA . X)(C(v)) at the target: DA . X needs the
+    (k+1)-jet of the arrow and the k-jet of X, the substitution the
+    k-jet of the inverse.
     """
     if not isinstance(x_jet, VectorJetPoint):
         raise TypeError("expected a vector jet point value")
@@ -216,49 +194,22 @@ def pushforward_vector_jet(a, x_jet):
     if a.source != x_jet.point:
         raise ValueError("jet is not based at the arrow source")
     n, k = a.n, x_jet.k
-    xi = x_jet.taylor_field()  # polynomials in chart coordinates
-    # map components A(x) in chart coordinates
-    shifted = [Poly.variable(n, j) - a.source[j] for j in range(n)]
-    amap = [
-        a.displacement_polynomials()[i].compose(shifted, a.k) + a.target[i]
-        for i in range(n)
-    ]
-    ainv = _inverse_map_polynomials(a)
-    # eta(y) = (DA . xi)(A^{-1}(y)), re-jetted at the target
-    coeffs = {}
-    for i in range(n):
-        jac_dot_xi = Poly.zero(n)
+    xi = _taylor_components(n, x_jet.coeffs)
+    c = _inverse_displacement(a, k)
+    eta = []
+    for ai in a.displacement_polynomials():
+        dxi = Poly.zero(n)
         for j in range(n):
-            jac_dot_xi = jac_dot_xi + amap[i].diff(j) * xi[j]
-        # only the k-jet at the target matters; shift A^{-1} around target
-        eta = _compose_around(jac_dot_xi, ainv, a.target, k)
-        for alpha in multi_indices(n, k):
-            coeffs[(i, alpha)] = eta.derivative_value(alpha, a.target)
-    return VectorJetPoint(n, k, a.target, coeffs)
-
-
-def _compose_around(f, gmap, base, k):
-    """k-jet-sufficient composition f(g(y)) around y = base.
-
-    Substitutes the degree-k expansions in powers of (y - base) and
-    truncates, which is enough to read off derivatives at base.
-    """
-    n = f.n
-    g_shift = [g.shift(base).truncate(k) for g in gmap]  # in powers of (y - base)
-    f_at = f.shift([g.evaluate(base) for g in gmap])
-    g_disp = [
-        g - Poly.const(n, g.constant_term()) for g in g_shift
-    ]
-    comp = f_at.compose(g_disp, k)  # in powers of (y - base), truncated
-    back = [Poly.variable(n, j) - base[j] for j in range(n)]
-    return comp.compose(back, k)
+            dxi = dxi + ai.diff(j).mul_truncated(xi[j], k)
+        eta.append(dxi.compose(c, k))
+    return VectorJetPoint(n, k, a.target, _component_slots(eta))
 
 
 def pushforward_function_jet(a, f_jet):
     """Transport a function k-jet at the arrow source to the target.
 
-    The result is the k-jet of f o a^{-1}; an algebra homomorphism for
-    the jet product.
+    The result is the k-jet of f o a^{-1}, F(C(v)); an algebra
+    homomorphism for the jet product.
     """
     if not isinstance(f_jet, FunctionJetPoint):
         raise TypeError("expected a function jet point value")
@@ -269,12 +220,5 @@ def pushforward_function_jet(a, f_jet):
     if a.source != f_jet.point:
         raise ValueError("jet is not based at the arrow source")
     n, k = a.n, f_jet.k
-    ainv = _inverse_map_polynomials(a)
-    f_poly = f_jet.taylor_polynomial()
-    g = _compose_around(f_poly, ainv, a.target, k)
-    return FunctionJetPoint(
-        n,
-        k,
-        a.target,
-        {alpha: g.derivative_value(alpha, a.target) for alpha in multi_indices(n, k)},
-    )
+    g = _taylor(n, f_jet.coeffs).compose(_inverse_displacement(a, k), k)
+    return FunctionJetPoint(n, k, a.target, _slot_values(g))

@@ -549,7 +549,6 @@ def _run_klein(builtin, n):
 def _run_extension(n, k, m):
     from .liealg import (
         ExtensionData,
-        extension_two_cocycle,
         is_split,
         nilpotency_analysis,
         two_cocycle_witness,
@@ -569,7 +568,7 @@ def _run_extension(n, k, m):
         idx for idx, (i, alpha) in enumerate(group.slots) if order(alpha) > m
     ]
     ext = ExtensionData(E, a_indices)
-    cocycle = extension_two_cocycle(ext)
+    cocycle = ext.cocycle
     nonzero = sum(1 for v in cocycle.values() if any(c != 0 for c in v))
     abelian = ext.ideal_is_abelian()
     # the cocycle identity is defined only for an abelian ideal

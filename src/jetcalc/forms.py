@@ -22,7 +22,7 @@ from .jets import (
     jet_product,
     vector_slots,
 )
-from .linalg import Echelon, nullspace, solve
+from .linalg import Echelon, determinant, nullspace, solve
 from .multiindex import multi_indices, order
 from .poly import Poly, _as_fraction
 from .spencer import jet_action, spencer_bracket
@@ -185,8 +185,6 @@ class FormKR:
 def _poly_det(rows):
     """Determinant of a small matrix of polynomials, by permutation expansion."""
     m = len(rows)
-    if m == 0:
-        return None
     n = rows[0][0].n
     total = Poly.zero(n)
     for perm in permutations(range(m)):
@@ -225,7 +223,7 @@ def eval_form(omega, args):
             continue
         rows = [[x.slot(i, alpha) for x in args] for (i, alpha) in key]
         det = _poly_det(rows)
-        if det is None or det.is_zero():
+        if det.is_zero():
             continue
         result = result + sec.scale(det)
     return result
@@ -522,7 +520,7 @@ class FormAtPoint:
         result = FunctionJetPoint(self.n, self.k, self.point)
         for key, val in self.coeffs.items():
             rows = [[x.slot(i, alpha) for x in args] for (i, alpha) in key]
-            det = _fraction_det(rows)
+            det = determinant(rows)
             if det != 0:
                 result = result + val.scale(det)
         return result
@@ -548,26 +546,6 @@ class FormAtPoint:
 
     def __repr__(self):
         return f"FormAtPoint(n={self.n}, k={self.k}, r={self.r}, at={self.point})"
-
-
-def _fraction_det(rows):
-    m = len(rows)
-    total = Fraction(0)
-    for perm in permutations(range(m)):
-        term = Fraction(1)
-        for i, j in enumerate(perm):
-            term *= rows[i][j]
-            if term == 0:
-                break
-        if term == 0:
-            continue
-        sign = 1
-        for i in range(m):
-            for j in range(i + 1, m):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        total += sign * term
-    return total
 
 
 def form_at(omega, point):

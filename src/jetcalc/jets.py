@@ -18,7 +18,6 @@ from fractions import Fraction
 
 from .multiindex import (
     add,
-    factorial,
     multi_binomial,
     multi_indices,
     sub,
@@ -208,37 +207,11 @@ class FunctionJetPoint(_FunctionLayout, _JetTable):
 
     __slots__ = ()
 
-    def taylor_polynomial(self):
-        """The polynomial with these slots as derivative values at the base point."""
-        p = Poly.zero(self.n)
-        for alpha, c in self.coeffs.items():
-            if c != 0:
-                shifted = Poly.const(self.n, c / factorial(alpha))
-                for j, e in enumerate(alpha):
-                    var = Poly.variable(self.n, j) - self.point[j]
-                    for _ in range(e):
-                        shifted = shifted * var
-                p = p + shifted
-        return p
-
 
 class VectorJetPoint(_VectorLayout, _JetTable):
     """A vector jet evaluated at a base point: slot table (i, alpha) -> Fraction."""
 
     __slots__ = ()
-
-    def taylor_field(self):
-        """Component polynomials with these slots as derivative values."""
-        fields = []
-        for i in range(self.n):
-            pt = FunctionJetPoint(
-                self.n,
-                self.k,
-                self.point,
-                {a: self.coeffs[(i, a)] for a in multi_indices(self.n, self.k)},
-            )
-            fields.append(pt.taylor_polynomial())
-        return fields
 
 
 def vector_point_from_coords(n, k, point, coords):
@@ -246,11 +219,6 @@ def vector_point_from_coords(n, k, point, coords):
     if len(coords) != len(slots):
         raise ValueError("coordinate vector length mismatch")
     return VectorJetPoint(n, k, point, dict(zip(slots, coords)))
-
-
-def jet_project(obj, m):
-    """Projection pi_{k,m}, uniform over all jet-like values."""
-    return obj.project(m)
 
 
 def prolong_function(f, k):

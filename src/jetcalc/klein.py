@@ -70,11 +70,7 @@ class RealizedLieAlgebra:
 
     def realization_kernel(self):
         """Abstract vectors mapping to the identically zero field."""
-        deg = 0
-        for f in self.fields:
-            for p in f:
-                for alpha in p.coeffs:
-                    deg = max(deg, sum(alpha))
+        deg = max([0] + [p.degree() for f in self.fields for p in f])
         # a polynomial field of degree <= deg vanishes iff its jet of
         # order deg at any point vanishes
         mat = [self.jet_at_point(unit_vec(self.algebra.dim, b), deg) for b in range(self.algebra.dim)]

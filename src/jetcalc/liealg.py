@@ -310,9 +310,10 @@ def relative_ce_cohomology_dims(g, s_basis, module, r_max):
 
 class ExtensionData:
     """An extension 0 -> A -> E -> Q -> 0 presented by a basis of the
-    ideal A inside E and a linear section of the quotient map."""
+    ideal A inside E and a linear section of the quotient map; `cocycle`
+    is the section's 2-cocycle (see `extension_two_cocycle`)."""
 
-    __slots__ = ("E", "a_basis", "Q", "sigma", "q_lift", "a_coords")
+    __slots__ = ("E", "Q", "q_lift", "a_coords", "cocycle")
 
     def __init__(self, E, a_indices):
         """Build from a big algebra and the indices of basis elements
@@ -340,6 +341,7 @@ class ExtensionData:
         self.Q = FiniteLieAlgebra(len(q_indices), q_struct, check=False)
         self.q_lift = q_indices
         self.a_coords = a_indices
+        self.cocycle = extension_two_cocycle(self)
 
     def ideal_is_abelian(self):
         a_set = set(self.a_coords)
@@ -379,9 +381,6 @@ class ExtensionData:
 
     def project_to_a(self, e_coords):
         return [e_coords[i] for i in self.a_coords]
-
-    def project_to_q(self, e_coords):
-        return [e_coords[i] for i in self.q_lift]
 
 
 def extension_two_cocycle(ext):
@@ -445,7 +444,7 @@ def is_split(ext):
     of the section defect in H^2(Q, A); only valid for abelian ideals."""
     if not ext.ideal_is_abelian():
         raise ValueError("splitting test needs an abelian ideal")
-    cocycle = extension_two_cocycle(ext)
+    cocycle = ext.cocycle
     Q = ext.Q
     module = ext.kernel_module()
     mat, in_keys, out_keys = ce_differential_matrix(Q, module, 1)

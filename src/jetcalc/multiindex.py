@@ -32,11 +32,6 @@ def sub(alpha, beta):
     return out
 
 
-def leq(beta, alpha):
-    """Componentwise beta <= alpha."""
-    return all(b <= a for a, b in zip(alpha, beta))
-
-
 def grlex_key(alpha):
     return (sum(alpha), alpha)
 
@@ -89,8 +84,3 @@ def factorial(alpha):
         for m in range(2, a + 1):
             result *= m
     return result
-
-
-def num_indices(n, k):
-    """Number of multi-indices of length n with |alpha| <= k: C(n+k, n)."""
-    return comb(n + k, n)

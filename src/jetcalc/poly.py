@@ -7,7 +7,7 @@ every operation returns a fresh Poly.
 
 from fractions import Fraction
 
-from .multiindex import add, factorial, order, unit
+from .multiindex import add, order, unit
 
 
 def _as_fraction(x):
@@ -124,9 +124,6 @@ class Poly:
                 out[m] = out.get(m, Fraction(0)) + c1 * c2
         return Poly(self.n, out)
 
-    def truncate(self, max_degree):
-        return Poly(self.n, {m: c for m, c in self.coeffs.items() if order(m) <= max_degree})
-
     def diff(self, j):
         """Partial derivative with respect to variable j (0-based)."""
         out = {}
@@ -181,40 +178,6 @@ class Poly:
                 term = term.mul_truncated(cache[e], max_degree)
             result = result + term
         return result
-
-    def shift(self, point):
-        """Rewrite in powers of (x - point): returns q with q(x - point) = self(x).
-
-        The coefficient of (x-p)^alpha is D^alpha self(p) / alpha!.
-        """
-        point = [_as_fraction(x) for x in point]
-        out = {}
-        seen = {}
-
-        def der(alpha):
-            if alpha in seen:
-                return seen[alpha]
-            # walk down from a smaller cached derivative
-            for j in range(self.n):
-                if alpha[j] > 0:
-                    prev = list(alpha)
-                    prev[j] -= 1
-                    p = der(tuple(prev)).diff(j)
-                    seen[alpha] = p
-                    return p
-            seen[alpha] = self
-            return self
-
-        deg = self.degree()
-        from .multiindex import multi_indices
-
-        if deg < 0:
-            return Poly.zero(self.n)
-        for alpha in multi_indices(self.n, deg):
-            v = der(alpha).evaluate(point)
-            if v != 0:
-                out[alpha] = v / factorial(alpha)
-        return Poly(self.n, out)
 
     def _check(self, other):
         if self.n != other.n:

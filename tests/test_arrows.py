@@ -9,6 +9,7 @@ from jetcalc.arrows import (
     pushforward_vector_jet,
 )
 from jetcalc.jets import (
+    FunctionJetPoint,
     jet_product,
     prolong_function,
     prolong_vector_field,
@@ -21,23 +22,30 @@ def rand_point(n, rng):
     return tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(n))
 
 
+def rand_poly(n, degree, rng):
+    coeffs = {}
+    for alpha in multi_indices(n, degree):
+        c = rng.randint(-2, 2)
+        if c:
+            coeffs[alpha] = Fraction(c, rng.randint(1, 2))
+    return Poly(n, coeffs)
+
+
+def rand_map_arrow(n, degree, k, source, rng):
+    """A random polynomial map of degree <= degree with invertible
+    Jacobian at source, and its k-arrow there."""
+    while True:
+        comps = [rand_poly(n, degree, rng) for _ in range(n)]
+        try:
+            return comps, Arrow.from_polynomial_map(comps, k, source)
+        except ValueError:
+            continue
+
+
 def rand_arrow(n, k, source, rng):
     """A random arrow with invertible linear part, built from a random
     polynomial map of degree <= k."""
-    while True:
-        comps = []
-        for i in range(n):
-            coeffs = {}
-            for alpha in multi_indices(n, k):
-                c = rng.randint(-2, 2)
-                if c:
-                    coeffs[alpha] = Fraction(c, rng.randint(1, 2))
-            comps.append(Poly(n, coeffs))
-        try:
-            a = Arrow.from_polynomial_map(comps, k, source)
-        except ValueError:
-            continue
-        return a
+    return rand_map_arrow(n, k, k, source, rng)[1]
 
 
 def test_one_variable_chain_rule_worked_example():
@@ -170,3 +178,56 @@ def test_identity_pushforward_fixes_jets():
     x = prolong_vector_field(comps, k).at(p)
     out = pushforward_vector_jet(Arrow.identity(n, k + 1, p), x)
     assert out.as_vector() == x.as_vector()
+
+
+def _oracle_cases(seed):
+    """30 random cases (n, k, f, f o A, p, a): a quadratic map A with its
+    (k+1)-arrow a at p, and a cubic function f."""
+    rng = random.Random(seed)
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        k = rng.randint(1, 3)
+        p = rand_point(n, rng)
+        comps, a = rand_map_arrow(n, 2, k + 1, p, rng)
+        f = rand_poly(n, 3, rng)
+        yield n, k, f, f.compose(comps, 3 * 2), p, a  # f o A exactly: degree <= 6
+
+
+def test_function_pushforward_against_composite_jets():
+    """Independent oracle: the arrow of A carries j^k_p(f o A) to j^k_q f,
+    q = A(p), with both jets prolonged from exact polynomials."""
+    for n, k, f, f_of_a, p, a in _oracle_cases(23):
+        got = pushforward_function_jet(a.project(k), prolong_function(f_of_a, k).at(p))
+        assert got == prolong_function(f, k).at(a.target)
+
+
+def test_vector_pushforward_against_derivation_identity():
+    """Independent oracle: Y = A_* X satisfies (Y f) o A = X (f o A), so
+    sum_i j^k_q(Y_i) * j^k_q(d_i f) is the pushforward of j^k_p(X (f o A))."""
+    rng = random.Random(29)
+    for n, k, f, f_of_a, p, a in _oracle_cases(29):
+        field = [rand_poly(n, 2, rng) for _ in range(n)]
+        y = pushforward_vector_jet(a, prolong_vector_field(field, k).at(p))
+        q = a.target
+        lhs = FunctionJetPoint(n, k, q)
+        for i in range(n):
+            y_i = FunctionJetPoint(
+                n, k, q, {alpha: y.slot(i, alpha) for alpha in multi_indices(n, k)}
+            )
+            lhs = lhs + jet_product(y_i, prolong_function(f.diff(i), k).at(q))
+        x_f = sum((x * f_of_a.diff(j) for j, x in enumerate(field)), Poly.zero(n))
+        assert lhs == pushforward_function_jet(a.project(k), prolong_function(x_f, k).at(p))
+
+
+def test_pushforwards_of_order_zero_jets():
+    """Order 0: a function value and a vector are carried by the value
+    at the target and by the Jacobian."""
+    comps = [Poly(2, {(1, 0): 2, (0, 2): 1}), Poly(2, {(0, 1): 3, (1, 1): 1, (0, 0): 1})]
+    p = (Fraction(1), Fraction(-1))
+    a = Arrow.from_polynomial_map(comps, 1, p)
+    f = FunctionJetPoint(2, 0, p, {(0, 0): Fraction(5)})
+    assert pushforward_function_jet(a, f) == FunctionJetPoint(2, 0, a.target, {(0, 0): 5})
+    x = prolong_vector_field([Poly.const(2, 1), Poly.const(2, 2)], 0).at(p)
+    y = pushforward_vector_jet(a, x)
+    jac = a.linear_part()
+    assert [y.slot(i, (0, 0)) for i in range(2)] == [jac[i][0] + 2 * jac[i][1] for i in range(2)]

@@ -5,6 +5,7 @@ from jetcalc.arrows import Arrow
 from jetcalc.forms import (
     FormKR,
     basis_section,
+    arrow_transform_form,
     arrow_transform_form_at,
     eval_form,
     exterior_derivative,
@@ -14,6 +15,7 @@ from jetcalc.forms import (
     kr_membership,
     lie_derivative,
     local_exactness_check,
+    relative_membership,
     theta_closed_under_product,
     theta_structure_algebra,
     wedge,
@@ -24,6 +26,7 @@ from jetcalc.jets import (
     function_slots,
     jet_product,
     prolong_function,
+    prolong_vector_field,
     vector_slots,
 )
 from jetcalc.multiindex import multi_indices
@@ -320,3 +323,25 @@ def test_arrow_transform_identity_and_composition():
     )
     got = arrow_transform_form_at(a, omega)
     assert got.point == a.target
+
+
+def test_relative_membership_of_x0_and_dx0():
+    """x0 and dx0 are annihilated by d/dx1 (Lie derivative and interior
+    product); d/dx0 moves x0 and contracts dx0 to 1."""
+    n, k = 2, 2
+    x0 = FormKR.from_function_section(prolong_function(Poly.variable(n, 0), k))
+    d0 = prolong_vector_field([Poly.const(n, 1), Poly.zero(n)], k)
+    d1 = prolong_vector_field([Poly.zero(n), Poly.const(n, 1)], k)
+    for omega in (x0, exterior_derivative(x0)):
+        assert relative_membership(omega, [])
+        assert relative_membership(omega, [d1])
+        assert not relative_membership(omega, [d1, d0])
+
+
+def test_arrow_transform_form_over_a_family():
+    rng = random.Random(31)
+    n, k = 2, 1
+    omega = rand_form(n, k, 1, rng, degree=1)
+    points = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(-1, 2))]
+    arrows = [Arrow.identity(n, k + 1, p) for p in points]
+    assert arrow_transform_form(arrows, omega) == {p: form_at(omega, p) for p in points}

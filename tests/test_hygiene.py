@@ -1,4 +1,5 @@
-"""Source hygiene: no unused imports, and a stdlib-only runtime."""
+"""Source hygiene: no unused imports, no unreferenced definitions, and a
+stdlib-only runtime."""
 
 import ast
 import os
@@ -7,6 +8,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = Path(__file__).resolve().parent
 PACKAGE = SRC / "jetcalc"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 
@@ -26,6 +28,38 @@ def _unused_imports(path):
 def test_no_unused_imports():
     unused = [entry for p in sorted(PACKAGE.glob("*.py")) for entry in _unused_imports(p)]
     assert unused == []
+
+
+def _definitions(path):
+    """Every function, class and non-dunder method defined in a module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {
+        (node.name, node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    }
+
+
+def _references(path):
+    """Every name a module uses, as a bare name or as an attribute."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | {
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    }
+
+
+def test_every_definition_is_referenced():
+    used = set()
+    for p in sorted(SRC.rglob("*.py")) + sorted(TESTS.rglob("*.py")):
+        used |= _references(p)
+    unreferenced = sorted(
+        f"{p.name}:{line} {name}"
+        for p in sorted(PACKAGE.glob("*.py"))
+        for name, line in _definitions(p)
+        if name not in used
+    )
+    assert unreferenced == []
 
 
 def test_modules_import_only_the_standard_library():

@@ -104,14 +104,6 @@ def test_point_evaluation_round_trip():
         assert jet.slot(i, alpha) == comps[i].derivative_value(alpha, pt)
 
 
-def test_taylor_polynomial_reconstructs_truncation():
-    p = Poly(1, {(0,): Fraction(1), (1,): Fraction(2), (3,): Fraction(5)})
-    jet = prolong_function(p, 2).at((Fraction(0),))
-    taylor = jet.taylor_polynomial()
-    # degree <= 2 part of p
-    assert taylor == Poly(1, {(0,): Fraction(1), (1,): Fraction(2)})
-
-
 POINT_KIND = {FunctionJetSection: FunctionJetPoint, VectorJetSection: VectorJetPoint}
 SECTIONS = list(POINT_KIND)
 ALL_KINDS = SECTIONS + list(POINT_KIND.values())

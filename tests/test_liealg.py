@@ -70,6 +70,13 @@ def test_relative_cohomology_reduces_to_absolute_for_zero_subalgebra():
     assert absolute[: len(relative)] == relative
 
 
+def test_heisenberg_adjoint_cohomology():
+    """H^0 with the adjoint module is the center, spanned by e_2; H^1 is
+    the outer derivations, 6 - 2 dimensional."""
+    g = heisenberg()
+    assert ce_cohomology_dims(g, g.adjoint_module(), 1) == [1, 4]
+
+
 def test_heisenberg_central_extension_does_not_split():
     g = heisenberg()
     ext = ExtensionData(g, [2])

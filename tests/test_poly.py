@@ -59,16 +59,6 @@ def test_compose_evaluation_consistency_below_truncation():
     assert full.evaluate(pt) == p.evaluate((s.evaluate(pt),))
 
 
-def test_shift_recenters():
-    rng = random.Random(9)
-    p = rand_poly(2, rng)
-    c = (Fraction(1), Fraction(-2))
-    q = p.shift(c)
-    for pt in [(Fraction(0), Fraction(0)), (Fraction(1, 3), Fraction(2))]:
-        moved = tuple(x - ci for x, ci in zip(pt, c))
-        assert q.evaluate(moved) == p.evaluate(pt)
-
-
 def test_constants_hash_like_their_scalars():
     # equal objects must collapse in one set
     assert len({Poly.const(2, 1), 1, Fraction(1)}) == 1
