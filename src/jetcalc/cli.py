@@ -281,6 +281,19 @@ def _random_vector_section(n, k, rng, degree):
     return VectorJetSection(n, k, coeffs)
 
 
+def _trials(name, count, holds):
+    """Run the seeded check `holds()` count times; the witness is the
+    first failing trial."""
+    passed = 0
+    first_failure = None
+    for trial in range(count):
+        if holds():
+            passed += 1
+        elif first_failure is None:
+            first_failure = trial
+    return {"name": name, "pass": passed == count, "trials": count, "witness": first_failure}
+
+
 def _run_check_identities(args):
     from .forms import FormKR, exterior_derivative, wedge
     from .spencer import spencer_bracket
@@ -292,95 +305,43 @@ def _run_check_identities(args):
     if n < 1 or k < 1:
         raise SchemaError("check-identities needs n >= 1 and k >= 1")
     rng = random.Random(args.seed)
-    checks = []
 
-    jacobi_pass = 0
-    jacobi_fail = None
-    for trial in range(count):
-        x = _random_vector_section(n, k, rng, degree)
-        y = _random_vector_section(n, k, rng, degree)
-        z = _random_vector_section(n, k, rng, degree)
+    def section():
+        return _random_vector_section(n, k, rng, degree)
+
+    def function():
+        return FormKR(n, k, 0, {(): _function_section(n, k, rng, degree)})
+
+    def jacobi():
+        x, y, z = section(), section(), section()
         total = spencer_bracket(spencer_bracket(x, y), z)
         total = total + spencer_bracket(spencer_bracket(y, z), x)
         total = total + spencer_bracket(spencer_bracket(z, x), y)
-        if all(p.is_zero() for p in total.coeffs.values()):
-            jacobi_pass += 1
-        elif jacobi_fail is None:
-            jacobi_fail = trial
-    checks.append(
-        {
-            "name": "jacobi",
-            "pass": jacobi_pass == count,
-            "trials": count,
-            "witness": jacobi_fail,
-        }
-    )
+        return all(p.is_zero() for p in total.coeffs.values())
 
-    lift_pass = 0
-    lift_fail = None
-    for trial in range(count):
-        x = _random_vector_section(n, k, rng, degree)
-        y = _random_vector_section(n, k, rng, degree)
+    def lift_independence():
+        x, y = section(), section()
         a = spencer_bracket(x, y, lift_policy="zero")
         b = spencer_bracket(x, y, lift_policy="random", rng=rng)
-        same = all(
-            a.coeffs[slot] == b.coeffs[slot] for slot in a.coeffs
-        )
-        if same:
-            lift_pass += 1
-        elif lift_fail is None:
-            lift_fail = trial
-    checks.append(
-        {
-            "name": "lift_independence",
-            "pass": lift_pass == count,
-            "trials": count,
-            "witness": lift_fail,
-        }
-    )
+        return all(a.coeffs[slot] == b.coeffs[slot] for slot in a.coeffs)
 
+    def d_squared_zero():
+        return exterior_derivative(exterior_derivative(function())).is_zero()
+
+    def leibniz_degree_zero():
+        f, g = function(), function()
+        df, dg = exterior_derivative(f), exterior_derivative(g)
+        return exterior_derivative(wedge(f, g)) == wedge(df, g) + wedge(f, dg)
+
+    checks = [
+        _trials("jacobi", count, jacobi),
+        _trials("lift_independence", count, lift_independence),
+    ]
     if n >= 2:
         # d of a 1-form needs a 2-form, so the chain stops short on one
         # variable
-        dd_pass = 0
-        dd_fail = None
-        for trial in range(count):
-            f = FormKR(n, k, 0, {(): _function_section(n, k, rng, degree)})
-            ddf = exterior_derivative(exterior_derivative(f))
-            if ddf.is_zero():
-                dd_pass += 1
-            elif dd_fail is None:
-                dd_fail = trial
-        checks.append(
-            {
-                "name": "d_squared_zero",
-                "pass": dd_pass == count,
-                "trials": count,
-                "witness": dd_fail,
-            }
-        )
-
-    wedge_pass = 0
-    wedge_fail = None
-    for trial in range(count):
-        f = FormKR(n, k, 0, {(): _function_section(n, k, rng, degree)})
-        g = FormKR(n, k, 0, {(): _function_section(n, k, rng, degree)})
-        df, dg = exterior_derivative(f), exterior_derivative(g)
-        lhs = exterior_derivative(wedge(f, g))
-        rhs = wedge(df, g) + wedge(f, dg)
-        if lhs == rhs:
-            wedge_pass += 1
-        elif wedge_fail is None:
-            wedge_fail = trial
-    checks.append(
-        {
-            "name": "leibniz_degree_zero",
-            "pass": wedge_pass == count,
-            "trials": count,
-            "witness": wedge_fail,
-        }
-    )
-
+        checks.append(_trials("d_squared_zero", count, d_squared_zero))
+    checks.append(_trials("leibniz_degree_zero", count, leibniz_degree_zero))
     return checks, {"n": n, "k": k, "degree": degree, "count": count}
 
 
@@ -700,48 +661,24 @@ def _run_forms_suite(args):
     if n < 2:
         raise SchemaError("forms needs n >= 2: the wedge check builds 2-forms")
     rng = random.Random(args.seed)
-    checks = []
 
-    cartan_pass = 0
-    cartan_fail = None
-    for trial in range(count):
+    def function():
+        return FormKR(n, k, 0, {(): _function_section(n, k, rng, degree)})
+
+    def cartan_degree_zero():
         x = _random_vector_section(n, k, rng, degree)
-        f = FormKR(n, k, 0, {(): _function_section(n, k, rng, degree)})
-        df = exterior_derivative(f)
-        lhs = lie_derivative(x, f)
-        rhs = interior_product(x, df)
-        if lhs == rhs:
-            cartan_pass += 1
-        elif cartan_fail is None:
-            cartan_fail = trial
-    checks.append(
-        {
-            "name": "cartan_degree_zero",
-            "pass": cartan_pass == count,
-            "trials": count,
-            "witness": cartan_fail,
-        }
-    )
+        f = function()
+        return lie_derivative(x, f) == interior_product(x, exterior_derivative(f))
 
-    comm_pass = 0
-    comm_fail = None
-    for trial in range(count):
-        f = FormKR(n, k, 0, {(): _function_section(n, k, rng, degree)})
-        g = FormKR(n, k, 0, {(): _function_section(n, k, rng, degree)})
+    def odd_wedge_anticommutes():
+        f, g = function(), function()
         df, dg = exterior_derivative(f), exterior_derivative(g)
-        zero2 = FormKR(n, k, 2, {})
-        if wedge(df, dg) + wedge(dg, df) == zero2:
-            comm_pass += 1
-        elif comm_fail is None:
-            comm_fail = trial
-    checks.append(
-        {
-            "name": "odd_wedge_anticommutes",
-            "pass": comm_pass == count,
-            "trials": count,
-            "witness": comm_fail,
-        }
-    )
+        return wedge(df, dg) + wedge(dg, df) == FormKR(n, k, 2, {})
+
+    checks = [
+        _trials("cartan_degree_zero", count, cartan_degree_zero),
+        _trials("odd_wedge_anticommutes", count, odd_wedge_anticommutes),
+    ]
     return checks, {"n": n, "k": k, "degree": degree, "count": count}
 
 

@@ -73,14 +73,9 @@ class RealizedLieAlgebra:
         deg = max([0] + [p.degree() for f in self.fields for p in f])
         # a polynomial field of degree <= deg vanishes iff its jet of
         # order deg at any point vanishes
-        mat = [self.jet_at_point(unit_vec(self.algebra.dim, b), deg) for b in range(self.algebra.dim)]
+        g = self.algebra
+        mat = [self.jet_at_point(g.basis_vector(b), deg) for b in range(g.dim)]
         return left_nullspace(mat)
-
-
-def unit_vec(dim, b):
-    v = [Fraction(0)] * dim
-    v[b] = Fraction(1)
-    return v
 
 
 def left_nullspace(rows):
@@ -100,7 +95,7 @@ def validate_realization(a):
         for j in range(i + 1, dim):
             direct = bracket_fields(a.fields[i], a.fields[j])
             image = a.combination(
-                a.algebra.bracket(unit_vec(dim, i), unit_vec(dim, j))
+                a.algebra.bracket(a.algebra.basis_vector(i), a.algebra.basis_vector(j))
             )
             if any(p != q for p, q in zip(direct, image)):
                 return False, (i, j)
@@ -121,7 +116,7 @@ def isotropy_filtration(a, depth_max=10):
 
     def h_basis(k):
         if k not in jets:
-            mat = [a.jet_at_point(unit_vec(dim, b), k) for b in range(dim)]
+            mat = [a.jet_at_point(a.algebra.basis_vector(b), k) for b in range(dim)]
             jets[k] = left_nullspace(mat)
         return jets[k]
 
@@ -155,7 +150,7 @@ def isotropy_filtration(a, depth_max=10):
         )
     for b in range(dim):
         for g in ghost:
-            br = a.algebra.bracket(unit_vec(dim, b), g)
+            br = a.algebra.bracket(a.algebra.basis_vector(b), g)
             if not ghost_span.contains(br):
                 raise AssertionError("ghost is not an ideal")
     return {
@@ -179,13 +174,13 @@ def sigma_homomorphism_check(a, m):
     for i in range(dim):
         for j in range(i + 1, dim):
             xi = vector_point_from_coords(
-                a.n, m, point, a.jet_at_point(unit_vec(dim, i), m)
+                a.n, m, point, a.jet_at_point(a.algebra.basis_vector(i), m)
             )
             yj = vector_point_from_coords(
-                a.n, m, point, a.jet_at_point(unit_vec(dim, j), m)
+                a.n, m, point, a.jet_at_point(a.algebra.basis_vector(j), m)
             )
             alg = algebraic_bracket(xi, yj)
-            abstract = a.algebra.bracket(unit_vec(dim, i), unit_vec(dim, j))
+            abstract = a.algebra.bracket(a.algebra.basis_vector(i), a.algebra.basis_vector(j))
             direct = vector_point_from_coords(
                 a.n, m - 1, point, a.jet_at_point(abstract, m - 1)
             )
@@ -198,7 +193,7 @@ def sigma_injective(a, m):
     """Whether jet evaluation of order m is injective on the abstract
     algebra."""
     dim = a.algebra.dim
-    mat = [a.jet_at_point(unit_vec(dim, b), m) for b in range(dim)]
+    mat = [a.jet_at_point(a.algebra.basis_vector(b), m) for b in range(dim)]
     return rank(mat) == dim
 
 
@@ -210,7 +205,7 @@ def realized_jet_family(a, k_max):
     dim = a.algebra.dim
     family = []
     for k in range(1, k_max + 1):
-        mat = [a.jet_at_point(unit_vec(dim, b), k) for b in range(dim)]
+        mat = [a.jet_at_point(a.algebra.basis_vector(b), k) for b in range(dim)]
         # reduce to an independent spanning set
         span = Echelon()
         basis = [v for v in mat if span.add_row(v)]

@@ -1,21 +1,29 @@
 """Finite-dimensional Lie algebras over the rationals: structure
 constant validation, Chevalley-Eilenberg cohomology (absolute and
 relative), abelian extensions with their 2-cocycles and splitting test,
-and lower-central-series analysis."""
+and lower-central-series analysis.
+
+An algebra keeps its constants twice: flat, as validated, and indexed by
+basis pair (`FiniteLieAlgebra.rows`), so brackets and the Jacobi check
+visit only nonzero constants.  The Chevalley-Eilenberg differential is
+written once, in `_ce_entries`; the dense differential matrix and the
+2-cocycle check both read it."""
 
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import Echelon, matvec, nullspace, rank, rref, solve, zeros
+from .linalg import Echelon, matmul, matvec, nullspace, rank, rref, solve, zeros
 
 
 class FiniteLieAlgebra:
     """Structure constants c[(i,j,k)] meaning [e_i, e_j] = sum_k c^k_{ij} e_k.
 
+    `structure` is the flat table; `rows` indexes the same constants by
+    basis pair, {(i, j): {k: c}}, so a basis bracket is one lookup.
     Antisymmetry and the Jacobi identity are verified at construction.
     """
 
-    __slots__ = ("dim", "structure")
+    __slots__ = ("dim", "structure", "rows")
 
     def __init__(self, dim, structure=None, check=True):
         self.dim = dim
@@ -26,13 +34,26 @@ class FiniteLieAlgebra:
                 if c != 0:
                     table[(i, j, k)] = c
         self.structure = table
+        self.rows = _rows(table)
         if check:
             ok, witness = validate_lie_algebra(dim, table)
             if not ok:
                 raise ValueError(f"structure constants fail at {witness}")
 
+    def basis_bracket(self, i, j):
+        """[e_i, e_j] as a sparse {k: c} row; do not mutate it."""
+        return self.rows.get((i, j), {})
+
     def bracket(self, u, v):
-        return lie_bracket(self.dim, self.structure, u, v)
+        out = [Fraction(0)] * self.dim
+        v_terms = [(j, b) for j, b in enumerate(v) if b != 0]
+        for i, a in enumerate(u):
+            if a == 0:
+                continue
+            for j, b in v_terms:
+                for k, c in self.basis_bracket(i, j).items():
+                    out[k] += c * a * b
+        return out
 
     def basis_vector(self, i):
         e = [Fraction(0)] * self.dim
@@ -56,13 +77,11 @@ class FiniteLieAlgebra:
         return LieModule(self, m, [zeros(m, m) for _ in range(self.dim)])
 
 
-def lie_bracket(dim, structure, u, v):
-    """[u, v] in coordinates, from structure constants c[(i, j, k)]."""
-    out = [Fraction(0)] * dim
+def _rows(structure):
+    rows = {}
     for (i, j, k), c in structure.items():
-        if u[i] != 0 and v[j] != 0:
-            out[k] += c * u[i] * v[j]
-    return out
+        rows.setdefault((i, j), {})[k] = c
+    return rows
 
 
 def validate_lie_algebra(dim, structure):
@@ -70,21 +89,15 @@ def validate_lie_algebra(dim, structure):
     for (i, j, k), c in structure.items():
         if structure.get((j, i, k), Fraction(0)) != -c:
             return False, ("antisymmetry", i, j, k)
-    basis = []
-    for i in range(dim):
-        e = [Fraction(0)] * dim
-        e[i] = Fraction(1)
-        basis.append(e)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for k in range(j + 1, dim):
-                total = [Fraction(0)] * dim
-                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner = lie_bracket(dim, structure, basis[b], basis[c])
-                    term = lie_bracket(dim, structure, basis[a], inner)
-                    total = [x + y for x, y in zip(total, term)]
-                if any(x != 0 for x in total):
-                    return False, ("jacobi", i, j, k)
+    rows = _rows(structure)
+    for i, j, k in combinations(range(dim), 3):
+        total = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for e, x in rows.get((b, c), {}).items():
+                for f, y in rows.get((a, e), {}).items():
+                    total[f] = total.get(f, 0) + x * y
+        if any(x != 0 for x in total.values()):
+            return False, ("jacobi", i, j, k)
     return True, None
 
 
@@ -102,46 +115,49 @@ class LieModule:
         if check and not self._is_representation():
             raise ValueError("matrices do not define a representation")
 
-    def act(self, g_coords, v):
-        out = [Fraction(0)] * self.dim
-        for i, c in enumerate(g_coords):
-            if c != 0:
-                av = matvec(self.matrices[i], v)
-                out = [x + c * y for x, y in zip(out, av)]
-        return out
-
     def _is_representation(self):
-        g = self.algebra
-        for i in range(g.dim):
-            for j in range(i + 1, g.dim):
-                comm = [
-                    [
-                        sum(
-                            (
-                                self.matrices[i][a][b2] * self.matrices[j][b2][b]
-                                - self.matrices[j][a][b2] * self.matrices[i][b2][b]
-                                for b2 in range(self.dim)
-                            ),
-                            Fraction(0),
-                        )
-                        for b in range(self.dim)
-                    ]
-                    for a in range(self.dim)
-                ]
-                br = g.bracket(g.basis_vector(i), g.basis_vector(j))
-                expected = zeros(self.dim, self.dim)
-                for k, c in enumerate(br):
-                    if c != 0:
-                        for a in range(self.dim):
-                            for b in range(self.dim):
-                                expected[a][b] += c * self.matrices[k][a][b]
-                if comm != expected:
-                    return False
+        """rho(e_i) rho(e_j) - rho(e_j) rho(e_i) = rho([e_i, e_j])."""
+        g, mats, m = self.algebra, self.matrices, self.dim
+        for i, j in combinations(range(g.dim), 2):
+            ij, ji = matmul(mats[i], mats[j]), matmul(mats[j], mats[i])
+            comm = [[x - y for x, y in zip(r, s)] for r, s in zip(ij, ji)]
+            expected = zeros(m, m)
+            for k, c in g.basis_bracket(i, j).items():
+                for a in range(m):
+                    for b in range(m):
+                        expected[a][b] += c * mats[k][a][b]
+            if comm != expected:
+                return False
         return True
 
 
 def _cochain_keys(dim, r):
     return list(combinations(range(dim), r))
+
+
+def _ce_entries(g, module, okey):
+    """The nonzero entries of the Chevalley-Eilenberg differential at the
+    output key okey = (x_0 < ... < x_r), as tuples (a, key, b, c): the
+    coordinate a of (d w)(okey) gets c times the coordinate b of w(key).
+
+    (d w)(x_0, ..., x_r) = sum_p (-1)^p rho(x_p) w(..., ^x_p, ...)
+        + sum_{p<q} (-1)^(p+q) w([x_p, x_q], ..., ^x_p, ..., ^x_q, ...)
+    """
+    for p, x in enumerate(okey):
+        rest = okey[:p] + okey[p + 1 :]
+        sign = -1 if p % 2 else 1
+        for a, row in enumerate(module.matrices[x]):
+            for b, c in enumerate(row):
+                if c != 0:
+                    yield a, rest, b, sign * c
+    for p, q in combinations(range(len(okey)), 2):
+        rest = tuple(x for t, x in enumerate(okey) if t not in (p, q))
+        sign = -1 if (p + q) % 2 else 1
+        for k, c in g.basis_bracket(okey[p], okey[q]).items():
+            merged, merge_sign = _insert_sorted(k, rest)
+            if merged is not None:
+                for a in range(module.dim):
+                    yield a, merged, a, sign * merge_sign * c
 
 
 def ce_differential_matrix(g, module, r):
@@ -151,36 +167,10 @@ def ce_differential_matrix(g, module, r):
     out_keys = _cochain_keys(g.dim, r + 1)
     in_pos = {key: i for i, key in enumerate(in_keys)}
     m = module.dim
-    rows = len(out_keys) * m
-    cols = len(in_keys) * m
-    mat = zeros(rows, cols)
+    mat = zeros(len(out_keys) * m, len(in_keys) * m)
     for oi, okey in enumerate(out_keys):
-        for p in range(r + 1):
-            rest = okey[:p] + okey[p + 1 :]
-            sign = 1 if p % 2 == 0 else -1
-            # rho(e_{okey[p]}) applied to the cochain value at rest
-            col_base = in_pos[rest] * m
-            rho = module.matrices[okey[p]]
-            for a in range(m):
-                for b in range(m):
-                    if rho[a][b] != 0:
-                        mat[oi * m + a][col_base + b] += sign * rho[a][b]
-        for p in range(r + 1):
-            for q in range(p + 1, r + 1):
-                br = g.bracket(g.basis_vector(okey[p]), g.basis_vector(okey[q]))
-                sign = 1 if (p + q) % 2 == 1 else -1
-                rest = tuple(
-                    okey[t] for t in range(r + 1) if t not in (p, q)
-                )
-                for k, c in enumerate(br):
-                    if c == 0:
-                        continue
-                    merged, merge_sign = _insert_sorted(k, rest)
-                    if merged is None:
-                        continue
-                    col_base = in_pos[merged] * m
-                    for a in range(m):
-                        mat[oi * m + a][col_base + a] += sign * merge_sign * c
+        for a, key, b, c in _ce_entries(g, module, okey):
+            mat[oi * m + a][in_pos[key] * m + b] += c
     return mat, in_keys, out_keys
 
 
@@ -373,15 +363,6 @@ class ExtensionData:
             mats.append(m)
         return LieModule(self.Q, len(self.a_coords), mats, check=False)
 
-    def section(self, q_coords):
-        v = [Fraction(0)] * self.E.dim
-        for i, c in enumerate(q_coords):
-            v[self.q_lift[i]] = c
-        return v
-
-    def project_to_a(self, e_coords):
-        return [e_coords[i] for i in self.a_coords]
-
 
 def extension_two_cocycle(ext):
     """omega(q1, q2) = [sigma q1, sigma q2] - sigma [q1, q2], valued in A.
@@ -389,53 +370,29 @@ def extension_two_cocycle(ext):
     Returns a dict (i, j) -> A-coordinates for i < j basis pairs of Q;
     `two_cocycle_witness` checks the cocycle identity.
     """
-    Q = ext.Q
+    E, Q, lift = ext.E, ext.Q, ext.q_lift
     cocycle = {}
-    for i in range(Q.dim):
-        for j in range(i + 1, Q.dim):
-            si = ext.section(Q.basis_vector(i))
-            sj = ext.section(Q.basis_vector(j))
-            br = ext.E.bracket(si, sj)
-            qbr = Q.bracket(Q.basis_vector(i), Q.basis_vector(j))
-            diff = [x - y for x, y in zip(br, ext.section(qbr))]
-            if any(diff[a] != 0 for a in ext.q_lift):
-                raise ValueError("section defect leaves the ideal")
-            cocycle[(i, j)] = ext.project_to_a(diff)
+    for i, j in combinations(range(Q.dim), 2):
+        defect = dict(E.basis_bracket(lift[i], lift[j]))
+        for k, c in Q.basis_bracket(i, j).items():
+            defect[lift[k]] = defect.get(lift[k], 0) - c
+        if any(defect.get(e, 0) != 0 for e in lift):
+            raise ValueError("section defect leaves the ideal")
+        cocycle[(i, j)] = [defect.get(e, Fraction(0)) for e in ext.a_coords]
     return cocycle
 
 
 def two_cocycle_witness(ext, cocycle):
-    """The first basis triple [i, j, k] of Q at which the cyclic cocycle
-    identity sum_cyc rho(x)w(y,z) - sum_cyc w([x,y],z) = 0 fails, or
-    None when it holds; the ideal must be abelian."""
+    """The first basis triple [i, j, k] of Q at which d(cocycle) does not
+    vanish, or None when it is a 2-cocycle; the ideal must be abelian."""
     Q = ext.Q
     module = ext.kernel_module()
-
-    def omega(i, j):
-        if i == j:
-            return [Fraction(0)] * module.dim
-        if i < j:
-            return cocycle[(i, j)]
-        return [-x for x in cocycle[(j, i)]]
-
-    for i in range(Q.dim):
-        for j in range(i + 1, Q.dim):
-            for k in range(j + 1, Q.dim):
-                total = [Fraction(0)] * module.dim
-                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    term = module.act(Q.basis_vector(a), omega(b, c))
-                    br = Q.bracket(Q.basis_vector(b), Q.basis_vector(c))
-                    sub = [Fraction(0)] * module.dim
-                    for e, ce in enumerate(br):
-                        if ce != 0:
-                            sub = [
-                                x + ce * y for x, y in zip(sub, omega(e, a))
-                            ]
-                    total = [
-                        t + x - y for t, x, y in zip(total, term, sub)
-                    ]
-                if any(x != 0 for x in total):
-                    return [i, j, k]
+    for okey in _cochain_keys(Q.dim, 3):
+        total = [Fraction(0)] * module.dim
+        for a, key, b, c in _ce_entries(Q, module, okey):
+            total[a] += c * cocycle[key][b]
+        if any(x != 0 for x in total):
+            return list(okey)
     return None
 
 
@@ -444,16 +401,8 @@ def is_split(ext):
     of the section defect in H^2(Q, A); only valid for abelian ideals."""
     if not ext.ideal_is_abelian():
         raise ValueError("splitting test needs an abelian ideal")
-    cocycle = ext.cocycle
-    Q = ext.Q
-    module = ext.kernel_module()
-    mat, in_keys, out_keys = ce_differential_matrix(Q, module, 1)
-    m = module.dim
-    rhs = [Fraction(0)] * (len(out_keys) * m)
-    for oi, (i, j) in enumerate(out_keys):
-        vals = cocycle[(i, j)]
-        for a in range(m):
-            rhs[oi * m + a] = vals[a]
+    mat, _, out_keys = ce_differential_matrix(ext.Q, ext.kernel_module(), 1)
+    rhs = [x for key in out_keys for x in ext.cocycle[key]]
     return solve(mat, rhs) is not None if mat else all(x == 0 for x in rhs)
 
 

@@ -1,7 +1,9 @@
 """Bracket calculus on jets: algebraic bracket, Spencer operator,
 Spencer bracket, the action of vector jets on function jets, and the
 Lie algebra of the isotropy jet group, a `FiniteLieAlgebra` whose
-structure constants come from the jet-level bracket.
+structure constants are the closed-form brackets of the truncated
+monomial fields x^alpha/alpha! d_i (`isotropy_bracket` of the basis jets
+gives the same table).
 
 The Spencer operator measures the failure of a section to be holonomic;
 the Spencer bracket corrects the algebraic bracket by Spencer terms so
@@ -9,11 +11,13 @@ that it closes at the same order and satisfies the Jacobi identity.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
-from .jets import FunctionJetSection, VectorJetPoint, vector_slots
+from .jets import FunctionJetSection, vector_slots
 from .liealg import FiniteLieAlgebra
 from .multiindex import (
     add,
+    factorial,
     multi_binomial,
     multi_indices,
     order,
@@ -213,8 +217,8 @@ def jet_action(x_section, f_section, lift_policy="zero", rng=None):
 
 class JetGroupAlgebra(FiniteLieAlgebra):
     """The Lie algebra of the isotropy jet group at a point: basis slots
-    (i, alpha) with 1 <= |alpha| <= k, structure constants from the
-    jet-level bracket, antisymmetry and Jacobi checked on construction."""
+    (i, alpha) with 1 <= |alpha| <= k, the k-jets of the fields
+    x^alpha/alpha! d_i, antisymmetry and Jacobi checked on construction."""
 
     __slots__ = ("n", "k", "slots")
 
@@ -226,23 +230,26 @@ class JetGroupAlgebra(FiniteLieAlgebra):
         self.slots = vector_slots(n, k, min_order=1)
         super().__init__(len(self.slots), self._structure_constants(), check=check)
 
-    def _basis_jet(self, idx):
-        i, alpha = self.slots[idx]
-        return VectorJetPoint(
-            self.n, self.k, (0,) * self.n, {(i, alpha): Fraction(1)}
-        )
-
     def _structure_constants(self):
+        """[x^a/a! d_i, x^b/b! d_j]
+            = (b_i x^(a+b-e_i) d_j - a_j x^(a+b-e_j) d_i) / (a! b!),
+        truncated at order k; x^c is c! times the basis field of slot c."""
+        n, k = self.n, self.k
+        pos = {s: r for r, s in enumerate(self.slots)}
         table = {}
-        dim = len(self.slots)
-        for p in range(dim):
-            for q in range(p + 1, dim):
-                br = isotropy_bracket(self._basis_jet(p), self._basis_jet(q))
-                col = [br.slot(i, alpha) for (i, alpha) in self.slots]
-                for r, c in enumerate(col):
-                    if c != 0:
-                        table[(p, q, r)] = c
-                        table[(q, p, r)] = -c
+        for (p, (i, a)), (q, (j, b)) in combinations(enumerate(self.slots), 2):
+            out = {}
+            for u, s, t, v, sign in ((i, a, b, j, 1), (j, b, a, i, -1)):
+                # sign * x^s d_u(x^t) d_v, in units of 1/(a! b!)
+                if t[u] and order(s) + order(t) <= k + 1:
+                    c = sub(add(s, t), unit(n, u))
+                    r = pos[(v, c)]
+                    out[r] = out.get(r, 0) + sign * t[u] * factorial(c)
+            scale = factorial(a) * factorial(b)
+            for r in sorted(out):
+                if out[r]:
+                    table[(p, q, r)] = Fraction(out[r], scale)
+                    table[(q, p, r)] = -Fraction(out[r], scale)
         return table
 
     def finite_lie_algebra(self):

@@ -1,11 +1,16 @@
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jetcalc.linalg import matmul, matvec
 from jetcalc.liealg import (
     ExtensionData,
     FiniteLieAlgebra,
+    ce_differential_matrix,
     extension_two_cocycle,
     is_split,
     nilpotency_analysis,
@@ -192,3 +197,73 @@ def test_two_cocycle_witness_finds_every_single_entry_corruption():
             corruptions += 1
             if corruptions == 40:
                 return
+
+
+def adjoint_algebras():
+    return [
+        sl2(),
+        FiniteLieAlgebra(2, anti({(0, 1, 1): 1})),
+        jet_group_algebra(1, 3),
+        jet_group_algebra(2, 1),
+    ]
+
+
+def test_ce_differential_squares_to_zero_on_adjoint_modules():
+    for g in adjoint_algebras():
+        module = g.adjoint_module()
+        for r in range(g.dim - 1):
+            d0, _, _ = ce_differential_matrix(g, module, r)
+            d1, _, _ = ce_differential_matrix(g, module, r + 1)
+            assert all(x == 0 for row in matmul(d1, d0) for x in row), (g.dim, r)
+
+
+def test_sl2_adjoint_cohomology_vanishes():
+    """Whitehead: a semisimple algebra has no cohomology with values in a
+    nontrivial irreducible module."""
+    assert ce_cohomology_dims(sl2(), sl2().adjoint_module(), 3) == [0, 0, 0, 0]
+
+
+BRACKET_ALGEBRAS = {
+    "sl2": sl2(),
+    "heisenberg": heisenberg(),
+    "jet_group_2_3": jet_group_algebra(2, 3),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(BRACKET_ALGEBRAS)), st.data())
+def test_bracket_matches_flat_structure_table(name, data):
+    g = BRACKET_ALGEBRAS[name]
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(min_value=-5, max_value=5, max_denominator=4),
+    )
+    u = data.draw(st.lists(entry, min_size=g.dim, max_size=g.dim))
+    v = data.draw(st.lists(entry, min_size=g.dim, max_size=g.dim))
+    expected = [Fraction(0)] * g.dim
+    for (i, j, k), c in g.structure.items():
+        expected[k] += c * u[i] * v[j]
+    assert g.bracket(u, v) == expected
+
+
+def test_two_cocycle_witness_none_on_coboundaries():
+    """d beta(i, j) = rho(e_i) beta(j) - rho(e_j) beta(i) - beta([e_i, e_j])
+    is a 2-cocycle for every 1-cochain beta."""
+    ext = _jet_group_extension_n2_k3_m2()
+    Q, module = ext.Q, ext.kernel_module()
+    rng = random.Random(13)
+    for _ in range(5):
+        beta = [
+            [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(module.dim)]
+            for _ in range(Q.dim)
+        ]
+        d_beta = {}
+        for i in range(Q.dim):
+            for j in range(i + 1, Q.dim):
+                rho_i, rho_j = module.matrices[i], module.matrices[j]
+                value = [x - y for x, y in zip(matvec(rho_i, beta[j]), matvec(rho_j, beta[i]))]
+                for k, c in enumerate(Q.bracket(Q.basis_vector(i), Q.basis_vector(j))):
+                    value = [x - c * y for x, y in zip(value, beta[k])]
+                d_beta[(i, j)] = value
+        assert any(any(x != 0 for x in v) for v in d_beta.values())
+        assert two_cocycle_witness(ext, d_beta) is None

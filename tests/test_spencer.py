@@ -216,3 +216,29 @@ def test_jet_group_jacobi_and_liealg_export():
         assert ok and witness is None
         finite = g.finite_lie_algebra()  # validates on construction
         assert finite.dim == g.dim
+
+
+def isotropy_bracket_table(g):
+    """Structure constants of the jet group algebra from the jet-level
+    bracket of its basis jets."""
+
+    def basis_jet(idx):
+        return VectorJetPoint(g.n, g.k, (0,) * g.n, {g.slots[idx]: Fraction(1)})
+
+    table = {}
+    for p in range(g.dim):
+        for q in range(p + 1, g.dim):
+            br = isotropy_bracket(basis_jet(p), basis_jet(q))
+            for r, (i, alpha) in enumerate(g.slots):
+                c = br.slot(i, alpha)
+                if c != 0:
+                    table[(p, q, r)] = c
+                    table[(q, p, r)] = -c
+    return table
+
+
+def test_jet_group_closed_form_matches_isotropy_bracket():
+    for n, k_max in ((1, 6), (2, 4), (3, 2)):
+        for k in range(1, k_max + 1):
+            g = jet_group_algebra(n, k)
+            assert g.structure == isotropy_bracket_table(g), (n, k)
