@@ -14,13 +14,18 @@ the one conversion between them.  On that single Taylor path:
 - a function jet f is carried to F(C(v)), and a vector jet X to
   (DA . X)(C(v)), where F and X are local Taylor polynomials at the
   source and C is the displacement of the inverse arrow.
+
+One `poly.PowerTable` serves a substitution: every component composed
+into A, L^{-1} or C shares its truncated powers, and a transform of many
+jets along one arrow builds the table on C once for the private cores
+`_pushforward_vector` and `_pushforward_function`.
 """
 
 from fractions import Fraction
 
 from .linalg import invert as mat_invert
 from .multiindex import factorial, multi_indices, order, unit
-from .poly import Poly, _as_fraction
+from .poly import Poly, PowerTable, _as_fraction
 from .jets import FunctionJetPoint, VectorJetPoint
 
 
@@ -149,33 +154,60 @@ def compose_arrows(b, a):
         raise ValueError("arrow order/dimension mismatch")
     if a.target != b.source:
         raise ValueError("arrows do not chain: target(a) != source(b)")
-    da = a.displacement_polynomials()
-    comp = [p.compose(da, a.k) for p in b.displacement_polynomials()]
+    on_a = PowerTable(a.displacement_polynomials(), a.k)
+    comp = [on_a.compose(p) for p in b.displacement_polynomials()]
     return Arrow(a.n, a.k, a.source, b.target, _component_slots(comp))
 
 
 def invert_arrow(a):
-    """The inverse arrow, solved degree by degree from C(A(u)) = u."""
+    """The inverse arrow, solved degree by degree from C(A(u)) = u.
+
+    C starts as L^{-1}, the inverse of the linear part, and the running
+    composite C(A(u)) is kept.  At degree d >= 2 its degree-d part R_d is
+    the residual; the new layer -R_d(L^{-1} v) added to C cancels it, and
+    only that layer's composite with A is added to the running sum.
+    """
     n, k = a.n, a.k
-    da = a.displacement_polynomials()
+    on_a = PowerTable(a.displacement_polynomials(), k)
     linv = mat_invert(a.linear_part())
     lin = [Poly(n, {unit(n, j): linv[i][j] for j in range(n)}) for i in range(n)]
+    on_linv = PowerTable(lin, k)
     c_parts = list(lin)
+    running = [on_a.compose(c) for c in lin]
     for d in range(2, k + 1):
-        # R_d, the degree-d part of u - C(A(u)), is -C(A(u))_d for d >= 2;
-        # adding the layer R_d(L^{-1} v) to C cancels it
-        residual = [
-            Poly(n, {m: -v for m, v in c.compose(da, d).coeffs.items() if order(m) == d})
-            for c in c_parts
+        layers = [
+            on_linv.compose(Poly(n, {m: -v for m, v in r.coeffs.items() if order(m) == d}))
+            for r in running
         ]
-        c_parts = [c + r.compose(lin, d) for c, r in zip(c_parts, residual)]
+        c_parts = [c + layer for c, layer in zip(c_parts, layers)]
+        if d < k:  # the last layer's composite is never read
+            running = [r + on_a.compose(layer) for r, layer in zip(running, layers)]
     return Arrow(n, k, a.target, a.source, _component_slots(c_parts))
 
 
-def _inverse_displacement(a, k):
-    """C(v), the inverse displacement truncated at degree k (an arrow has
-    order at least 1)."""
-    return invert_arrow(a.project(max(k, 1))).displacement_polynomials()
+def _inverse_table(a, k):
+    """The power table of C(v), the inverse displacement, truncated at
+    degree k (an arrow has order at least 1)."""
+    return PowerTable(invert_arrow(a.project(max(k, 1))).displacement_polynomials(), k)
+
+
+def _pushforward_vector(a, x_jet, back):
+    """`pushforward_vector_jet` given `back`, the table on C at the jet order."""
+    n, k = a.n, x_jet.k
+    xi = _taylor_components(n, x_jet.coeffs)
+    eta = []
+    for ai in a.displacement_polynomials():
+        dxi = Poly.zero(n)
+        for j in range(n):
+            dxi = dxi + ai.diff(j).mul_truncated(xi[j], k)
+        eta.append(back.compose(dxi))
+    return VectorJetPoint(n, k, a.target, _component_slots(eta))
+
+
+def _pushforward_function(a, f_jet, back):
+    """`pushforward_function_jet` given `back`, the table on C at the jet order."""
+    g = back.compose(_taylor(a.n, f_jet.coeffs))
+    return FunctionJetPoint(a.n, f_jet.k, a.target, _slot_values(g))
 
 
 def pushforward_vector_jet(a, x_jet):
@@ -193,16 +225,7 @@ def pushforward_vector_jet(a, x_jet):
         raise ValueError("arrow order must exceed jet order by one")
     if a.source != x_jet.point:
         raise ValueError("jet is not based at the arrow source")
-    n, k = a.n, x_jet.k
-    xi = _taylor_components(n, x_jet.coeffs)
-    c = _inverse_displacement(a, k)
-    eta = []
-    for ai in a.displacement_polynomials():
-        dxi = Poly.zero(n)
-        for j in range(n):
-            dxi = dxi + ai.diff(j).mul_truncated(xi[j], k)
-        eta.append(dxi.compose(c, k))
-    return VectorJetPoint(n, k, a.target, _component_slots(eta))
+    return _pushforward_vector(a, x_jet, _inverse_table(a, x_jet.k))
 
 
 def pushforward_function_jet(a, f_jet):
@@ -219,6 +242,4 @@ def pushforward_function_jet(a, f_jet):
         raise ValueError("arrow order must be at least the jet order")
     if a.source != f_jet.point:
         raise ValueError("jet is not based at the arrow source")
-    n, k = a.n, f_jet.k
-    g = _taylor(n, f_jet.coeffs).compose(_inverse_displacement(a, k), k)
-    return FunctionJetPoint(n, k, a.target, _slot_values(g))
+    return _pushforward_function(a, f_jet, _inverse_table(a, f_jet.k))

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial as int_factorial
 
-from .arrows import invert_arrow, pushforward_function_jet, pushforward_vector_jet
+from .arrows import _pushforward_function, _pushforward_vector, invert_arrow
 from .jets import (
     FunctionJetPoint,
     FunctionJetSection,
@@ -24,7 +24,7 @@ from .jets import (
 )
 from .linalg import Echelon, determinant, nullspace, solve
 from .multiindex import multi_indices, order
-from .poly import Poly, _as_fraction
+from .poly import Poly, PowerTable, _as_fraction
 from .spencer import jet_action, spencer_bracket
 
 
@@ -572,18 +572,19 @@ def arrow_transform_form_at(arrow, omega):
     p = arrow.target
     q = arrow.source
     inv = invert_arrow(arrow)
+    # the one inversion serves both ways: the inverse of inv is the arrow
+    back = PowerTable(arrow.displacement_polynomials(), k)
+    forward = PowerTable(inv.displacement_polynomials(), k)
     omega_q = form_at(omega, q)
     slots = vector_slots(n, k)
     pulled = {
-        s: pushforward_vector_jet(
-            inv, VectorJetPoint(n, k, p, {s: Fraction(1)})
-        )
+        s: _pushforward_vector(inv, VectorJetPoint(n, k, p, {s: Fraction(1)}), back)
         for s in slots
     }
     out = {}
     for key in combinations(slots, r) if r else [()]:
         val_q = omega_q.evaluate([pulled[s] for s in key])
-        out[key] = pushforward_function_jet(arrow, val_q)
+        out[key] = _pushforward_function(arrow, val_q, forward)
     return FormAtPoint(n, k, r, p, out)
 
 

@@ -167,24 +167,22 @@ def sigma_homomorphism_check(a, m):
     bracket with the algebraic bracket on jets (which drops one order)."""
     if m < 1:
         raise ValueError("order must be at least 1")
-    dim = a.algebra.dim
-    point = a.point
     from .jets import vector_point_from_coords
 
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            xi = vector_point_from_coords(
-                a.n, m, point, a.jet_at_point(a.algebra.basis_vector(i), m)
-            )
-            yj = vector_point_from_coords(
-                a.n, m, point, a.jet_at_point(a.algebra.basis_vector(j), m)
-            )
-            alg = algebraic_bracket(xi, yj)
-            abstract = a.algebra.bracket(a.algebra.basis_vector(i), a.algebra.basis_vector(j))
-            direct = vector_point_from_coords(
-                a.n, m - 1, point, a.jet_at_point(abstract, m - 1)
-            )
-            if alg.as_vector() != direct.as_vector():
+    g = a.algebra
+    # the jet at the point is linear in the abstract vector, so the basis
+    # jets of both orders serve every pair
+    jets = [
+        vector_point_from_coords(a.n, m, a.point, a.jet_at_point(g.basis_vector(b), m))
+        for b in range(g.dim)
+    ]
+    lower = [a.jet_at_point(g.basis_vector(b), m - 1) for b in range(g.dim)]
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            direct = [Fraction(0)] * len(lower[0])
+            for b, c in g.basis_bracket(i, j).items():
+                direct = [x + c * y for x, y in zip(direct, lower[b])]
+            if algebraic_bracket(jets[i], jets[j]).as_vector() != direct:
                 return False
     return True
 

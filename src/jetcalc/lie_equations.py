@@ -6,7 +6,7 @@ arrows."""
 
 from fractions import Fraction
 
-from .arrows import pushforward_vector_jet
+from .arrows import _inverse_table, _pushforward_vector
 from .jets import vector_slots
 from .linalg import Echelon, invert, nullspace, rank
 from .multiindex import (
@@ -454,9 +454,10 @@ def ad_transform_subspace(arrow, sub):
     an arrow of order k+1 based at the subspace's point."""
     if arrow.source != sub.point:
         raise ValueError("arrow is not based at the subspace point")
-    pushed = [
-        pushforward_vector_jet(arrow, jet).as_vector() for jet in sub.jets()
-    ]
+    if arrow.n != sub.n or arrow.k != sub.k + 1:
+        raise ValueError("need an arrow of order k+1")
+    back = _inverse_table(arrow, sub.k)
+    pushed = [_pushforward_vector(arrow, jet, back).as_vector() for jet in sub.jets()]
     return LinearJetSubspace(sub.n, sub.k, arrow.target, pushed)
 
 

@@ -112,14 +112,13 @@ class Poly:
     def mul_truncated(self, other, max_degree):
         """Product with all monomials of total degree > max_degree dropped."""
         self._check(other)
+        right = sorted((order(m2), m2, c2) for m2, c2 in other.coeffs.items())
         out = {}
         for m1, c1 in self.coeffs.items():
-            d1 = order(m1)
-            if d1 > max_degree:
-                continue
-            for m2, c2 in other.coeffs.items():
-                if d1 + order(m2) > max_degree:
-                    continue
+            room = max_degree - order(m1)
+            for d2, m2, c2 in right:
+                if d2 > room:
+                    break
                 m = add(m1, m2)
                 out[m] = out.get(m, Fraction(0)) + c1 * c2
         return Poly(self.n, out)
@@ -165,19 +164,7 @@ class Poly:
         """
         if len(substitutions) != self.n:
             raise ValueError("need one substitution per variable")
-        m = substitutions[0].n
-        # Powers of each substitution, built incrementally with truncation.
-        pow_cache = [[Poly.const(m, 1)] for _ in range(self.n)]
-        result = Poly.zero(m)
-        for mono, c in self.coeffs.items():
-            term = Poly.const(m, c)
-            for j, e in enumerate(mono):
-                cache = pow_cache[j]
-                while len(cache) <= e:
-                    cache.append(cache[-1].mul_truncated(substitutions[j], max_degree))
-                term = term.mul_truncated(cache[e], max_degree)
-            result = result + term
-        return result
+        return PowerTable(substitutions, max_degree).compose(self)
 
     def _check(self, other):
         if self.n != other.n:
@@ -194,3 +181,47 @@ class Poly:
             )
             parts.append(f"{c}" if not mono else (f"{c}*{mono}" if c != 1 else mono))
         return " + ".join(parts)
+
+
+class PowerTable:
+    """The powers s^alpha of one substitution s = (s_0, ..., s_{n-1}, n >= 1),
+    with every degree above max_degree dropped.
+
+    Each entry is one truncated product of a smaller one, s^(alpha - e_j) * s_j,
+    built when first needed and kept for every polynomial composed through
+    the table.  Truncating a factor never changes the low degrees of a
+    product, so substitutions may have constant terms.
+    """
+
+    __slots__ = ("subs", "max_degree", "entries")
+
+    def __init__(self, substitutions, max_degree):
+        self.subs = list(substitutions)
+        self.max_degree = max_degree
+        self.entries = {(0,) * len(self.subs): Poly.const(self.subs[0].n, 1)}
+
+    def power(self, alpha):
+        """s^alpha, truncated at max_degree."""
+        entries = self.entries
+        missing = []
+        while alpha not in entries:
+            # peel one factor off the last variable that occurs
+            j = max(i for i, e in enumerate(alpha) if e)
+            missing.append((alpha, j))
+            alpha = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]
+        t = entries[alpha]
+        for beta, j in reversed(missing):
+            t = t.mul_truncated(self.subs[j], self.max_degree)
+            entries[beta] = t
+        return t
+
+    def compose(self, p):
+        """p(s_0, ..., s_{n-1}) truncated at max_degree: the sum of
+        c_alpha s^alpha over the terms of p."""
+        if p.n != len(self.subs):
+            raise ValueError("need one substitution per variable")
+        out = {}
+        for alpha, c in p.coeffs.items():
+            for m, v in self.power(alpha).coeffs.items():
+                out[m] = out.get(m, 0) + c * v
+        return Poly(self.subs[0].n, out)

@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from jetcalc.arrows import (
     Arrow,
     compose_arrows,
@@ -14,7 +17,8 @@ from jetcalc.jets import (
     prolong_function,
     prolong_vector_field,
 )
-from jetcalc.multiindex import multi_indices
+from jetcalc.linalg import determinant
+from jetcalc.multiindex import multi_indices, unit
 from jetcalc.poly import Poly
 
 
@@ -231,3 +235,70 @@ def test_pushforwards_of_order_zero_jets():
     y = pushforward_vector_jet(a, x)
     jac = a.linear_part()
     assert [y.slot(i, (0, 0)) for i in range(2)] == [jac[i][0] + 2 * jac[i][1] for i in range(2)]
+
+
+def test_inverse_against_sympy_series_reversion():
+    """Differential oracle in one variable: the inverse displacement is
+    sympy's reversion of the displacement series."""
+    pytest.importorskip("sympy")
+    from sympy import QQ
+    from sympy.polys.ring_series import rs_series_reversion
+    from sympy.polys.rings import ring
+
+    ring_uv, u, v = ring("u, v", QQ)
+    rng = random.Random(1789)
+    for _ in range(20):
+        k = rng.randint(1, 6)
+        a = rand_arrow(1, k, rand_point(1, rng), rng)
+        series = ring_uv(0)
+        for (e,), c in a.displacement_polynomials()[0].coeffs.items():
+            series += QQ(c.numerator, c.denominator) * u**e
+        reversion = rs_series_reversion(series, u, k + 1, v)
+        expected = Poly(
+            1,
+            {(e,): Fraction(int(c.numerator), int(c.denominator))
+             for (_, e), c in reversion.items()},
+        )
+        assert invert_arrow(a).displacement_polynomials()[0] == expected
+
+
+_small = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+
+
+@st.composite
+def _arrow_triples(draw):
+    """Three chained arrows c, b, a (n <= 2, k <= 3) with small rational
+    slots; a linear part is drawn until it is invertible."""
+    n = draw(st.integers(1, 2))
+    k = draw(st.integers(1, 3))
+    point = tuple(draw(_small) for _ in range(n))
+    arrows = []
+    for _ in range(3):
+        target = tuple(draw(_small) for _ in range(n))
+        linear = draw(
+            st.lists(st.lists(_small, min_size=n, max_size=n), min_size=n, max_size=n)
+            .filter(lambda rows: determinant(rows) != 0)
+        )
+        coeffs = {(i, unit(n, j)): linear[i][j] for i in range(n) for j in range(n)}
+        for alpha in multi_indices(n, k, k_min=2):
+            for i in range(n):
+                coeffs[(i, alpha)] = draw(_small)
+        arrows.append(Arrow(n, k, point, target, coeffs))
+        point = target
+    a, b, c = arrows
+    return c, b, a
+
+
+@settings(max_examples=60, deadline=None)
+@given(_arrow_triples())
+def test_groupoid_laws_property(triple):
+    """Associativity, identities and inverses, as a shrinking property."""
+    c, b, a = triple
+    n, k = a.n, a.k
+    assert compose_arrows(c, compose_arrows(b, a)) == compose_arrows(compose_arrows(c, b), a)
+    assert compose_arrows(a, Arrow.identity(n, k, a.source)) == a
+    assert compose_arrows(Arrow.identity(n, k, a.target), a) == a
+    inv = invert_arrow(a)
+    assert compose_arrows(inv, a) == Arrow.identity(n, k, a.source)
+    assert compose_arrows(a, inv) == Arrow.identity(n, k, a.target)
+    assert invert_arrow(inv) == a

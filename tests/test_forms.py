@@ -345,3 +345,57 @@ def test_arrow_transform_form_over_a_family():
     points = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(-1, 2))]
     arrows = [Arrow.identity(n, k + 1, p) for p in points]
     assert arrow_transform_form(arrows, omega) == {p: form_at(omega, p) for p in points}
+
+
+def _transform_by_public_pushforwards(arrow, omega):
+    """Reference: the transform of a form with every pushforward made by
+    the public functions, which invert their arrow each time."""
+    from itertools import combinations
+
+    from jetcalc.arrows import invert_arrow, pushforward_function_jet, pushforward_vector_jet
+    from jetcalc.forms import FormAtPoint
+    from jetcalc.jets import VectorJetPoint
+
+    n, k, r = omega.n, omega.k, omega.r
+    inv = invert_arrow(arrow)
+    omega_q = form_at(omega, arrow.source)
+    slots = vector_slots(n, k)
+    pulled = {
+        s: pushforward_vector_jet(inv, VectorJetPoint(n, k, arrow.target, {s: Fraction(1)}))
+        for s in slots
+    }
+    out = {
+        key: pushforward_function_jet(arrow, omega_q.evaluate([pulled[s] for s in key]))
+        for key in combinations(slots, r)
+    }
+    return FormAtPoint(n, k, r, arrow.target, out)
+
+
+def test_arrow_transform_inverts_each_arrow_once(monkeypatch):
+    """A 1-form transform at n = 2, k = 1 over two nonlinear arrows calls
+    invert_arrow once per arrow and agrees with the transform built from
+    the public pushforwards."""
+    import jetcalc.arrows
+    import jetcalc.forms
+
+    rng = random.Random(41)
+    n, k = 2, 1
+    omega = rand_form(n, k, 1, rng, degree=1)
+    maps = [
+        [Poly(2, {(1, 0): 1, (0, 1): 1, (2, 0): 1}), Poly(2, {(0, 1): 1, (1, 1): 1})],
+        [Poly(2, {(1, 0): 2, (0, 2): 1}), Poly(2, {(1, 0): 1, (0, 1): -1, (1, 1): 1})],
+    ]
+    points = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(-1, 2))]
+    arrows = [Arrow.from_polynomial_map(m, k + 1, p) for m, p in zip(maps, points)]
+    expected = {a.target: _transform_by_public_pushforwards(a, omega) for a in arrows}
+    real = jetcalc.arrows.invert_arrow
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(jetcalc.arrows, "invert_arrow", counting)
+    monkeypatch.setattr(jetcalc.forms, "invert_arrow", counting)
+    assert arrow_transform_form(arrows, omega) == expected
+    assert len(calls) <= len(arrows)

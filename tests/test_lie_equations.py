@@ -235,6 +235,35 @@ def test_ad_transform_by_isometry_preserves_solutions():
     assert subspaces_equal(ad_transform_subspace(arrow, sub), sub)
 
 
+def test_ad_transform_inverts_the_arrow_once(monkeypatch):
+    """The conjugated subspace along a nonlinear arrow calls invert_arrow
+    once and agrees with pushing each basis jet by the public function."""
+    import jetcalc.arrows
+
+    sub = solve_system(flat_metric(), 2)
+    comps = [
+        Poly(2, {(1, 0): 1, (0, 1): 1, (2, 0): 1}),
+        Poly(2, {(0, 1): 1, (1, 1): 2, (0, 3): 1}),
+    ]
+    arrow = Arrow.from_polynomial_map(comps, 3, ZERO2)
+    expected = LinearJetSubspace(
+        2, 2, arrow.target,
+        [jetcalc.arrows.pushforward_vector_jet(arrow, jet).as_vector() for jet in sub.jets()],
+    )
+    real = jetcalc.arrows.invert_arrow
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(jetcalc.arrows, "invert_arrow", counting)
+    moved = ad_transform_subspace(arrow, sub)
+    assert len(calls) == 1
+    assert subspaces_equal(moved, expected)
+    assert moved.basis == expected.basis
+
+
 def test_ad_transform_by_shear_matches_transformed_metric():
     sub = solve_system(flat_metric(), 2)
     shear = [[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]]

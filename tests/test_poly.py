@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from jetcalc.poly import Poly
 
 
@@ -65,3 +67,44 @@ def test_constants_hash_like_their_scalars():
     assert len({Poly.zero(3), 0, Fraction(0)}) == 1
     assert len({Poly.const(2, "1/2"), Fraction(1, 2)}) == 1
     assert {Poly.variable(2, 0), Poly.variable(2, 0) + 0} == {Poly.variable(2, 0)}
+
+
+def _to_sympy(p, xs):
+    import sympy
+
+    return sum(
+        (
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*[x**e for x, e in zip(xs, alpha)])
+            for alpha, c in p.coeffs.items()
+        ),
+        sympy.Integer(0),
+    )
+
+
+def test_compose_against_sympy_expand():
+    """Differential oracle: Poly.compose equals sympy's expand of the
+    substituted polynomial with every degree above the truncation dropped,
+    also for substitutions with constant terms and for monomials of self
+    above the truncation degree."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2718)
+    for trial in range(30):
+        n = rng.randint(1, 3)
+        m = rng.randint(1, 3)
+        max_degree = rng.randint(0, 3)
+        p = rand_poly(n, rng, degree=max_degree + rng.randint(0, 2))
+        subs = [rand_poly(m, rng, degree=2) for _ in range(n)]
+        if trial % 2:
+            subs[0] = subs[0] + Poly.const(m, rng.randint(1, 3))
+        xs = sympy.symbols(f"x0:{n}")
+        ys = sympy.symbols(f"y0:{m}")
+        full = sympy.expand(
+            _to_sympy(p, xs).xreplace({x: _to_sympy(s, ys) for x, s in zip(xs, subs)})
+        )
+        expected = {
+            mono: Fraction(int(c.p), int(c.q))
+            for mono, c in sympy.Poly(full, *ys).terms()
+            if sum(mono) <= max_degree and c != 0
+        }
+        assert p.compose(subs, max_degree) == Poly(m, expected)
