@@ -20,30 +20,18 @@ from .jets import (
     VectorJetSection,
     function_slots,
     jet_product,
+    jet_product_sum,
     vector_slots,
 )
 from .linalg import Echelon, determinant, nullspace, solve
 from .multiindex import multi_indices, order
 from .poly import Poly, PowerTable, _as_fraction
-from .spencer import jet_action, spencer_bracket
+from .spencer import basis_action, basis_bracket, jet_action, spencer_bracket
 
 
 def basis_section(n, k, slot):
     """The constant section with a single fiber slot equal to 1."""
     return VectorJetSection(n, k, {slot: Poly.const(n, 1)})
-
-
-_BASIS_BRACKET_CACHE = {}
-
-
-def _basis_bracket(n, k, s, t):
-    """Spencer bracket of two constant basis sections (cached)."""
-    key = (n, k, s, t)
-    if key not in _BASIS_BRACKET_CACHE:
-        _BASIS_BRACKET_CACHE[key] = spencer_bracket(
-            basis_section(n, k, s), basis_section(n, k, t)
-        )
-    return _BASIS_BRACKET_CACHE[key]
 
 
 class FormKR:
@@ -252,38 +240,33 @@ def _intrinsic_value(omega, args):
 def exterior_derivative(omega):
     """d: degree r to degree r+1, same jet order.
 
-    Coefficients are obtained by evaluating the intrinsic formula on
-    constant-coefficient basis extensions; the result is well defined
-    because the formula is tensorial in its arguments.
+    Coefficients are the intrinsic formula evaluated on the constant
+    basis sections e_s; the result is well defined because the formula
+    is tensorial in its arguments.  On basis sections every piece has a
+    closed form: e_s acts by `basis_action`, two of them bracket to
+    `basis_bracket`, and omega on basis sections is a signed coefficient.
     """
     n, k, r = omega.n, omega.k, omega.r
     if r >= n:
         raise ValueError("complex is truncated at degree n")
     slots = vector_slots(n, k)
-    out = {}
     if r == 0:
         f = omega.coeffs[()]
-        for s in slots:
-            out[(s,)] = jet_action(basis_section(n, k, s), f)
-        return FormKR(n, k, 1, out)
+        return FormKR(n, k, 1, {(s,): basis_action(s, f) for s in slots})
+    out = {}
     for key in combinations(slots, r + 1):
         total = FunctionJetSection(n, k)
         for i in range(r + 1):
-            rest = key[:i] + key[i + 1 :]
-            sign, sec = omega.signed_coefficient(rest)
+            sign, sec = omega.signed_coefficient(key[:i] + key[i + 1 :])
             if sign != 0 and not sec.is_zero():
-                term = jet_action(basis_section(n, k, key[i]), sec)
-                if sign < 0:
-                    term = -term
-                total = total + (term if i % 2 == 0 else -term)
-        for i in range(r + 1):
-            for j in range(i + 1, r + 1):
-                br = _basis_bracket(n, k, key[i], key[j])
-                rest = [br] + [
-                    basis_section(n, k, key[m]) for m in range(r + 1) if m not in (i, j)
-                ]
-                term = eval_form(omega, rest)
-                total = total + (term if (i + j) % 2 == 0 else -term)
+                term = basis_action(key[i], sec)
+                total = total + (term if sign * (-1) ** i > 0 else -term)
+        for i, j in combinations(range(r + 1), 2):
+            rest = tuple(key[m] for m in range(r + 1) if m not in (i, j))
+            for u, c in basis_bracket(key[i], key[j], k).items():
+                sign, sec = omega.signed_coefficient((u,) + rest)
+                if sign != 0 and not sec.is_zero():
+                    total = total + sec.scale(c * sign * (-1) ** (i + j))
         total = total.scale(Fraction(1, r + 1))
         if not total.is_zero():
             out[key] = total
@@ -303,7 +286,7 @@ def wedge(w, t):
     slots = vector_slots(n, k)
     out = {}
     for key in combinations(slots, p + q) if p + q else [()]:
-        total = FunctionJetSection(n, k)
+        terms = []
         for positions in combinations(range(p + q), p):
             a_key = tuple(key[i] for i in positions)
             b_key = tuple(key[i] for i in range(p + q) if i not in positions)
@@ -314,11 +297,11 @@ def wedge(w, t):
             if sec_a.is_zero() or sec_b.is_zero():
                 continue
             inversions = sum(pos - idx for idx, pos in enumerate(positions))
-            term = jet_product(sec_a, sec_b)
-            total = total + (term if inversions % 2 == 0 else -term)
-        total = total.scale(factor)
-        if not total.is_zero():
-            out[key] = total
+            terms.append((factor if inversions % 2 == 0 else -factor, sec_a, sec_b))
+        if terms:
+            total = jet_product_sum(terms)
+            if not total.is_zero():
+                out[key] = total
     return FormKR(n, k, p + q, out)
 
 

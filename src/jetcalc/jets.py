@@ -20,8 +20,7 @@ from .multiindex import (
     add,
     multi_binomial,
     multi_indices,
-    sub,
-    sub_indices,
+    order,
     unit,
 )
 from .poly import Poly, _as_fraction
@@ -74,6 +73,23 @@ class _JetTable:
 
     def _zero(self):
         return Poly.zero(self.n) if self._section else Fraction(0)
+
+    def _summed(self, k, slot_terms):
+        """A jet of this kind at order k whose slot s is the sum of
+        c * u * v over slot_terms[s], a list of (c, u, v): an int or
+        Fraction weight c and two slot values of this kind.  A section
+        adds every product of a slot into one coefficient dict and builds
+        one Poly from it; slots without terms are zero."""
+        out = {}
+        for s, terms in slot_terms.items():
+            if not self._section:
+                out[s] = sum((u * v * c for c, u, v in terms), Fraction(0))
+                continue
+            acc = {}
+            for c, u, v in terms:
+                u.addmul_into(acc, c, v)
+            out[s] = Poly(self.n, acc)
+        return self.like(k, out)
 
     def like(self, k, coeffs):
         """A jet of the same kind, dimension and base point at order k."""
@@ -242,15 +258,31 @@ def prolong_vector_field(components, k):
 
 def jet_product(f, g):
     """The product on J_k(M): (f*g)_alpha = sum C(alpha,beta) f_beta g_{alpha-beta}."""
-    f._check(g)
-    out = {}
-    for alpha in multi_indices(f.n, f.k):
-        total = None
-        for beta in sub_indices(alpha):
-            term = multi_binomial(alpha, beta) * f.slot(beta) * g.slot(sub(alpha, beta))
-            total = term if total is None else total + term
-        out[alpha] = total
-    return f.like(f.k, out)
+    return jet_product_sum([(1, f, g)])
+
+
+def jet_product_sum(terms):
+    """sum c * (f*g) over the terms (c, f, g): jets of one kind and shape
+    and int or Fraction weights c, each slot accumulated once over every
+    term (a wedge product is such a signed sum).  Only the nonzero slots
+    f_beta and g_gamma are visited, each pair adding to slot beta+gamma."""
+    first = terms[0][1]
+    k = first.k
+    slot_terms = {}
+    for c, f, g in terms:
+        first._check(f)
+        first._check(g)
+        right = [(gamma, order(gamma), v) for gamma, v in g.coeffs.items() if v]
+        for beta, u in f.coeffs.items():
+            if not u:
+                continue
+            room = k - order(beta)
+            for gamma, d, v in right:
+                if d <= room:
+                    alpha = add(beta, gamma)
+                    weight = c * multi_binomial(alpha, beta)
+                    slot_terms.setdefault(alpha, []).append((weight, u, v))
+    return first._summed(k, slot_terms)
 
 
 def jet_unit(n, k):

@@ -5,7 +5,7 @@ enumerations in the library use graded lexicographic order (by total
 order first, then lexicographic), produced by :func:`multi_indices`.
 """
 
-from fractions import Fraction
+import operator
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -21,7 +21,7 @@ def unit(n, j):
 
 
 def add(alpha, beta):
-    return tuple(a + b for a, b in zip(alpha, beta))
+    return tuple(map(operator.add, alpha, beta))
 
 
 def sub(alpha, beta):
@@ -63,7 +63,7 @@ def sub_indices(alpha):
 
 
 def multi_binomial(alpha, beta):
-    """Product of componentwise binomials C(alpha_i, beta_i), as a Fraction.
+    """Product of componentwise binomials C(alpha_i, beta_i), as an int.
 
     Zero when beta exceeds alpha in any component.
     """
@@ -72,9 +72,9 @@ def multi_binomial(alpha, beta):
     result = 1
     for a, b in zip(alpha, beta):
         if b > a:
-            return Fraction(0)
+            return 0
         result *= comb(a, b)
-    return Fraction(result)
+    return result
 
 
 def factorial(alpha):

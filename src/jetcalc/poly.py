@@ -2,7 +2,11 @@
 
 Coefficients are `fractions.Fraction`; monomials are multi-index tuples.
 Zero coefficients are never stored.  Values are treated as immutable:
-every operation returns a fresh Poly.
+every operation returns a fresh Poly, except the one accumulator,
+`p.addmul_into(acc, c, q)`.  It adds c*p*q in place into `acc`, a plain
+{monomial: coefficient} dict that the caller owns, and writes nothing
+else: a sum of many products fills one dict and becomes one Poly at the
+end, `Poly(n, acc)`, which also drops the entries that cancelled.
 """
 
 from fractions import Fraction
@@ -56,6 +60,9 @@ class Poly:
     def is_zero(self):
         return not self.coeffs
 
+    def __bool__(self):
+        return bool(self.coeffs)
+
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
         return max((order(m) for m in self.coeffs), default=-1)
@@ -80,7 +87,7 @@ class Poly:
         self._check(other)
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
-            out[m] = out.get(m, Fraction(0)) + c
+            out[m] = out[m] + c if m in out else c
         return Poly(self.n, out)
 
     __radd__ = __add__
@@ -91,7 +98,11 @@ class Poly:
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly.const(self.n, other)
-        return self + (-other)
+        self._check(other)
+        out = dict(self.coeffs)
+        for m, c in other.coeffs.items():
+            out[m] = out[m] - c if m in out else -c
+        return Poly(self.n, out)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -99,15 +110,29 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return Poly(self.n, {m: c * other for m, c in self.coeffs.items()})
-        self._check(other)
         out = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                m = add(m1, m2)
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
+        self.addmul_into(out, 1, other)
         return Poly(self.n, out)
 
     __rmul__ = __mul__
+
+    def addmul_into(self, acc, c, other):
+        """Add c * self * other into acc, in place: acc is a plain
+        {monomial: Fraction} dict owned by the caller, c an int or
+        Fraction weight.  Neither Poly changes; cancelled entries stay in
+        acc as zeros until `Poly(n, acc)` drops them."""
+        self._check(other)
+        if not other.coeffs:
+            return
+        right = other.coeffs.items()
+        get = acc.get
+        for m1, c1 in self.coeffs.items():
+            if c != 1:
+                c1 = c1 * c
+            for m2, c2 in right:
+                m = add(m1, m2)
+                old = get(m)
+                acc[m] = c1 * c2 if old is None else old + c1 * c2
 
     def mul_truncated(self, other, max_degree):
         """Product with all monomials of total degree > max_degree dropped."""

@@ -3,7 +3,13 @@ Spencer bracket, the action of vector jets on function jets, and the
 Lie algebra of the isotropy jet group, a `FiniteLieAlgebra` whose
 structure constants are the closed-form brackets of the truncated
 monomial fields x^alpha/alpha! d_i (`isotropy_bracket` of the basis jets
-gives the same table).
+gives the same table).  The constant basis sections e_s of g_k, with a
+single slot equal to 1, act and bracket in closed form (`basis_action`,
+`basis_bracket`); `jet_action` and `spencer_bracket` are their oracle.
+
+The bracket and the action share one Leibniz formula, `_leibniz_terms`,
+for jet sections and jets at a point alike: it lists the terms of each
+output slot and the jet's `_summed` adds them up.
 
 The Spencer operator measures the failure of a section to be holonomic;
 the Spencer bracket corrects the algebraic bracket by Spencer terms so
@@ -13,16 +19,14 @@ that it closes at the same order and satisfies the Jacobi identity.
 from fractions import Fraction
 from itertools import combinations
 
-from .jets import FunctionJetSection, vector_slots
+from .jets import vector_slots
 from .liealg import FiniteLieAlgebra
 from .multiindex import (
     add,
-    factorial,
     multi_binomial,
     multi_indices,
     order,
     sub,
-    sub_indices,
     unit,
 )
 from .poly import Poly
@@ -63,30 +67,39 @@ class CovectorIndexedSection:
         )
 
 
+def _leibniz_terms(slot_terms, x_jet, f_values, k, sign=1, i=None):
+    """Add sign times the terms of (X f)_alpha, |alpha| <= k, to
+    slot_terms[alpha], or to slot_terms[(i, alpha)] when f is the i-th
+    component of a vector jet; f_values maps gamma to f_gamma.
+    (X f)_alpha = sum_{beta<=alpha} C(alpha,beta) xi^a_beta f_{(alpha-beta)+e_a}:
+    only nonzero slots are visited, xi^a_beta and f_gamma with gamma_a > 0
+    giving the term of alpha = beta + gamma - e_a."""
+    units = [unit(x_jet.n, a) for a in range(x_jet.n)]
+    right = [(gamma, order(gamma), v) for gamma, v in f_values.items() if v]
+    for (a, beta), u in x_jet.coeffs.items():
+        if not u:
+            continue
+        room = k + 1 - order(beta)
+        for gamma, d, v in right:
+            if gamma[a] and d <= room:
+                alpha = sub(add(beta, gamma), units[a])
+                term = (sign * multi_binomial(alpha, beta), u, v)
+                slot_terms.setdefault(alpha if i is None else (i, alpha), []).append(term)
+
+
 def _bracket_slots(x_jet, y_jet, k):
     """Slots of order <= k of the jet-level bracket formula
     {X,Y}^i_alpha = sum_{beta<=alpha} C(alpha,beta)
         (xi^a_beta eta^i_{(alpha-beta)+e_a} - eta^a_beta xi^i_{(alpha-beta)+e_a}),
-    over the terms whose slots exist at the order of the inputs."""
+    that is X(eta^i) - Y(xi^i), over the terms whose slots exist at the
+    order of the inputs."""
     x_jet._check(y_jet)
-    n = x_jet.n
-    out = {}
-    for alpha in multi_indices(n, k):
-        for i in range(n):
-            total = 0
-            for beta in sub_indices(alpha):
-                c = multi_binomial(alpha, beta)
-                rest = sub(alpha, beta)
-                for a in range(n):
-                    up = add(rest, unit(n, a))
-                    if order(up) > x_jet.k:
-                        continue
-                    total = total + c * (
-                        x_jet.slot(a, beta) * y_jet.slot(i, up)
-                        - y_jet.slot(a, beta) * x_jet.slot(i, up)
-                    )
-            out[(i, alpha)] = total
-    return x_jet.like(k, out)
+    slot_terms = {}
+    for i in range(x_jet.n):
+        for sign, p, q in ((1, x_jet, y_jet), (-1, y_jet, x_jet)):
+            component = {gamma: v for (j, gamma), v in q.coeffs.items() if j == i}
+            _leibniz_terms(slot_terms, p, component, k, sign, i)
+    return x_jet._summed(k, slot_terms)
 
 
 def algebraic_bracket(x_jet, y_jet):
@@ -161,13 +174,16 @@ def _random_poly(n, rng, degree):
 
 def _contract_with_order0(x_section, covector):
     """i(X^(0)) applied to a covector-indexed section: sum_a xi^a_0 part_a."""
-    n = x_section.n
-    zero = (0,) * n
-    result = None
-    for a in range(n):
-        term = covector.part(a).scale(x_section.slot(a, zero))
-        result = term if result is None else result + term
-    return result
+    zero = (0,) * x_section.n
+    first = covector.part(0)
+    slot_terms = {}
+    for a, part in enumerate(covector.parts):
+        xi = x_section.slot(a, zero)
+        if xi:
+            for s, v in part.coeffs.items():
+                if v:
+                    slot_terms.setdefault(s, []).append((1, xi, v))
+    return first._summed(first.k, slot_terms)
 
 
 def spencer_bracket(x_section, y_section, lift_policy="zero", rng=None):
@@ -189,19 +205,9 @@ def algebraic_action_star(x_section, f_section):
     sum_{beta<=alpha} C(alpha,beta) xi^a_beta f_{(alpha-beta)+e_a}."""
     if x_section.n != f_section.n or f_section.k != x_section.k + 1:
         raise ValueError("need orders k and k+1")
-    n, k = x_section.n, x_section.k
-    out = {}
-    for alpha in multi_indices(n, k):
-        total = Poly.zero(n)
-        for beta in sub_indices(alpha):
-            c = multi_binomial(alpha, beta)
-            rest = sub(alpha, beta)
-            for a in range(n):
-                total = total + c * (
-                    x_section.slot(a, beta) * f_section.slot(add(rest, unit(n, a)))
-                )
-        out[alpha] = total
-    return FunctionJetSection(n, k, out)
+    slot_terms = {}
+    _leibniz_terms(slot_terms, x_section, f_section.coeffs, x_section.k)
+    return f_section._summed(x_section.k, slot_terms)
 
 
 def jet_action(x_section, f_section, lift_policy="zero", rng=None):
@@ -213,6 +219,42 @@ def jet_action(x_section, f_section, lift_policy="zero", rng=None):
     main = algebraic_action_star(x_section, f_lift)
     df = spencer_operator(f_lift)
     return main + _contract_with_order0(x_section, df)
+
+
+def basis_action(slot, f_section):
+    """jet_action(e_s, f) for the constant basis section e_s of g_k with
+    the single slot s = (i, b) equal to 1, in closed form: slot alpha is
+    d_i f_alpha when b = 0, C(alpha,b) f_{alpha-b+e_i} when 0 < b <= alpha,
+    and 0 otherwise (the Spencer term cancels the lifted slot when b = 0)."""
+    i, b = slot
+    e = unit(f_section.n, i)
+    fs = f_section.coeffs
+    if not order(b):
+        out = {alpha: p.diff(i) for alpha, p in fs.items()}
+    else:
+        out = {
+            alpha: fs[add(sub(alpha, b), e)] * multi_binomial(alpha, b)
+            for alpha in fs
+            if all(x >= y for x, y in zip(alpha, b))
+        }
+    return f_section.like(f_section.k, out)
+
+
+def basis_bracket(s, t, k):
+    """[e_s, e_t] of two constant basis sections of g_k, s = (i, a) and
+    t = (j, b), in closed form as {slot: nonzero int}:
+        C(a+b-e_i, a) e_(j, a+b-e_i) - C(a+b-e_j, b) e_(i, a+b-e_j).
+    A term is dropped above order k, when it needs b_i = 0 (a_j = 0 for
+    the second), and when the other slot, a (b), has order 0: there the
+    Spencer term cancels it.  On order >= 1 slots these are the structure
+    constants of the isotropy jet algebra."""
+    out = {}
+    for (u, x), (v, y), sign in ((s, t, 1), (t, s, -1)):
+        # sign * C(x+y-e_u, x) e_(v, x+y-e_u)
+        if y[u] and order(x) and order(x) + order(y) <= k + 1:
+            c = sub(add(x, y), unit(len(x), u))
+            out[(v, c)] = out.get((v, c), 0) + sign * multi_binomial(c, x)
+    return {slot: c for slot, c in out.items() if c}
 
 
 class JetGroupAlgebra(FiniteLieAlgebra):
@@ -231,25 +273,15 @@ class JetGroupAlgebra(FiniteLieAlgebra):
         super().__init__(len(self.slots), self._structure_constants(), check=check)
 
     def _structure_constants(self):
-        """[x^a/a! d_i, x^b/b! d_j]
-            = (b_i x^(a+b-e_i) d_j - a_j x^(a+b-e_j) d_i) / (a! b!),
-        truncated at order k; x^c is c! times the basis field of slot c."""
-        n, k = self.n, self.k
+        """[x^a/a! d_i, x^b/b! d_j] = `basis_bracket((i, a), (j, b), k)`,
+        the bracket of the basis jets with a single slot equal to 1."""
         pos = {s: r for r, s in enumerate(self.slots)}
         table = {}
-        for (p, (i, a)), (q, (j, b)) in combinations(enumerate(self.slots), 2):
-            out = {}
-            for u, s, t, v, sign in ((i, a, b, j, 1), (j, b, a, i, -1)):
-                # sign * x^s d_u(x^t) d_v, in units of 1/(a! b!)
-                if t[u] and order(s) + order(t) <= k + 1:
-                    c = sub(add(s, t), unit(n, u))
-                    r = pos[(v, c)]
-                    out[r] = out.get(r, 0) + sign * t[u] * factorial(c)
-            scale = factorial(a) * factorial(b)
+        for (p, s), (q, t) in combinations(enumerate(self.slots), 2):
+            out = {pos[u]: c for u, c in basis_bracket(s, t, self.k).items()}
             for r in sorted(out):
-                if out[r]:
-                    table[(p, q, r)] = Fraction(out[r], scale)
-                    table[(q, p, r)] = -Fraction(out[r], scale)
+                table[(p, q, r)] = Fraction(out[r])
+                table[(q, p, r)] = -Fraction(out[r])
         return table
 
     def finite_lie_algebra(self):

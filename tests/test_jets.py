@@ -11,13 +11,14 @@ from jetcalc.jets import (
     function_slots,
     is_holonomic,
     jet_product,
+    jet_product_sum,
     jet_unit,
     prolong_function,
     prolong_vector_field,
     vector_point_from_coords,
     vector_slots,
 )
-from jetcalc.multiindex import multi_indices, order
+from jetcalc.multiindex import multi_binomial, multi_indices, order, sub, sub_indices
 from jetcalc.poly import Poly
 
 
@@ -173,3 +174,32 @@ def test_section_evaluation_projection_lift_and_validation(cls):
             cls(2, 1, {bad: 1})
     with pytest.raises(ValueError):
         cls(2, -1)
+
+
+def reference_jet_product(f, g):
+    """(f*g)_alpha = sum C(alpha,beta) f_beta g_{alpha-beta}, term by term
+    with one product per term."""
+    out = {}
+    for alpha in function_slots(f.n, f.k):
+        total = 0
+        for beta in sub_indices(alpha):
+            total = total + multi_binomial(alpha, beta) * f.slot(beta) * g.slot(sub(alpha, beta))
+        out[alpha] = total
+    return out
+
+
+@pytest.mark.parametrize("cls", [FunctionJetSection, FunctionJetPoint])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_jet_product_against_term_by_term_reference(cls, n, k):
+    """The accumulating product, and a weighted sum of products, equal
+    one product per term on non-holonomic sections and at a point."""
+    rng = random.Random(10 + 10 * n + k)
+    point = (Fraction(1, 2), Fraction(-1, 3), Fraction(2))[:n]
+    f, g, h = (make_jet(cls, n, k, rng, point) for _ in range(3))
+    if cls is FunctionJetSection:
+        assert not is_holonomic(f)[0]
+    assert jet_product(f, g).coeffs == reference_jet_product(f, g)
+    fg, hf = reference_jet_product(f, g), reference_jet_product(h, f)
+    weighted = jet_product_sum([(Fraction(-2, 3), f, g), (5, h, f)])
+    assert weighted.coeffs == {a: fg[a] * Fraction(-2, 3) + hf[a] * 5 for a in fg}

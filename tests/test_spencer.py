@@ -1,19 +1,35 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from jetcalc.forms import basis_section
 from jetcalc.jets import (
+    FunctionJetPoint,
     FunctionJetSection,
     VectorJetPoint,
     VectorJetSection,
+    is_holonomic,
     prolong_function,
     prolong_vector_field,
     vector_slots,
 )
 from jetcalc.liealg import validate_lie_algebra
-from jetcalc.multiindex import multi_indices, unit
+from jetcalc.multiindex import (
+    add,
+    multi_binomial,
+    multi_indices,
+    order,
+    sub,
+    sub_indices,
+    unit,
+)
 from jetcalc.poly import Poly
 from jetcalc.spencer import (
+    algebraic_action_star,
     algebraic_bracket,
+    basis_action,
+    basis_bracket,
     isotropy_bracket,
     jet_action,
     jet_group_algebra,
@@ -242,3 +258,100 @@ def test_jet_group_closed_form_matches_isotropy_bracket():
         for k in range(1, k_max + 1):
             g = jet_group_algebra(n, k)
             assert g.structure == isotropy_bracket_table(g), (n, k)
+
+
+def reference_bracket(x, y, k):
+    """{X,Y}^i_alpha up to order k, term by term with one product per
+    term, over the terms whose slots exist at the order of the inputs."""
+    n = x.n
+    out = {}
+    for i, alpha in vector_slots(n, k):
+        total = 0
+        for beta in sub_indices(alpha):
+            c = multi_binomial(alpha, beta)
+            for a in range(n):
+                up = add(sub(alpha, beta), unit(n, a))
+                if order(up) <= x.k:
+                    total = total + c * x.slot(a, beta) * y.slot(i, up)
+                    total = total - c * y.slot(a, beta) * x.slot(i, up)
+        out[(i, alpha)] = total
+    return out
+
+
+def reference_action(x, f):
+    """sum_{beta<=alpha} C(alpha,beta) xi^a_beta f_{(alpha-beta)+e_a}, term
+    by term with one product per term."""
+    n = x.n
+    out = {}
+    for alpha in multi_indices(n, x.k):
+        total = 0
+        for beta in sub_indices(alpha):
+            for a in range(n):
+                up = add(sub(alpha, beta), unit(n, a))
+                total = total + multi_binomial(alpha, beta) * x.slot(a, beta) * f.slot(up)
+        out[alpha] = total
+    return out
+
+
+def rand_fraction(rng):
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+
+def slot_formula_inputs(n, k, rng):
+    """(X, Y, f, U, V) twice: as non-holonomic polynomial sections and as
+    jets at a point, with X, Y of order k, f of order k+1 and U, V of
+    order k with vanishing order-0 part."""
+    degree = 2 if n < 3 else 1
+    iso = vector_slots(n, k, min_order=1)
+    sections = (
+        rand_vector_section(n, k, rng, degree),
+        rand_vector_section(n, k, rng, degree),
+        rand_function_section(n, k + 1, rng, degree),
+        VectorJetSection(n, k, {s: rand_poly(n, rng, degree) for s in iso}),
+        VectorJetSection(n, k, {s: rand_poly(n, rng, degree) for s in iso}),
+    )
+    point = (Fraction(1, 2), Fraction(-1, 3), Fraction(2))[:n]
+
+    def vector_point(slots):
+        return VectorJetPoint(n, k, point, {s: rand_fraction(rng) for s in slots})
+
+    points = (
+        vector_point(vector_slots(n, k)),
+        vector_point(vector_slots(n, k)),
+        FunctionJetPoint(
+            n, k + 1, point, {a: rand_fraction(rng) for a in multi_indices(n, k + 1)}
+        ),
+        vector_point(iso),
+        vector_point(iso),
+    )
+    return sections, points
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_slot_formulas_against_term_by_term_reference(n, k):
+    """The accumulating bracket and Leibniz action equal one product per
+    term, on sections whose slots are not derivatives of each other (the
+    holonomic oracles cannot see a wrong non-holonomic term) and at a
+    point."""
+    sections, points = slot_formula_inputs(n, k, random.Random(100 + 10 * n + k))
+    assert not any(is_holonomic(jet)[0] for jet in sections)
+    for x, y, f, u, v in (sections, points):
+        assert algebraic_bracket(x, y).coeffs == reference_bracket(x, y, k - 1)
+        assert isotropy_bracket(u, v).coeffs == reference_bracket(u, v, k)
+        assert algebraic_action_star(x, f).coeffs == reference_action(x, f)
+
+
+@pytest.mark.parametrize(
+    "n, k", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
+)
+def test_basis_closed_forms_match_generic_action_and_bracket(n, k):
+    """On the constant basis sections, order 0 included, the closed forms
+    equal the generic jet action and Spencer bracket."""
+    f = rand_function_section(n, k, random.Random(200 + 10 * n + k))
+    basis = {s: basis_section(n, k, s) for s in vector_slots(n, k)}
+    for s, e_s in basis.items():
+        assert basis_action(s, f) == jet_action(e_s, f), s
+        for t, e_t in basis.items():
+            closed = VectorJetSection(n, k, basis_bracket(s, t, k))
+            assert closed == spencer_bracket(e_s, e_t), (s, t)
