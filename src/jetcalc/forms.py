@@ -29,6 +29,13 @@ from .poly import Poly, PowerTable, _as_fraction
 from .spencer import basis_action, basis_bracket, jet_action, spencer_bracket
 
 
+def _sign(seq):
+    """Sign of the permutation that sorts seq (distinct entries): -1 for
+    an odd number of inversions, else 1."""
+    inversions = sum(a > b for a, b in combinations(seq, 2))
+    return -1 if inversions % 2 else 1
+
+
 def basis_section(n, k, slot):
     """The constant section with a single fiber slot equal to 1."""
     return VectorJetSection(n, k, {slot: Poly.const(n, 1)})
@@ -85,23 +92,8 @@ class FormKR:
         pos = [self._slot_pos[s] for s in slots]
         if len(set(pos)) != len(pos):
             return 0, FunctionJetSection(self.n, self.k)
-        sign = 1
-        order_pairs = sorted(zip(pos, slots))
-        # parity of the sorting permutation
-        perm = sorted(range(len(pos)), key=lambda i: pos[i])
-        seen = [False] * len(perm)
-        for i in range(len(perm)):
-            if seen[i]:
-                continue
-            j, length = i, 0
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        key = tuple(s for _, s in order_pairs)
-        return sign, self.coeffs.get(key, FunctionJetSection(self.n, self.k))
+        key = tuple(s for _, s in sorted(zip(pos, slots)))
+        return _sign(pos), self.coeffs.get(key, FunctionJetSection(self.n, self.k))
 
     def is_zero(self):
         return all(sec.is_zero() for sec in self.coeffs.values())
@@ -186,12 +178,7 @@ def _poly_det(rows):
             term = p if term is None else term * p
         if not ok:
             continue
-        sign = 1
-        for i in range(m):
-            for j in range(i + 1, m):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        total = total + (term if sign == 1 else -term)
+        total = total + (term if _sign(perm) == 1 else -term)
     return total
 
 

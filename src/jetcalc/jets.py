@@ -60,7 +60,8 @@ class _JetTable:
         self.n = n
         self.k = k
         self.point = point
-        table = dict.fromkeys(self._slots(n, k), self._zero())
+        zero = Poly.zero(n) if self._section else Fraction(0)
+        table = dict.fromkeys(self._slots(n, k), zero)
         for s, v in (coeffs or {}).items():
             if s not in table:
                 raise ValueError(f"{s} is not a slot of order at most {k}")
@@ -70,9 +71,6 @@ class _JetTable:
                 v = Poly.const(n, v)
             table[s] = v
         self.coeffs = table
-
-    def _zero(self):
-        return Poly.zero(self.n) if self._section else Fraction(0)
 
     def _summed(self, k, slot_terms):
         """A jet of this kind at order k whose slot s is the sum of
@@ -112,8 +110,7 @@ class _JetTable:
         return self.like(m, {**self.coeffs, **top_slots})
 
     def is_zero(self):
-        zero = self._zero()
-        return all(v == zero for v in self.coeffs.values())
+        return not any(self.coeffs.values())
 
     def as_vector(self):
         return list(self.coeffs.values())
@@ -152,8 +149,7 @@ class _JetTable:
 
     def __repr__(self):
         at = "" if self.point is None else f", at={self.point}"
-        zero = self._zero()
-        nz = {s: v for s, v in self.coeffs.items() if v != zero}
+        nz = {s: v for s, v in self.coeffs.items() if v}
         return f"{type(self).__name__}(n={self.n}, k={self.k}{at}, {nz})"
 
 

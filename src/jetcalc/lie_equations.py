@@ -11,6 +11,7 @@ from .jets import vector_slots
 from .linalg import Echelon, invert, nullspace, rank
 from .multiindex import (
     add,
+    is_natural,
     multi_binomial,
     multi_indices,
     order,
@@ -19,10 +20,6 @@ from .multiindex import (
     unit,
 )
 from .poly import Poly, _as_fraction
-
-
-def _is_natural(x):
-    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
 class StructureJet:
@@ -46,10 +43,10 @@ class StructureJet:
         self.point = tuple(_as_fraction(x) for x in point)
         table = {}
         for (i, j, alpha), c in coeffs.items():
-            if not all(_is_natural(x) and x < n for x in (i, j)):
+            if not all(is_natural(x) and x < n for x in (i, j)):
                 raise ValueError(f"component indices {i!r}, {j!r} not in 0..{n - 1}")
             alpha = tuple(alpha)
-            if len(alpha) != n or not all(_is_natural(a) for a in alpha):
+            if len(alpha) != n or not all(is_natural(a) for a in alpha):
                 raise ValueError(f"multi-index {list(alpha)!r} must list {n} naturals")
             if order(alpha) > order_:
                 raise ValueError("slot exceeds the declared jet order")

@@ -10,6 +10,11 @@ from itertools import combinations_with_replacement
 from math import comb
 
 
+def is_natural(x):
+    """Whether x is a natural number (an int, not a bool, at least 0)."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
 def order(alpha):
     """Total order |alpha| = sum of exponents."""
     return sum(alpha)

@@ -11,7 +11,7 @@ end, `Poly(n, acc)`, which also drops the entries that cancelled.
 
 from fractions import Fraction
 
-from .multiindex import add, order, unit
+from .multiindex import add, multi_indices, order, unit
 
 
 def _as_fraction(x):
@@ -250,3 +250,15 @@ class PowerTable:
             for m, v in self.power(alpha).coeffs.items():
                 out[m] = out.get(m, 0) + c * v
         return Poly(self.subs[0].n, out)
+
+
+def random_poly(n, rng, degree):
+    """A seeded random polynomial of degree at most `degree`: for each
+    monomial in graded lex order, draw an integer c in [-4, 4] from the
+    `random.Random` rng and, when c is nonzero, a denominator in [1, 3]."""
+    coeffs = {}
+    for alpha in multi_indices(n, degree):
+        c = rng.randint(-4, 4)
+        if c:
+            coeffs[alpha] = Fraction(c, rng.randint(1, 3))
+    return Poly(n, coeffs)

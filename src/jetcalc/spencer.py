@@ -24,12 +24,11 @@ from .liealg import FiniteLieAlgebra
 from .multiindex import (
     add,
     multi_binomial,
-    multi_indices,
     order,
     sub,
     unit,
 )
-from .poly import Poly
+from .poly import random_poly
 
 
 class CovectorIndexedSection:
@@ -156,20 +155,9 @@ def _lift(section, lift_policy, rng=None, degree=2):
             raise ValueError("random lift needs an rng")
         new = [s for s in section.lift(section.k + 1).coeffs if s not in section.coeffs]
         return section.lift(
-            section.k + 1, {s: _random_poly(section.n, rng, degree) for s in new}
+            section.k + 1, {s: random_poly(section.n, rng, degree) for s in new}
         )
     raise ValueError(f"unknown lift policy {lift_policy!r}")
-
-
-def _random_poly(n, rng, degree):
-    return Poly(
-        n,
-        {
-            alpha: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-            for alpha in multi_indices(n, degree)
-            if rng.random() < 0.5
-        },
-    )
 
 
 def _contract_with_order0(x_section, covector):

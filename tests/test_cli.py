@@ -1,8 +1,18 @@
+import copy
+import io
 import json
+import os
+import random
+import tempfile
+from contextlib import redirect_stdout
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jetcalc.cli import main
+from jetcalc.cli import BUILTINS, main
+from jetcalc.poly import random_poly
 
 
 def run_cli(capsys, *argv):
@@ -136,6 +146,14 @@ def test_schema_violation_exits_2(capsys, tmp_path):
     code, out = run_cli(capsys, "prolong", "--scenario", str(path), "--kmax", "1")
     assert code == 2
     assert "error" in json.loads(out)
+    # a bracket on no variables has no fields to bracket
+    path.write_text(json.dumps({"task": "bracket", "n": 0, "k": 1, "point": [], "x": [], "y": []}))
+    code, out = run_cli(capsys, "bracket", "--scenario", str(path))
+    assert code == 2
+    assert "n >= 1" in json.loads(out)["error"]
+    code, out = run_cli(capsys, "extension", "--n", "0", "--k", "2", "--m", "1")
+    assert code == 2
+    assert "n >= 1" in json.loads(out)["error"]
 
 
 def test_json_floats_rejected(capsys, tmp_path):
@@ -166,8 +184,17 @@ def test_resource_bound_exits_3(capsys):
         [0, 1, [-1, 0], "1"],
         [0, 1, [True, 0], "1"],
         [0, 1, ["a", 0], "1"],
+        [0, 0, [[0], 0], "1"],
+        [0, 0, {"a": 1}, "1"],
     ],
-    ids=["component-index-out-of-range", "negative-exponent", "boolean-exponent", "string-exponent"],
+    ids=[
+        "component-index-out-of-range",
+        "negative-exponent",
+        "boolean-exponent",
+        "string-exponent",
+        "nested-exponent",
+        "alpha-an-object",
+    ],
 )
 def test_malformed_structure_jet_exits_2(capsys, tmp_path, entry):
     scenario = {
@@ -210,3 +237,103 @@ def test_conflicting_duplicate_structure_slot_exits_2(capsys, tmp_path):
     path.write_text(json.dumps(scenario))
     code, out = run_cli(capsys, "prolong", "--scenario", str(path), "--kmax", "1")
     assert code == 0
+
+
+# each builtin task and the subcommand that runs it
+SUBCOMMAND = {"prolongation": "prolong", "klein": "klein", "extension": "extension"}
+
+
+def _listed_builtins(capsys):
+    code, out = run_cli(capsys, "list-builtins")
+    assert code == 0
+    return json.loads(out)["builtins"]
+
+
+def test_every_listed_builtin_runs_under_its_subcommand(capsys):
+    catalog = _listed_builtins(capsys)
+    assert set(catalog) == set(BUILTINS)
+    for name, entry in catalog.items():
+        code, out = run_cli(capsys, SUBCOMMAND[entry["task"]], "--builtin", name)
+        assert code == 0, name
+        assert json.loads(out)["task"] == SUBCOMMAND[entry["task"]]
+
+
+def test_builtin_under_another_task_exits_2(capsys):
+    for name, entry in _listed_builtins(capsys).items():
+        for task, subcommand in SUBCOMMAND.items():
+            if task != entry["task"]:
+                code, out = run_cli(capsys, subcommand, "--builtin", name)
+                assert code == 2, (subcommand, name)
+                assert out == ""  # argparse rejects it before any report
+
+
+def test_random_poly_draws_are_pinned():
+    # the sections that check-identities and forms draw depend on this
+    # exact stream: an integer in [-4, 4] per monomial in graded lex
+    # order and, only when it is nonzero, a denominator in [1, 3]
+    rng = random.Random(2)
+    p = random_poly(2, rng, 2)
+    assert p.coeffs == {
+        (0, 0): Fraction(-4),
+        (1, 0): Fraction(-2, 3),
+        (0, 1): Fraction(-3, 2),
+        (2, 0): Fraction(-1, 3),
+    }
+    assert rng.randrange(1000) == 36
+
+
+@pytest.mark.parametrize(
+    "expect",
+    [{"dims": 5}, {"surjective": "yes"}, {"surjective": 3}],
+    ids=["dims-an-int", "surjective-a-string", "surjective-an-int"],
+)
+def test_malformed_expectation_exits_2(capsys, tmp_path, expect):
+    scenario = {
+        "task": "prolongation",
+        "kind": "metric",
+        "n": 2,
+        "order": 2,
+        "point": ["0", "0"],
+        "coeffs": [[0, 0, [0, 0], "1"], [1, 1, [0, 0], "1"]],
+        "expect": expect,
+    }
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(scenario))
+    code, out = run_cli(capsys, "prolong", "--scenario", str(path), "--kmax", "2")
+    assert code == 2
+    assert "error" in json.loads(out)
+
+
+_OTHER_TYPES = [None, True, -1, 1.5, "x", "1/2", [], [0], ["0", "0"], {}, {"dims": [1]}]
+
+
+@st.composite
+def _mutated_prolongation_scenarios(draw):
+    """A prolongation builtin's scenario with one field dropped or given
+    a value of another type: a top-level field, a field of `expect`, or
+    a position in one `coeffs` entry."""
+    name = draw(st.sampled_from(sorted(n for n, e in BUILTINS.items() if e["task"] == "prolongation")))
+    scenario = copy.deepcopy({"task": "prolongation", **BUILTINS[name]["scenario"]})
+    places = [scenario, scenario["expect"], *scenario["coeffs"]]
+    target = draw(st.sampled_from(places))
+    key = draw(st.sampled_from(sorted(target) if isinstance(target, dict) else range(len(target))))
+    if draw(st.booleans()):
+        del target[key]
+    else:
+        old = target[key]
+        target[key] = draw(st.sampled_from([v for v in _OTHER_TYPES if type(v) is not type(old)]))
+    return scenario
+
+
+@settings(max_examples=40, deadline=None)
+@given(_mutated_prolongation_scenarios())
+def test_mutated_builtin_scenarios_exit_cleanly(scenario):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(scenario, fh)
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            code = main(["prolong", "--scenario", path, "--kmax", "2"])
+    assert code in (0, 1, 2, 3)
+    json.loads(buf.getvalue())
