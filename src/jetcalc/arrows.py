@@ -18,7 +18,8 @@ the one conversion between them.  On that single Taylor path:
 One `poly.PowerTable` serves a substitution: every component composed
 into A, L^{-1} or C shares its truncated powers, and a transform of many
 jets along one arrow builds the table on C once for the private cores
-`_pushforward_vector` and `_pushforward_function`.
+`_pushforward_vectors` (which also builds DA once for all its jets) and
+`_pushforward_function`.
 """
 
 from fractions import Fraction
@@ -191,17 +192,23 @@ def _inverse_table(a, k):
     return PowerTable(invert_arrow(a.project(max(k, 1))).displacement_polynomials(), k)
 
 
-def _pushforward_vector(a, x_jet, back):
-    """`pushforward_vector_jet` given `back`, the table on C at the jet order."""
-    n, k = a.n, x_jet.k
-    xi = _taylor_components(n, x_jet.coeffs)
-    eta = []
-    for ai in a.displacement_polynomials():
-        dxi = Poly.zero(n)
-        for j in range(n):
-            dxi = dxi + ai.diff(j).mul_truncated(xi[j], k)
-        eta.append(back.compose(dxi))
-    return VectorJetPoint(n, k, a.target, _component_slots(eta))
+def _pushforward_vectors(a, x_jets, back):
+    """`pushforward_vector_jet` of each jet, given `back`, the table on C
+    at the jets' order; DA is built once for all of them."""
+    n = a.n
+    da = [[ai.diff(j) for j in range(n)] for ai in a.displacement_polynomials()]
+    out = []
+    for x_jet in x_jets:
+        k = x_jet.k
+        xi = _taylor_components(n, x_jet.coeffs)
+        eta = []
+        for row in da:
+            dxi = Poly.zero(n)
+            for d, x in zip(row, xi):
+                dxi = dxi + d.mul_truncated(x, k)
+            eta.append(back.compose(dxi))
+        out.append(VectorJetPoint(n, k, a.target, _component_slots(eta)))
+    return out
 
 
 def _pushforward_function(a, f_jet, back):
@@ -225,7 +232,7 @@ def pushforward_vector_jet(a, x_jet):
         raise ValueError("arrow order must exceed jet order by one")
     if a.source != x_jet.point:
         raise ValueError("jet is not based at the arrow source")
-    return _pushforward_vector(a, x_jet, _inverse_table(a, x_jet.k))
+    return _pushforward_vectors(a, [x_jet], _inverse_table(a, x_jet.k))[0]
 
 
 def pushforward_function_jet(a, f_jet):

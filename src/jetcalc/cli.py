@@ -585,8 +585,9 @@ def _build_parser():
     suite("forms", _run_forms_suite, "form identities from a scenario seed", k=1)
 
     p = sub.add_parser("prolong", help="solution dimensions of a linear system")
-    p.add_argument("--scenario")
-    p.add_argument("--builtin", choices=_builtin_names("prolongation"))
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--scenario")
+    source.add_argument("--builtin", choices=_builtin_names("prolongation"))
     p.add_argument("--kmax", type=int, default=2)
     common(p, _run_prolong)
 

@@ -5,14 +5,18 @@ forms, and a local-exactness probe.
 
 A form of degree r at order k is an r-linear alternating map taking r
 vector k-jets to a function k-jet, stored through its coefficients on
-strictly increasing tuples of fiber basis slots.
+strictly increasing tuples of fiber basis slots.  One type, `FormKR`,
+holds both kinds of form, as the jet classes do: a section form has
+function jet sections as coefficients, a form at a base point has
+function jets at that point.
 """
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from functools import partial
+from itertools import combinations
 from math import factorial as int_factorial
 
-from .arrows import _pushforward_function, _pushforward_vector, invert_arrow
+from .arrows import _pushforward_function, _pushforward_vectors, invert_arrow
 from .jets import (
     FunctionJetPoint,
     FunctionJetSection,
@@ -23,17 +27,10 @@ from .jets import (
     jet_product_sum,
     vector_slots,
 )
-from .linalg import Echelon, determinant, nullspace, solve
+from .linalg import Echelon, _sign, determinant, identity, nullspace, solve
 from .multiindex import multi_indices, order
 from .poly import Poly, PowerTable, _as_fraction
 from .spencer import basis_action, basis_bracket, jet_action, spencer_bracket
-
-
-def _sign(seq):
-    """Sign of the permutation that sorts seq (distinct entries): -1 for
-    an odd number of inversions, else 1."""
-    inversions = sum(a > b for a, b in combinations(seq, 2))
-    return -1 if inversions % 2 else 1
 
 
 def basis_section(n, k, slot):
@@ -44,71 +41,81 @@ def basis_section(n, k, slot):
 class FormKR:
     """A (k,r)-form: coefficients on strictly increasing slot tuples.
 
-    Each coefficient is a FunctionJetSection of order k; evaluation on r
-    vector jet sections is multilinear and alternating with values in
-    the order-k function jets.  Degree 0 is a single function jet
-    section stored under the empty tuple.
+    With `point` None (a section form) each coefficient is a
+    FunctionJetSection of order k; with a base point (a form at a point)
+    each is a FunctionJetPoint of order k at that point.  Evaluation on
+    r vector jets of the same kind is multilinear and alternating with
+    values in the order-k function jets.  Degree 0 is a single function
+    jet stored under the empty tuple.
     """
 
-    __slots__ = ("n", "k", "r", "coeffs", "_slot_pos")
+    __slots__ = ("n", "k", "r", "point", "coeffs", "_slot_pos")
 
-    def __init__(self, n, k, r, coeffs=None):
+    def __init__(self, n, k, r, coeffs=None, point=None):
         if not 0 <= r:
             raise ValueError("form degree must be non-negative")
         self.n = n
         self.k = k
         self.r = r
-        slots = vector_slots(n, k)
-        self._slot_pos = {s: i for i, s in enumerate(slots)}
-        table = {}
-        if r == 0:
-            table[()] = FunctionJetSection(n, k)
-        if coeffs:
-            for key, sec in coeffs.items():
-                key = tuple((i, tuple(a)) for i, a in key) if r else tuple(key)
-                if len(key) != r:
-                    raise ValueError("coefficient tuple arity mismatch")
-                pos = [self._slot_pos[s] for s in key]
-                if any(b <= a for a, b in zip(pos, pos[1:])):
-                    raise ValueError("slot tuple must be strictly increasing")
-                if (sec.n, sec.k) != (n, k):
-                    raise ValueError("coefficient order/dimension mismatch")
-                table[key] = sec
+        self.point = None if point is None else tuple(_as_fraction(x) for x in point)
+        self._slot_pos = {s: i for i, s in enumerate(vector_slots(n, k))}
+        zero = self._zero()
+        table = {(): zero} if r == 0 else {}
+        for key, c in (coeffs or {}).items():
+            key = tuple((i, tuple(a)) for i, a in key) if r else tuple(key)
+            if len(key) != r:
+                raise ValueError("coefficient tuple arity mismatch")
+            pos = [self._slot_pos.get(s) for s in key]
+            if None in pos:
+                raise ValueError(f"{key} is not a tuple of fiber slots of order at most {k}")
+            if any(b <= a for a, b in zip(pos, pos[1:])):
+                raise ValueError("slot tuple must be strictly increasing")
+            zero._check(c)
+            table[key] = c
         self.coeffs = table
 
     @classmethod
     def from_function_section(cls, section):
         return cls(section.n, section.k, 0, {(): section})
 
+    def _zero(self):
+        """The zero coefficient: a function jet section, or a function
+        jet at the base point."""
+        if self.point is None:
+            return FunctionJetSection(self.n, self.k)
+        return FunctionJetPoint(self.n, self.k, self.point)
+
+    def _like(self, k, coeffs):
+        """A form of the same kind, dimension, degree and base point."""
+        return FormKR(self.n, k, self.r, coeffs, self.point)
+
     def coefficient(self, key):
         key = tuple((i, tuple(a)) for i, a in key) if self.r else ()
-        return self.coeffs.get(key, FunctionJetSection(self.n, self.k))
+        c = self.coeffs.get(key)
+        return self._zero() if c is None else c
 
     def signed_coefficient(self, slots):
         """Coefficient on an arbitrary slot tuple: sorts and signs.
 
-        Returns (sign, section); sign 0 when a slot repeats.
+        Returns (sign, coefficient); sign 0 when a slot repeats.
         """
         pos = [self._slot_pos[s] for s in slots]
         if len(set(pos)) != len(pos):
-            return 0, FunctionJetSection(self.n, self.k)
-        key = tuple(s for _, s in sorted(zip(pos, slots)))
-        return _sign(pos), self.coeffs.get(key, FunctionJetSection(self.n, self.k))
+            return 0, self._zero()
+        c = self.coeffs.get(tuple(s for _, s in sorted(zip(pos, slots))))
+        return _sign(pos), self._zero() if c is None else c
 
     def is_zero(self):
-        return all(sec.is_zero() for sec in self.coeffs.values())
+        return all(c.is_zero() for c in self.coeffs.values())
 
     def __add__(self, other):
         self._check(other)
-        keys = set(self.coeffs) | set(other.coeffs)
-        return FormKR(
-            self.n,
+        zero = self._zero()
+        return self._like(
             self.k,
-            self.r,
             {
-                key: self.coeffs.get(key, FunctionJetSection(self.n, self.k))
-                + other.coeffs.get(key, FunctionJetSection(self.n, self.k))
-                for key in keys
+                key: self.coeffs.get(key, zero) + other.coeffs.get(key, zero)
+                for key in set(self.coeffs) | set(other.coeffs)
             },
         )
 
@@ -116,26 +123,25 @@ class FormKR:
         return self + other.scale(Fraction(-1))
 
     def scale(self, c):
-        return FormKR(
-            self.n, self.k, self.r, {key: sec.scale(c) for key, sec in self.coeffs.items()}
-        )
+        return self._like(self.k, {key: v.scale(c) for key, v in self.coeffs.items()})
+
+    def _shape(self):
+        return (self.n, self.k, self.r, self.point)
 
     def __eq__(self, other):
         if not isinstance(other, FormKR):
             return NotImplemented
-        if (self.n, self.k, self.r) != (other.n, other.k, other.r):
+        if self._shape() != other._shape():
             return False
-        keys = set(self.coeffs) | set(other.coeffs)
-        zero = FunctionJetSection(self.n, self.k)
+        zero = self._zero()
         return all(
-            self.coeffs.get(key, zero) == other.coeffs.get(key, zero) for key in keys
+            self.coeffs.get(key, zero) == other.coeffs.get(key, zero)
+            for key in set(self.coeffs) | set(other.coeffs)
         )
 
     def __hash__(self):
-        nz = frozenset(
-            (key, sec) for key, sec in self.coeffs.items() if not sec.is_zero()
-        )
-        return hash((self.n, self.k, self.r, nz))
+        nz = frozenset((key, c) for key, c in self.coeffs.items() if not c.is_zero())
+        return hash((self._shape(), nz))
 
     def project(self, m):
         """Projection pi_{k,m} on the output values, re-read at order m.
@@ -146,61 +152,43 @@ class FormKR:
         """
         if not 0 <= m <= self.k:
             raise ValueError("projection order out of range")
-        out = {}
-        for key, sec in self.coeffs.items():
-            if any(order(alpha) > m for _, alpha in key):
-                continue
-            out[key] = sec.project(m)
-        return FormKR(self.n, m, self.r, out)
+        return self._like(
+            m,
+            {
+                key: c.project(m)
+                for key, c in self.coeffs.items()
+                if all(order(alpha) <= m for _, alpha in key)
+            },
+        )
 
     def _check(self, other):
-        if (self.n, self.k, self.r) != (other.n, other.k, other.r):
-            raise ValueError("form degree/order/dimension mismatch")
+        if self._shape() != other._shape():
+            raise ValueError("form degree/order/dimension/base point mismatch")
 
     def __repr__(self):
-        nz = {key: sec for key, sec in self.coeffs.items() if not sec.is_zero()}
-        return f"FormKR(n={self.n}, k={self.k}, r={self.r}, {nz})"
-
-
-def _poly_det(rows):
-    """Determinant of a small matrix of polynomials, by permutation expansion."""
-    m = len(rows)
-    n = rows[0][0].n
-    total = Poly.zero(n)
-    for perm in permutations(range(m)):
-        term = None
-        ok = True
-        for i, j in enumerate(perm):
-            p = rows[i][j]
-            if p.is_zero():
-                ok = False
-                break
-            term = p if term is None else term * p
-        if not ok:
-            continue
-        total = total + (term if _sign(perm) == 1 else -term)
-    return total
+        at = "" if self.point is None else f", at={self.point}"
+        nz = {key: c for key, c in self.coeffs.items() if not c.is_zero()}
+        return f"FormKR(n={self.n}, k={self.k}, r={self.r}{at}, {nz})"
 
 
 def eval_form(omega, args):
-    """Evaluate a form on r vector jet sections; multilinear, alternating."""
+    """Evaluate a form on r vector jets of its kind (sections, or jets at
+    its base point); multilinear, alternating.  Each coefficient is
+    scaled by the minor of the arguments on its slot tuple."""
     if len(args) != omega.r:
         raise ValueError(f"form of degree {omega.r} takes {omega.r} arguments")
     for x in args:
-        if (x.n, x.k) != (omega.n, omega.k):
-            raise ValueError("argument order/dimension mismatch")
-    n, k = omega.n, omega.k
+        if (x.n, x.k, x.point) != (omega.n, omega.k, omega.point):
+            raise ValueError("argument order/dimension/base point mismatch")
     if omega.r == 0:
         return omega.coeffs[()]
-    result = FunctionJetSection(n, k)
-    for key, sec in omega.coeffs.items():
-        if sec.is_zero():
+    result = omega._zero()
+    for key, c in omega.coeffs.items():
+        if c.is_zero():
             continue
-        rows = [[x.slot(i, alpha) for x in args] for (i, alpha) in key]
-        det = _poly_det(rows)
-        if det.is_zero():
-            continue
-        result = result + sec.scale(det)
+        det = determinant([[x.slot(i, alpha) for x in args] for (i, alpha) in key])
+        if det:
+            result = result + c.scale(det)
     return result
 
 
@@ -382,9 +370,6 @@ def relative_membership(omega, spanning_sections):
             return False
         if omega.r >= 1 and not interior_product(x, omega).is_zero():
             return False
-        if omega.r == 0:
-            if not jet_action(x, omega.coeffs[()]).is_zero():
-                return False
     return True
 
 
@@ -392,140 +377,49 @@ def theta_structure_algebra(spanning_sections, n, k, poly_degree):
     """Basis of the function jet sections annihilated by the jet action
     of every member of a spanning family, with coefficient polynomials
     of total degree <= poly_degree."""
-    fslots = function_slots(n, k)
-    monos = multi_indices(n, poly_degree)
-    unknowns = [(a, m) for a in fslots for m in monos]
-    col = {u: i for i, u in enumerate(unknowns)}
-    rows = []
-    for xi, x in enumerate(spanning_sections):
+    layout = _form_basis(n, k, 0, poly_degree)
+    matrix = []
+    for x in spanning_sections:
         if (x.n, x.k) != (n, k):
             raise ValueError("order/dimension mismatch")
-        for a, m in unknowns:
-            basis = FunctionJetSection(n, k, {a: Poly.monomial(n, m, 1)})
-            image = jet_action(x, basis)
-            # record the column of the action matrix
-            for out_a, poly in image.coeffs.items():
-                for out_m, c in poly.coeffs.items():
-                    rows.append(((xi, out_a, out_m), (a, m), c))
-    row_keys = sorted({rk for rk, _, _ in rows})
-    row_pos = {rk: i for i, rk in enumerate(row_keys)}
-    matrix = [[Fraction(0)] * len(unknowns) for _ in row_keys]
-    for rk, u, c in rows:
-        matrix[row_pos[rk]][col[u]] += c
-    kernel = nullspace(matrix, cols=len(unknowns))
-    basis_sections = []
-    for vec in kernel:
-        coeffs = {}
-        for (a, m), i in col.items():
-            if vec[i] != 0:
-                coeffs[a] = coeffs.get(a, Poly.zero(n)) + Poly.monomial(n, m, vec[i])
-        basis_sections.append(FunctionJetSection(n, k, coeffs))
-    return basis_sections
+        # each slot of X f sums products of a coefficient of X with one of f
+        top = poly_degree + max(0, max(p.degree() for p in x.coeffs.values()))
+        # on degree 0, L_X is the jet action of X on the coefficient
+        matrix += _matrix_of(
+            partial(lie_derivative, x), n, k, 0, layout, _form_basis(n, k, 0, top)
+        )
+    kernel = nullspace(matrix, cols=len(layout))
+    return [_vector_to_form(n, k, 0, layout, v).coeffs[()] for v in kernel]
 
 
 def theta_closed_under_product(spanning_sections, basis_sections, n, k, poly_degree):
     """Verify the structure algebra is closed under the jet product.
 
-    Pairwise products double the coefficient degree, so membership is
-    re-solved in the structure algebra computed at twice the degree
-    bound of the given basis.
+    Pairwise products of the basis (coefficient degree <= poly_degree)
+    double the coefficient degree, so membership is re-solved in the
+    structure algebra computed at twice the degree bound.
     """
     if not basis_sections:
         return True
-    big_basis = theta_structure_algebra(
-        spanning_sections, n, k, 2 * poly_degree
+    layout = _form_basis(n, k, 0, 2 * poly_degree)
+
+    def flatten(f):
+        return _form_to_vector(FormKR.from_function_section(f), layout)
+
+    span = Echelon(
+        flatten(f) for f in theta_structure_algebra(spanning_sections, n, k, 2 * poly_degree)
     )
-    products = []
-    for i, f in enumerate(basis_sections):
-        for g in basis_sections[i:]:
-            products.append(jet_product(f, g))
-    fslots = function_slots(n, k)
-    all_monos = set()
-    for sec in big_basis + products:
-        for poly in sec.coeffs.values():
-            all_monos.update(poly.coeffs)
-    monos = sorted(all_monos)
-    pos = {
-        (a, m): j
-        for j, (a, m) in enumerate((a, m) for a in fslots for m in monos)
-    }
-
-    def flatten(sec):
-        v = [Fraction(0)] * len(pos)
-        for a, poly in sec.coeffs.items():
-            for m, c in poly.coeffs.items():
-                v[pos[(a, m)]] = c
-        return v
-
-    span = Echelon(flatten(sec) for sec in big_basis)
-    return all(span.contains(flatten(prod)) for prod in products)
-
-
-class FormAtPoint:
-    """A form evaluated at one base point: coefficients are function jet
-    point values on increasing slot tuples."""
-
-    __slots__ = ("n", "k", "r", "point", "coeffs", "_slot_pos")
-
-    def __init__(self, n, k, r, point, coeffs=None):
-        self.n = n
-        self.k = k
-        self.r = r
-        self.point = tuple(_as_fraction(x) for x in point)
-        self._slot_pos = {s: i for i, s in enumerate(vector_slots(n, k))}
-        table = {}
-        if r == 0:
-            table[()] = FunctionJetPoint(n, k, point)
-        if coeffs:
-            for key, val in coeffs.items():
-                key = tuple((i, tuple(a)) for i, a in key) if r else tuple(key)
-                table[key] = val
-        self.coeffs = table
-
-    def evaluate(self, args):
-        if len(args) != self.r:
-            raise ValueError("arity mismatch")
-        if self.r == 0:
-            return self.coeffs[()]
-        result = FunctionJetPoint(self.n, self.k, self.point)
-        for key, val in self.coeffs.items():
-            rows = [[x.slot(i, alpha) for x in args] for (i, alpha) in key]
-            det = determinant(rows)
-            if det != 0:
-                result = result + val.scale(det)
-        return result
-
-    def __eq__(self, other):
-        if not isinstance(other, FormAtPoint):
-            return NotImplemented
-        if (self.n, self.k, self.r, self.point) != (
-            other.n,
-            other.k,
-            other.r,
-            other.point,
-        ):
-            return False
-        zero = FunctionJetPoint(self.n, self.k, self.point)
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all(
-            self.coeffs.get(key, zero) == other.coeffs.get(key, zero) for key in keys
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.k, self.r, self.point))
-
-    def __repr__(self):
-        return f"FormAtPoint(n={self.n}, k={self.k}, r={self.r}, at={self.point})"
+    return all(
+        span.contains(flatten(jet_product(f, g)))
+        for i, f in enumerate(basis_sections)
+        for g in basis_sections[i:]
+    )
 
 
 def form_at(omega, point):
-    """Pointwise value of a form at a base point."""
-    return FormAtPoint(
-        omega.n,
-        omega.k,
-        omega.r,
-        point,
-        {key: sec.at(point) for key, sec in omega.coeffs.items()},
+    """The value of a section form at a base point: a form at that point."""
+    return FormKR(
+        omega.n, omega.k, omega.r, {key: c.at(point) for key, c in omega.coeffs.items()}, point
     )
 
 
@@ -547,32 +441,31 @@ def arrow_transform_form_at(arrow, omega):
     forward = PowerTable(inv.displacement_polynomials(), k)
     omega_q = form_at(omega, q)
     slots = vector_slots(n, k)
-    pulled = {
-        s: _pushforward_vector(inv, VectorJetPoint(n, k, p, {s: Fraction(1)}), back)
-        for s in slots
-    }
+    units = [VectorJetPoint(n, k, p, {s: Fraction(1)}) for s in slots]
+    pulled = dict(zip(slots, _pushforward_vectors(inv, units, back)))
     out = {}
-    for key in combinations(slots, r) if r else [()]:
-        val_q = omega_q.evaluate([pulled[s] for s in key])
+    for key in combinations(slots, r):
+        val_q = eval_form(omega_q, [pulled[s] for s in key])
         out[key] = _pushforward_function(arrow, val_q, forward)
-    return FormAtPoint(n, k, r, p, out)
+    return FormKR(n, k, r, out, p)
 
 
 def arrow_transform_form(arrows, omega):
-    """Pointwise transform over a family of arrows: one FormAtPoint per
+    """Pointwise transform over a family of arrows: one form at each
     arrow target."""
     return {a.target: arrow_transform_form_at(a, omega) for a in arrows}
 
 
-def _form_basis(n, k, r, poly_degree, members_only=True):
-    """Coordinate layout for degree-r forms with coefficient polynomials
-    of total degree <= poly_degree.
+def _form_basis(n, k, r, poly_degree):
+    """Coordinate layout (key, a, m) for degree-r section forms with
+    coefficient polynomials of total degree <= poly_degree: coefficient
+    key, function slot a, monomial m.
 
-    With members_only, only filtration-compatible coordinates are kept:
-    a coefficient attached to a tuple whose largest argument-slot order
-    is M may only populate output slots of order >= M (exactly the
-    condition that every order-m projection of the output reads only the
-    order-m argument slots).
+    Only filtration-compatible coordinates are kept: a coefficient
+    attached to a tuple whose largest argument-slot order is M may only
+    populate output slots of order >= M (exactly the condition that every
+    order-m projection of the output reads only the order-m argument
+    slots).  On degree 0 every coordinate is kept.
     """
     slots = vector_slots(n, k)
     keys = list(combinations(slots, r)) if r else [()]
@@ -582,7 +475,7 @@ def _form_basis(n, k, r, poly_degree, members_only=True):
     for key in keys:
         max_arg = max((order(alpha) for _, alpha in key), default=0)
         for a in fslots:
-            if members_only and order(a) < max_arg:
+            if order(a) < max_arg:
                 continue
             layout.extend((key, a, m) for m in monos)
     return layout
@@ -614,23 +507,23 @@ def _vector_to_form(n, k, r, layout, v):
     )
 
 
-def _d_matrix(n, k, r, in_degree, out_degree):
-    """Matrix of d from degree-r forms (coefficient degree <= in_degree)
-    to degree-(r+1) forms (coefficient degree <= out_degree), as columns."""
-    in_layout = _form_basis(n, k, r, in_degree)
-    out_layout = _form_basis(n, k, r + 1, out_degree)
+def _matrix_of(op, n, k, r, in_layout, out_layout):
+    """Matrix of a linear map on degree-r section forms between two
+    coordinate layouts: column j is the image of the form whose single
+    coordinate in_layout[j] is 1."""
     columns = []
-    for coord in in_layout:
-        key, a, m = coord
+    for key, a, m in in_layout:
         sec = FunctionJetSection(n, k, {a: Poly.monomial(n, m, 1)})
-        basis_form = (
-            FormKR.from_function_section(sec)
-            if r == 0
-            else FormKR(n, k, r, {key: sec})
-        )
-        columns.append(_form_to_vector(exterior_derivative(basis_form), out_layout))
-    matrix = [[columns[j][i] for j in range(len(columns))] for i in range(len(out_layout))]
-    return matrix, in_layout, out_layout
+        columns.append(_form_to_vector(op(FormKR(n, k, r, {key: sec})), out_layout))
+    return [list(row) for row in zip(*columns)]
+
+
+def _d_matrix(n, k, r, degree):
+    """Matrix of d from degree-r to degree-(r+1) forms with coefficient
+    degree <= degree (d never raises it), with both layouts."""
+    in_layout = _form_basis(n, k, r, degree)
+    out_layout = _form_basis(n, k, r + 1, degree)
+    return _matrix_of(exterior_derivative, n, k, r, in_layout, out_layout), in_layout, out_layout
 
 
 def local_exactness_check(n, k, r, poly_degree):
@@ -642,7 +535,7 @@ def local_exactness_check(n, k, r, poly_degree):
     For r = 0 reports the kernel dimension of d instead.
     """
     if r == 0:
-        matrix, in_layout, _ = _d_matrix(n, k, 0, poly_degree, poly_degree)
+        matrix, in_layout, _ = _d_matrix(n, k, 0, poly_degree)
         kernel = nullspace(matrix, cols=len(in_layout))
         return {
             "n": n,
@@ -659,16 +552,11 @@ def local_exactness_check(n, k, r, poly_degree):
     if r == n:
         # top of the complex: every form is closed
         in_layout = _form_basis(n, k, r, poly_degree)
-        closed = [
-            [Fraction(1) if i == j else Fraction(0) for i in range(len(in_layout))]
-            for j in range(len(in_layout))
-        ]
+        closed = identity(len(in_layout))
     else:
-        matrix, in_layout, _ = _d_matrix(n, k, r, poly_degree, poly_degree)
+        matrix, in_layout, _ = _d_matrix(n, k, r, poly_degree)
         closed = nullspace(matrix, cols=len(in_layout))
-    prev_matrix, prev_layout, target_layout = _d_matrix(
-        n, k, r - 1, poly_degree + 1, poly_degree + 1
-    )
+    prev_matrix, prev_layout, target_layout = _d_matrix(n, k, r - 1, poly_degree + 1)
     # closed vectors live in the degree <= poly_degree layout; re-embed
     # them in the solve target layout
     target_pos = {coord: i for i, coord in enumerate(target_layout)}

@@ -6,7 +6,7 @@ arrows."""
 
 from fractions import Fraction
 
-from .arrows import _inverse_table, _pushforward_vector
+from .arrows import _inverse_table, _pushforward_vectors
 from .jets import vector_slots
 from .linalg import Echelon, invert, nullspace, rank
 from .multiindex import (
@@ -454,7 +454,7 @@ def ad_transform_subspace(arrow, sub):
     if arrow.n != sub.n or arrow.k != sub.k + 1:
         raise ValueError("need an arrow of order k+1")
     back = _inverse_table(arrow, sub.k)
-    pushed = [_pushforward_vector(arrow, jet, back).as_vector() for jet in sub.jets()]
+    pushed = [x.as_vector() for x in _pushforward_vectors(arrow, sub.jets(), back)]
     return LinearJetSubspace(sub.n, sub.k, arrow.target, pushed)
 
 

@@ -218,11 +218,10 @@ def relative_ce_cohomology_dims(g, s_basis, module, r_max):
     if s_basis and not _subalgebra_basis_check(g, s_basis):
         raise ValueError("not a subalgebra")
     m = module.dim
-    layouts = {}
     bases = {}
     for r in range(r_max + 2):
         keys = _cochain_keys(g.dim, r)
-        layouts[r] = keys
+        key_pos = {key: i for i, key in enumerate(keys)}
         ncoords = len(keys) * m
         # constraints: i_X omega = 0 and L_X omega = 0 for X in s-basis
         constraints = []
@@ -239,14 +238,13 @@ def relative_ce_cohomology_dims(g, s_basis, module, r_max):
                             merged, sign = _insert_sorted(k, rest)
                             if merged is None:
                                 continue
-                            col = layouts[r].index(merged) * m + a
+                            col = key_pos[merged] * m + a
                             row[col] += sign * c
                             nonzero = True
                         if nonzero:
                             constraints.append(row)
             # invariance: (L_X omega)(key) = rho(X) omega(key)
             #   - sum_p omega(key with e_p replaced by [X, e_p])
-            key_pos = {key: i for i, key in enumerate(keys)}
             for ki, key in enumerate(keys):
                 for a in range(m):
                     row = [Fraction(0)] * ncoords
@@ -272,15 +270,7 @@ def relative_ce_cohomology_dims(g, s_basis, module, r_max):
                             row[col] -= sign * c * ((-1) ** p)
                     if any(v != 0 for v in row):
                         constraints.append(row)
-        basis = (
-            nullspace(constraints, cols=ncoords)
-            if constraints
-            else [
-                [Fraction(1) if i == j else Fraction(0) for i in range(ncoords)]
-                for j in range(ncoords)
-            ]
-        )
-        bases[r] = basis
+        bases[r] = nullspace(constraints, cols=ncoords)
     # H^r = ker(d restricted to relative r-cochains) / d(relative (r-1)-cochains)
     out = []
     prev_image_rank = 0

@@ -4,14 +4,16 @@ Matrices are lists of lists of exact scalars (Fraction, int or a
 rational string); results are Fractions.  One elimination kernel sits
 under everything: `Echelon`, the reduced row echelon form of a row space
 kept as sparse rows `{column: Fraction}` and grown one row at a time.
-`rref`, `rank`, `nullspace`, `solve`, `invert`, `determinant`,
-`row_space_contains` and `same_row_space` are thin views of it, and a
-caller that tests many vectors against one span keeps the `Echelon` and
-calls `contains`.  With exact rationals there are no tolerance decisions
-anywhere.
+`rref`, `rank`, `nullspace`, `solve`, `invert`, `row_space_contains` and
+`same_row_space` are thin views of it, and a caller that tests many
+vectors against one span keeps the `Echelon` and calls `contains`.
+`determinant` is the Leibniz expansion instead: it only multiplies and
+adds, so it also takes `Poly` entries.  With exact rationals there are no
+tolerance decisions anywhere.
 """
 
 from fractions import Fraction
+from itertools import combinations, permutations
 
 
 def _sparse(vector):
@@ -78,14 +80,9 @@ class Echelon:
 
     def add_row(self, vector):
         """Add a vector to the span; True iff it raised the rank."""
-        return self._insert(vector) is not None
-
-    def _insert(self, vector):
-        """add_row, returning (new pivot column, value of the reduced row
-        there) or None when the vector already lies in the span."""
         row = self._reduce(_sparse(vector))
         if not row:
-            return None
+            return False
         q = min(row)
         pv = row.pop(q)
         if pv != 1:
@@ -95,7 +92,7 @@ class Echelon:
             if f is not None:
                 _subtract(tail, f, row)
         self._rows[q] = row
-        return q, pv
+        return True
 
     def dense_rows(self, width):
         """The nonzero RREF rows, in pivot order, as dense lists."""
@@ -207,18 +204,34 @@ def invert(matrix):
     return [row[n:] for row in ech.dense_rows(2 * n)]
 
 
+def _sign(seq):
+    """Sign of the permutation that sorts seq (distinct entries): -1 for
+    an odd number of inversions, else 1."""
+    inversions = sum(a > b for a, b in combinations(seq, 2))
+    return -1 if inversions % 2 else 1
+
+
 def determinant(matrix):
-    """Product of the pivot values of the rows, each reduced on the
-    earlier ones, signed by the parity of the order of their pivot
-    columns (the reduced rows are triangular in that order)."""
-    ech = Echelon()
-    det = Fraction(1)
-    cols = []
-    for row in matrix:
-        step = ech._insert(row)
-        if step is None:
-            return Fraction(0)
-        q, pv = step
-        det *= -pv if sum(c > q for c in cols) % 2 else pv
-        cols.append(q)
-    return det
+    """The Leibniz expansion: the sum over permutations p of
+    sign(p) * prod_i matrix[i][p(i)], skipping a product at its first
+    zero entry.  It only multiplies and adds, so the entries may be exact
+    scalars (the result is a Fraction) or `Poly`s (the result is a Poly).
+
+    It costs m! products for an m x m matrix, which its uses can afford:
+    forms evaluate r x r minors with r <= n <= 4, and the tests go up to
+    5 x 5.
+    """
+    if not matrix:
+        return Fraction(1)
+    rows = [[Fraction(x) if isinstance(x, (int, str)) else x for x in row] for row in matrix]
+    total = rows[0][0] * 0  # the zero of the entries' kind
+    for perm in permutations(range(len(rows))):
+        term = None
+        for i, j in enumerate(perm):
+            x = rows[i][j]
+            if not x:
+                break
+            term = x if term is None else term * x
+        else:
+            total = total - term if _sign(perm) < 0 else total + term
+    return total

@@ -31,41 +31,6 @@ from .multiindex import (
 from .poly import random_poly
 
 
-class CovectorIndexedSection:
-    """A section of T* tensor J_k or T* tensor g_k: one jet section per
-    covector slot j = 0..n-1."""
-
-    __slots__ = ("n", "k", "parts")
-
-    def __init__(self, n, k, parts):
-        if len(parts) != n:
-            raise ValueError("need one part per covector slot")
-        self.n = n
-        self.k = k
-        self.parts = list(parts)
-
-    def part(self, j):
-        return self.parts[j]
-
-    def is_zero(self):
-        return all(p.is_zero() for p in self.parts)
-
-    def project(self, m):
-        return CovectorIndexedSection(self.n, m, [p.project(m) for p in self.parts])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CovectorIndexedSection)
-            and (self.n, self.k) == (other.n, other.k)
-            and self.parts == other.parts
-        )
-
-    def __sub__(self, other):
-        return CovectorIndexedSection(
-            self.n, self.k, [a - b for a, b in zip(self.parts, other.parts)]
-        )
-
-
 def _leibniz_terms(slot_terms, x_jet, f_values, k, sign=1, i=None):
     """Add sign times the terms of (X f)_alpha, |alpha| <= k, to
     slot_terms[alpha], or to slot_terms[(i, alpha)] when f is the i-th
@@ -128,12 +93,13 @@ def isotropy_bracket(x_jet, y_jet):
 
 
 def spencer_operator(section):
-    """D: J_{k+1} -> T* tensor J_k and g_{k+1} -> T* tensor g_k, with
-    slot (j; s) = d_j (slot s) - (slot s raised by e_j)."""
+    """D: J_{k+1} -> T* tensor J_k and g_{k+1} -> T* tensor g_k, as the
+    list of its n parts: part j is the jet of order k with slot
+    s = d_j (slot s) - (slot s raised by e_j)."""
     if section.k < 1:
         raise ValueError("Spencer operator needs order at least 1")
     low = section.project(section.k - 1)
-    parts = [
+    return [
         low.like(
             low.k,
             {
@@ -143,7 +109,6 @@ def spencer_operator(section):
         )
         for j in range(section.n)
     ]
-    return CovectorIndexedSection(section.n, low.k, parts)
 
 
 def _lift(section, lift_policy, rng=None, degree=2):
@@ -160,12 +125,12 @@ def _lift(section, lift_policy, rng=None, degree=2):
     raise ValueError(f"unknown lift policy {lift_policy!r}")
 
 
-def _contract_with_order0(x_section, covector):
-    """i(X^(0)) applied to a covector-indexed section: sum_a xi^a_0 part_a."""
+def _contract_with_order0(x_section, parts):
+    """i(X^(0)) applied to the parts of a Spencer operator: sum_a xi^a_0 parts[a]."""
     zero = (0,) * x_section.n
-    first = covector.part(0)
+    first = parts[0]
     slot_terms = {}
-    for a, part in enumerate(covector.parts):
+    for a, part in enumerate(parts):
         xi = x_section.slot(a, zero)
         if xi:
             for s, v in part.coeffs.items():

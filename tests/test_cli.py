@@ -98,6 +98,15 @@ def test_prolong_scenario_file_and_failed_expectation(capsys, tmp_path):
     assert bad and bad[0]["witness"]["got"] == [3, 3]
 
 
+def test_prolong_builtin_and_scenario_exclude_each_other(capsys, tmp_path):
+    missing = str(tmp_path / "missing.json")
+    code, out = run_cli(
+        capsys, "prolong", "--builtin", "flat-metric-2d", "--scenario", missing, "--kmax", "2"
+    )
+    assert code == 2
+    assert out == ""
+
+
 def test_klein_projective_order_and_ghost(capsys):
     code, out = run_cli(capsys, "klein", "--builtin", "projective", "--n", "1")
     assert code == 0

@@ -353,7 +353,6 @@ def _transform_by_public_pushforwards(arrow, omega):
     from itertools import combinations
 
     from jetcalc.arrows import invert_arrow, pushforward_function_jet, pushforward_vector_jet
-    from jetcalc.forms import FormAtPoint
     from jetcalc.jets import VectorJetPoint
 
     n, k, r = omega.n, omega.k, omega.r
@@ -365,16 +364,17 @@ def _transform_by_public_pushforwards(arrow, omega):
         for s in slots
     }
     out = {
-        key: pushforward_function_jet(arrow, omega_q.evaluate([pulled[s] for s in key]))
+        key: pushforward_function_jet(arrow, eval_form(omega_q, [pulled[s] for s in key]))
         for key in combinations(slots, r)
     }
-    return FormAtPoint(n, k, r, arrow.target, out)
+    return FormKR(n, k, r, out, arrow.target)
 
 
 def test_arrow_transform_inverts_each_arrow_once(monkeypatch):
     """A 1-form transform at n = 2, k = 1 over two nonlinear arrows calls
-    invert_arrow once per arrow and agrees with the transform built from
-    the public pushforwards."""
+    invert_arrow once per arrow, builds at most 4 displacements per arrow
+    (DA once for all pulled jets, not once per jet) and agrees with the
+    transform built from the public pushforwards."""
     import jetcalc.arrows
     import jetcalc.forms
 
@@ -389,13 +389,63 @@ def test_arrow_transform_inverts_each_arrow_once(monkeypatch):
     arrows = [Arrow.from_polynomial_map(m, k + 1, p) for m, p in zip(maps, points)]
     expected = {a.target: _transform_by_public_pushforwards(a, omega) for a in arrows}
     real = jetcalc.arrows.invert_arrow
+    real_displacement = Arrow.displacement_polynomials
     calls = []
+    displacements = []
 
     def counting(a):
         calls.append(a)
         return real(a)
 
+    def counting_displacement(a):
+        displacements.append(a)
+        return real_displacement(a)
+
     monkeypatch.setattr(jetcalc.arrows, "invert_arrow", counting)
     monkeypatch.setattr(jetcalc.forms, "invert_arrow", counting)
+    monkeypatch.setattr(Arrow, "displacement_polynomials", counting_displacement)
     assert arrow_transform_form(arrows, omega) == expected
     assert len(calls) <= len(arrows)
+    assert len(displacements) <= 4 * len(arrows)
+
+
+def test_eval_form_commutes_with_form_at():
+    """Evaluating a section form and then taking the value at a point is
+    evaluating the form at that point on the arguments' values there."""
+    rng = random.Random(53)
+    for n in (2, 3):
+        k = 1
+        for r in range(1, n + 1):
+            omega = rand_form(n, k, r, rng, degree=1)
+            args = [rand_vector_section(n, k, rng, degree=1) for _ in range(r)]
+            p = tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n))
+            at_p = form_at(omega, p)
+            assert at_p.point == p
+            assert eval_form(at_p, [x.at(p) for x in args]) == eval_form(omega, args).at(p)
+
+
+def test_form_kinds_are_validated_and_kept_apart():
+    import pytest
+
+    from jetcalc.jets import FunctionJetPoint
+
+    n, k = 2, 1
+    p, q = (Fraction(0), Fraction(1)), (Fraction(1), Fraction(1))
+    s0, s1 = vector_slots(n, k)[:2]
+    at_p = FunctionJetPoint(n, k, p, {(0, 0): 1})
+    with pytest.raises(ValueError):
+        FormKR(n, k, 1, {(s0,): at_p})  # a point value in a section form
+    with pytest.raises(ValueError):
+        FormKR(n, k, 1, {(s0,): at_p}, q)  # a value at another point
+    with pytest.raises(ValueError):
+        FormKR(n, k, 2, {(s1, s0): at_p}, p)  # an unsorted key
+    with pytest.raises(ValueError):
+        FormKR(n, k, 2, {(s0,): at_p}, p)  # a key of the wrong size
+    one = FormKR(n, k, 1, {(s0,): at_p}, p)
+    assert FormKR(n, k, 1, {(s0,): at_p}, [0, 1]) == one
+    section = FormKR(n, k, 1, {(s0,): FunctionJetSection(n, k, {(0, 0): Poly.const(n, 1)})})
+    assert form_at(section, p) == one
+    assert section != one and one != form_at(section, q)
+    assert len({one, form_at(section, p), section}) == 2
+    with pytest.raises(ValueError):
+        eval_form(one, [basis_section(n, k, s0).at(q)])  # argument at another point

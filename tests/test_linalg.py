@@ -189,6 +189,22 @@ def test_kernel_edge_shapes():
     assert determinant([[0, 1], [1, 0]]) == -1
 
 
+def test_determinant_of_rational_strings():
+    assert determinant([["1/2", "0"], ["0", "2"]]) == 1
+
+
+def test_determinant_of_polys_commutes_with_evaluation():
+    from jetcalc.poly import random_poly
+
+    rng = random.Random(14)
+    for _ in range(3):
+        a = [[random_poly(2, rng, 2) for _ in range(3)] for _ in range(3)]
+        det = determinant(a)
+        for _ in range(3):
+            pt = (Fraction(rng.randint(-3, 3), rng.randint(1, 2)), Fraction(rng.randint(-3, 3)))
+            assert det.evaluate(pt) == determinant([[p.evaluate(pt) for p in row] for row in a])
+
+
 def test_determinant_matches_sympy():
     rng = random.Random(12)
     for size in range(1, 6):

@@ -80,9 +80,9 @@ def test_spencer_operator_kills_holonomic():
         comps = [rand_poly(2, rng), rand_poly(2, rng)]
         section = prolong_vector_field(comps, 3)
         d = spencer_operator(section)
-        assert d.is_zero()
+        assert all(p.is_zero() for p in d)
         f = prolong_function(rand_poly(2, rng), 3)
-        assert spencer_operator(f).is_zero()
+        assert all(p.is_zero() for p in spencer_operator(f))
 
 
 def test_spencer_operator_slot_formula():
@@ -90,7 +90,7 @@ def test_spencer_operator_slot_formula():
     x = rand_vector_section(2, 2, rng)
     d = spencer_operator(x)
     for j in range(2):
-        part = d.part(j)
+        part = d[j]
         for i, alpha in vector_slots(2, 1):
             expected = x.slot(i, alpha).diff(j) - x.slot(
                 i, tuple(a + b for a, b in zip(alpha, unit(2, j)))
