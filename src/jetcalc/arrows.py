@@ -38,7 +38,7 @@ def _taylor(n, values):
 
 def _slot_values(p):
     """Inverse of `_taylor`: the derivative values {alpha: alpha! * coefficient}."""
-    return {alpha: c * factorial(alpha) for alpha, c in p.coeffs.items()}
+    return {alpha: c * factorial(alpha) for alpha, c in p.terms()}
 
 
 def _taylor_components(n, table):
@@ -176,10 +176,7 @@ def invert_arrow(a):
     c_parts = list(lin)
     running = [on_a.compose(c) for c in lin]
     for d in range(2, k + 1):
-        layers = [
-            on_linv.compose(Poly(n, {m: -v for m, v in r.coeffs.items() if order(m) == d}))
-            for r in running
-        ]
+        layers = [on_linv.compose(-r.homogeneous(d)) for r in running]
         c_parts = [c + layer for c, layer in zip(c_parts, layers)]
         if d < k:  # the last layer's composite is never read
             running = [r + on_a.compose(layer) for r, layer in zip(running, layers)]
@@ -203,9 +200,7 @@ def _pushforward_vectors(a, x_jets, back):
         xi = _taylor_components(n, x_jet.coeffs)
         eta = []
         for row in da:
-            dxi = Poly.zero(n)
-            for d, x in zip(row, xi):
-                dxi = dxi + d.mul_truncated(x, k)
+            dxi = sum((d.mul_truncated(x, k) for d, x in zip(row, xi)), Poly.zero(n))
             eta.append(back.compose(dxi))
         out.append(VectorJetPoint(n, k, a.target, _component_slots(eta)))
     return out

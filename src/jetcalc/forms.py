@@ -486,7 +486,7 @@ def _form_to_vector(omega, layout):
     v = [Fraction(0)] * len(layout)
     for key, sec in omega.coeffs.items():
         for a, poly in sec.coeffs.items():
-            for m, c in poly.coeffs.items():
+            for m, c in poly.terms():
                 coord = (key, a, m)
                 if coord not in pos:
                     raise ValueError("form exceeds the coordinate layout")
@@ -496,15 +496,13 @@ def _form_to_vector(omega, layout):
 
 def _vector_to_form(n, k, r, layout, v):
     coeffs = {}
-    for coord, c in zip(layout, v):
-        if c == 0:
-            continue
-        key, a, m = coord
-        sec = coeffs.setdefault(key, {})
-        sec[a] = sec.get(a, Poly.zero(n)) + Poly.monomial(n, m, c)
-    return FormKR(
-        n, k, r, {key: FunctionJetSection(n, k, sec) for key, sec in coeffs.items()}
-    )
+    for (key, a, m), c in zip(layout, v):
+        if c:
+            coeffs.setdefault(key, {}).setdefault(a, {})[m] = c
+    return FormKR(n, k, r, {
+        key: FunctionJetSection(n, k, {a: Poly(n, p) for a, p in sec.items()})
+        for key, sec in coeffs.items()
+    })
 
 
 def _matrix_of(op, n, k, r, in_layout, out_layout):

@@ -76,18 +76,17 @@ class _JetTable:
         """A jet of this kind at order k whose slot s is the sum of
         c * u * v over slot_terms[s], a list of (c, u, v): an int or
         Fraction weight c and two slot values of this kind.  A section
-        adds every product of a slot into one coefficient dict and builds
-        one Poly from it; slots without terms are zero."""
-        out = {}
-        for s, terms in slot_terms.items():
-            if not self._section:
-                out[s] = sum((u * v * c for c, u, v in terms), Fraction(0))
-                continue
-            acc = {}
-            for c, u, v in terms:
-                u.addmul_into(acc, c, v)
-            out[s] = Poly(self.n, acc)
-        return self.like(k, out)
+        slot is one `Poly.sum_of_products`: every product is an integer
+        multiply-add into one numerator dict over the lcm of the terms'
+        denominators, reduced once.  Slots without terms are zero."""
+        if self._section:
+            return self.like(k, {
+                s: Poly.sum_of_products(self.n, terms) for s, terms in slot_terms.items()
+            })
+        return self.like(k, {
+            s: sum((u * v * c for c, u, v in terms), Fraction(0))
+            for s, terms in slot_terms.items()
+        })
 
     def like(self, k, coeffs):
         """A jet of the same kind, dimension and base point at order k."""

@@ -4,10 +4,12 @@ the realization, the jet-evaluation homomorphism, and the projective
 examples."""
 
 from fractions import Fraction
+from functools import partial
 
 from .jets import prolong_vector_field
 from .liealg import FiniteLieAlgebra
 from .linalg import Echelon, nullspace, rank
+from .multiindex import unit
 from .poly import Poly, _as_fraction
 from .spencer import algebraic_bracket
 
@@ -15,14 +17,14 @@ from .spencer import algebraic_bracket
 def bracket_fields(x_comps, y_comps):
     """Bracket of polynomial vector fields, componentwise."""
     n = len(x_comps)
-    out = []
-    for i in range(n):
-        p = Poly.zero(n)
-        for a in range(n):
-            p = p + x_comps[a] * y_comps[i].diff(a)
-            p = p - y_comps[a] * x_comps[i].diff(a)
-        out.append(p)
-    return out
+    return [
+        Poly.sum_of_products(n, [
+            (sign, p[a], q[i].diff(a))
+            for sign, p, q in ((1, x_comps, y_comps), (-1, y_comps, x_comps))
+            for a in range(n)
+        ])
+        for i in range(n)
+    ]
 
 
 class RealizedLieAlgebra:
@@ -48,13 +50,10 @@ class RealizedLieAlgebra:
 
     def combination(self, coords):
         """The polynomial field realizing an abstract coefficient vector."""
-        out = [Poly.zero(self.n) for _ in range(self.n)]
-        for b, c in enumerate(coords):
-            if c == 0:
-                continue
-            for i in range(self.n):
-                out[i] = out[i] + self.fields[b][i] * Poly.const(self.n, c)
-        return out
+        return [
+            sum((f[i] * c for f, c in zip(self.fields, coords) if c), Poly.zero(self.n))
+            for i in range(self.n)
+        ]
 
     def jet_at_point(self, coords, k):
         """Order-k jet of the realized field at the base point, in
@@ -131,13 +130,8 @@ def isotropy_filtration(a, depth_max=10):
             order = k
             break
     if order is None:
-        return {
-            "dims": dims,
-            "order": None,
-            "stabilized": False,
-            "ghost_dim": None,
-            "ghost_basis": None,
-        }
+        return {"dims": dims, "order": None, "stabilized": False,
+                "ghost_dim": None, "ghost_basis": None}
     # verify stabilization one step beyond the reported order
     dims.append(len(h_basis(order + 1)))
     if dims[-1] != len(kernel):
@@ -227,9 +221,7 @@ def klein_order_of_system(family, k_max):
             bijective_from = m
         else:
             break
-    if bijective_from is None:
-        return {"order": None, "stabilized": False, "k_max": k_max}
-    return {"order": bijective_from, "stabilized": True, "k_max": k_max}
+    return {"order": bijective_from, "stabilized": bijective_from is not None, "k_max": k_max}
 
 
 def _antisymmetrize(structure):
@@ -244,9 +236,8 @@ def _antisymmetrize(structure):
 def build_affine_example():
     """The affine line: constant and linear fields on one variable."""
     algebra = FiniteLieAlgebra(2, _antisymmetrize({(0, 1, 0): Fraction(1)}))
-    d = [Poly.monomial(1, (0,))]
-    xd = [Poly.monomial(1, (1,))]
-    return RealizedLieAlgebra(algebra, [d, xd], (Fraction(0),))
+    fields = [[Poly.monomial(1, (d,))] for d in range(2)]  # d/dx and x d/dx
+    return RealizedLieAlgebra(algebra, fields, (Fraction(0),))
 
 
 def build_projective_line_example():
@@ -257,11 +248,7 @@ def build_projective_line_example():
         (1, 2, 2): Fraction(1),
     }
     algebra = FiniteLieAlgebra(3, _antisymmetrize(structure))
-    fields = [
-        [Poly.monomial(1, (0,))],
-        [Poly.monomial(1, (1,))],
-        [Poly.monomial(1, (2,))],
-    ]
+    fields = [[Poly.monomial(1, (d,))] for d in range(3)]
     return RealizedLieAlgebra(algebra, fields, (Fraction(0),))
 
 
@@ -290,10 +277,7 @@ def build_projective_example(n):
                 if c != 0:
                     structure[(p, q, pos[cell])] = Fraction(c)
     algebra = FiniteLieAlgebra(m * m, _antisymmetrize(structure))
-
-    def e(i):
-        return tuple(1 if t == i else 0 for t in range(n))
-
+    e = partial(unit, n)
     radial = [Poly.monomial(n, e(a)) for a in range(n)]
     fields = []
     for u, v in cells:
@@ -312,5 +296,5 @@ def build_projective_example(n):
             comps = [Poly.monomial(n, e(a), -1) for a in range(n)]
         # the flow construction yields an anti-homomorphism; negate to
         # land in the stated structure constants
-        fields.append([p * Poly.const(n, -1) for p in comps])
+        fields.append([-p for p in comps])
     return RealizedLieAlgebra(algebra, fields, (Fraction(0),) * n)

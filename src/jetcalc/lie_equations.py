@@ -266,25 +266,13 @@ def _prolongation(structure, k_max):
         if prev is not None:
             images, rk, ker = restrict_projection(sub, k - 1)
             onto = rk == prev.dim
-            entry.update(
-                {
-                    "projection_rank": rk,
-                    "kernel_dim": ker,
-                    "surjective": onto,
-                    "bijective": onto and ker == 0,
-                }
-            )
+            entry.update(projection_rank=rk, kernel_dim=ker, surjective=onto,
+                         bijective=onto and ker == 0)
             if images and not all(prev.contains(v) for v in images):
                 raise AssertionError("projection left the lower solution space")
         orders.append(entry)
         prev = sub
-    report = {
-        "kind": structure.kind,
-        "n": structure.n,
-        "k_max": k_max,
-        "orders": orders,
-    }
-    return report, prev
+    return {"kind": structure.kind, "n": structure.n, "k_max": k_max, "orders": orders}, prev
 
 
 class Christoffel:
@@ -417,18 +405,11 @@ def linear_solution_sections(structure, k):
     slots1 = vector_slots(n, 1)
     sections = []
     for v in sub.basis:
-        comps = []
-        for i in range(n):
-            p = Poly.zero(n)
-            for idx, (c_i, alpha) in enumerate(slots1):
-                if c_i != i or v[idx] == 0:
-                    continue
-                if order(alpha) == 0:
-                    p = p + Poly.const(n, v[idx])
-                else:
-                    j = alpha.index(1)
-                    p = p + Poly.monomial(n, unit(n, j), v[idx])
-            comps.append(p)
+        # an order-0 or order-1 slot value is the coefficient of x^alpha
+        comps = [
+            Poly(n, {alpha: c for (c_i, alpha), c in zip(slots1, v) if c_i == i})
+            for i in range(n)
+        ]
         sections.append(prolong_vector_field(comps, k))
     return sections
 
@@ -459,8 +440,5 @@ def ad_transform_subspace(arrow, sub):
 
 
 def subspaces_equal(a, b):
-    if (a.n, a.k, a.point) != (b.n, b.k, b.point):
-        return False
-    if a.dim != b.dim:
-        return False
-    return all(a.contains(v) for v in b.basis)
+    same_fiber = (a.n, a.k, a.point, a.dim) == (b.n, b.k, b.point, b.dim)
+    return same_fiber and all(a.contains(v) for v in b.basis)

@@ -1,45 +1,65 @@
 """Multivariate polynomials over exact rationals.
 
-Coefficients are `fractions.Fraction`; monomials are multi-index tuples.
-Zero coefficients are never stored.  Values are treated as immutable:
-every operation returns a fresh Poly, except the one accumulator,
-`p.addmul_into(acc, c, q)`.  It adds c*p*q in place into `acc`, a plain
-{monomial: coefficient} dict that the caller owns, and writes nothing
-else: a sum of many products fills one dict and becomes one Poly at the
-end, `Poly(n, acc)`, which also drops the entries that cancelled.
+A Poly keeps integer numerators over one positive integer denominator:
+`_num` maps each monomial (a multi-index tuple) with a nonzero
+coefficient to its int numerator, and `_den` is the denominator.  The
+pair is in lowest terms, so zero is `({}, 1)` and equal polynomials have
+equal fields.  Values are treated as immutable.  Fractions appear only
+at the boundary: the constructor takes int, Fraction or rational-string
+coefficients, and `coeffs` (a read-only {monomial: Fraction} view),
+`terms`, `constant_term`, `evaluate` and `repr` give Fractions back.
+The kernels run on ints.  The one accumulator, `addmul_into`, adds
+w times the product of two numerator dicts into a {monomial: int} dict
+whose denominator the caller keeps; `sum_of_products` adds many
+weighted products over the lcm of their denominators that way.
 """
 
 from fractions import Fraction
+from functools import reduce
+from math import gcd, lcm, prod
+from types import MappingProxyType
 
-from .multiindex import add, multi_indices, order, unit
+from .multiindex import add, is_natural, multi_indices, order, unit
 
 
 def _as_fraction(x):
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"not an exact scalar: {x!r}")
 
 
 class Poly:
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "_num", "_den")
 
     def __init__(self, n, coeffs=None):
         if n <= 0:
             raise ValueError("chart dimension must be positive")
-        self.n = n
         clean = {}
-        if coeffs:
-            for mono, c in coeffs.items():
-                c = _as_fraction(c)
-                if c != 0:
-                    if len(mono) != n:
-                        raise ValueError("monomial dimension mismatch")
-                    clean[tuple(mono)] = c
-        self.coeffs = clean
+        for mono, c in (coeffs or {}).items():
+            c = _as_fraction(c)
+            if c:
+                mono = tuple(mono)
+                if len(mono) != n or not all(map(is_natural, mono)):
+                    raise ValueError(f"{mono} is not a monomial in {n} variables")
+                clean[mono] = c
+        den = reduce(lcm, (c.denominator for c in clean.values()), 1)
+        self.n, self._den = n, den
+        self._num = {m: c.numerator * (den // c.denominator) for m, c in clean.items()}
+
+    @classmethod
+    def _canon(cls, n, num, den):
+        """The Poly num / den of an int dict num (kept if it can be) and an
+        int den > 0: zero entries dropped, reduced to lowest terms.  (The
+        gcd and lcm folds use reduce: gcd(*values) would leave argument
+        tuples of every length in the interpreter's free lists.)"""
+        g = reduce(gcd, num.values(), den)
+        if g != 1 or 0 in num.values():
+            num, den = {m: c // g for m, c in num.items() if c}, den // g
+        p = object.__new__(cls)
+        p.n, p._num, p._den = n, num, den
+        return p
 
     @classmethod
     def zero(cls, n):
@@ -47,116 +67,150 @@ class Poly:
 
     @classmethod
     def const(cls, n, c):
-        return cls(n, {(0,) * n: _as_fraction(c)})
+        return cls(n, {(0,) * n: c})
 
     @classmethod
     def variable(cls, n, j):
-        return cls(n, {unit(n, j): Fraction(1)})
+        return cls(n, {unit(n, j): 1})
 
     @classmethod
     def monomial(cls, n, alpha, c=1):
-        return cls(n, {tuple(alpha): _as_fraction(c)})
+        return cls(n, {tuple(alpha): c})
+
+    @property
+    def coeffs(self):
+        """Read-only {monomial: Fraction} view of the nonzero coefficients."""
+        return MappingProxyType(dict(self.terms()))
+
+    def terms(self):
+        """The (monomial, Fraction coefficient) pairs of the nonzero terms."""
+        return ((m, Fraction(c, self._den)) for m, c in self._num.items())
 
     def is_zero(self):
-        return not self.coeffs
+        return not self._num
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._num)
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
-        return max((order(m) for m in self.coeffs), default=-1)
+        return max((order(m) for m in self._num), default=-1)
+
+    def homogeneous(self, d):
+        """The part of total degree d."""
+        part = {m: c for m, c in self._num.items() if order(m) == d}
+        return Poly._canon(self.n, part, self._den)
 
     def constant_term(self):
-        return self.coeffs.get((0,) * self.n, Fraction(0))
+        return Fraction(self._num.get((0,) * self.n, 0), self._den)
+
+    def _operand(self, other):
+        """other as a Poly of this chart; None for a type Poly does not support."""
+        if isinstance(other, (int, Fraction)):
+            return Poly._canon(self.n, {(0,) * self.n: other.numerator}, other.denominator)
+        if isinstance(other, Poly):
+            self._check(other)
+            return other
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.n, other)
-        return isinstance(other, Poly) and self.n == other.n and self.coeffs == other.coeffs
+            other = self._operand(other)
+        return isinstance(other, Poly) and (self.n, self._den, self._num) == (
+            other.n, other._den, other._num)
 
     def __hash__(self):
         # a constant equals its scalar, so it must hash like it
-        if self.coeffs.keys() <= {(0,) * self.n}:
+        if self._num.keys() <= {(0,) * self.n}:
             return hash(self.constant_term())
-        return hash((self.n, frozenset(self.coeffs.items())))
+        return hash((self.n, frozenset(self.terms())))
+
+    def _combine(self, other, sign):
+        """self + sign * other, over the lcm of the two denominators."""
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        den = lcm(self._den, other._den)
+        s, t = den // self._den, sign * (den // other._den)
+        out = dict(self._num) if s == 1 else {m: c * s for m, c in self._num.items()}
+        get = out.get
+        for m, c in other._num.items():
+            out[m] = get(m, 0) + c * t
+        return Poly._canon(self.n, out, den)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.n, other)
-        self._check(other)
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = out[m] + c if m in out else c
-        return Poly(self.n, out)
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.n, {m: -c for m, c in self.coeffs.items()})
+        return Poly._canon(self.n, {m: -c for m, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.n, other)
-        self._check(other)
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = out[m] - c if m in out else -c
-        return Poly(self.n, out)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return -self + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Poly(self.n, {m: c * other for m, c in self.coeffs.items()})
-        out = {}
-        self.addmul_into(out, 1, other)
-        return Poly(self.n, out)
+            a, b = other.numerator, other.denominator
+            return Poly._canon(self.n, {m: c * a for m, c in self._num.items()}, self._den * b)
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return Poly.sum_of_products(self.n, [(1, self, other)])
 
     __rmul__ = __mul__
 
-    def addmul_into(self, acc, c, other):
-        """Add c * self * other into acc, in place: acc is a plain
-        {monomial: Fraction} dict owned by the caller, c an int or
-        Fraction weight.  Neither Poly changes; cancelled entries stay in
-        acc as zeros until `Poly(n, acc)` drops them."""
+    def addmul_into(self, acc, w, other):
+        """Add w * (numerators of self) * (numerators of other) into acc, in
+        place, for an int w: acc is a plain {monomial: int} dict over a
+        denominator the caller keeps, D say, so this adds c * self * other
+        for w = c * D / (den self * den other).  Cancelled entries stay in
+        acc as zeros until `_canon` drops them."""
         self._check(other)
-        if not other.coeffs:
-            return
-        right = other.coeffs.items()
+        right = list(other._num.items())
         get = acc.get
-        for m1, c1 in self.coeffs.items():
-            if c != 1:
-                c1 = c1 * c
+        for m1, c1 in self._num.items():
+            c1 *= w
             for m2, c2 in right:
                 m = add(m1, m2)
-                old = get(m)
-                acc[m] = c1 * c2 if old is None else old + c1 * c2
+                acc[m] = get(m, 0) + c1 * c2
+
+    @staticmethod
+    def sum_of_products(n, terms):
+        """sum c * u * v over the terms (c, u, v), int or Fraction weights c
+        and Polys u, v of chart n, over D, the lcm of the terms'
+        denominators: each term is one `addmul_into` of weight c * D / den."""
+        dens = [c.denominator * u._den * v._den for c, u, v in terms]
+        den = reduce(lcm, dens, 1)
+        acc = {}
+        for (c, u, v), d in zip(terms, dens):
+            u.addmul_into(acc, c.numerator * (den // d), v)
+        return Poly._canon(n, acc, den)
 
     def mul_truncated(self, other, max_degree):
         """Product with all monomials of total degree > max_degree dropped."""
         self._check(other)
-        right = sorted((order(m2), m2, c2) for m2, c2 in other.coeffs.items())
+        right = sorted((order(m2), m2, c2) for m2, c2 in other._num.items())
         out = {}
-        for m1, c1 in self.coeffs.items():
+        get = out.get
+        for m1, c1 in self._num.items():
             room = max_degree - order(m1)
             for d2, m2, c2 in right:
                 if d2 > room:
                     break
                 m = add(m1, m2)
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return Poly(self.n, out)
+                out[m] = get(m, 0) + c1 * c2
+        return Poly._canon(self.n, out, self._den * other._den)
 
     def diff(self, j):
         """Partial derivative with respect to variable j (0-based)."""
         out = {}
-        for m, c in self.coeffs.items():
-            if m[j] > 0:
-                dm = list(m)
-                dm[j] -= 1
-                out[tuple(dm)] = c * m[j]
-        return Poly(self.n, out)
+        for m, c in self._num.items():
+            e = m[j]
+            if e:
+                out[m[:j] + (e - 1,) + m[j + 1:]] = c * e
+        return Poly._canon(self.n, out, self._den)
 
     def diff_multi(self, alpha):
         p = self
@@ -169,26 +223,16 @@ class Poly:
         if len(point) != self.n:
             raise ValueError("point dimension mismatch")
         point = [_as_fraction(x) for x in point]
-        total = Fraction(0)
-        for m, c in self.coeffs.items():
-            term = c
-            for x, e in zip(point, m):
-                term *= x**e
-            total += term
-        return total
+        total = sum(c * prod(x**e for x, e in zip(point, m)) for m, c in self._num.items())
+        return Fraction(total) / self._den
 
     def derivative_value(self, alpha, point):
         """Value of the alpha-th partial derivative at a point."""
         return self.diff_multi(alpha).evaluate(point)
 
     def compose(self, substitutions, max_degree):
-        """Substitute substitutions[j] for variable j, truncating at max_degree.
-
-        All substitution polynomials share one chart dimension, which may
-        differ from self.n.
-        """
-        if len(substitutions) != self.n:
-            raise ValueError("need one substitution per variable")
+        """Substitute substitutions[j] for variable j, truncating at
+        max_degree; the substitutions share one chart, maybe not self's."""
         return PowerTable(substitutions, max_degree).compose(self)
 
     def _check(self, other):
@@ -196,16 +240,12 @@ class Poly:
             raise ValueError("chart dimension mismatch")
 
     def __repr__(self):
-        if not self.coeffs:
-            return "0"
         parts = []
-        for m in sorted(self.coeffs, key=lambda m: (order(m), m)):
-            c = self.coeffs[m]
-            mono = "*".join(
-                f"x{j}" if e == 1 else f"x{j}^{e}" for j, e in enumerate(m) if e
-            )
+        for m in sorted(self._num, key=lambda m: (order(m), m)):
+            c = Fraction(self._num[m], self._den)
+            mono = "*".join(f"x{j}" if e == 1 else f"x{j}^{e}" for j, e in enumerate(m) if e)
             parts.append(f"{c}" if not mono else (f"{c}*{mono}" if c != 1 else mono))
-        return " + ".join(parts)
+        return " + ".join(parts) or "0"
 
 
 class PowerTable:
@@ -242,14 +282,19 @@ class PowerTable:
 
     def compose(self, p):
         """p(s_0, ..., s_{n-1}) truncated at max_degree: the sum of
-        c_alpha s^alpha over the terms of p."""
+        c_alpha s^alpha over the terms of p, over the lcm of the powers'
+        denominators times p's."""
         if p.n != len(self.subs):
             raise ValueError("need one substitution per variable")
+        powers = [(c, self.power(alpha)) for alpha, c in p._num.items()]
+        den = reduce(lcm, (t._den for _, t in powers), 1)
         out = {}
-        for alpha, c in p.coeffs.items():
-            for m, v in self.power(alpha).coeffs.items():
-                out[m] = out.get(m, 0) + c * v
-        return Poly(self.subs[0].n, out)
+        get = out.get
+        for c, t in powers:
+            w = c * (den // t._den)
+            for m, v in t._num.items():
+                out[m] = get(m, 0) + w * v
+        return Poly._canon(self.subs[0].n, out, p._den * den)
 
 
 def random_poly(n, rng, degree):

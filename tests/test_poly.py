@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jetcalc.poly import Poly
+from jetcalc.multiindex import add, order
+from jetcalc.poly import Poly, PowerTable
 
 
 def rand_poly(n, rng, degree=3):
@@ -108,3 +111,180 @@ def test_compose_against_sympy_expand():
             if sum(mono) <= max_degree and c != 0
         }
         assert p.compose(subs, max_degree) == Poly(m, expected)
+
+
+# Fraction oracles: the {monomial: Fraction} kernels that Poly used before
+# it kept integer numerators over one denominator.
+
+
+def _oracle_addmul_into(acc, c, p, q):
+    """Add c * p * q into acc; p, q and acc are {monomial: Fraction} dicts."""
+    for m1, c1 in p.items():
+        if c != 1:
+            c1 = c1 * c
+        for m2, c2 in q.items():
+            m = add(m1, m2)
+            old = acc.get(m)
+            acc[m] = c1 * c2 if old is None else old + c1 * c2
+
+
+def _oracle_mul_truncated(p, q, max_degree):
+    right = sorted((order(m2), m2, c2) for m2, c2 in q.items())
+    out = {}
+    for m1, c1 in p.items():
+        room = max_degree - order(m1)
+        for d2, m2, c2 in right:
+            if d2 > room:
+                break
+            m = add(m1, m2)
+            out[m] = out.get(m, Fraction(0)) + c1 * c2
+    return out
+
+
+def _oracle_compose(p, subs, m, max_degree):
+    """sum c_alpha s^alpha over the terms of p, for substitutions s in m
+    variables, each power a chain of truncated products."""
+    out = {}
+    for alpha, c in p.items():
+        power = {(0,) * m: Fraction(1)}
+        for j, e in enumerate(alpha):
+            for _ in range(e):
+                power = _oracle_mul_truncated(power, subs[j], max_degree)
+        for mono, v in power.items():
+            out[mono] = out.get(mono, 0) + c * v
+    return out
+
+
+_BIG = 10**30
+# numerators and denominators of both signs, some of them above 10^30
+_COEFF = st.builds(
+    Fraction,
+    st.one_of(st.integers(-9, 9), st.integers(-(_BIG**2), _BIG**2)),
+    st.sampled_from([1, 2, -3, 6, -7, _BIG, -(_BIG + 7), 3**70, -(2**101)]),
+)
+
+
+def _poly_dicts(n, max_exp=2):
+    return st.dictionaries(
+        st.tuples(*[st.integers(0, max_exp)] * n), _COEFF, max_size=5
+    ).map(lambda d: {m: c for m, c in d.items() if c})
+
+
+@st.composite
+def _weighted_products(draw):
+    """(n, terms) with terms (c, u, v) of {monomial: Fraction} dicts;
+    the last term, when there is more than one, cancels the first."""
+    n = draw(st.integers(1, 2))
+    terms = draw(
+        st.lists(st.tuples(_COEFF, _poly_dicts(n), _poly_dicts(n)), min_size=1, max_size=4)
+    )
+    if len(terms) > 1:
+        c, u, v = terms[0]
+        terms[-1] = (-c, u, v)
+    return n, terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(_weighted_products())
+def test_sum_of_products_matches_fraction_oracle(case):
+    n, terms = case
+    acc = {}
+    for c, u, v in terms:
+        _oracle_addmul_into(acc, c, u, v)
+    got = Poly.sum_of_products(n, [(c, Poly(n, u), Poly(n, v)) for c, u, v in terms])
+    assert got == Poly(n, acc)
+    assert got.coeffs == {m: c for m, c in acc.items() if c}
+    c, u, v = terms[0]
+    u, v = Poly(n, u), Poly(n, v)
+    cancelled = Poly.sum_of_products(n, [(c, u, v), (c, v, u), (-2 * c, u, v)])
+    assert cancelled == Poly.zero(n) == 0 and not cancelled.coeffs
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 2), st.integers(0, 4), st.data())
+def test_mul_truncated_and_product_match_fraction_oracle(n, max_degree, data):
+    p, q = data.draw(_poly_dicts(n)), data.draw(_poly_dicts(n))
+    truncated = _oracle_mul_truncated(p, q, max_degree)
+    assert Poly(n, p).mul_truncated(Poly(n, q), max_degree) == Poly(n, truncated)
+    full = {}
+    _oracle_addmul_into(full, 1, p, q)
+    assert Poly(n, p) * Poly(n, q) == Poly(n, full)
+    # p * q - q * p cancels to zero in every coefficient
+    assert Poly(n, p) * Poly(n, q) - Poly(n, q) * Poly(n, p) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 2), st.integers(1, 2), st.integers(0, 3), st.data())
+def test_power_table_compose_matches_fraction_oracle(n, m, max_degree, data):
+    p = data.draw(_poly_dicts(n))
+    subs = [data.draw(_poly_dicts(m, max_exp=1)) for _ in range(n)]
+    table = PowerTable([Poly(m, s) for s in subs], max_degree)
+    assert table.compose(Poly(n, p)) == Poly(m, _oracle_compose(p, subs, m, max_degree))
+
+
+def test_one_polynomial_by_several_routes_is_one_value():
+    x, y = Poly.variable(2, 0), Poly.variable(2, 1)
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    product = (x + half) * (y - third)
+    total = x * y - x * third + y * half - Fraction(1, 6)
+    rebuilt = Poly(2, product.coeffs)
+    parsed = Poly(2, {(1, 1): "1", (1, 0): "-2/6", (0, 1): "3/6", (0, 0): Fraction(-2, 12)})
+    routes = [product, total, rebuilt, parsed, product.compose([x, y], 2)]
+    assert all(r == product for r in routes)
+    assert len({hash(r) for r in routes}) == 1
+    # hash values are those of the {monomial: Fraction} view
+    assert hash(product) == hash((2, frozenset(product.coeffs.items())))
+    assert Poly(2, {(1, 0): Fraction(2, 4)}) == Poly(2, {(1, 0): Fraction(1, 2)})
+
+
+def test_constant_from_cancellation_equals_its_scalar():
+    x = Poly.variable(2, 0)
+    c = (x + Fraction(7, 3)) - x
+    assert c == Fraction(7, 3) and hash(c) == hash(Fraction(7, 3))
+    assert c.constant_term() == Fraction(7, 3) and c.degree() == 0
+    z = (x * 3 + Fraction(1, 2)) - (x * 3 + Fraction(1, 2))
+    assert z == 0 and hash(z) == hash(0) and z == Poly.zero(2)
+    assert (x * Fraction(1, 3)) * 3 == x
+    assert {c, Fraction(7, 3)} == {c}
+
+
+@pytest.mark.parametrize("bad", [1.5, "a", None, [1]])
+def test_unsupported_operand_raises_type_error(bad):
+    x = Poly.variable(2, 0)
+    for op in (
+        lambda: x + bad,
+        lambda: bad + x,
+        lambda: x - bad,
+        lambda: bad - x,
+        lambda: x * bad,
+        lambda: bad * x,
+    ):
+        with pytest.raises(TypeError):
+            op()
+    assert x != bad
+
+
+@pytest.mark.parametrize(
+    "coeffs, error",
+    [
+        ({(0, -1): 1}, ValueError),
+        ({(0, 0.5): 1}, ValueError),
+        ({(0, True): 1}, ValueError),
+        ({(0, 0): True}, TypeError),
+        ({(0, 0): 1.5}, TypeError),
+        ({(0, 0, 0): 1}, ValueError),
+    ],
+    ids=["negative-exponent", "float-exponent", "bool-exponent", "bool-coefficient",
+         "float-coefficient", "wrong-dimension"],
+)
+def test_constructor_rejects_what_is_not_a_polynomial(coeffs, error):
+    with pytest.raises(error):
+        Poly(2, coeffs)
+
+
+def test_public_constructors_reject_bool_and_negative_exponents():
+    with pytest.raises(TypeError):
+        Poly.const(2, True)
+    with pytest.raises(ValueError):
+        Poly.monomial(2, (1, -1))
+    assert Poly.monomial(2, [1, 0], "1/2") == Poly.variable(2, 0) * Fraction(1, 2)
