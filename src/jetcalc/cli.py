@@ -456,9 +456,7 @@ def _run_klein(args):
     ok, witness = validate_realization(algebra)
     report = isotropy_filtration(algebra)
     order = report["order"]
-    sigma_ok = order is None or all(
-        sigma_homomorphism_check(algebra, m) for m in range(1, order + 2)
-    )
+    sigma_ok = all(sigma_homomorphism_check(algebra, m) for m in range(1, order + 2))
     checks = [
         _check("realization_homomorphism", ok, witness),
         _check("filtration_stabilized", bool(report["stabilized"])),

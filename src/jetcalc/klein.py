@@ -1,14 +1,19 @@
 """Realized Lie algebras of polynomial vector fields: the isotropy
 filtration by vanishing order at a base point, the order and ghost of
 the realization, the jet-evaluation homomorphism, and the projective
-examples."""
+examples.
+
+Jet evaluation at the base point is linear in the abstract vector, so
+each function that evaluates builds one table of basis jets
+(`basis_jets`) at the highest order it needs and reads lower orders as
+prefixes: vector jet slots are ordered by order."""
 
 from fractions import Fraction
 from functools import partial
 
-from .jets import prolong_vector_field
+from .jets import prolong_vector_field, vector_point_from_coords, vector_slots
 from .liealg import FiniteLieAlgebra
-from .linalg import Echelon, nullspace, rank
+from .linalg import Echelon, rank
 from .multiindex import unit
 from .poly import Poly, _as_fraction
 from .spencer import algebraic_bracket
@@ -61,29 +66,18 @@ class RealizedLieAlgebra:
         section = prolong_vector_field(self.combination(coords), k)
         return section.at(self.point).as_vector()
 
+    def basis_jets(self, k):
+        """The order-k jets at the base point of the basis fields, one row
+        per basis element; the order-m jets, m <= k, are the prefixes of
+        length len(vector_slots(n, m))."""
+        g = self.algebra
+        return [self.jet_at_point(g.basis_vector(b), k) for b in range(g.dim)]
+
     def is_transitive(self):
         values = [
             [p.evaluate(self.point) for p in f] for f in self.fields
         ]
         return rank(values) == self.n
-
-    def realization_kernel(self):
-        """Abstract vectors mapping to the identically zero field."""
-        deg = max([0] + [p.degree() for f in self.fields for p in f])
-        # a polynomial field of degree <= deg vanishes iff its jet of
-        # order deg at any point vanishes
-        g = self.algebra
-        mat = [self.jet_at_point(g.basis_vector(b), deg) for b in range(g.dim)]
-        return left_nullspace(mat)
-
-
-def left_nullspace(rows):
-    """Coefficient vectors c with sum_b c_b rows[b] = 0."""
-    if not rows:
-        return []
-    width = len(rows[0])
-    transposed = [[rows[b][j] for b in range(len(rows))] for j in range(width)]
-    return nullspace(transposed, cols=len(rows))
 
 
 def validate_realization(a):
@@ -101,42 +95,36 @@ def validate_realization(a):
     return True, None
 
 
-def isotropy_filtration(a, depth_max=10):
+def isotropy_filtration(a):
     """Dimensions of the decreasing chain h_k of abstract elements whose
     realized fields vanish to order k at the base point, with the
     stabilization order and the ghost (the stable subspace).
 
-    The ghost is cross-checked to be an ideal and to coincide with the
-    kernel of the realization; a mismatch raises instead of being
-    resolved silently.
+    h_k is the left kernel of the order-k basis jets.  One echelon of
+    the jet table's slot columns, grown by each order's columns, gives
+    h_0, h_1, ... in turn.  A polynomial field of degree <= deg vanishes
+    iff its order-deg jet at a point does, so h_deg is the realization
+    kernel: the chain reaches it by the fields' degree and stabilizes
+    exactly where it first does.  The ghost is cross-checked to be an
+    ideal and to coincide with the kernel; a mismatch raises instead of
+    being resolved silently.
     """
     dim = a.algebra.dim
-    jets = {}
-
-    def h_basis(k):
-        if k not in jets:
-            mat = [a.jet_at_point(a.algebra.basis_vector(b), k) for b in range(dim)]
-            jets[k] = left_nullspace(mat)
-        return jets[k]
-
-    # the chain is decreasing and bounded below by the realization
-    # kernel; it stabilizes exactly when it first reaches the kernel
-    kernel = a.realization_kernel()
-    dims = []
-    order = None
-    for k in range(depth_max + 1):
-        dims.append(len(h_basis(k)))
-        if dims[-1] == len(kernel):
-            order = k
-            break
-    if order is None:
-        return {"dims": dims, "order": None, "stabilized": False,
-                "ghost_dim": None, "ghost_basis": None}
+    deg = max([0] + [p.degree() for f in a.fields for p in f])
+    columns = list(zip(*a.basis_jets(deg + 1)))
+    span, chain, done = Echelon(), [], 0
+    for k in range(deg + 2):
+        width = len(vector_slots(a.n, k))
+        for column in columns[done:width]:
+            span.add_row(column)
+        done = width
+        chain.append(span.nullspace(dim))
+    kernel = chain[deg]
+    order = next(k for k, h in enumerate(chain) if len(h) == len(kernel))
     # verify stabilization one step beyond the reported order
-    dims.append(len(h_basis(order + 1)))
-    if dims[-1] != len(kernel):
+    if len(chain[order + 1]) != len(kernel):
         raise AssertionError("filtration dipped below the realization kernel")
-    ghost = h_basis(order)
+    ghost = chain[order]
     ghost_span = Echelon(ghost)
     if not all(ghost_span.contains(v) for v in kernel):
         raise AssertionError(
@@ -148,7 +136,7 @@ def isotropy_filtration(a, depth_max=10):
             if not ghost_span.contains(br):
                 raise AssertionError("ghost is not an ideal")
     return {
-        "dims": dims[: order + 2],
+        "dims": [len(h) for h in chain[: order + 2]],
         "order": order,
         "stabilized": True,
         "ghost_dim": len(ghost),
@@ -161,16 +149,12 @@ def sigma_homomorphism_check(a, m):
     bracket with the algebraic bracket on jets (which drops one order)."""
     if m < 1:
         raise ValueError("order must be at least 1")
-    from .jets import vector_point_from_coords
-
     g = a.algebra
     # the jet at the point is linear in the abstract vector, so the basis
-    # jets of both orders serve every pair
-    jets = [
-        vector_point_from_coords(a.n, m, a.point, a.jet_at_point(g.basis_vector(b), m))
-        for b in range(g.dim)
-    ]
-    lower = [a.jet_at_point(g.basis_vector(b), m - 1) for b in range(g.dim)]
+    # jets serve every pair; their prefixes are the order-(m-1) jets
+    table = a.basis_jets(m)
+    jets = [vector_point_from_coords(a.n, m, a.point, v) for v in table]
+    lower = [v[: len(vector_slots(a.n, m - 1))] for v in table]
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
             direct = [Fraction(0)] * len(lower[0])
@@ -184,9 +168,7 @@ def sigma_homomorphism_check(a, m):
 def sigma_injective(a, m):
     """Whether jet evaluation of order m is injective on the abstract
     algebra."""
-    dim = a.algebra.dim
-    mat = [a.jet_at_point(a.algebra.basis_vector(b), m) for b in range(dim)]
-    return rank(mat) == dim
+    return rank(a.basis_jets(m)) == a.algebra.dim
 
 
 def realized_jet_family(a, k_max):
@@ -194,13 +176,13 @@ def realized_jet_family(a, k_max):
     point, for orders 1..k_max."""
     from .lie_equations import LinearJetSubspace
 
-    dim = a.algebra.dim
+    table = a.basis_jets(k_max)
     family = []
     for k in range(1, k_max + 1):
-        mat = [a.jet_at_point(a.algebra.basis_vector(b), k) for b in range(dim)]
+        jets = [v[: len(vector_slots(a.n, k))] for v in table]
         # reduce to an independent spanning set
         span = Echelon()
-        basis = [v for v in mat if span.add_row(v)]
+        basis = [v for v in jets if span.add_row(v)]
         family.append(LinearJetSubspace(a.n, k, a.point, basis))
     return family
 

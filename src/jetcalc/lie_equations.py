@@ -241,11 +241,10 @@ def solve_system(structure, k):
 def restrict_projection(sub, m):
     """Image of a subspace under pi_{k,m}, with the projection's rank
     and kernel dimension on the subspace."""
-    low_slots = vector_slots(sub.n, m)
-    slots = vector_slots(sub.n, sub.k)
-    keep = [i for i, s in enumerate(slots) if s in set(low_slots)]
-    images = [[v[i] for i in keep] for v in sub.basis]
-    rk = rank(images) if images else 0
+    # the order-m slots are a prefix of the order-k ones
+    width = len(vector_slots(sub.n, m))
+    images = [v[:width] for v in sub.basis]
+    rk = rank(images)
     return images, rk, sub.dim - rk
 
 

@@ -7,12 +7,14 @@ An algebra keeps its constants twice: flat, as validated, and indexed by
 basis pair (`FiniteLieAlgebra.rows`), so brackets and the Jacobi check
 visit only nonzero constants.  The Chevalley-Eilenberg differential is
 written once, in `_ce_entries`; the dense differential matrix and the
-2-cocycle check both read it."""
+2-cocycle check both read it, and relative cohomology reads it through
+that matrix: its invariance condition is a contraction of d (Cartan's
+formula)."""
 
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import Echelon, matmul, matvec, nullspace, rank, rref, solve, zeros
+from .linalg import Echelon, matmul, nullspace, rank, rref, solve, zeros
 
 
 class FiniteLieAlgebra:
@@ -212,79 +214,47 @@ def _subalgebra_basis_check(g, s_basis):
     return True
 
 
+def _contraction_rows(g, s_basis, m, r):
+    """The rows of the contractions (i_X w)(rest) = w(X, rest) for X in
+    s_basis, from r-cochains (r >= 1) with m-dimensional values to
+    (r-1)-cochains: one row per X, (r-1)-key and value coordinate, zero
+    rows dropped."""
+    key_pos = {key: i for i, key in enumerate(_cochain_keys(g.dim, r))}
+    rows = []
+    for x in s_basis:
+        for rest in _cochain_keys(g.dim, r - 1):
+            for a in range(m):
+                row = [Fraction(0)] * (len(key_pos) * m)
+                for k, c in enumerate(x):
+                    merged, sign = _insert_sorted(k, rest)
+                    if c and merged is not None:
+                        row[key_pos[merged] * m + a] += sign * c
+                if any(row):
+                    rows.append(row)
+    return rows
+
+
 def relative_ce_cohomology_dims(g, s_basis, module, r_max):
-    """Relative cohomology: cochains killed by contraction with the
-    subalgebra and invariant under it."""
+    """Relative cohomology H^0 .. H^{r_max}: the cochains w with i_X w = 0
+    and L_X w = 0 for X in the subalgebra, under d.  By Cartan's formula
+    L_X = i_X d + d i_X, a cochain with i_X w = 0 is invariant iff
+    i_X (d w) = 0, so both conditions are contraction rows, the second
+    composed with the differential of `ce_differential_matrix`."""
     if s_basis and not _subalgebra_basis_check(g, s_basis):
         raise ValueError("not a subalgebra")
     m = module.dim
-    bases = {}
-    for r in range(r_max + 2):
-        keys = _cochain_keys(g.dim, r)
-        key_pos = {key: i for i, key in enumerate(keys)}
-        ncoords = len(keys) * m
-        # constraints: i_X omega = 0 and L_X omega = 0 for X in s-basis
-        constraints = []
-        for x in s_basis:
-            # contraction: for each (r-1)-key, sum over insertion
-            if r >= 1:
-                for rest in _cochain_keys(g.dim, r - 1):
-                    for a in range(m):
-                        row = [Fraction(0)] * ncoords
-                        nonzero = False
-                        for k, c in enumerate(x):
-                            if c == 0:
-                                continue
-                            merged, sign = _insert_sorted(k, rest)
-                            if merged is None:
-                                continue
-                            col = key_pos[merged] * m + a
-                            row[col] += sign * c
-                            nonzero = True
-                        if nonzero:
-                            constraints.append(row)
-            # invariance: (L_X omega)(key) = rho(X) omega(key)
-            #   - sum_p omega(key with e_p replaced by [X, e_p])
-            for ki, key in enumerate(keys):
-                for a in range(m):
-                    row = [Fraction(0)] * ncoords
-                    for i, c in enumerate(x):
-                        if c == 0:
-                            continue
-                        rho = module.matrices[i]
-                        for b in range(m):
-                            if rho[a][b] != 0:
-                                row[ki * m + b] += c * rho[a][b]
-                    for p in range(r):
-                        rest = key[:p] + key[p + 1 :]
-                        br = g.bracket(x, g.basis_vector(key[p]))
-                        for k, c in enumerate(br):
-                            if c == 0:
-                                continue
-                            merged, sign = _insert_sorted(k, rest)
-                            if merged is None:
-                                continue
-                            # replacing at position p: move to the front
-                            # (factor (-1)^p) and then sort the insertion
-                            col = key_pos[merged] * m + a
-                            row[col] -= sign * c * ((-1) ** p)
-                    if any(v != 0 for v in row):
-                        constraints.append(row)
-        bases[r] = nullspace(constraints, cols=ncoords)
-    # H^r = ker(d restricted to relative r-cochains) / d(relative (r-1)-cochains)
     out = []
     prev_image_rank = 0
+    contract = []  # a 0-cochain has no contraction
     for r in range(r_max + 1):
-        sub = bases[r]
-        if r < g.dim and sub:
-            mat, _, _ = ce_differential_matrix(g, module, r)
-            images = [matvec(mat, v) for v in sub] if mat else [[] for _ in sub]
-            rk = rank(images) if images and images[0] else 0
-        else:
-            rk = 0
-        kernel_dim = len(sub) - rk
-        out.append(kernel_dim - prev_image_rank)
+        d, in_keys, _ = ce_differential_matrix(g, module, r)
+        contract_next = _contraction_rows(g, s_basis, m, r + 1)
+        sub = nullspace(contract + matmul(contract_next, d), cols=len(in_keys) * m)
+        # H^r = ker(d on relative r-cochains) / d(relative (r-1)-cochains)
+        rk = rank(matmul(sub, list(zip(*d))))
+        out.append(len(sub) - rk - prev_image_rank)
         prev_image_rank = rk
+        contract = contract_next
     return out
 
 

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import io
 import json
 import os
@@ -6,6 +7,7 @@ import random
 import tempfile
 from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -105,6 +107,27 @@ def test_prolong_builtin_and_scenario_exclude_each_other(capsys, tmp_path):
     )
     assert code == 2
     assert out == ""
+
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+
+
+def test_plain_reports_match_recorded_digests(capsys):
+    """The recorded ops that need no scenario file and draw no random
+    sections (klein, extension, prolong --builtin) print reports whose
+    sha256 equals the digest in perfbench/golden.json, which is only read."""
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    plain = {
+        key: digest for key, digest in golden.items()
+        if key.split()[0] in ("klein", "extension") or key.startswith("prolong --builtin")
+    }
+    assert len(plain) == 29
+    drifted = []
+    for key, digest in sorted(plain.items()):
+        code, out = run_cli(capsys, *key.split())
+        if code != 0 or hashlib.sha256(out.encode()).hexdigest() != digest:
+            drifted.append(key)
+    assert drifted == []
 
 
 def test_klein_projective_order_and_ghost(capsys):

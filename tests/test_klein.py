@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -15,13 +16,14 @@ from jetcalc.klein import (
     sigma_injective,
     validate_realization,
 )
+from jetcalc.jets import prolong_vector_field
 from jetcalc.lie_equations import solve_system, StructureJet
+from jetcalc.liealg import FiniteLieAlgebra
+from jetcalc.linalg import rank
 from jetcalc.poly import Poly
 
 
 def test_validate_realization_catches_wrong_constants():
-    from jetcalc.liealg import FiniteLieAlgebra
-
     # claim [d, x d] = -d instead of d
     bad = FiniteLieAlgebra(
         2, {(0, 1, 0): Fraction(-1), (1, 0, 0): Fraction(1)}
@@ -125,13 +127,11 @@ def test_full_fiber_family_does_not_stabilize():
     assert out["order"] is None and not out["stabilized"]
 
 
-def test_filtration_invariant_under_chart_change():
-    """Conjugating the realization by a polynomial chart change does not
-    move the filtration dimensions."""
+def chart_change_example():
+    """The projective line conjugated by the chart change x -> x + x^2,
+    which fixes 0; the pushforward fields are computed symbolically via
+    the inverse substitution, truncated beyond the jet orders probed."""
     p = build_projective_line_example()
-    # substitute x -> x + x^2 (a chart change fixing 0); conjugated
-    # fields are the pushforwards, computed symbolically via the inverse
-    # substitution truncated beyond the jet orders probed
     depth = 8
     fwd = Poly(1, {(1,): Fraction(1), (2,): Fraction(1)})
     # inverse series of x + x^2, refined iteratively to high degree
@@ -147,8 +147,56 @@ def test_filtration_invariant_under_chart_change():
         # pushforward: (phi_* X)(y) = phi'(phi^-1 y) X(phi^-1 y)
         comp = (dfwd * f[0]).compose([inv], depth // 2)
         new_fields.append([comp])
-    q = RealizedLieAlgebra(p.algebra, new_fields, (Fraction(0),), check=False)
+    return RealizedLieAlgebra(p.algebra, new_fields, (Fraction(0),), check=False)
+
+
+def test_filtration_invariant_under_chart_change():
+    """Conjugating the realization by a polynomial chart change does not
+    move the filtration dimensions."""
+    p = build_projective_line_example()
+    q = chart_change_example()
     rep_p = isotropy_filtration(p)
     rep_q = isotropy_filtration(q)
     assert rep_p["dims"] == rep_q["dims"]
     assert rep_p["order"] == rep_q["order"]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        build_affine_example,
+        build_projective_line_example,
+        partial(build_projective_example, 1),
+        partial(build_projective_example, 2),
+        partial(build_projective_example, 3),
+        chart_change_example,
+    ],
+    ids=["affine-line", "projective-line", "gl2-projective", "projective-2",
+         "projective-3", "chart-change"],
+)
+def test_isotropy_filtration_matches_rank_oracle(build):
+    """dim h_k = dim - rank of the order-k jets of the basis fields at the
+    base point, each order prolonged on its own."""
+    a = build()
+    rep = isotropy_filtration(a)
+    dims, order = rep["dims"], rep["order"]
+    oracle = [
+        a.algebra.dim
+        - rank([prolong_vector_field(f, k).at(a.point).as_vector() for f in a.fields])
+        for k in range(len(dims))
+    ]
+    assert dims == oracle
+    # reported one step past the order, where the chain is already stable
+    assert len(dims) == order + 2 and rep["stabilized"]
+    assert dims[order] == dims[order + 1] == rep["ghost_dim"]
+    assert all(d > dims[order] for d in dims[:order])
+
+
+def test_high_degree_field_stabilizes_at_its_degree():
+    """x^11 d/dx spans a one-dimensional abelian algebra; its jets at 0
+    vanish up to order 10 and not at order 11."""
+    field = [Poly.monomial(1, (11,))]
+    a = RealizedLieAlgebra(FiniteLieAlgebra(1, {}), [field], (Fraction(0),))
+    rep = isotropy_filtration(a)
+    assert rep["dims"] == [1] * 11 + [0, 0]
+    assert rep["order"] == 11 and rep["stabilized"] and rep["ghost_dim"] == 0

@@ -75,6 +75,33 @@ def test_relative_cohomology_reduces_to_absolute_for_zero_subalgebra():
     assert absolute[: len(relative)] == relative
 
 
+def test_relative_cohomology_of_sl2_over_its_cartan_subalgebra():
+    """sl2 / span(h) is the 2-sphere: trivial coefficients give H*(S^2);
+    the adjoint module has no relative cohomology."""
+    g = sl2()
+    h = [g.basis_vector(0)]
+    assert relative_ce_cohomology_dims(g, h, g.trivial_module(), 2) == [1, 0, 1]
+    assert relative_ce_cohomology_dims(g, h, g.trivial_module(), 3) == [1, 0, 1, 0]
+    assert relative_ce_cohomology_dims(g, h, g.adjoint_module(), 2) == [0, 0, 0]
+    # another Cartan subalgebra, off the basis: contracting with it
+    # inserts e and f behind h, so the insertion signs matter
+    other = [[Fraction(-1), Fraction(2), Fraction(2)]]
+    assert relative_ce_cohomology_dims(g, other, g.trivial_module(), 3) == [1, 0, 1, 0]
+
+
+def test_relative_cohomology_over_the_whole_algebra_is_a_point():
+    g = sl2()
+    s = [g.basis_vector(i) for i in range(g.dim)]
+    assert relative_ce_cohomology_dims(g, s, g.trivial_module(), 3) == [1, 0, 0, 0]
+
+
+def test_relative_cohomology_rejects_a_non_subalgebra():
+    g = sl2()
+    e_and_f = [g.basis_vector(1), g.basis_vector(2)]
+    with pytest.raises(ValueError, match="not a subalgebra"):
+        relative_ce_cohomology_dims(g, e_and_f, g.trivial_module(), 2)
+
+
 def test_heisenberg_adjoint_cohomology():
     """H^0 with the adjoint module is the center, spanned by e_2; H^1 is
     the outer derivations, 6 - 2 dimensional."""
