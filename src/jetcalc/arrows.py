@@ -24,7 +24,7 @@ jets along one arrow builds the table on C once for the private cores
 
 from fractions import Fraction
 
-from .linalg import invert as mat_invert
+from .linalg import determinant, invert as mat_invert
 from .multiindex import factorial, multi_indices, order, unit
 from .poly import Poly, PowerTable, _as_fraction
 from .jets import FunctionJetPoint, VectorJetPoint
@@ -80,7 +80,7 @@ class Arrow:
                     raise ValueError(f"arrow slot {alpha} out of range")
                 table[(i, alpha)] = _as_fraction(c)
         self.coeffs = table
-        if not self._linear_part_invertible():
+        if determinant(self.linear_part()) == 0:
             raise ValueError("linear part of arrow is singular")
 
     @classmethod
@@ -108,13 +108,6 @@ class Arrow:
             [self.coeffs[(i, unit(self.n, j))] for j in range(self.n)]
             for i in range(self.n)
         ]
-
-    def _linear_part_invertible(self):
-        try:
-            mat_invert(self.linear_part())
-        except ValueError:
-            return False
-        return True
 
     def project(self, m):
         if not 1 <= m <= self.k:

@@ -146,7 +146,9 @@ def isotropy_filtration(a):
 
 def sigma_homomorphism_check(a, m):
     """Whether jet evaluation at the base point intertwines the abstract
-    bracket with the algebraic bracket on jets (which drops one order)."""
+    bracket with the algebraic bracket on jets (which drops one order).
+    Passing at order m implies passing at every lower order: projecting
+    the jets projects their algebraic bracket."""
     if m < 1:
         raise ValueError("order must be at least 1")
     g = a.algebra

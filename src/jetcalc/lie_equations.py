@@ -5,10 +5,12 @@ anchor-exactness checks, bracket closure, and conjugation of systems by
 arrows."""
 
 from fractions import Fraction
+from functools import reduce
+from math import lcm
 
 from .arrows import _inverse_table, _pushforward_vectors
 from .jets import vector_slots
-from .linalg import Echelon, invert, nullspace, rank
+from .linalg import Echelon, _int_row, determinant, invert, rank
 from .multiindex import (
     add,
     is_natural,
@@ -51,21 +53,16 @@ class StructureJet:
             if order(alpha) > order_:
                 raise ValueError("slot exceeds the declared jet order")
             c = _as_fraction(c)
-            if kind == "metric":
-                key = (min(i, j), max(i, j), alpha)
-                if key in table and table[key] != c:
-                    raise ValueError("inconsistent symmetric entries")
-                table[key] = c
-            else:
-                if i == j:
-                    if c != 0:
-                        raise ValueError("2-form diagonal must vanish")
-                    continue
-                key = (min(i, j), max(i, j), alpha)
-                v = c if i < j else -c
-                if key in table and table[key] != v:
-                    raise ValueError("inconsistent antisymmetric entries")
-                table[key] = v
+            if kind == "two_form" and i == j:
+                if c != 0:
+                    raise ValueError("2-form diagonal must vanish")
+                continue
+            key = (min(i, j), max(i, j), alpha)
+            v = -c if kind == "two_form" and i > j else c
+            if table.get(key, v) != v:
+                word = "symmetric" if kind == "metric" else "antisymmetric"
+                raise ValueError(f"inconsistent {word} entries")
+            table[key] = v
         self.coeffs = table
 
     @classmethod
@@ -99,11 +96,7 @@ class StructureJet:
         ]
 
     def is_invertible(self):
-        try:
-            invert(self.order0_matrix())
-        except ValueError:
-            return False
-        return True
+        return determinant(self.order0_matrix()) != 0
 
     def is_closed(self):
         """For 2-forms: whether the cyclic sum of first derivatives of
@@ -127,7 +120,9 @@ class StructureJet:
 
 class LinearJetSubspace:
     """A subspace of the order-k vector-jet fiber at a point, presented
-    by a basis in the canonical slot coordinates."""
+    by a basis in the canonical slot coordinates.  The basis may also be
+    given as an `Echelon` of equations: its nullspace on the fiber is
+    then the basis, independent by construction."""
 
     __slots__ = ("n", "k", "point", "basis", "_span")
 
@@ -136,13 +131,17 @@ class LinearJetSubspace:
         self.k = k
         self.point = tuple(_as_fraction(x) for x in point)
         width = len(vector_slots(n, k))
-        for v in basis:
-            if len(v) != width:
-                raise ValueError("basis vector has wrong fiber dimension")
-        # the echelon of the independence check answers every contains
-        self._span = Echelon()
-        for v in basis:
-            if not self._span.add_row(v):
+        # the echelon of the span answers every contains; an independence
+        # check builds it at once, otherwise the first contains does
+        self._span = None
+        if isinstance(basis, Echelon):
+            basis = basis.nullspace(width)
+        else:
+            for v in basis:
+                if len(v) != width:
+                    raise ValueError("basis vector has wrong fiber dimension")
+            self._span = Echelon(basis)
+            if self._span.rank < len(basis):
                 raise ValueError("basis is linearly dependent")
         self.basis = [list(v) for v in basis]
 
@@ -151,6 +150,8 @@ class LinearJetSubspace:
         return len(self.basis)
 
     def contains(self, vector):
+        if self._span is None:
+            self._span = Echelon(self.basis)
         return self._span.contains(vector)
 
     def contains_jet(self, jet_point):
@@ -167,8 +168,12 @@ class LinearJetSubspace:
 
 def _lie_derivative_rows(structure, k):
     """Equation rows of the prolonged infinitesimal invariance system
-    L_X (structure) = 0 on the order-k fiber, one row per component pair
-    and derivative multi-index of order <= k-1."""
+    L_X (structure) = 0 on the order-k fiber, one per multi-index alpha,
+    |alpha| <= k-1 in `multi_indices` order, and component pair.  Rows are
+    sparse {column: int}: the system is linear in the structure, whose
+    slots are scaled by the lcm of their denominators.  A row reads fiber
+    slots of order <= |alpha| + 1, which come first in the fiber, so the
+    order-(k-1) system is a prefix of the order-k one."""
     n = structure.n
     if k < 1:
         raise ValueError("system order must be at least 1")
@@ -178,45 +183,53 @@ def _lie_derivative_rows(structure, k):
         )
     if not structure.is_invertible():
         raise ValueError("structure is singular at the base point")
-    slots = vector_slots(n, k)
-    pos = {s: i for i, s in enumerate(slots)}
-    pairs = (
-        [(i, j) for i in range(n) for j in range(i, n)]
-        if structure.kind == "metric"
-        else [(i, j) for i in range(n) for j in range(i + 1, n)]
-    )
+    pos = {s: i for i, s in enumerate(vector_slots(n, k))}
+    e = [unit(n, a) for a in range(n)]
+    den = reduce(lcm, [c.denominator for c in structure.coeffs.values()], 1)
+    sign = 1 if structure.kind == "metric" else -1
+    # the nonzero slots as ints: g(u, v, gamma) listed under (u, gamma),
+    # and g(i, j, rest + e_a) under (i, j, rest) for the transport term
+    first, transport = {}, {}
+    for (i, j, gamma), c in structure.coeffs.items():
+        c = c.numerator * (den // c.denominator)
+        if c:
+            first.setdefault((i, gamma), []).append((j, c))
+            if i != j:
+                first.setdefault((j, gamma), []).append((i, sign * c))
+            for a in range(n):
+                if gamma[a]:
+                    transport.setdefault((i, j, sub(gamma, e[a])), []).append((a, c))
+    pairs = [(i, j) for i in range(n) for j in range(i + (sign < 0), n)]
     rows = []
     for alpha in multi_indices(n, k - 1):
         for i, j in pairs:
-            row = [Fraction(0)] * len(slots)
-            for beta in sub_indices(alpha):
-                c = multi_binomial(alpha, beta)
-                rest = sub(alpha, beta)
-                for a in range(n):
-                    # transport term xi^a d_a g_ij, differentiated
-                    s = structure.slot(i, j, add(rest, unit(n, a)))
-                    if s:
-                        row[pos[(a, beta)]] += c * s
-                    # frame terms g_aj d_i xi^a and g_ia d_j xi^a
-                    s = structure.slot(a, j, rest)
-                    if s:
-                        row[pos[(a, add(beta, unit(n, i)))]] += c * s
-                    s = structure.slot(i, a, rest)
-                    if s:
-                        row[pos[(a, add(beta, unit(n, j)))]] += c * s
-            rows.append(row)
+            row = {}
+            # d^alpha of xi^a d_a g_ij + g_aj d_i xi^a + g_ia d_j xi^a, with
+            # d^rest on g and d^beta on xi; g_aj = sign * g_ja
+            for rest in sub_indices(alpha):
+                hits = (transport.get((i, j, rest)), first.get((j, rest)), first.get((i, rest)))
+                if not any(hits):
+                    continue
+                beta = sub(alpha, rest)
+                c = multi_binomial(alpha, rest)
+                shifts = ((beta, c), (add(beta, e[i]), sign * c), (add(beta, e[j]), c))
+                for slots, (b, f) in zip(hits, shifts):
+                    for a, x in slots or ():
+                        col = pos[(a, b)]
+                        row[col] = row.get(col, 0) + f * x
+            rows.append({col: x for col, x in row.items() if x})
     return rows
 
 
 def killing_system(g, k):
-    """Linear equations for metric-preserving vector jets of order k."""
+    """Sparse equation rows for metric-preserving vector jets of order k."""
     if g.kind != "metric":
         raise ValueError("killing_system needs a metric structure jet")
     return _lie_derivative_rows(g, k)
 
 
 def symplectic_system(omega, k, require_closed=False):
-    """Linear equations for 2-form-preserving vector jets of order k."""
+    """Sparse equation rows for 2-form-preserving vector jets of order k."""
     if omega.kind != "two_form":
         raise ValueError("symplectic_system needs a 2-form structure jet")
     if omega.n % 2 != 0:
@@ -228,14 +241,8 @@ def symplectic_system(omega, k, require_closed=False):
 
 def solve_system(structure, k):
     """Solution subspace of the invariance system on the order-k fiber."""
-    rows = (
-        killing_system(structure, k)
-        if structure.kind == "metric"
-        else symplectic_system(structure, k)
-    )
-    width = len(vector_slots(structure.n, k))
-    basis = nullspace(rows, cols=width)
-    return LinearJetSubspace(structure.n, k, structure.point, basis)
+    system = killing_system if structure.kind == "metric" else symplectic_system
+    return LinearJetSubspace(structure.n, k, structure.point, Echelon(system(structure, k)))
 
 
 def restrict_projection(sub, m):
@@ -256,21 +263,32 @@ def prolongation_report(structure, k_max):
 
 
 def _prolongation(structure, k_max):
-    """The prolongation report and the order-k_max solution subspace."""
-    orders = []
-    prev = None
+    """The prolongation report and the order-k_max solution subspace.
+    The order-k system is a prefix of the order-k_max one, so one echelon
+    grows by the rows of |alpha| = k-1 at each order k, and its nullspace
+    on the order-k fiber is the order-k solution subspace."""
+    system = killing_system if structure.kind == "metric" else symplectic_system
+    rows = system(structure, k_max)
+    per_alpha = len(rows) // len(multi_indices(structure.n, k_max - 1))
+    equations, orders, prev, done = Echelon(), [], None, 0
     for k in range(1, k_max + 1):
-        sub = solve_system(structure, k)
+        top = per_alpha * len(multi_indices(structure.n, k - 1))
+        for row in rows[done:top]:
+            equations.add_row(row)
+        sub = LinearJetSubspace(structure.n, k, structure.point, equations)
         entry = {"k": k, "dim": sub.dim}
         if prev is not None:
             images, rk, ker = restrict_projection(sub, k - 1)
             onto = rk == prev.dim
             entry.update(projection_rank=rk, kernel_dim=ker, surjective=onto,
                          bijective=onto and ker == 0)
-            if images and not all(prev.contains(v) for v in images):
+            # each image must solve the order-(k-1) rows; checked on int multiples
+            ints = [_int_row(v) for v in images]
+            if any(sum(x * v.get(c, 0) for c, x in row.items()) for row in rows[:done] for v in ints):
                 raise AssertionError("projection left the lower solution space")
         orders.append(entry)
         prev = sub
+        done = top
     return {"kind": structure.kind, "n": structure.n, "k_max": k_max, "orders": orders}, prev
 
 
@@ -378,8 +396,7 @@ def atiyah_exactness(sub):
     """Anchor surjectivity onto the tangent fiber and the kernel
     dimension identity for a solution subspace."""
     n = sub.n
-    anchor = [v[:n] for v in sub.basis]
-    anchor_rank = rank(anchor) if anchor else 0
+    anchor_rank = rank([v[:n] for v in sub.basis])
     kernel_dim = sub.dim - anchor_rank
     return {
         "dim": sub.dim,

@@ -14,7 +14,7 @@ formula)."""
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import Echelon, matmul, nullspace, rank, rref, solve, zeros
+from .linalg import Echelon, matmul, nullspace, rank, zeros
 
 
 class FiniteLieAlgebra:
@@ -66,13 +66,9 @@ class FiniteLieAlgebra:
         return not self.structure
 
     def adjoint_module(self):
-        mats = []
-        for i in range(self.dim):
-            m = zeros(self.dim, self.dim)
-            for (a, j, k), c in self.structure.items():
-                if a == i:
-                    m[k][j] += c
-            mats.append(m)
+        mats = [zeros(self.dim, self.dim) for _ in range(self.dim)]
+        for (i, j, k), c in self.structure.items():
+            mats[i][k][j] += c
         return LieModule(self, self.dim, mats)
 
     def trivial_module(self, m=1):
@@ -194,13 +190,8 @@ def ce_cohomology_dims(g, module, r_max):
     prev_rank = 0
     for r in range(r_max + 1):
         n_cochains = len(_cochain_keys(g.dim, r)) * module.dim
-        if r < g.dim:
-            mat, _, _ = ce_differential_matrix(g, module, r)
-            rk = rank(mat) if mat else 0
-        else:
-            rk = 0
-        kernel_dim = n_cochains - rk
-        dims.append(kernel_dim - prev_rank)
+        rk = rank(ce_differential_matrix(g, module, r)[0]) if r < g.dim else 0
+        dims.append(n_cochains - rk - prev_rank)
         prev_rank = rk
     return dims
 
@@ -279,49 +270,40 @@ class ExtensionData:
                 raise ValueError("span is not an ideal")
         # quotient structure constants
         qpos = {e: i for i, e in enumerate(q_indices)}
-        q_struct = {}
-        for (i, j, k), c in E.structure.items():
-            if i in a_set or j in a_set:
-                continue
-            if k in a_set:
-                continue
-            q_struct[(qpos[i], qpos[j], qpos[k])] = (
-                q_struct.get((qpos[i], qpos[j], qpos[k]), Fraction(0)) + c
-            )
+        q_struct = {
+            (qpos[i], qpos[j], qpos[k]): c
+            for (i, j, k), c in E.structure.items()
+            if not a_set & {i, j, k}
+        }
         self.Q = FiniteLieAlgebra(len(q_indices), q_struct, check=False)
         self.q_lift = q_indices
         self.a_coords = a_indices
         self.cocycle = extension_two_cocycle(self)
 
     def ideal_is_abelian(self):
+        # the structure table holds only nonzero constants
         a_set = set(self.a_coords)
-        for (i, j, k), c in self.E.structure.items():
-            if i in a_set and j in a_set and c != 0:
-                return False
-        return True
+        return not any(i in a_set and j in a_set for i, j, _ in self.E.structure)
 
     def ideal_algebra(self):
         apos = {e: i for i, e in enumerate(self.a_coords)}
-        a_set = set(self.a_coords)
-        struct = {}
-        for (i, j, k), c in self.E.structure.items():
-            if i in a_set and j in a_set:
-                struct[(apos[i], apos[j], apos[k])] = c
-        return FiniteLieAlgebra(len(self.a_coords), struct, check=False)
+        struct = {
+            (apos[i], apos[j], apos[k]): c
+            for (i, j, k), c in self.E.structure.items() if i in apos and j in apos
+        }
+        return FiniteLieAlgebra(len(apos), struct, check=False)
 
     def kernel_module(self):
         """A as a Q-module via the adjoint action through the section."""
         if not self.ideal_is_abelian():
             raise ValueError("module structure needs an abelian ideal")
         apos = {e: i for i, e in enumerate(self.a_coords)}
-        mats = []
-        for qe in self.q_lift:
-            m = zeros(len(self.a_coords), len(self.a_coords))
-            for (i, j, k), c in self.E.structure.items():
-                if i == qe and j in apos and k in apos:
-                    m[apos[k]][apos[j]] += c
-            mats.append(m)
-        return LieModule(self.Q, len(self.a_coords), mats, check=False)
+        qpos = {e: i for i, e in enumerate(self.q_lift)}
+        mats = [zeros(len(apos), len(apos)) for _ in qpos]
+        for (i, j, k), c in self.E.structure.items():
+            if i in qpos and j in apos and k in apos:
+                mats[qpos[i]][apos[k]][apos[j]] += c
+        return LieModule(self.Q, len(apos), mats, check=False)
 
 
 def extension_two_cocycle(ext):
@@ -361,9 +343,19 @@ def is_split(ext):
     of the section defect in H^2(Q, A); only valid for abelian ideals."""
     if not ext.ideal_is_abelian():
         raise ValueError("splitting test needs an abelian ideal")
-    mat, _, out_keys = ce_differential_matrix(ext.Q, ext.kernel_module(), 1)
-    rhs = [x for key in out_keys for x in ext.cocycle[key]]
-    return solve(mat, rhs) is not None if mat else all(x == 0 for x in rhs)
+    Q, module = ext.Q, ext.kernel_module()
+    in_pos = {key: i * module.dim for i, key in enumerate(_cochain_keys(Q.dim, 1))}
+    rhs = len(in_pos) * module.dim
+    # the rows of [d | cocycle] for d from 1- to 2-cochains, sparse; d x =
+    # cocycle is inconsistent iff the rhs column's unit vector is in the span
+    span = Echelon()
+    for okey in _cochain_keys(Q.dim, 2):
+        rows = [{rhs: x} for x in ext.cocycle[okey]]
+        for a, key, b, c in _ce_entries(Q, module, okey):
+            rows[a][in_pos[key] + b] = rows[a].get(in_pos[key] + b, 0) + c
+        for row in rows:
+            span.add_row(row)
+    return not span.contains({rhs: 1})
 
 
 def nilpotency_analysis(g):
@@ -373,19 +365,11 @@ def nilpotency_analysis(g):
     dims = [g.dim]
     current = basis
     while True:
-        next_span = []
-        for u in basis:
-            for v in current:
-                b = g.bracket(u, v)
-                if any(x != 0 for x in b):
-                    next_span.append(b)
-        reduced, pivots = rref(next_span)
-        dim = len(pivots)
-        dims.append(dim)
-        if dim == 0 or dim == dims[-2]:
+        span = Echelon(g.bracket(u, v) for u in basis for v in current)
+        dims.append(span.rank)
+        if span.rank in (0, dims[-2]):
             break
-        # basis of the next term
-        current = reduced[:dim]
+        current = span.dense_rows(g.dim)  # a basis of the next term
     return {
         "lower_central_series_dims": dims,
         "nilpotent": dims[-1] == 0,

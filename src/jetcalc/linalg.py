@@ -3,7 +3,9 @@
 Matrices are lists of lists of exact scalars (Fraction, int or a
 rational string); results are Fractions.  One elimination kernel sits
 under everything: `Echelon`, the reduced row echelon form of a row space
-kept as sparse rows `{column: Fraction}` and grown one row at a time.
+grown one row at a time.  It takes dense rows or sparse `{column: value}`
+rows and works fraction-free: each pivot row is a primitive int row over
+one positive int pivot, and Fractions appear only where the RREF is read.
 `rref`, `rank`, `nullspace`, `solve`, `invert`, `row_space_contains` and
 `same_row_space` are thin views of it, and a caller that tests many
 vectors against one span keeps the `Echelon` and calls `contains`.
@@ -13,44 +15,57 @@ tolerance decisions anywhere.
 """
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, permutations
+from math import gcd, lcm
 
 
-def _sparse(vector):
-    """Nonzero entries of a dense vector as {column: Fraction}."""
+def _int_row(vector):
+    """A dense or {column: value} row as {column: int}, its nonzero
+    entries times the lcm of their denominators."""
     row = {}
-    for c, x in enumerate(vector):
+    for c, x in vector.items() if isinstance(vector, dict) else enumerate(vector):
         # convert before testing: the string "0" is truthy
-        if not isinstance(x, Fraction):
+        if not isinstance(x, (int, Fraction)):
             x = Fraction(x)
         if x:
             row[c] = x
-    return row
+    den = reduce(lcm, [x.denominator for x in row.values()], 1)
+    return {c: x.numerator * (den // x.denominator) for c, x in row.items()}
 
 
-def _subtract(row, f, tail):
-    """row -= f * tail in place, dropping entries that cancel."""
+def _combine(s, row, f, tail):
+    """row = s * row - f * tail in place, dropping entries that cancel."""
+    if s != 1:
+        for c in row:
+            row[c] *= s
     for c, x in tail.items():
-        y = row.get(c)
-        if y is None:
-            row[c] = -f * x
+        y = row.get(c, 0) - f * x
+        if y:
+            row[c] = y
         else:
-            y -= f * x
-            if y:
-                row[c] = y
-            else:
-                del row[c]
+            del row[c]
+
+
+def _primitive(d, row):
+    """(d, row) divided by the gcd of d and the row's entries, d > 0."""
+    g = reduce(gcd, row.values(), abs(d))
+    if d < 0:
+        g = -g
+    return (d, row) if g == 1 else (d // g, {c: x // g for c, x in row.items()})
 
 
 class Echelon:
     """Reduced row echelon form of the span of the rows added so far.
 
-    Each pivot column maps to the tail of its row: the entries right of
-    the pivot outside every pivot column (the pivot entry itself is 1).
-    A new row is reduced on the existing pivots, its smallest remaining
-    column becomes a pivot, the row is normalised and that column is
-    cleared from the other rows.  The result is the unique RREF of the
-    span, whatever order the rows come in.
+    Each pivot column maps to (d, tail): the RREF row has 1 at the pivot
+    and x / d at each column c of tail, which lists the entries right of
+    the pivot outside every pivot column.  d > 0 and the ints d, *tail
+    share no factor, so the pair is unique.  A new row is reduced on the
+    existing pivots by cross-multiplication, its smallest remaining
+    column becomes a pivot, and that column is cleared from the other
+    rows.  The result is the unique RREF of the span, whatever order the
+    rows come in.
     """
 
     __slots__ = ("_rows",)
@@ -69,39 +84,46 @@ class Echelon:
         return sorted(self._rows)
 
     def _reduce(self, row):
+        """A nonzero multiple of the int row minus its span part."""
         rows = self._rows
         for p in [c for c in row if c in rows]:
-            _subtract(row, row.pop(p), rows[p])
+            f = row.pop(p)
+            d, tail = rows[p]
+            g = gcd(f, d)
+            _combine(d // g, row, f // g, tail)
         return row
 
     def contains(self, vector):
         """True iff the vector lies in the span."""
-        return not self._reduce(_sparse(vector))
+        return not self._reduce(_int_row(vector))
 
     def add_row(self, vector):
         """Add a vector to the span; True iff it raised the rank."""
-        row = self._reduce(_sparse(vector))
+        row = self._reduce(_int_row(vector))
         if not row:
             return False
         q = min(row)
-        pv = row.pop(q)
-        if pv != 1:
-            row = {c: x / pv for c, x in row.items()}
-        for tail in self._rows.values():
-            f = tail.pop(q, None)
+        pv, row = _primitive(row.pop(q), row)
+        rows = self._rows
+        for p, (d, tail) in rows.items():
+            f = tail.get(q)
             if f is not None:
-                _subtract(tail, f, row)
-        self._rows[q] = row
+                h = gcd(f, pv)
+                _combine(pv // h, tail, f // h, row)
+                del tail[q]
+                rows[p] = _primitive(d * (pv // h), tail)
+        rows[q] = (pv, row)
         return True
 
     def dense_rows(self, width):
         """The nonzero RREF rows, in pivot order, as dense lists."""
         out = []
         for p in sorted(self._rows):
+            d, tail = self._rows[p]
             r = [Fraction(0)] * width
             r[p] = Fraction(1)
-            for c, x in self._rows[p].items():
-                r[c] = x
+            for c, x in tail.items():
+                r[c] = Fraction(x, d)
             out.append(r)
         return out
 
@@ -113,9 +135,9 @@ class Echelon:
         basis = [[Fraction(0)] * width for _ in free]
         for i, c in enumerate(free):
             basis[i][c] = Fraction(1)
-        for p, tail in self._rows.items():
+        for p, (d, tail) in self._rows.items():
             for c, x in tail.items():
-                basis[index[c]][p] = -x
+                basis[index[c]][p] = Fraction(-x, d)
         return basis
 
 
@@ -157,8 +179,8 @@ def solve(matrix, rhs):
     if ncols in ech._rows:
         return None
     x = [Fraction(0)] * ncols
-    for p, tail in ech._rows.items():
-        x[p] = tail.get(ncols, Fraction(0))
+    for p, (d, tail) in ech._rows.items():
+        x[p] = Fraction(tail.get(ncols, 0), d)
     return x
 
 

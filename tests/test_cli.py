@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -112,19 +113,39 @@ def test_prolong_builtin_and_scenario_exclude_each_other(capsys, tmp_path):
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
 
-def test_plain_reports_match_recorded_digests(capsys):
-    """The recorded ops that need no scenario file and draw no random
-    sections (klein, extension, prolong --builtin) print reports whose
-    sha256 equals the digest in perfbench/golden.json, which is only read."""
+def _perfbench_workloads():
+    """perfbench/workloads.py, imported from its file without touching it."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", GOLDEN.parent / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_plain_reports_match_recorded_digests(capsys, tmp_path):
+    """Every recorded klein, extension and prolong op prints a report whose
+    sha256 equals its digest in perfbench/golden.json.  The prolong ops
+    that read a scenario file are regenerated from the workload seed by
+    perfbench/workloads.py and their files written under tmp_path; the
+    perfbench files are only read."""
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     plain = {
         key: digest for key, digest in golden.items()
-        if key.split()[0] in ("klein", "extension") or key.startswith("prolong --builtin")
+        if key.split()[0] in ("klein", "extension", "prolong")
     }
-    assert len(plain) == 29
+    assert len(plain) == 176
+    assert sum(key.startswith("prolong") for key in plain) == 152
+    workloads = _perfbench_workloads()
+    ops = {op.key(): op for op in workloads.take(workloads.cli_schedule("prolong", 0), 200)}
     drifted = []
     for key, digest in sorted(plain.items()):
-        code, out = run_cli(capsys, *key.split())
+        argv = key.split()
+        if "--scenario" in argv:
+            argv = list(ops[key].argv)
+            for name, data in ops[key].files.items():
+                path = tmp_path / f"{name}.json"
+                path.write_bytes(data)
+                argv = [a.replace("{" + name + "}", str(path)) for a in argv]
+        code, out = run_cli(capsys, *argv)
         if code != 0 or hashlib.sha256(out.encode()).hexdigest() != digest:
             drifted.append(key)
     assert drifted == []

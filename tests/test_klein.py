@@ -1,3 +1,5 @@
+import json
+import random
 from fractions import Fraction
 from functools import partial
 
@@ -200,3 +202,41 @@ def test_high_degree_field_stabilizes_at_its_degree():
     rep = isotropy_filtration(a)
     assert rep["dims"] == [1] * 11 + [0, 0]
     assert rep["order"] == 11 and rep["stabilized"] and rep["ghost_dim"] == 0
+
+
+def test_top_order_jet_homomorphism_check_implies_the_lower_ones():
+    """On realizations built unchecked that break the homomorphism, the
+    order-m check fails whenever a lower-order one does, so the CLI's one
+    check at order + 1 equals the checks at every order up to it."""
+    rng = random.Random(5)
+    lower_failures = 0
+    for trial in range(12):
+        good = build_projective_example(1 + trial % 2)
+        n = good.n
+        fields = [list(f) for f in good.fields]
+        b, i = rng.randrange(len(fields)), rng.randrange(n)
+        alpha = tuple(rng.randint(0, 2) for _ in range(n))
+        fields[b][i] = fields[b][i] + Poly.monomial(n, alpha, rng.choice((-1, 1, 2)))
+        bad = RealizedLieAlgebra(good.algebra, fields, good.point, check=False)
+        assert not validate_realization(bad)[0]
+        checks = [sigma_homomorphism_check(bad, m) for m in range(1, 5)]
+        for top in range(len(checks)):
+            assert checks[top] == all(checks[: top + 1])
+        lower_failures += not all(checks[:2])
+    assert lower_failures
+
+
+def test_klein_cli_validates_once_and_checks_the_top_order(monkeypatch, capsys):
+    import jetcalc.klein
+    from jetcalc.cli import main
+
+    calls = []
+    for name in ("validate_realization", "sigma_homomorphism_check"):
+        real = getattr(jetcalc.klein, name)
+        monkeypatch.setattr(
+            jetcalc.klein, name,
+            lambda *args, real=real, name=name: calls.append((name, args[1:])) or real(*args),
+        )
+    assert main(["klein", "--builtin", "projective", "--n", "2"]) == 0
+    order = json.loads(capsys.readouterr().out)["results"]["order"]
+    assert calls == [("validate_realization", ()), ("sigma_homomorphism_check", (order + 1,))]

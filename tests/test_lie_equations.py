@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -9,6 +10,7 @@ from jetcalc.lie_equations import (
     Christoffel,
     LinearJetSubspace,
     StructureJet,
+    _prolongation,
     ad_transform_subspace,
     atiyah_exactness,
     bracket_closure_check,
@@ -22,7 +24,8 @@ from jetcalc.lie_equations import (
     subspaces_equal,
     symplectic_system,
 )
-from jetcalc.linalg import invert
+from jetcalc.linalg import Echelon, invert, nullspace
+from jetcalc.multiindex import add, multi_binomial, multi_indices, sub, sub_indices, unit
 from jetcalc.poly import Poly
 
 
@@ -290,3 +293,145 @@ def test_ad_transform_by_shear_matches_transformed_metric():
         {(i, j, (0, 0)): h[i][j] for i in range(2) for j in range(2)},
     )
     assert subspaces_equal(moved, solve_system(pushed, 2))
+
+
+# ---------------------------------------------------------------------------
+# incremental prolongation against the per-order dense builder it replaced,
+# kept here as the oracle
+
+
+def oracle_rows(structure, k):
+    """The order-k invariance rows, dense Fraction lists built slot by slot."""
+    n = structure.n
+    pos = {s: i for i, s in enumerate(vector_slots(n, k))}
+    pairs = [(i, j) for i in range(n) for j in range(i + (structure.kind != "metric"), n)]
+    rows = []
+    for alpha in multi_indices(n, k - 1):
+        for i, j in pairs:
+            row = [Fraction(0)] * len(pos)
+            for beta in sub_indices(alpha):
+                c = multi_binomial(alpha, beta)
+                rest = sub(alpha, beta)
+                for a in range(n):
+                    row[pos[(a, beta)]] += c * structure.slot(i, j, add(rest, unit(n, a)))
+                    row[pos[(a, add(beta, unit(n, i)))]] += c * structure.slot(a, j, rest)
+                    row[pos[(a, add(beta, unit(n, j)))]] += c * structure.slot(i, a, rest)
+            rows.append(row)
+    return rows
+
+
+def oracle_prolongation(structure, k_max):
+    """Report and top basis, each order solved from scratch by `nullspace`."""
+    orders, prev = [], None
+    for k in range(1, k_max + 1):
+        width = len(vector_slots(structure.n, k))
+        sub_k = LinearJetSubspace(
+            structure.n, k, structure.point, nullspace(oracle_rows(structure, k), cols=width)
+        )
+        entry = {"k": k, "dim": sub_k.dim}
+        if prev is not None:
+            images, rk, ker = restrict_projection(sub_k, k - 1)
+            assert all(prev.contains(v) for v in images)
+            entry.update(projection_rank=rk, kernel_dim=ker, surjective=rk == prev.dim,
+                         bijective=rk == prev.dim and ker == 0)
+        orders.append(entry)
+        prev = sub_k
+    return {"kind": structure.kind, "n": structure.n, "k_max": k_max, "orders": orders}, prev.basis
+
+
+def seeded_structure(kind, n, order, density, seed):
+    """An invertible metric or nondegenerate 2-form jet at a seeded point:
+    the flat order-0 part plus a seeded coupling, and a seeded share of
+    the higher slots set to small rationals."""
+    rng = random.Random(seed)
+    pairs = [(i, j) for i in range(n) for j in range(i + (kind != "metric"), n)]
+    zero = (0,) * n
+    if kind == "metric":
+        coeffs = {(i, i, zero): n + rng.randint(0, 2) for i in range(n)}
+        coeffs.update({(i, j, zero): rng.choice((-1, 0, 1)) for i, j in pairs if i < j})
+    else:
+        coeffs = {(i, i + 1, zero): rng.randint(1, 3) for i in range(0, n, 2)}
+    for alpha in multi_indices(n, order, k_min=1):
+        for i, j in pairs:
+            if rng.random() < density:
+                coeffs[(i, j, alpha)] = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+    point = tuple(rng.randint(-2, 2) for _ in range(n))
+    return StructureJet(kind, n, order, point, coeffs)
+
+
+# (kind, n, k_max, density): flat and generic, n = 2..4, k <= 4, each cheap
+PROLONG_CASES = [
+    ("metric", 2, 4, 0.0), ("metric", 2, 4, 0.6), ("two_form", 2, 4, 0.0),
+    ("two_form", 2, 4, 0.6), ("metric", 3, 4, 0.0), ("metric", 3, 3, 0.15),
+    ("metric", 3, 2, 1.0), ("two_form", 4, 3, 0.0), ("two_form", 4, 2, 0.3),
+    ("metric", 4, 3, 0.0), ("metric", 4, 2, 0.1),
+]
+
+
+@pytest.mark.parametrize("case", PROLONG_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_incremental_prolongation_matches_per_order_oracle(case):
+    kind, n, k_max, density = case
+    for seed in range(2):
+        structure = seeded_structure(kind, n, k_max, density, seed)
+        report, top = _prolongation(structure, k_max)
+        want_report, want_basis = oracle_prolongation(structure, k_max)
+        assert report == want_report == prolongation_report(structure, k_max)
+        assert top.basis == want_basis == solve_system(structure, k_max).basis
+        assert all(type(x) is Fraction for v in top.basis for x in v)
+
+
+@pytest.mark.parametrize("case", PROLONG_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_invariance_rows_are_scaled_oracle_rows_and_grow_by_prefix(case):
+    kind, n, k_max, density = case
+    structure = seeded_structure(kind, n, k_max, density, 0)
+    system = killing_system if kind == "metric" else symplectic_system
+    den = lcm(*[c.denominator for c in structure.coeffs.values()])
+    prev = []
+    for k in range(1, k_max + 1):
+        rows = system(structure, k)
+        width = len(vector_slots(n, k))
+        # the oracle's rows, times the lcm of the structure's denominators
+        dense = [[Fraction(row.get(c, 0)) for c in range(width)] for row in rows]
+        assert dense == [[den * x for x in row] for row in oracle_rows(structure, k)]
+        # the rows with |alpha| <= k-2 are the order-(k-1) rows, zero-padded
+        assert rows[: len(prev)] == prev
+        assert all(0 <= c < width and type(x) is int and x for row in rows for c, x in row.items())
+        prev = rows
+
+
+def test_subspace_from_equations_is_their_nullspace():
+    structure = seeded_structure("metric", 3, 2, 0.5, 1)
+    rows = killing_system(structure, 2)
+    width = len(vector_slots(3, 2))
+    sub = LinearJetSubspace(3, 2, structure.point, Echelon(rows))
+    assert sub.basis == nullspace([[row.get(c, 0) for c in range(width)] for row in rows])
+    assert all(sub.contains(v) for v in sub.basis)
+    # a vector that breaks one equation is not in the subspace
+    c, x = next(iter(rows[0].items()))
+    off = [Fraction(0)] * width
+    off[c] = Fraction(1, x)
+    assert not sub.contains([a + b for a, b in zip(sub.basis[0], off)])
+    assert subspaces_equal(sub, LinearJetSubspace(3, 2, structure.point, sub.basis))
+
+
+def _break_first(vectors):
+    vectors[0] = [x + 1 for x in vectors[0]]
+    return vectors
+
+
+def test_prolongation_checks_projected_images_against_lower_rows(monkeypatch):
+    """The cross-check reads the computed solutions: a wrong projected
+    image, or a wrong nullspace vector, trips it."""
+    import jetcalc.lie_equations as le
+
+    real_restrict, real_nullspace = le.restrict_projection, Echelon.nullspace
+    monkeypatch.setattr(
+        le, "restrict_projection",
+        lambda sub, m: (_break_first(real_restrict(sub, m)[0]),) + real_restrict(sub, m)[1:],
+    )
+    with pytest.raises(AssertionError, match="projection left the lower solution space"):
+        _prolongation(flat_metric(), 2)
+    monkeypatch.setattr(le, "restrict_projection", real_restrict)
+    monkeypatch.setattr(Echelon, "nullspace", lambda self, w: _break_first(real_nullspace(self, w)))
+    with pytest.raises(AssertionError, match="projection left the lower solution space"):
+        _prolongation(flat_metric(), 2)

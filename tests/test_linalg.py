@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import QQ
@@ -235,3 +236,183 @@ def test_subspace_contains_agrees_with_rank_test():
                 v = [Fraction(rng.choice((0, 0, 0, 1, -1))) for _ in range(width)]
             old = rank(basis + [v]) == dim
             assert sub.contains(v) == old
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the fraction-free echelon against the Fraction one it
+# replaced, kept here as the oracle
+
+
+def _oracle_sparse(vector):
+    """Nonzero entries of a dense vector as {column: Fraction}."""
+    row = {}
+    for c, x in enumerate(vector):
+        x = Fraction(x)
+        if x:
+            row[c] = x
+    return row
+
+
+def _oracle_subtract(row, f, tail):
+    """row -= f * tail in place, dropping entries that cancel."""
+    for c, x in tail.items():
+        y = row.get(c, 0) - f * x
+        if y:
+            row[c] = y
+        else:
+            row.pop(c, None)
+
+
+class FractionEchelon:
+    """The RREF kept as {pivot: tail} with Fraction tails and pivot 1."""
+
+    def __init__(self, rows=()):
+        self.rows = {}
+        for v in rows:
+            self.add_row(v)
+
+    def _reduce(self, row):
+        for p in [c for c in row if c in self.rows]:
+            _oracle_subtract(row, row.pop(p), self.rows[p])
+        return row
+
+    def add_row(self, vector):
+        row = self._reduce(_oracle_sparse(vector))
+        if not row:
+            return False
+        q = min(row)
+        pv = row.pop(q)
+        row = {c: x / pv for c, x in row.items()}
+        for tail in self.rows.values():
+            f = tail.pop(q, None)
+            if f is not None:
+                _oracle_subtract(tail, f, row)
+        self.rows[q] = row
+        return True
+
+    def dense_rows(self, width):
+        out = []
+        for p in sorted(self.rows):
+            r = [Fraction(0)] * width
+            r[p] = Fraction(1)
+            for c, x in self.rows[p].items():
+                r[c] = x
+            out.append(r)
+        return out
+
+    def nullspace(self, width):
+        free = [c for c in range(width) if c not in self.rows]
+        basis = [[Fraction(int(c == f)) for c in range(width)] for f in free]
+        for p, tail in self.rows.items():
+            for c, x in tail.items():
+                basis[free.index(c)][p] = -x
+        return basis
+
+
+def oracle_rref(matrix):
+    if not matrix:
+        return [], []
+    cols = len(matrix[0])
+    ech = FractionEchelon(matrix)
+    out = ech.dense_rows(cols) + [[Fraction(0)] * cols for _ in range(len(matrix) - len(ech.rows))]
+    return out, sorted(ech.rows)
+
+
+def oracle_solve(matrix, rhs):
+    ncols = len(matrix[0])
+    ech = FractionEchelon(list(row) + [b] for row, b in zip(matrix, rhs))
+    if ncols in ech.rows:
+        return None
+    x = [Fraction(0)] * ncols
+    for p, tail in ech.rows.items():
+        x[p] = tail.get(ncols, Fraction(0))
+    return x
+
+
+def oracle_invert(matrix):
+    n = len(matrix)
+    ech = FractionEchelon(list(row) + e for row, e in zip(matrix, identity(n)))
+    if sorted(ech.rows)[:n] != list(range(n)):
+        return None
+    return [row[n:] for row in ech.dense_rows(2 * n)]
+
+
+BIG = 10**60
+
+# numerators and denominators up to 10^60 of both signs (a Fraction moves
+# the sign of its denominator to the numerator), rational strings, and
+# zeros of every kind
+BIG_ENTRIES = st.one_of(
+    st.just(0),
+    st.just("0"),
+    st.just(Fraction(0)),
+    st.integers(-BIG, BIG),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG) | st.integers(-BIG, -1)),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-BIG, BIG), st.integers(1, BIG)),
+    st.sampled_from(["1", "-2", "1/2", "-3/4", " 5 "]),
+    st.integers(-3, 3),
+)
+
+
+@st.composite
+def rich_matrices(draw, square=False):
+    """Matrices with big and string entries, zero and duplicate rows, in
+    a shuffled row order; half of them mostly zeros."""
+    cols = draw(st.integers(1, 6))
+    rows = cols if square else draw(st.integers(1, 6))
+    entry = BIG_ENTRIES
+    if draw(st.booleans()):
+        entry = st.one_of(st.just(0), st.just(0), st.just("0"), BIG_ENTRIES)
+    matrix = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    if not square:
+        for _ in range(draw(st.integers(0, 2))):
+            matrix.append(list(draw(st.sampled_from(matrix))))
+        for _ in range(draw(st.integers(0, 2))):
+            matrix.append([draw(st.sampled_from([0, "0", Fraction(0)])) for _ in range(cols)])
+        matrix = draw(st.permutations(matrix))
+    return matrix
+
+
+def _all_fractions(rows):
+    return all(type(x) is Fraction for row in rows for x in row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rich_matrices(), st.data())
+def test_fraction_free_kernel_matches_fraction_oracle(matrix, data):
+    cols = len(matrix[0])
+    got = rref(matrix)
+    assert got == oracle_rref(matrix)
+    assert _all_fractions(got[0])
+    null = nullspace(matrix, cols=cols)
+    assert null == FractionEchelon(matrix).nullspace(cols)
+    assert _all_fractions(null)
+    rhs = [data.draw(BIG_ENTRIES) for _ in matrix]
+    x = solve(matrix, rhs)
+    assert x == oracle_solve(matrix, rhs)
+    assert x is None or _all_fractions([x])
+    # the same rows as sparse {column: value} dicts, in another order
+    sparse = [{c: v for c, v in enumerate(row) if data.draw(st.booleans()) or Fraction(v)}
+              for row in data.draw(st.permutations(matrix))]
+    ech = Echelon(sparse)
+    assert ech.dense_rows(cols) == got[0][: ech.rank]
+    assert ech.nullspace(cols) == null
+    assert same_row_space(matrix, sparse)
+    other = data.draw(rich_matrices())
+    if len(other[0]) == cols:
+        assert same_row_space(matrix, other) == (
+            FractionEchelon(matrix).rows == FractionEchelon(other).rows
+        )
+
+
+@settings(max_examples=100, deadline=None)
+@given(rich_matrices(square=True))
+def test_fraction_free_invert_matches_fraction_oracle(matrix):
+    want = oracle_invert(matrix)
+    if want is None:
+        with pytest.raises(ValueError):
+            invert(matrix)
+        return
+    got = invert(matrix)
+    assert got == want
+    assert _all_fractions(got)
