@@ -20,9 +20,17 @@ into A, L^{-1} or C shares its truncated powers, and a transform of many
 jets along one arrow builds the table on C once for the private cores
 `_pushforward_vectors` (which also builds DA once for all its jets) and
 `_pushforward_function`.
+
+Each arrow pair is inverted once: `invert_arrow(a)` links a and its
+inverse both ways (`_inverse`), since the truncated inverse of the
+inverse is the arrow, and a pushforward along a linked arrow reads C
+from the link.  The slot table `coeffs` is a read-only view, so a link
+cannot go stale.  A pushforward along an unlinked arrow inverts only its
+order-k projection and links nothing.
 """
 
 from fractions import Fraction
+from types import MappingProxyType
 
 from .linalg import determinant, invert as mat_invert
 from .multiindex import factorial, multi_indices, order, unit
@@ -55,7 +63,7 @@ def _component_slots(polys):
 
 
 class Arrow:
-    __slots__ = ("n", "k", "source", "target", "coeffs")
+    __slots__ = ("n", "k", "source", "target", "coeffs", "_inverse")
 
     def __init__(self, n, k, source, target, coeffs=None):
         if n <= 0:
@@ -68,18 +76,15 @@ class Arrow:
         self.target = tuple(_as_fraction(x) for x in target)
         if len(self.source) != n or len(self.target) != n:
             raise ValueError("point dimension mismatch")
-        table = {
-            (i, alpha): Fraction(0)
-            for alpha in multi_indices(n, k, k_min=1)
-            for i in range(n)
-        }
-        if coeffs:
-            for (i, alpha), c in coeffs.items():
-                alpha = tuple(alpha)
-                if not 1 <= order(alpha) <= k:
-                    raise ValueError(f"arrow slot {alpha} out of range")
-                table[(i, alpha)] = _as_fraction(c)
-        self.coeffs = table
+        slots = [(i, alpha) for alpha in multi_indices(n, k, k_min=1) for i in range(n)]
+        table = dict.fromkeys(slots, Fraction(0))
+        for (i, alpha), c in (coeffs or {}).items():
+            s = (i, tuple(alpha))
+            if s not in table:
+                raise ValueError(f"{s} is not a slot of order at most {k}")
+            table[s] = _as_fraction(c)
+        self.coeffs = MappingProxyType(table)
+        self._inverse = None
         if determinant(self.linear_part()) == 0:
             raise ValueError("linear part of arrow is singular")
 
@@ -160,7 +165,10 @@ def invert_arrow(a):
     composite C(A(u)) is kept.  At degree d >= 2 its degree-d part R_d is
     the residual; the new layer -R_d(L^{-1} v) added to C cancels it, and
     only that layer's composite with A is added to the running sum.
+    The result and a are linked both ways; later calls return the link.
     """
+    if a._inverse is not None:
+        return a._inverse
     n, k = a.n, a.k
     on_a = PowerTable(a.displacement_polynomials(), k)
     linv = mat_invert(a.linear_part())
@@ -173,13 +181,20 @@ def invert_arrow(a):
         c_parts = [c + layer for c, layer in zip(c_parts, layers)]
         if d < k:  # the last layer's composite is never read
             running = [r + on_a.compose(layer) for r, layer in zip(running, layers)]
-    return Arrow(n, k, a.target, a.source, _component_slots(c_parts))
+    inv = Arrow(n, k, a.target, a.source, _component_slots(c_parts))
+    a._inverse, inv._inverse = inv, a
+    return inv
 
 
 def _inverse_table(a, k):
     """The power table of C(v), the inverse displacement, truncated at
-    degree k (an arrow has order at least 1)."""
-    return PowerTable(invert_arrow(a.project(max(k, 1))).displacement_polynomials(), k)
+    degree k: from a's linked inverse, or else from the inverse of a's
+    order-k projection (an arrow has order at least 1), linking nothing."""
+    inv = a._inverse
+    if inv is None:
+        inv = invert_arrow(a.project(max(k, 1)))
+        inv._inverse = None  # no cycle: the temporary pair is freed on return
+    return PowerTable(inv.displacement_polynomials(), k)
 
 
 def _pushforward_vectors(a, x_jets, back):

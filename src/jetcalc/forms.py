@@ -16,7 +16,7 @@ from functools import partial
 from itertools import combinations
 from math import factorial as int_factorial
 
-from .arrows import _pushforward_function, _pushforward_vectors, invert_arrow
+from .arrows import _inverse_table, _pushforward_function, _pushforward_vectors, invert_arrow
 from .jets import (
     FunctionJetPoint,
     FunctionJetSection,
@@ -29,7 +29,7 @@ from .jets import (
 )
 from .linalg import Echelon, _sign, determinant, identity, nullspace, solve
 from .multiindex import multi_indices, order
-from .poly import Poly, PowerTable, _as_fraction
+from .poly import Poly, _as_fraction
 from .spencer import basis_action, basis_bracket, jet_action, spencer_bracket
 
 
@@ -436,9 +436,8 @@ def arrow_transform_form_at(arrow, omega):
     p = arrow.target
     q = arrow.source
     inv = invert_arrow(arrow)
-    # the one inversion serves both ways: the inverse of inv is the arrow
-    back = PowerTable(arrow.displacement_polynomials(), k)
-    forward = PowerTable(inv.displacement_polynomials(), k)
+    back = _inverse_table(inv, k)
+    forward = _inverse_table(arrow, k)
     omega_q = form_at(omega, q)
     slots = vector_slots(n, k)
     units = [VectorJetPoint(n, k, p, {s: Fraction(1)}) for s in slots]

@@ -302,3 +302,116 @@ def test_groupoid_laws_property(triple):
     assert compose_arrows(inv, a) == Arrow.identity(n, k, a.source)
     assert compose_arrows(a, inv) == Arrow.identity(n, k, a.target)
     assert invert_arrow(inv) == a
+    # the line above reads the link; invert an unlinked copy to check the involution
+    assert invert_arrow(Arrow(inv.n, inv.k, inv.source, inv.target, inv.coeffs)) == a
+
+
+@pytest.mark.parametrize(
+    "slot",
+    [
+        (7, (1, 1)),  # no component 7
+        (0, (2, -1)),  # negative exponent
+        (0, (1, 1, 0)),  # three variables at n = 2
+        (0, (0, 0)),  # order 0 is the target, not a slot
+        (0, (2, 2)),  # above the arrow order
+    ],
+)
+def test_arrow_rejects_a_key_that_is_not_a_slot(slot):
+    coeffs = {(0, (1, 0)): 1, (1, (0, 1)): 1, slot: 1}
+    with pytest.raises(ValueError, match="is not a slot"):
+        Arrow(2, 3, (0, 0), (0, 0), coeffs)
+
+
+def _linked_setup():
+    """A nonlinear 3-arrow at n = 2 with a vector 2-jet and a function
+    3-jet at its source."""
+    comps = [
+        Poly(2, {(1, 0): 1, (0, 1): 2, (2, 0): 1, (1, 2): -1}),
+        Poly(2, {(0, 1): 1, (1, 1): 3, (0, 3): 1}),
+    ]
+    p = (Fraction(1), Fraction(-1, 2))
+    a = Arrow.from_polynomial_map(comps, 3, p)
+    x = prolong_vector_field([Poly(2, {(0, 2): 1, (1, 0): 2}), Poly(2, {(1, 1): -1})], 2).at(p)
+    f = prolong_function(Poly(2, {(3, 0): 1, (0, 1): -2, (1, 1): 1}), 3).at(p)
+    return a, x, f
+
+
+def _copy(a):
+    return Arrow(a.n, a.k, a.source, a.target, a.coeffs)
+
+
+def _counting_inversions(monkeypatch):
+    import jetcalc.arrows
+
+    real = jetcalc.arrows.invert_arrow
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(jetcalc.arrows, "invert_arrow", counting)
+    return calls
+
+
+def test_pushforwards_along_a_linked_pair_invert_nothing(monkeypatch):
+    """After invert_arrow(a), pushforwards along a and along its inverse
+    read the link and agree with pushforwards along unlinked copies."""
+    a, x, f = _linked_setup()
+    inv = invert_arrow(a)
+    x1 = pushforward_vector_jet(_copy(a), x)
+    f1 = pushforward_function_jet(_copy(a), f)
+    x2 = pushforward_vector_jet(_copy(inv), x1)
+    expected = [x1, f1, x2, pushforward_function_jet(_copy(inv), f1)]
+    calls = _counting_inversions(monkeypatch)
+    got = [
+        pushforward_vector_jet(a, x),
+        pushforward_function_jet(a, f),
+        pushforward_vector_jet(inv, x1),
+        pushforward_function_jet(inv, f1),
+    ]
+    assert calls == []
+    assert got == expected
+    assert got[2] == x and got[3] == f
+    assert invert_arrow(inv) is a and invert_arrow(a) is inv
+
+
+def test_pushforward_along_a_fresh_arrow_inverts_once_at_the_jet_order(monkeypatch):
+    """A fresh arrow's vector pushforward inverts only the order-k
+    projection and leaves the arrow unlinked: a second pushforward
+    inverts again, and inverting the arrow gives the full-order inverse."""
+    a, x, _ = _linked_setup()
+    calls = _counting_inversions(monkeypatch)
+    first = pushforward_vector_jet(a, x)
+    assert [c.k for c in calls] == [x.k]
+    assert pushforward_vector_jet(a, x) == first
+    assert len(calls) == 2
+    inv = invert_arrow(a)
+    assert inv.k == a.k
+
+
+def test_pushforward_along_a_fresh_arrow_leaves_no_cycle():
+    """The temporary inverse of the projection is freed on return, not
+    left for the cyclic garbage collector."""
+    import gc
+
+    a, x, f = _linked_setup()
+    gc.collect()
+    gc.disable()
+    try:
+        pushforward_vector_jet(a, x)
+        pushforward_function_jet(a, f)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_arrow_table_is_read_only_and_links_keep_equality():
+    a, _, _ = _linked_setup()
+    with pytest.raises(TypeError):
+        a.coeffs[(0, (1, 0))] = Fraction(5)
+    copy = _copy(a)
+    inv = invert_arrow(a)
+    assert a == copy and hash(a) == hash(copy)
+    assert invert_arrow(copy) == inv and hash(invert_arrow(copy)) == hash(inv)
+    assert invert_arrow(copy) is not inv

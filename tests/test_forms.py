@@ -349,7 +349,7 @@ def test_arrow_transform_form_over_a_family():
 
 def _transform_by_public_pushforwards(arrow, omega):
     """Reference: the transform of a form with every pushforward made by
-    the public functions, which invert their arrow each time."""
+    the public functions, one jet at a time."""
     from itertools import combinations
 
     from jetcalc.arrows import invert_arrow, pushforward_function_jet, pushforward_vector_jet

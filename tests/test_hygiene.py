@@ -62,6 +62,24 @@ def test_every_definition_is_referenced():
     assert unreferenced == []
 
 
+# private attributes and the one module that may read or write each
+PRIVATE = {"_num": "poly.py", "_den": "poly.py", "_inverse": "arrows.py"}
+
+
+def test_private_attributes_stay_in_their_module():
+    """Poly's numerators and denominator and an arrow's link to its
+    inverse are read and written only in the module defining them."""
+    leaks = sorted(
+        f"{p.relative_to(SRC.parent)}:{node.lineno} {node.attr}"
+        for p in sorted(SRC.rglob("*.py")) + sorted(TESTS.rglob("*.py"))
+        for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+        and node.attr in PRIVATE
+        and p != PACKAGE / PRIVATE[node.attr]
+    )
+    assert leaks == []
+
+
 def test_modules_import_only_the_standard_library():
     probe = (
         "import importlib, sys\n"
