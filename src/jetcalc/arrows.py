@@ -24,9 +24,15 @@ jets along one arrow builds the table on C once for the private cores
 Each arrow pair is inverted once: `invert_arrow(a)` links a and its
 inverse both ways (`_inverse`), since the truncated inverse of the
 inverse is the arrow, and a pushforward along a linked arrow reads C
-from the link.  The slot table `coeffs` is a read-only view, so a link
-cannot go stale.  A pushforward along an unlinked arrow inverts only its
-order-k projection and links nothing.
+from the link.  Every `invert_arrow` call links, so its pair is a
+reference cycle that lives until the cyclic garbage collector runs, not
+only until its last reference is dropped; `forms.arrow_transform_form_at`
+inverts its arrow and so links it too.  A pushforward along an unlinked
+arrow inverts only its order-k projection and links nothing: the arrow
+stays unlinked and the temporary pair is freed on return.  The slot
+table `coeffs` is a read-only view; the other fields of an arrow must
+not be reassigned either, or its link goes stale.  Pickling or copying
+an arrow drops its link.
 """
 
 from fractions import Fraction
@@ -128,6 +134,9 @@ class Arrow:
     def displacement_polynomials(self):
         """The components of A(u), the map minus its target in powers of u."""
         return _taylor_components(self.n, self.coeffs)
+
+    def __reduce__(self):
+        return (Arrow, (self.n, self.k, self.source, self.target, dict(self.coeffs)))
 
     def __eq__(self, other):
         return (

@@ -1,3 +1,5 @@
+import copy as copy_module
+import pickle
 import random
 from fractions import Fraction
 
@@ -415,3 +417,6 @@ def test_arrow_table_is_read_only_and_links_keep_equality():
     assert a == copy and hash(a) == hash(copy)
     assert invert_arrow(copy) == inv and hash(invert_arrow(copy)) == hash(inv)
     assert invert_arrow(copy) is not inv
+    for clone in (pickle.loads(pickle.dumps(a)), copy_module.deepcopy(a)):
+        assert clone == a and hash(clone) == hash(a)
+        assert invert_arrow(clone) == inv and invert_arrow(clone) is not inv
