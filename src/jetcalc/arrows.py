@@ -23,16 +23,14 @@ jets along one arrow builds the table on C once for the private cores
 
 Each arrow pair is inverted once: `invert_arrow(a)` links a and its
 inverse both ways (`_inverse`), since the truncated inverse of the
-inverse is the arrow, and a pushforward along a linked arrow reads C
-from the link.  Every `invert_arrow` call links, so its pair is a
-reference cycle that lives until the cyclic garbage collector runs, not
-only until its last reference is dropped; `forms.arrow_transform_form_at`
-inverts its arrow and so links it too.  A pushforward along an unlinked
-arrow inverts only its order-k projection and links nothing: the arrow
-stays unlinked and the temporary pair is freed on return.  The slot
-table `coeffs` is a read-only view; the other fields of an arrow must
-not be reassigned either, or its link goes stale.  Pickling or copying
-an arrow drops its link.
+inverse is the arrow, and every pushforward reads C from that link,
+inverting an unlinked arrow first.  Every `invert_arrow` call links, so
+its pair is a reference cycle that lives until the cyclic garbage
+collector runs, not only until its last reference is dropped; a
+pushforward or `forms.arrow_transform_form_at` along an unlinked arrow
+links it too.  The slot table `coeffs` is a read-only view; the other
+fields of an arrow must not be reassigned either, or its link goes
+stale.  Pickling or copying an arrow drops its link.
 """
 
 from fractions import Fraction
@@ -197,13 +195,8 @@ def invert_arrow(a):
 
 def _inverse_table(a, k):
     """The power table of C(v), the inverse displacement, truncated at
-    degree k: from a's linked inverse, or else from the inverse of a's
-    order-k projection (an arrow has order at least 1), linking nothing."""
-    inv = a._inverse
-    if inv is None:
-        inv = invert_arrow(a.project(max(k, 1)))
-        inv._inverse = None  # no cycle: the temporary pair is freed on return
-    return PowerTable(inv.displacement_polynomials(), k)
+    degree k, from a's linked inverse (inverting a once if unlinked)."""
+    return PowerTable((a._inverse or invert_arrow(a)).displacement_polynomials(), k)
 
 
 def _pushforward_vectors(a, x_jets, back):

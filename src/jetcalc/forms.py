@@ -515,14 +515,6 @@ def _matrix_of(op, n, k, r, in_layout, out_layout):
     return [list(row) for row in zip(*columns)]
 
 
-def _d_matrix(n, k, r, degree):
-    """Matrix of d from degree-r to degree-(r+1) forms with coefficient
-    degree <= degree (d never raises it), with both layouts."""
-    in_layout = _form_basis(n, k, r, degree)
-    out_layout = _form_basis(n, k, r + 1, degree)
-    return _matrix_of(exterior_derivative, n, k, r, in_layout, out_layout), in_layout, out_layout
-
-
 def local_exactness_check(n, k, r, poly_degree):
     """Solvability probe for d at one level of the complex.
 
@@ -531,40 +523,33 @@ def local_exactness_check(n, k, r, poly_degree):
     degree r-1 and coefficient degree <= poly_degree + 1 (for r >= 1).
     For r = 0 reports the kernel dimension of d instead.
     """
+    if r > n:
+        raise ValueError("complex is truncated at degree n")
+    in_layout = _form_basis(n, k, r, poly_degree)
+    if r == n:
+        # top of the complex: every form is closed
+        closed = identity(len(in_layout))
+    else:
+        out_layout = _form_basis(n, k, r + 1, poly_degree)  # d never raises the degree
+        matrix = _matrix_of(exterior_derivative, n, k, r, in_layout, out_layout)
+        closed = nullspace(matrix, cols=len(in_layout))
+    closed_forms = [_vector_to_form(n, k, r, in_layout, v) for v in closed]
     if r == 0:
-        matrix, in_layout, _ = _d_matrix(n, k, 0, poly_degree)
-        kernel = nullspace(matrix, cols=len(in_layout))
         return {
             "n": n,
             "k": k,
             "r": 0,
             "poly_degree": poly_degree,
-            "kernel_dimension": len(kernel),
-            "kernel_basis": [
-                _vector_to_form(n, k, 0, in_layout, v) for v in kernel
-            ],
+            "kernel_dimension": len(closed),
+            "kernel_basis": closed_forms,
         }
-    if r > n:
-        raise ValueError("complex is truncated at degree n")
-    if r == n:
-        # top of the complex: every form is closed
-        in_layout = _form_basis(n, k, r, poly_degree)
-        closed = identity(len(in_layout))
-    else:
-        matrix, in_layout, _ = _d_matrix(n, k, r, poly_degree)
-        closed = nullspace(matrix, cols=len(in_layout))
-    prev_matrix, prev_layout, target_layout = _d_matrix(n, k, r - 1, poly_degree + 1)
-    # closed vectors live in the degree <= poly_degree layout; re-embed
-    # them in the solve target layout
-    target_pos = {coord: i for i, coord in enumerate(target_layout)}
+    prev_layout = _form_basis(n, k, r - 1, poly_degree + 1)
+    target_layout = _form_basis(n, k, r, poly_degree + 1)
+    prev_matrix = _matrix_of(exterior_derivative, n, k, r - 1, prev_layout, target_layout)
     results = []
     solvable = 0
-    for v in closed:
-        omega = _vector_to_form(n, k, r, in_layout, v)
-        rhs = [Fraction(0)] * len(target_layout)
-        for coord, c in zip(in_layout, v):
-            rhs[target_pos[coord]] = c
-        sol = solve(prev_matrix, rhs)
+    for omega in closed_forms:
+        sol = solve(prev_matrix, _form_to_vector(omega, target_layout))
         ok = sol is not None
         solvable += ok
         results.append(

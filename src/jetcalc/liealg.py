@@ -6,15 +6,18 @@ and lower-central-series analysis.
 An algebra keeps its constants twice: flat, as validated, and indexed by
 basis pair (`FiniteLieAlgebra.rows`), so brackets and the Jacobi check
 visit only nonzero constants.  The Chevalley-Eilenberg differential is
-written once, in `_ce_entries`; the dense differential matrix and the
-2-cocycle check both read it, and relative cohomology reads it through
-that matrix: its invariance condition is a contraction of d (Cartan's
-formula)."""
+built once, as sparse rows by `ce_differential_rows`, and every reader
+takes those rows: cohomology, the 2-cocycle check and the splitting
+test.  Cohomology is relative cohomology over a subalgebra, the absolute
+kind being the zero subalgebra's; its dimensions are ranks of one
+`Echelon` per degree, grown first by the contraction conditions and then
+by the differential (Cartan's formula makes invariance a contraction of
+d)."""
 
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import Echelon, matmul, nullspace, rank, zeros
+from .linalg import Echelon, matmul, zeros
 
 
 class FiniteLieAlgebra:
@@ -133,43 +136,40 @@ def _cochain_keys(dim, r):
     return list(combinations(range(dim), r))
 
 
-def _ce_entries(g, module, okey):
-    """The nonzero entries of the Chevalley-Eilenberg differential at the
-    output key okey = (x_0 < ... < x_r), as tuples (a, key, b, c): the
-    coordinate a of (d w)(okey) gets c times the coordinate b of w(key).
+def ce_differential_rows(g, module, r):
+    """The Chevalley-Eilenberg differential from r- to (r+1)-cochains with
+    values in the module, as sparse {column: value} rows: row t*m + a is
+    the coordinate a of (d w) at the t-th (r+1)-key, and column i*m + b
+    the coordinate b of w at the i-th r-key (m = module.dim, keys in
+    `_cochain_keys` order).
 
     (d w)(x_0, ..., x_r) = sum_p (-1)^p rho(x_p) w(..., ^x_p, ...)
         + sum_{p<q} (-1)^(p+q) w([x_p, x_q], ..., ^x_p, ..., ^x_q, ...)
     """
-    for p, x in enumerate(okey):
-        rest = okey[:p] + okey[p + 1 :]
-        sign = -1 if p % 2 else 1
-        for a, row in enumerate(module.matrices[x]):
-            for b, c in enumerate(row):
-                if c != 0:
-                    yield a, rest, b, sign * c
-    for p, q in combinations(range(len(okey)), 2):
-        rest = tuple(x for t, x in enumerate(okey) if t not in (p, q))
-        sign = -1 if (p + q) % 2 else 1
-        for k, c in g.basis_bracket(okey[p], okey[q]).items():
-            merged, merge_sign = _insert_sorted(k, rest)
-            if merged is not None:
-                for a in range(module.dim):
-                    yield a, merged, a, sign * merge_sign * c
-
-
-def ce_differential_matrix(g, module, r):
-    """Matrix of the Chevalley-Eilenberg differential from degree r to
-    degree r+1 cochains with values in the module."""
-    in_keys = _cochain_keys(g.dim, r)
-    out_keys = _cochain_keys(g.dim, r + 1)
-    in_pos = {key: i for i, key in enumerate(in_keys)}
     m = module.dim
-    mat = zeros(len(out_keys) * m, len(in_keys) * m)
-    for oi, okey in enumerate(out_keys):
-        for a, key, b, c in _ce_entries(g, module, okey):
-            mat[oi * m + a][in_pos[key] * m + b] += c
-    return mat, in_keys, out_keys
+    in_pos = {key: i * m for i, key in enumerate(_cochain_keys(g.dim, r))}
+    action = [
+        [(a, b, c) for a, row in enumerate(mat) for b, c in enumerate(row) if c]
+        for mat in module.matrices
+    ]
+    rows = []
+    for okey in _cochain_keys(g.dim, r + 1):
+        block = [{} for _ in range(m)]
+        # each p drops a different x_p, so these terms never share a column
+        for p, x in enumerate(okey):
+            i = in_pos[okey[:p] + okey[p + 1 :]]
+            for a, b, c in action[x]:
+                block[a][i + b] = -c if p % 2 else c
+        for p, q in combinations(range(len(okey)), 2):
+            rest = tuple(x for t, x in enumerate(okey) if t not in (p, q))
+            for k, c in g.basis_bracket(okey[p], okey[q]).items():
+                merged, sign = _insert_sorted(k, rest)
+                if merged is not None:
+                    i, c = in_pos[merged], c if sign == (-1) ** (p + q) else -c
+                    for a, row in enumerate(block):
+                        row[i + a] = row[i + a] + c if i + a in row else c
+        rows.extend(block)
+    return rows
 
 
 def _insert_sorted(k, rest):
@@ -185,15 +185,9 @@ def _insert_sorted(k, rest):
 
 
 def ce_cohomology_dims(g, module, r_max):
-    """Dimensions of H^0 .. H^{r_max} by exact rank computation."""
-    dims = []
-    prev_rank = 0
-    for r in range(r_max + 1):
-        n_cochains = len(_cochain_keys(g.dim, r)) * module.dim
-        rk = rank(ce_differential_matrix(g, module, r)[0]) if r < g.dim else 0
-        dims.append(n_cochains - rk - prev_rank)
-        prev_rank = rk
-    return dims
+    """Dimensions of H^0 .. H^{r_max}: relative cohomology over the zero
+    subalgebra."""
+    return relative_ce_cohomology_dims(g, [], module, r_max)
 
 
 def _subalgebra_basis_check(g, s_basis):
@@ -205,47 +199,60 @@ def _subalgebra_basis_check(g, s_basis):
     return True
 
 
-def _contraction_rows(g, s_basis, m, r):
-    """The rows of the contractions (i_X w)(rest) = w(X, rest) for X in
-    s_basis, from r-cochains (r >= 1) with m-dimensional values to
-    (r-1)-cochains: one row per X, (r-1)-key and value coordinate, zero
-    rows dropped."""
-    key_pos = {key: i for i, key in enumerate(_cochain_keys(g.dim, r))}
-    rows = []
+def _contractions(g, s_basis, m, r, rows):
+    """The contractions by each X in s_basis of a map whose rows are
+    indexed like r-cochains with m-dimensional values (key position * m
+    + coordinate): (i_X f)(rest) = f(X, rest), one sparse row per X,
+    (r-1)-key and coordinate, built from the rows of f (r >= 1)."""
+    if not s_basis:
+        return []
+    pos = {key: i * m for i, key in enumerate(_cochain_keys(g.dim, r))}
+    out = []
     for x in s_basis:
+        terms = [(k, c) for k, c in enumerate(x) if c]
         for rest in _cochain_keys(g.dim, r - 1):
-            for a in range(m):
-                row = [Fraction(0)] * (len(key_pos) * m)
-                for k, c in enumerate(x):
-                    merged, sign = _insert_sorted(k, rest)
-                    if c and merged is not None:
-                        row[key_pos[merged] * m + a] += sign * c
-                if any(row):
-                    rows.append(row)
-    return rows
+            # the rows f(e_k, rest) = sign * f(merged) that X's terms pick
+            picked = []
+            for k, c in terms:
+                merged, sign = _insert_sorted(k, rest)
+                if merged is not None:
+                    picked.append((pos[merged], sign * c))
+            for a in range(m if picked else 0):
+                row = {}
+                for i, c in picked:
+                    for col, v in rows[i + a].items():
+                        row[col] = row.get(col, 0) + c * v
+                out.append(row)
+    return out
 
 
 def relative_ce_cohomology_dims(g, s_basis, module, r_max):
     """Relative cohomology H^0 .. H^{r_max}: the cochains w with i_X w = 0
     and L_X w = 0 for X in the subalgebra, under d.  By Cartan's formula
     L_X = i_X d + d i_X, a cochain with i_X w = 0 is invariant iff
-    i_X (d w) = 0, so both conditions are contraction rows, the second
-    composed with the differential of `ce_differential_matrix`."""
+    i_X (d w) = 0, so both conditions are contractions, of unit rows and
+    of d's rows.  One echelon per degree takes these rows C and then d's:
+    the relative cochains have dimension width - rank C, and d has rank
+    rank(C + d) - rank C on them, so no basis of them is ever formed."""
     if s_basis and not _subalgebra_basis_check(g, s_basis):
         raise ValueError("not a subalgebra")
     m = module.dim
     out = []
-    prev_image_rank = 0
-    contract = []  # a 0-cochain has no contraction
+    prev_rank = 0
     for r in range(r_max + 1):
-        d, in_keys, _ = ce_differential_matrix(g, module, r)
-        contract_next = _contraction_rows(g, s_basis, m, r + 1)
-        sub = nullspace(contract + matmul(contract_next, d), cols=len(in_keys) * m)
+        width = len(_cochain_keys(g.dim, r)) * m
+        d = ce_differential_rows(g, module, r)
+        units = [{c: 1} for c in range(width)]
+        span = Echelon(_contractions(g, s_basis, m, r, units) if r else ())
+        for row in _contractions(g, s_basis, m, r + 1, d):
+            span.add_row(row)
+        constrained = span.rank
+        for row in d:
+            span.add_row(row)
+        rk = span.rank - constrained
         # H^r = ker(d on relative r-cochains) / d(relative (r-1)-cochains)
-        rk = rank(matmul(sub, list(zip(*d))))
-        out.append(len(sub) - rk - prev_image_rank)
-        prev_image_rank = rk
-        contract = contract_next
+        out.append(width - constrained - rk - prev_rank)
+        prev_rank = rk
     return out
 
 
@@ -327,14 +334,12 @@ def extension_two_cocycle(ext):
 def two_cocycle_witness(ext, cocycle):
     """The first basis triple [i, j, k] of Q at which d(cocycle) does not
     vanish, or None when it is a 2-cocycle; the ideal must be abelian."""
-    Q = ext.Q
-    module = ext.kernel_module()
-    for okey in _cochain_keys(Q.dim, 3):
-        total = [Fraction(0)] * module.dim
-        for a, key, b, c in _ce_entries(Q, module, okey):
-            total[a] += c * cocycle[key][b]
-        if any(x != 0 for x in total):
-            return list(okey)
+    Q, module = ext.Q, ext.kernel_module()
+    flat = (x for key in _cochain_keys(Q.dim, 2) for x in cocycle[key])
+    w = {col: x for col, x in enumerate(flat) if x}  # mostly zero: dot only these
+    for t, row in enumerate(ce_differential_rows(Q, module, 2)):
+        if sum(c * w[col] for col, c in row.items() if col in w) != 0:
+            return list(_cochain_keys(Q.dim, 3)[t // module.dim])
     return None
 
 
@@ -344,18 +349,14 @@ def is_split(ext):
     if not ext.ideal_is_abelian():
         raise ValueError("splitting test needs an abelian ideal")
     Q, module = ext.Q, ext.kernel_module()
-    in_pos = {key: i * module.dim for i, key in enumerate(_cochain_keys(Q.dim, 1))}
-    rhs = len(in_pos) * module.dim
-    # the rows of [d | cocycle] for d from 1- to 2-cochains, sparse; d x =
-    # cocycle is inconsistent iff the rhs column's unit vector is in the span
-    span = Echelon()
-    for okey in _cochain_keys(Q.dim, 2):
-        rows = [{rhs: x} for x in ext.cocycle[okey]]
-        for a, key, b, c in _ce_entries(Q, module, okey):
-            rows[a][in_pos[key] + b] = rows[a].get(in_pos[key] + b, 0) + c
-        for row in rows:
-            span.add_row(row)
-    return not span.contains({rhs: 1})
+    rhs = Q.dim * module.dim
+    # the rows of [d | cocycle] for d from 1- to 2-cochains; d x = cocycle
+    # is inconsistent iff the rhs column's unit vector is in the span
+    rows = ce_differential_rows(Q, module, 1)
+    cocycle = [x for key in _cochain_keys(Q.dim, 2) for x in ext.cocycle[key]]
+    for row, x in zip(rows, cocycle):
+        row[rhs] = x
+    return not Echelon(rows).contains({rhs: 1})
 
 
 def nilpotency_analysis(g):

@@ -378,36 +378,6 @@ def test_pushforwards_along_a_linked_pair_invert_nothing(monkeypatch):
     assert invert_arrow(inv) is a and invert_arrow(a) is inv
 
 
-def test_pushforward_along_a_fresh_arrow_inverts_once_at_the_jet_order(monkeypatch):
-    """A fresh arrow's vector pushforward inverts only the order-k
-    projection and leaves the arrow unlinked: a second pushforward
-    inverts again, and inverting the arrow gives the full-order inverse."""
-    a, x, _ = _linked_setup()
-    calls = _counting_inversions(monkeypatch)
-    first = pushforward_vector_jet(a, x)
-    assert [c.k for c in calls] == [x.k]
-    assert pushforward_vector_jet(a, x) == first
-    assert len(calls) == 2
-    inv = invert_arrow(a)
-    assert inv.k == a.k
-
-
-def test_pushforward_along_a_fresh_arrow_leaves_no_cycle():
-    """The temporary inverse of the projection is freed on return, not
-    left for the cyclic garbage collector."""
-    import gc
-
-    a, x, f = _linked_setup()
-    gc.collect()
-    gc.disable()
-    try:
-        pushforward_vector_jet(a, x)
-        pushforward_function_jet(a, f)
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
-
-
 def test_arrow_table_is_read_only_and_links_keep_equality():
     a, _, _ = _linked_setup()
     with pytest.raises(TypeError):

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from jetcalc.arrows import Arrow
 from jetcalc.forms import (
     FormKR,
@@ -256,6 +258,28 @@ def test_local_exactness_top_spot_has_honest_cokernel():
     assert rep["exact_count"] < rep["closed_dimension"]
 
 
+@pytest.mark.parametrize(
+    "n, k, r, degree", [(2, 0, 0, 2), (2, 1, 0, 1), (2, 0, 1, 2), (2, 1, 1, 2), (1, 1, 1, 1), (2, 0, 2, 1)]
+)
+def test_local_exactness_primitives_and_closed_forms(n, k, r, degree):
+    """Below the top degree every reported closed form (or r = 0 kernel
+    form) is closed, and every reported primitive differentiates to its
+    closed form."""
+    rep = local_exactness_check(n, k, r, degree)
+    if r == 0:
+        assert rep["kernel_basis"]
+        assert all(exterior_derivative(f).is_zero() for f in rep["kernel_basis"])
+        return
+    assert rep["results"]
+    for res in rep["results"]:
+        omega = res["closed_form"]
+        if r < n:
+            assert exterior_derivative(omega).is_zero()
+        assert res["exact"] == (res["primitive"] is not None)
+        if res["exact"]:
+            assert exterior_derivative(res["primitive"]) == omega
+
+
 def test_theta_full_fiber_leaves_only_constants():
     n, k = 2, 1
     spanning = [basis_section(n, k, s) for s in vector_slots(n, k)]
@@ -425,8 +449,6 @@ def test_eval_form_commutes_with_form_at():
 
 
 def test_form_kinds_are_validated_and_kept_apart():
-    import pytest
-
     from jetcalc.jets import FunctionJetPoint
 
     n, k = 2, 1

@@ -249,9 +249,11 @@ def test_ad_transform_inverts_the_arrow_once(monkeypatch):
         Poly(2, {(0, 1): 1, (1, 1): 2, (0, 3): 1}),
     ]
     arrow = Arrow.from_polynomial_map(comps, 3, ZERO2)
+    # the reference pushforwards run along an unlinked copy, which they link
+    unlinked = Arrow(arrow.n, arrow.k, arrow.source, arrow.target, arrow.coeffs)
     expected = LinearJetSubspace(
         2, 2, arrow.target,
-        [jetcalc.arrows.pushforward_vector_jet(arrow, jet).as_vector() for jet in sub.jets()],
+        [jetcalc.arrows.pushforward_vector_jet(unlinked, jet).as_vector() for jet in sub.jets()],
     )
     real = jetcalc.arrows.invert_arrow
     calls = []
