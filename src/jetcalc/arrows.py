@@ -16,10 +16,10 @@ the one conversion between them.  On that single Taylor path:
   source and C is the displacement of the inverse arrow.
 
 One `poly.PowerTable` serves a substitution: every component composed
-into A, L^{-1} or C shares its truncated powers, and a transform of many
-jets along one arrow builds the table on C once for the private cores
-`_pushforward_vectors` (which also builds DA once for all its jets) and
-`_pushforward_function`.
+into A, L^{-1} or C shares its truncated powers.  The batch pushforwards
+`pushforward_vector_jets` and `pushforward_function_jets` carry many
+jets along one arrow through one table on C (and one DA for vectors);
+the single-jet functions are batches of one.
 
 Each arrow pair is inverted once: `invert_arrow(a)` links a and its
 inverse both ways (`_inverse`), since the truncated inverse of the
@@ -199,14 +199,26 @@ def _inverse_table(a, k):
     return PowerTable((a._inverse or invert_arrow(a)).displacement_polynomials(), k)
 
 
-def _pushforward_vectors(a, x_jets, back):
-    """`pushforward_vector_jet` of each jet, given `back`, the table on C
-    at the jets' order; DA is built once for all of them."""
-    n = a.n
+def pushforward_vector_jets(a, x_jets):
+    """Carry a list of vector k-jets along an arrow of order k+1, each to
+    the k-jet of (DA . X)(C(v)) at the target.  Every jet is checked
+    first; one table on C and one DA serve the batch."""
+    for x_jet in x_jets:
+        if not isinstance(x_jet, VectorJetPoint):
+            raise TypeError("expected a vector jet point value")
+        if a.n != x_jet.n:
+            raise ValueError("dimension mismatch")
+        if a.k != x_jet.k + 1:
+            raise ValueError("arrow order must exceed jet order by one")
+        if a.source != x_jet.point:
+            raise ValueError("jet is not based at the arrow source")
+    if not x_jets:
+        return []
+    n, k = a.n, a.k - 1
+    back = _inverse_table(a, k)
     da = [[ai.diff(j) for j in range(n)] for ai in a.displacement_polynomials()]
     out = []
     for x_jet in x_jets:
-        k = x_jet.k
         xi = _taylor_components(n, x_jet.coeffs)
         eta = []
         for row in da:
@@ -216,42 +228,35 @@ def _pushforward_vectors(a, x_jets, back):
     return out
 
 
-def _pushforward_function(a, f_jet, back):
-    """`pushforward_function_jet` given `back`, the table on C at the jet order."""
-    g = back.compose(_taylor(a.n, f_jet.coeffs))
-    return FunctionJetPoint(a.n, f_jet.k, a.target, _slot_values(g))
+def pushforward_function_jets(a, f_jets):
+    """Carry a list of function jets, each to the jet of f o a^{-1}, F(C(v)),
+    at its own order (an algebra map for the jet product).  Every jet is
+    checked first; one table on C, at the highest order, serves the batch."""
+    for f_jet in f_jets:
+        if not isinstance(f_jet, FunctionJetPoint):
+            raise TypeError("expected a function jet point value")
+        if a.n != f_jet.n:
+            raise ValueError("dimension mismatch")
+        if a.k < f_jet.k:
+            raise ValueError("arrow order must be at least the jet order")
+        if a.source != f_jet.point:
+            raise ValueError("jet is not based at the arrow source")
+    if not f_jets:
+        return []
+    back = _inverse_table(a, max(f_jet.k for f_jet in f_jets))
+    out = []
+    for f_jet in f_jets:
+        g = _slot_values(back.compose(_taylor(a.n, f_jet.coeffs)))
+        kept = {alpha: v for alpha, v in g.items() if order(alpha) <= f_jet.k}
+        out.append(FunctionJetPoint(a.n, f_jet.k, a.target, kept))
+    return out
 
 
 def pushforward_vector_jet(a, x_jet):
-    """Transport a vector k-jet along an arrow of order k+1.
-
-    The k-jet of (DA . X)(C(v)) at the target: DA . X needs the
-    (k+1)-jet of the arrow and the k-jet of X, the substitution the
-    k-jet of the inverse.
-    """
-    if not isinstance(x_jet, VectorJetPoint):
-        raise TypeError("expected a vector jet point value")
-    if a.n != x_jet.n:
-        raise ValueError("dimension mismatch")
-    if a.k != x_jet.k + 1:
-        raise ValueError("arrow order must exceed jet order by one")
-    if a.source != x_jet.point:
-        raise ValueError("jet is not based at the arrow source")
-    return _pushforward_vectors(a, [x_jet], _inverse_table(a, x_jet.k))[0]
+    """`pushforward_vector_jets` of one jet."""
+    return pushforward_vector_jets(a, [x_jet])[0]
 
 
 def pushforward_function_jet(a, f_jet):
-    """Transport a function k-jet at the arrow source to the target.
-
-    The result is the k-jet of f o a^{-1}, F(C(v)); an algebra
-    homomorphism for the jet product.
-    """
-    if not isinstance(f_jet, FunctionJetPoint):
-        raise TypeError("expected a function jet point value")
-    if a.n != f_jet.n:
-        raise ValueError("dimension mismatch")
-    if a.k < f_jet.k:
-        raise ValueError("arrow order must be at least the jet order")
-    if a.source != f_jet.point:
-        raise ValueError("jet is not based at the arrow source")
-    return _pushforward_function(a, f_jet, _inverse_table(a, f_jet.k))
+    """`pushforward_function_jets` of one jet."""
+    return pushforward_function_jets(a, [f_jet])[0]

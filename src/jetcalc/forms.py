@@ -16,7 +16,6 @@ from functools import partial
 from itertools import combinations
 from math import factorial as int_factorial
 
-from .arrows import _inverse_table, _pushforward_function, _pushforward_vectors, invert_arrow
 from .jets import (
     FunctionJetPoint,
     FunctionJetSection,
@@ -27,7 +26,7 @@ from .jets import (
     jet_product_sum,
     vector_slots,
 )
-from .linalg import Echelon, _sign, determinant, identity, nullspace, solve
+from .linalg import Echelon, _sign, determinant, nullspace, solve
 from .multiindex import multi_indices, order
 from .poly import Poly, _as_fraction
 from .spencer import basis_action, basis_bracket, jet_action, spencer_bracket
@@ -429,24 +428,19 @@ def arrow_transform_form_at(arrow, omega):
     (g omega)(X_1..X_r)(p) transports the arguments backwards along the
     arrow and the value forwards; needs an arrow of order k+1.
     """
-    k = omega.k
-    if arrow.n != omega.n or arrow.k != k + 1:
+    from .arrows import invert_arrow, pushforward_function_jets, pushforward_vector_jets
+
+    n, k, r = omega.n, omega.k, omega.r
+    if arrow.n != n or arrow.k != k + 1:
         raise ValueError("need an arrow of order k+1")
-    n, r = omega.n, omega.r
     p = arrow.target
-    q = arrow.source
-    inv = invert_arrow(arrow)
-    back = _inverse_table(inv, k)
-    forward = _inverse_table(arrow, k)
-    omega_q = form_at(omega, q)
     slots = vector_slots(n, k)
     units = [VectorJetPoint(n, k, p, {s: Fraction(1)}) for s in slots]
-    pulled = dict(zip(slots, _pushforward_vectors(inv, units, back)))
-    out = {}
-    for key in combinations(slots, r):
-        val_q = eval_form(omega_q, [pulled[s] for s in key])
-        out[key] = _pushforward_function(arrow, val_q, forward)
-    return FormKR(n, k, r, out, p)
+    pulled = dict(zip(slots, pushforward_vector_jets(invert_arrow(arrow), units)))
+    omega_q = form_at(omega, arrow.source)
+    keys = list(combinations(slots, r))
+    values = [eval_form(omega_q, [pulled[s] for s in key]) for key in keys]
+    return FormKR(n, k, r, dict(zip(keys, pushforward_function_jets(arrow, values))), p)
 
 
 def arrow_transform_form(arrows, omega):
@@ -526,13 +520,11 @@ def local_exactness_check(n, k, r, poly_degree):
     if r > n:
         raise ValueError("complex is truncated at degree n")
     in_layout = _form_basis(n, k, r, poly_degree)
-    if r == n:
-        # top of the complex: every form is closed
-        closed = identity(len(in_layout))
-    else:
+    matrix = []  # top of the complex: d is zero, every form is closed
+    if r < n:
         out_layout = _form_basis(n, k, r + 1, poly_degree)  # d never raises the degree
         matrix = _matrix_of(exterior_derivative, n, k, r, in_layout, out_layout)
-        closed = nullspace(matrix, cols=len(in_layout))
+    closed = nullspace(matrix, cols=len(in_layout))
     closed_forms = [_vector_to_form(n, k, r, in_layout, v) for v in closed]
     if r == 0:
         return {

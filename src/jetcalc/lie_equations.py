@@ -8,7 +8,6 @@ from fractions import Fraction
 from functools import reduce
 from math import lcm
 
-from .arrows import _inverse_table, _pushforward_vectors
 from .jets import vector_slots
 from .linalg import Echelon, _int_row, determinant, invert, rank
 from .multiindex import (
@@ -446,12 +445,13 @@ def bracket_closure_check(sections, sub):
 def ad_transform_subspace(arrow, sub):
     """Conjugated solution subspace: pushforward of each basis jet along
     an arrow of order k+1 based at the subspace's point."""
+    from .arrows import pushforward_vector_jets
+
     if arrow.source != sub.point:
         raise ValueError("arrow is not based at the subspace point")
     if arrow.n != sub.n or arrow.k != sub.k + 1:
         raise ValueError("need an arrow of order k+1")
-    back = _inverse_table(arrow, sub.k)
-    pushed = [x.as_vector() for x in _pushforward_vectors(arrow, sub.jets(), back)]
+    pushed = [x.as_vector() for x in pushforward_vector_jets(arrow, sub.jets())]
     return LinearJetSubspace(sub.n, sub.k, arrow.target, pushed)
 
 

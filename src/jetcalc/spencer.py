@@ -217,13 +217,13 @@ class JetGroupAlgebra(FiniteLieAlgebra):
 
     __slots__ = ("n", "k", "slots")
 
-    def __init__(self, n, k, check=True):
+    def __init__(self, n, k):
         if k < 1:
             raise ValueError("order must be at least 1")
         self.n = n
         self.k = k
         self.slots = vector_slots(n, k, min_order=1)
-        super().__init__(len(self.slots), self._structure_constants(), check=check)
+        super().__init__(len(self.slots), self._structure_constants())
 
     def _structure_constants(self):
         """[x^a/a! d_i, x^b/b! d_j] = `basis_bracket((i, a), (j, b), k)`,

@@ -11,13 +11,18 @@ from jetcalc.arrows import (
     compose_arrows,
     invert_arrow,
     pushforward_function_jet,
+    pushforward_function_jets,
     pushforward_vector_jet,
+    pushforward_vector_jets,
 )
 from jetcalc.jets import (
     FunctionJetPoint,
+    VectorJetPoint,
+    function_slots,
     jet_product,
     prolong_function,
     prolong_vector_field,
+    vector_slots,
 )
 from jetcalc.linalg import determinant
 from jetcalc.multiindex import multi_indices, unit
@@ -390,3 +395,117 @@ def test_arrow_table_is_read_only_and_links_keep_equality():
     for clone in (pickle.loads(pickle.dumps(a)), copy_module.deepcopy(a)):
         assert clone == a and hash(clone) == hash(a)
         assert invert_arrow(clone) == inv and invert_arrow(clone) is not inv
+
+
+def _rand_jet(kind, slots, n, k, p, rng):
+    """A jet of the given kind with random small rational slot values."""
+    return kind(n, k, p, {s: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for s in slots(n, k)})
+
+
+def test_batch_pushforwards_agree_with_single_jets():
+    """Seeded batches, function jets of mixed orders up to the arrow's,
+    equal the single-jet pushforwards along an unlinked copy."""
+    rng = random.Random(59)
+    for _ in range(8):
+        n = rng.randint(1, 3)
+        k = rng.randint(1, 3)
+        p = rand_point(n, rng)
+        a = rand_arrow(n, k + 1, p, rng)
+        xs = [_rand_jet(VectorJetPoint, vector_slots, n, k, p, rng) for _ in range(4)]
+        fs = [
+            _rand_jet(FunctionJetPoint, function_slots, n, rng.randint(0, k + 1), p, rng)
+            for _ in range(4)
+        ]
+        assert pushforward_vector_jets(a, xs) == [pushforward_vector_jet(_copy(a), x) for x in xs]
+        assert pushforward_function_jets(a, fs) == [
+            pushforward_function_jet(_copy(a), f) for f in fs
+        ]
+
+
+def _counting_displacements(monkeypatch):
+    real = Arrow.displacement_polynomials
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(Arrow, "displacement_polynomials", counting)
+    return calls
+
+
+def test_a_batch_inverts_once_and_builds_each_table_once(monkeypatch):
+    """Five jets along a fresh arrow invert it once; besides the
+    inversion's own read of A, a vector batch reads two displacements (C
+    and DA) and a function batch one, and a batch along the now linked
+    arrow inverts nothing."""
+    a, x, f = _linked_setup()
+    rng = random.Random(61)
+    xs = [x] + [_rand_jet(VectorJetPoint, vector_slots, 2, 2, a.source, rng) for _ in range(4)]
+    fs = [f] + [_rand_jet(FunctionJetPoint, function_slots, 2, 3, a.source, rng) for _ in range(4)]
+    inversions = _counting_inversions(monkeypatch)
+    displacements = _counting_displacements(monkeypatch)
+    pushforward_vector_jets(a, xs)
+    assert len(inversions) == 1 and len(displacements) <= 3
+    inversions.clear()
+    displacements.clear()
+    pushforward_vector_jets(a, xs)
+    assert inversions == [] and len(displacements) <= 2
+    displacements.clear()
+    pushforward_function_jets(a, fs)
+    assert inversions == [] and len(displacements) <= 1
+
+
+def test_an_empty_batch_inverts_nothing(monkeypatch):
+    a, _, _ = _linked_setup()
+    inversions = _counting_inversions(monkeypatch)
+    displacements = _counting_displacements(monkeypatch)
+    assert pushforward_vector_jets(a, []) == []
+    assert pushforward_function_jets(a, []) == []
+    assert inversions == [] and displacements == []
+
+
+def _bad_jets(n, k, p):
+    """For an arrow of order k+1 at p with n variables: per kind, jets
+    failing the checks from the i-th on (type, dimension, order, source),
+    each with the exception and message the check raises."""
+    q = tuple(c + 1 for c in p)
+    far = (Fraction(7),)
+    vector = [
+        (FunctionJetPoint(1, 0, far), TypeError, "expected a vector jet point value"),
+        (VectorJetPoint(1, 0, far), ValueError, "dimension mismatch"),
+        (VectorJetPoint(n, k - 1, q), ValueError, "arrow order must exceed jet order by one"),
+        (VectorJetPoint(n, k, q), ValueError, "jet is not based at the arrow source"),
+    ]
+    function = [
+        (VectorJetPoint(1, 0, far), TypeError, "expected a function jet point value"),
+        (FunctionJetPoint(1, k + 2, far), ValueError, "dimension mismatch"),
+        (FunctionJetPoint(n, k + 2, q), ValueError, "arrow order must be at least the jet order"),
+        (FunctionJetPoint(n, k, q), ValueError, "jet is not based at the arrow source"),
+    ]
+    return vector, function
+
+
+def test_a_bad_jet_anywhere_in_a_batch_raises_the_single_jet_error(monkeypatch):
+    """The checks run in the order type, dimension, order, source; a bad
+    jet at any position of a batch raises what the single-jet call
+    raises, before anything is inverted."""
+    a, x, f = _linked_setup()
+    vector, function = _bad_jets(2, 2, a.source)
+    inversions = _counting_inversions(monkeypatch)
+    cases = [
+        (pushforward_vector_jet, pushforward_vector_jets, x, vector),
+        (pushforward_function_jet, pushforward_function_jets, f, function),
+    ]
+    for single, batch, good, bad_jets in cases:
+        for bad, error, message in bad_jets:
+            with pytest.raises(error) as raised:
+                single(a, bad)
+            assert str(raised.value) == message
+            for i in range(4):
+                jets = [good] * 3
+                jets.insert(i, bad)
+                with pytest.raises(error) as raised:
+                    batch(a, jets)
+                assert str(raised.value) == message
+    assert inversions == []

@@ -426,7 +426,6 @@ def test_arrow_transform_inverts_each_arrow_once(monkeypatch):
         return real_displacement(a)
 
     monkeypatch.setattr(jetcalc.arrows, "invert_arrow", counting)
-    monkeypatch.setattr(jetcalc.forms, "invert_arrow", counting)
     monkeypatch.setattr(Arrow, "displacement_polynomials", counting_displacement)
     assert arrow_transform_form(arrows, omega) == expected
     assert len(calls) <= len(arrows)

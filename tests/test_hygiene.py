@@ -81,6 +81,37 @@ def test_private_attributes_stay_in_their_module():
     assert leaks == []
 
 
+def test_only_arrows_imports_private_names_of_arrows():
+    """The transport protocol is reached through the public pushforwards:
+    no other module imports an underscore name from jetcalc.arrows."""
+    leaks = sorted(
+        f"{p.relative_to(SRC.parent)}:{node.lineno} {alias.name}"
+        for p in sorted(SRC.rglob("*.py")) + sorted(TESTS.rglob("*.py"))
+        if p != PACKAGE / "arrows.py"
+        for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        and (node.module, node.level) in (("arrows", 1), ("jetcalc.arrows", 0))
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+    assert leaks == []
+
+
+def test_forms_and_lie_equations_load_arrows_only_when_an_arrow_acts():
+    probe = (
+        "import sys\n"
+        "import jetcalc.forms, jetcalc.lie_equations\n"
+        "print('\\n'.join(sorted(sys.modules)))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "jetcalc.forms" in loaded and "jetcalc.lie_equations" in loaded
+    assert "jetcalc.arrows" not in loaded
+
+
 def test_modules_import_only_the_standard_library():
     probe = (
         "import importlib, sys\n"
