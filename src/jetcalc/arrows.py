@@ -21,18 +21,21 @@ into A, L^{-1} or C shares its truncated powers.  The batch pushforwards
 jets along one arrow through one table on C (and one DA for vectors);
 the single-jet functions are batches of one.
 
-Each arrow pair is inverted once: `invert_arrow(a)` links a and its
-inverse both ways (`_inverse`), since the truncated inverse of the
-inverse is the arrow, and every pushforward reads C from that link,
-inverting an unlinked arrow first.  Every `invert_arrow` call links, so
-its pair is a reference cycle that lives until the cyclic garbage
-collector runs, not only until its last reference is dropped; a
-pushforward or `forms.arrow_transform_form_at` along an unlinked arrow
-links it too.  The slot table `coeffs` is a read-only view; the other
-fields of an arrow must not be reassigned either, or its link goes
-stale.  Pickling or copying an arrow drops its link.
+Each arrow pair is inverted once: `invert_arrow(a)` links a to its
+inverse (`_inverse`) and the inverse back to a by a weak reference,
+since the truncated inverse of the inverse is the arrow, and every
+pushforward reads C from that link, inverting an unlinked arrow first.
+An arrow keeps its inverse alive but not the other way round, so a pair
+is freed as soon as the last reference to the arrow is dropped, with no
+cycle left for the garbage collector; an inverse whose arrow is gone
+inverts again when asked.  A pushforward or
+`forms.arrow_transform_form_at` along an unlinked arrow links it too.
+The slot table `coeffs` is a read-only view; the other fields of an
+arrow must not be reassigned either, or its link goes stale.  Pickling
+or copying an arrow drops its link.
 """
 
+import weakref
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -67,7 +70,7 @@ def _component_slots(polys):
 
 
 class Arrow:
-    __slots__ = ("n", "k", "source", "target", "coeffs", "_inverse")
+    __slots__ = ("n", "k", "source", "target", "coeffs", "_inverse", "__weakref__")
 
     def __init__(self, n, k, source, target, coeffs=None):
         if n <= 0:
@@ -172,10 +175,12 @@ def invert_arrow(a):
     composite C(A(u)) is kept.  At degree d >= 2 its degree-d part R_d is
     the residual; the new layer -R_d(L^{-1} v) added to C cancels it, and
     only that layer's composite with A is added to the running sum.
-    The result and a are linked both ways; later calls return the link.
+    a keeps the result and the result a weak link back; later calls
+    return the linked inverse while it lives.
     """
-    if a._inverse is not None:
-        return a._inverse
+    inv = _linked(a)
+    if inv is not None:
+        return inv
     n, k = a.n, a.k
     on_a = PowerTable(a.displacement_polynomials(), k)
     linv = mat_invert(a.linear_part())
@@ -189,14 +194,21 @@ def invert_arrow(a):
         if d < k:  # the last layer's composite is never read
             running = [r + on_a.compose(layer) for r, layer in zip(running, layers)]
     inv = Arrow(n, k, a.target, a.source, _component_slots(c_parts))
-    a._inverse, inv._inverse = inv, a
+    a._inverse, inv._inverse = inv, weakref.ref(a)
     return inv
+
+
+def _linked(a):
+    """The inverse a is linked to; None if a is unlinked, or is an inverse
+    whose arrow is gone."""
+    link = a._inverse
+    return link() if isinstance(link, weakref.ref) else link
 
 
 def _inverse_table(a, k):
     """The power table of C(v), the inverse displacement, truncated at
     degree k, from a's linked inverse (inverting a once if unlinked)."""
-    return PowerTable((a._inverse or invert_arrow(a)).displacement_polynomials(), k)
+    return PowerTable((_linked(a) or invert_arrow(a)).displacement_polynomials(), k)
 
 
 def pushforward_vector_jets(a, x_jets):

@@ -94,7 +94,10 @@ def _parse_poly(n, spec, field):
         c = _frac(term.get("value"), f"{field}[{t}].value")
         key = tuple(exps)
         coeffs[key] = coeffs.get(key, Fraction(0)) + c
-    return Poly(n, coeffs)
+    try:
+        return Poly(n, coeffs)
+    except OverflowError as exc:
+        raise ResourceError(f"{field}: {exc}")
 
 
 def _parse_point(n, spec, field):
@@ -628,7 +631,7 @@ def main(argv=None):
     except SchemaError as exc:
         _emit({"error": str(exc), "exit": 2}, args.out)
         return 2
-    except ResourceError as exc:
+    except (ResourceError, OverflowError) as exc:  # OverflowError: past the degree bound of a Poly
         _emit({"error": str(exc), "exit": 3}, args.out)
         return 3
     report = {

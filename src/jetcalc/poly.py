@@ -1,17 +1,23 @@
 """Multivariate polynomials over exact rationals.
 
 A Poly keeps integer numerators over one positive integer denominator:
-`_num` maps each monomial (a multi-index tuple) with a nonzero
-coefficient to its int numerator, and `_den` is the denominator.  The
-pair is in lowest terms, so zero is `({}, 1)` and equal polynomials have
-equal fields.  Values are treated as immutable.  Fractions appear only
-at the boundary: the constructor takes int, Fraction or rational-string
-coefficients, and `coeffs` (a read-only {monomial: Fraction} view),
-`terms`, `constant_term`, `evaluate` and `repr` give Fractions back.
-The kernels run on ints.  The one accumulator, `addmul_into`, adds
-w times the product of two numerator dicts into a {monomial: int} dict
-whose denominator the caller keeps; `sum_of_products` adds many
-weighted products over the lcm of their denominators that way.
+`_num` maps each monomial with a nonzero coefficient to its int
+numerator, and `_den` is the denominator.  The pair is in lowest terms,
+so zero is `({}, 1)` and equal polynomials have equal fields.  Values
+are treated as immutable.  A monomial x^e in n variables is one int key
+of 16-bit fields: the total degree |e| on top, then e_0, ..., e_{n-1},
+so (0, ..., 0) is 0, key order is graded lex order and a product of
+monomials is the sum of their keys.  No field carries while degrees stay
+below 2^16: the constructor, and each product kernel for the sum of its
+factors' degrees, raises OverflowError from degree 2^16 on.  Fractions
+and tuples appear only at the boundary: the constructor takes tuple
+monomials and int, Fraction or rational-string coefficients, and
+`coeffs` (a read-only {monomial: Fraction} view), `terms`,
+`constant_term`, `evaluate` and `repr` give them back.  The kernels run
+on ints.  The one accumulator, `addmul_into`, adds w times the product
+of two numerator dicts into a {monomial: int} dict whose denominator the
+caller keeps; `sum_of_products` adds many weighted products over the lcm
+of their denominators that way.
 """
 
 from fractions import Fraction
@@ -19,7 +25,29 @@ from functools import reduce
 from math import gcd, lcm, prod
 from types import MappingProxyType
 
-from .multiindex import add, is_natural, multi_indices, order, unit
+from .multiindex import is_natural, multi_indices, unit
+
+_BITS = 16
+_MASK = (1 << _BITS) - 1  # the largest degree, and exponent, a key can hold
+
+
+def _check_degree(d):
+    if d > _MASK:
+        raise OverflowError(f"degree {d} exceeds {_MASK}, the bound of a 16-bit monomial field")
+    return d
+
+
+def _pack(mono):
+    """The key of a multi-index tuple."""
+    key = _check_degree(sum(mono))
+    for e in mono:
+        key = key << _BITS | e
+    return key
+
+
+def _unpack(n, key):
+    """The multi-index tuple of a key in n variables."""
+    return tuple((key >> _BITS * (n - 1 - j)) & _MASK for j in range(n))
 
 
 def _as_fraction(x):
@@ -43,7 +71,7 @@ class Poly:
                 mono = tuple(mono)
                 if len(mono) != n or not all(map(is_natural, mono)):
                     raise ValueError(f"{mono} is not a monomial in {n} variables")
-                clean[mono] = c
+                clean[_pack(mono)] = c
         den = reduce(lcm, (c.denominator for c in clean.values()), 1)
         self.n, self._den = n, den
         self._num = {m: c.numerator * (den // c.denominator) for m, c in clean.items()}
@@ -84,7 +112,7 @@ class Poly:
 
     def terms(self):
         """The (monomial, Fraction coefficient) pairs of the nonzero terms."""
-        return ((m, Fraction(c, self._den)) for m, c in self._num.items())
+        return ((_unpack(self.n, m), Fraction(c, self._den)) for m, c in self._num.items())
 
     def is_zero(self):
         return not self._num
@@ -94,20 +122,20 @@ class Poly:
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
-        return max((order(m) for m in self._num), default=-1)
+        return max(self._num) >> _BITS * self.n if self._num else -1
 
     def homogeneous(self, d):
         """The part of total degree d."""
-        part = {m: c for m, c in self._num.items() if order(m) == d}
+        part = {m: c for m, c in self._num.items() if m >> _BITS * self.n == d}
         return Poly._canon(self.n, part, self._den)
 
     def constant_term(self):
-        return Fraction(self._num.get((0,) * self.n, 0), self._den)
+        return Fraction(self._num.get(0, 0), self._den)
 
     def _operand(self, other):
         """other as a Poly of this chart; None for a type Poly does not support."""
         if isinstance(other, (int, Fraction)):
-            return Poly._canon(self.n, {(0,) * self.n: other.numerator}, other.denominator)
+            return Poly._canon(self.n, {0: other.numerator}, other.denominator)
         if isinstance(other, Poly):
             self._check(other)
             return other
@@ -120,7 +148,7 @@ class Poly:
 
     def __hash__(self):
         # a constant equals its scalar, so it must hash like it
-        if self._num.keys() <= {(0,) * self.n}:
+        if self._num.keys() <= {0}:
             return hash(self.constant_term())
         return hash((self.n, frozenset(self.terms())))
 
@@ -163,17 +191,18 @@ class Poly:
 
     def addmul_into(self, acc, w, other):
         """Add w * (numerators of self) * (numerators of other) into acc, in
-        place, for an int w: acc is a plain {monomial: int} dict over a
+        place, for an int w: acc is a plain {key: int} dict over a
         denominator the caller keeps, D say, so this adds c * self * other
         for w = c * D / (den self * den other).  Cancelled entries stay in
         acc as zeros until `_canon` drops them."""
         self._check(other)
+        _check_degree(self.degree() + other.degree())
         right = list(other._num.items())
         get = acc.get
         for m1, c1 in self._num.items():
             c1 *= w
             for m2, c2 in right:
-                m = add(m1, m2)
+                m = m1 + m2
                 acc[m] = get(m, 0) + c1 * c2
 
     @staticmethod
@@ -191,25 +220,31 @@ class Poly:
     def mul_truncated(self, other, max_degree):
         """Product with all monomials of total degree > max_degree dropped."""
         self._check(other)
-        right = sorted((order(m2), m2, c2) for m2, c2 in other._num.items())
+        _check_degree(self.degree() + other.degree())
+        limit = (max_degree + 1) << _BITS * self.n  # the least key of degree > max_degree
+        right = sorted(other._num.items())
         out = {}
         get = out.get
         for m1, c1 in self._num.items():
-            room = max_degree - order(m1)
-            for d2, m2, c2 in right:
-                if d2 > room:
+            room = limit - m1
+            for m2, c2 in right:
+                if m2 >= room:
                     break
-                m = add(m1, m2)
+                m = m1 + m2
                 out[m] = get(m, 0) + c1 * c2
         return Poly._canon(self.n, out, self._den * other._den)
 
     def diff(self, j):
         """Partial derivative with respect to variable j (0-based)."""
+        if not 0 <= j < self.n:
+            raise IndexError(f"no variable {j} in {self.n} variables")
+        shift = _BITS * (self.n - 1 - j)
+        drop = (1 << shift) + (1 << _BITS * self.n)  # e_j and one degree
         out = {}
         for m, c in self._num.items():
-            e = m[j]
+            e = (m >> shift) & _MASK
             if e:
-                out[m[:j] + (e - 1,) + m[j + 1:]] = c * e
+                out[m - drop] = c * e
         return Poly._canon(self.n, out, self._den)
 
     def diff_multi(self, alpha):
@@ -223,7 +258,7 @@ class Poly:
         if len(point) != self.n:
             raise ValueError("point dimension mismatch")
         point = [_as_fraction(x) for x in point]
-        total = sum(c * prod(x**e for x, e in zip(point, m)) for m, c in self._num.items())
+        total = sum(c * prod(map(pow, point, _unpack(self.n, m))) for m, c in self._num.items())
         return Fraction(total) / self._den
 
     def derivative_value(self, alpha, point):
@@ -241,9 +276,10 @@ class Poly:
 
     def __repr__(self):
         parts = []
-        for m in sorted(self._num, key=lambda m: (order(m), m)):
+        for m in sorted(self._num):
             c = Fraction(self._num[m], self._den)
-            mono = "*".join(f"x{j}" if e == 1 else f"x{j}^{e}" for j, e in enumerate(m) if e)
+            exps = enumerate(_unpack(self.n, m))
+            mono = "*".join(f"x{j}" if e == 1 else f"x{j}^{e}" for j, e in exps if e)
             parts.append(f"{c}" if not mono else (f"{c}*{mono}" if c != 1 else mono))
         return " + ".join(parts) or "0"
 
@@ -263,17 +299,18 @@ class PowerTable:
     def __init__(self, substitutions, max_degree):
         self.subs = list(substitutions)
         self.max_degree = max_degree
-        self.entries = {(0,) * len(self.subs): Poly.const(self.subs[0].n, 1)}
+        self.entries = {0: Poly.const(self.subs[0].n, 1)}
 
     def power(self, alpha):
-        """s^alpha, truncated at max_degree."""
+        """s^alpha for the key alpha of a monomial, truncated at max_degree."""
         entries = self.entries
+        n = len(self.subs)
         missing = []
         while alpha not in entries:
-            # peel one factor off the last variable that occurs
-            j = max(i for i, e in enumerate(alpha) if e)
-            missing.append((alpha, j))
-            alpha = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]
+            # peel one factor off the last variable that occurs, the lowest nonzero field
+            field = ((alpha & -alpha).bit_length() - 1) // _BITS
+            missing.append((alpha, n - 1 - field))
+            alpha -= (1 << _BITS * field) + (1 << _BITS * n)
         t = entries[alpha]
         for beta, j in reversed(missing):
             t = t.mul_truncated(self.subs[j], self.max_degree)

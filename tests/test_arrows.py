@@ -1,6 +1,8 @@
 import copy as copy_module
+import gc
 import pickle
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -381,6 +383,37 @@ def test_pushforwards_along_a_linked_pair_invert_nothing(monkeypatch):
     assert got == expected
     assert got[2] == x and got[3] == f
     assert invert_arrow(inv) is a and invert_arrow(a) is inv
+
+
+def test_dropping_an_arrow_frees_it_and_its_inverse_without_the_collector():
+    """The inverse links back weakly: with the cyclic collector off, the
+    last reference to an arrow takes its linked inverse with it."""
+    gc.disable()
+    try:
+        a, _, _ = _linked_setup()
+        inv = invert_arrow(a)
+        back = invert_arrow(inv)
+        assert back is a
+        probes = [weakref.ref(a), weakref.ref(inv)]
+        del a, inv, back
+        assert [probe() for probe in probes] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_an_inverse_whose_arrow_is_gone_inverts_again(monkeypatch):
+    a, x, _ = _linked_setup()
+    twin = _copy(a)
+    inv = invert_arrow(a)
+    x1 = pushforward_vector_jet(a, x)
+    probe = weakref.ref(a)
+    del a
+    assert probe() is None
+    calls = _counting_inversions(monkeypatch)
+    assert pushforward_vector_jet(inv, x1) == x
+    assert calls == [inv]
+    again = invert_arrow(inv)
+    assert again == twin and invert_arrow(again) is inv
 
 
 def test_arrow_table_is_read_only_and_links_keep_equality():

@@ -193,6 +193,27 @@ def test_bracket_scenario(capsys, tmp_path):
     assert report["results"]["bracket_jet_coordinates"] == ["1", "0", "0"]
 
 
+@pytest.mark.parametrize(
+    "x, y, field",
+    [
+        ([[{"exponents": [65536, 0], "value": "1"}], []], [[], []], "x[0]"),
+        # each field fits, but their bracket's products do not
+        ([[{"exponents": [40000, 0], "value": "1"}], []],
+         [[{"exponents": [40000, 0], "value": "1"}], []], None),
+    ],
+    ids=["term-past-the-field", "product-past-the-field"],
+)
+def test_bracket_past_the_monomial_field_exits_3(capsys, tmp_path, x, y, field):
+    scenario = {"task": "bracket", "n": 2, "k": 1, "point": ["0", "0"], "x": x, "y": y}
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps(scenario))
+    code, out = run_cli(capsys, "bracket", "--scenario", str(path))
+    assert code == 3
+    report = json.loads(out)
+    assert report["exit"] == 3 and "65535" in report["error"]
+    assert field is None or report["error"].startswith(field)
+
+
 def test_schema_violation_exits_2(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"task": "prolongation", "kind": "metric"}))

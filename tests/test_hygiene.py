@@ -97,6 +97,34 @@ def test_only_arrows_imports_private_names_of_arrows():
     assert leaks == []
 
 
+# the packed-monomial helpers of poly, and the files that may name them
+PACKING = {"_pack", "_unpack", "_check_degree", "_BITS", "_MASK"}
+PACKING_USERS = {PACKAGE / "poly.py", TESTS / "test_poly.py"}
+
+
+def test_only_poly_and_its_tests_see_packed_monomials():
+    """No other module imports or reads the packing helpers of poly, and
+    Poly hands out its monomials as tuples: packed keys never leave it."""
+    from jetcalc.poly import Poly
+
+    leaks = sorted(
+        f"{p.relative_to(SRC.parent)}:{node.lineno} {name}"
+        for p in sorted(SRC.rglob("*.py")) + sorted(TESTS.rglob("*.py"))
+        if p not in PACKING_USERS
+        for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+        for name in (
+            [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+            else [node.attr] if isinstance(node, ast.Attribute) else []
+        )
+        if name in PACKING
+    )
+    assert leaks == []
+    p = Poly(3, {(0, 0, 0): 1, (1, 2, 0): "1/2", (0, 0, 5): -2})
+    for monomials in (p.coeffs, [m for m, _ in p.terms()]):
+        assert sorted(monomials) == [(0, 0, 0), (0, 0, 5), (1, 2, 0)]
+        assert all(type(m) is tuple and all(type(e) is int for e in m) for m in monomials)
+
+
 def test_forms_and_lie_equations_load_arrows_only_when_an_arrow_acts():
     probe = (
         "import sys\n"

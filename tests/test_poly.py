@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetcalc.multiindex import add, order
-from jetcalc.poly import Poly, PowerTable
+from jetcalc.poly import Poly, PowerTable, _pack, _unpack
 
 
 def rand_poly(n, rng, degree=3):
@@ -288,3 +288,114 @@ def test_public_constructors_reject_bool_and_negative_exponents():
     with pytest.raises(ValueError):
         Poly.monomial(2, (1, -1))
     assert Poly.monomial(2, [1, 0], "1/2") == Poly.variable(2, 0) * Fraction(1, 2)
+
+
+# packed monomial keys
+
+
+_TOP = 2**16 - 1  # the largest degree a packed key holds
+
+
+@st.composite
+def _monomials(draw, n):
+    """A multi-index in n variables of degree at most _TOP, its exponents
+    drawn from anywhere in the 16-bit range."""
+    left = draw(st.integers(0, _TOP))
+    exps = []
+    for _ in range(n - 1):
+        exps.append(draw(st.integers(0, left)))
+        left -= exps[-1]
+    return tuple(draw(st.permutations(exps + [draw(st.integers(0, left))])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(_monomials(n), _monomials(n))))
+def test_packed_keys_round_trip_and_sort_in_graded_lex_order(pair):
+    a, b = pair
+    n = len(a)
+    assert _unpack(n, _pack(a)) == a and _unpack(n, _pack(b)) == b
+    assert _pack((0,) * n) == 0
+    assert (_pack(a) < _pack(b)) == ((order(a), a) < (order(b), b))
+    if order(a) + order(b) <= _TOP:
+        assert _pack(a) + _pack(b) == _pack(add(a, b))
+
+
+def test_products_up_to_the_field_bound_succeed():
+    """Degrees summing to 2^16 - 1 fill the degree field and the exponent
+    fields without carrying into a neighbour."""
+    a = Poly.monomial(2, (40000, 0), 3)
+    b = Poly(2, {(0, 25535): 1, (1, 0): 2})
+    full = Poly(2, {(40000, 25535): 3, (40001, 0): 6})
+    acc = {}
+    a.addmul_into(acc, 1, b)
+    assert {_unpack(2, m): c for m, c in acc.items()} == {(40000, 25535): 3, (40001, 0): 6}
+    assert a * b == full and (a * b).degree() == _TOP
+    assert a.mul_truncated(b, _TOP) == full
+    assert a.mul_truncated(b, 40001) == Poly.monomial(2, (40001, 0), 6)
+    assert a.mul_truncated(b, 40000) == 0
+    subs = [Poly.monomial(2, (32767, 0)), Poly.monomial(2, (0, 32768), "1/2")]
+    table = PowerTable(subs, _TOP)
+    assert table.compose(Poly.monomial(2, (1, 1), 4)) == Poly.monomial(2, (32767, 32768), 2)
+    assert Poly.monomial(1, (_TOP,)).diff(0) == Poly.monomial(1, (_TOP - 1,), _TOP)
+
+
+def test_degrees_past_the_field_bound_raise_overflow_error():
+    a = Poly.monomial(2, (40000, 0))
+    b = Poly.monomial(2, (0, 25536))
+    half = Poly.monomial(2, (0, 32768))
+    for product in (
+        lambda: a * b,
+        lambda: Poly.sum_of_products(2, [(1, b, a)]),
+        lambda: a.addmul_into({}, 1, b),
+        lambda: a.mul_truncated(b, 3),
+        lambda: PowerTable([a, half], _TOP).compose(Poly.monomial(2, (0, 2))),
+        lambda: Poly.monomial(2, (32768, 32768)),
+        lambda: Poly(1, {(_TOP + 1,): 1}),
+    ):
+        with pytest.raises(OverflowError, match=str(_TOP)):
+            product()
+
+
+_FIXED_REPRS = [
+    (Poly.zero(2), "0"),
+    (Poly.const(1, Fraction(-7, 3)), "-7/3"),
+    (
+        Poly(2, {(0, 1): 1, (1, 0): "1/2", (0, 0): -2, (2, 0): 3, (1, 1): 1}),
+        "-2 + x1 + 1/2*x0 + x0*x1 + 3*x0^2",
+    ),
+    (
+        (Poly.variable(3, 0) + Poly.variable(3, 1) * Fraction(2, 3) - 1)
+        * (Poly.variable(3, 2) - Poly.variable(3, 0)) * 3,
+        "-3*x2 + 3*x0 + 2*x1*x2 + 3*x0*x2 + -2*x0*x1 + -3*x0^2",
+    ),
+    (
+        Poly(3, {(0, 0, 2): 1, (0, 1, 1): -1, (1, 0, 1): Fraction(5, 4), (0, 2, 0): 1,
+                 (2, 0, 0): 7}),
+        "x2^2 + -1*x1*x2 + x1^2 + 5/4*x0*x2 + 7*x0^2",
+    ),
+    (
+        Poly(4, {(0, 0, 0, 9): 1, (9, 0, 0, 0): -1, (1, 2, 3, 3): "1/9"}),
+        "x3^9 + 1/9*x0*x1^2*x2^3*x3^3 + -1*x0^9",
+    ),
+]
+
+
+@pytest.mark.parametrize("p, text", _FIXED_REPRS)
+def test_repr_hash_and_equality_keep_their_tuple_semantics(p, text):
+    """repr lists terms in graded lex order; hash and == read the
+    {monomial: Fraction} view, and constants equal their scalars."""
+    assert repr(p) == text
+    assert Poly(p.n, p.coeffs) == p and hash(Poly(p.n, p.coeffs)) == hash(p)
+    if p.degree() <= 0:
+        c = p.constant_term()
+        assert p == c and hash(p) == hash(c)
+        assert (p == int(c)) == (c.denominator == 1)
+    else:
+        assert hash(p) == hash((p.n, frozenset(p.coeffs.items())))
+        assert p != p.constant_term() and p != 0
+
+
+@pytest.mark.parametrize("j", [-1, 2])
+def test_diff_rejects_a_variable_outside_the_chart(j):
+    with pytest.raises(IndexError):
+        Poly.variable(2, 0).diff(j)
