@@ -357,8 +357,7 @@ def _run_forms_suite(args):
 
 
 def _run_bracket(args):
-    from .klein import bracket_fields
-    from .spencer import spencer_bracket
+    from .spencer import bracket_fields, spencer_bracket
 
     scenario = _load_scenario(args.scenario)
     n = _bound("n", _require(scenario, "n", int), "n")
@@ -482,11 +481,11 @@ def _run_extension(args):
     from .liealg import (
         ExtensionData,
         is_split,
+        jet_group_algebra,
         nilpotency_analysis,
         two_cocycle_witness,
     )
     from .multiindex import order
-    from .spencer import jet_group_algebra
 
     n, k, m = BUILTINS[args.builtin]["nkm"] if args.builtin else (args.n, args.k, args.m)
     n = _bound("n", n, "n")

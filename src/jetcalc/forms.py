@@ -8,7 +8,9 @@ vector k-jets to a function k-jet, stored through its coefficients on
 strictly increasing tuples of fiber basis slots.  One type, `FormKR`,
 holds both kinds of form, as the jet classes do: a section form has
 function jet sections as coefficients, a form at a base point has
-function jets at that point.
+function jets at that point.  The four functions that need linear
+algebra import `linalg` when they run, as the arrow action imports
+`arrows`, so the identity suites of the CLI load neither.
 """
 
 from fractions import Fraction
@@ -26,8 +28,7 @@ from .jets import (
     jet_product_sum,
     vector_slots,
 )
-from .linalg import Echelon, _sign, determinant, nullspace, solve
-from .multiindex import multi_indices, order
+from .multiindex import _sign, multi_indices, order
 from .poly import Poly, _as_fraction
 from .spencer import basis_action, basis_bracket, jet_action, spencer_bracket
 
@@ -174,6 +175,8 @@ def eval_form(omega, args):
     """Evaluate a form on r vector jets of its kind (sections, or jets at
     its base point); multilinear, alternating.  Each coefficient is
     scaled by the minor of the arguments on its slot tuple."""
+    from .linalg import determinant
+
     if len(args) != omega.r:
         raise ValueError(f"form of degree {omega.r} takes {omega.r} arguments")
     for x in args:
@@ -376,6 +379,8 @@ def theta_structure_algebra(spanning_sections, n, k, poly_degree):
     """Basis of the function jet sections annihilated by the jet action
     of every member of a spanning family, with coefficient polynomials
     of total degree <= poly_degree."""
+    from .linalg import nullspace
+
     layout = _form_basis(n, k, 0, poly_degree)
     matrix = []
     for x in spanning_sections:
@@ -398,6 +403,8 @@ def theta_closed_under_product(spanning_sections, basis_sections, n, k, poly_deg
     double the coefficient degree, so membership is re-solved in the
     structure algebra computed at twice the degree bound.
     """
+    from .linalg import Echelon
+
     if not basis_sections:
         return True
     layout = _form_basis(n, k, 0, 2 * poly_degree)
@@ -517,6 +524,8 @@ def local_exactness_check(n, k, r, poly_degree):
     degree r-1 and coefficient degree <= poly_degree + 1 (for r >= 1).
     For r = 0 reports the kernel dimension of d instead.
     """
+    from .linalg import nullspace, solve
+
     if r > n:
         raise ValueError("complex is truncated at degree n")
     in_layout = _form_basis(n, k, r, poly_degree)

@@ -16,20 +16,7 @@ from .liealg import FiniteLieAlgebra
 from .linalg import Echelon, rank
 from .multiindex import unit
 from .poly import Poly, _as_fraction
-from .spencer import algebraic_bracket
-
-
-def bracket_fields(x_comps, y_comps):
-    """Bracket of polynomial vector fields, componentwise."""
-    n = len(x_comps)
-    return [
-        Poly.sum_of_products(n, [
-            (sign, p[a], q[i].diff(a))
-            for sign, p, q in ((1, x_comps, y_comps), (-1, y_comps, x_comps))
-            for a in range(n)
-        ])
-        for i in range(n)
-    ]
+from .spencer import algebraic_bracket, bracket_fields
 
 
 class RealizedLieAlgebra:

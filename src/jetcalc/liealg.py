@@ -1,7 +1,8 @@
 """Finite-dimensional Lie algebras over the rationals: structure
-constant validation, Chevalley-Eilenberg cohomology (absolute and
-relative), abelian extensions with their 2-cocycles and splitting test,
-and lower-central-series analysis.
+constant validation, the isotropy jet group algebra (`JetGroupAlgebra`,
+its constants `spencer.basis_bracket`), Chevalley-Eilenberg cohomology
+(absolute and relative), abelian extensions with their 2-cocycles and
+splitting test, and lower-central-series analysis.
 
 An algebra keeps its constants twice: flat, as validated, and indexed by
 basis pair (`FiniteLieAlgebra.rows`), so brackets and the Jacobi check
@@ -17,7 +18,9 @@ d)."""
 from fractions import Fraction
 from itertools import combinations
 
+from .jets import vector_slots
 from .linalg import Echelon, matmul, zeros
+from .spencer import basis_bracket
 
 
 class FiniteLieAlgebra:
@@ -100,6 +103,42 @@ def validate_lie_algebra(dim, structure):
         if any(x != 0 for x in total.values()):
             return False, ("jacobi", i, j, k)
     return True, None
+
+
+class JetGroupAlgebra(FiniteLieAlgebra):
+    """The Lie algebra of the isotropy jet group at a point: basis slots
+    (i, alpha) with 1 <= |alpha| <= k, the k-jets of the fields
+    x^alpha/alpha! d_i, antisymmetry and Jacobi checked on construction."""
+
+    __slots__ = ("n", "k", "slots")
+
+    def __init__(self, n, k):
+        if k < 1:
+            raise ValueError("order must be at least 1")
+        self.n = n
+        self.k = k
+        self.slots = vector_slots(n, k, min_order=1)
+        super().__init__(len(self.slots), self._structure_constants())
+
+    def _structure_constants(self):
+        """[x^a/a! d_i, x^b/b! d_j] = `basis_bracket((i, a), (j, b), k)`,
+        the bracket of the basis jets with a single slot equal to 1."""
+        pos = {s: r for r, s in enumerate(self.slots)}
+        table = {}
+        for (p, s), (q, t) in combinations(enumerate(self.slots), 2):
+            out = {pos[u]: c for u, c in basis_bracket(s, t, self.k).items()}
+            for r in sorted(out):
+                table[(p, q, r)] = Fraction(out[r])
+                table[(q, p, r)] = -Fraction(out[r])
+        return table
+
+    def finite_lie_algebra(self):
+        """This algebra: it is a FiniteLieAlgebra, checked on construction."""
+        return self
+
+
+def jet_group_algebra(n, k):
+    return JetGroupAlgebra(n, k)
 
 
 class LieModule:

@@ -16,8 +16,10 @@ tolerance decisions anywhere.
 
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, permutations
+from itertools import permutations
 from math import gcd, lcm
+
+from .multiindex import _sign
 
 
 def _int_row(vector):
@@ -224,13 +226,6 @@ def invert(matrix):
     if ech.pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in ech.dense_rows(2 * n)]
-
-
-def _sign(seq):
-    """Sign of the permutation that sorts seq (distinct entries): -1 for
-    an odd number of inversions, else 1."""
-    inversions = sum(a > b for a, b in combinations(seq, 2))
-    return -1 if inversions % 2 else 1
 
 
 def determinant(matrix):

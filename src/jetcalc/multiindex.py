@@ -3,10 +3,11 @@
 A multi-index is a tuple of n non-negative integers.  All basis
 enumerations in the library use graded lexicographic order (by total
 order first, then lexicographic), produced by :func:`multi_indices`.
+`_sign` is the sign of a sorting permutation, for forms and determinants.
 """
 
 import operator
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 
@@ -89,3 +90,10 @@ def factorial(alpha):
         for m in range(2, a + 1):
             result *= m
     return result
+
+
+def _sign(seq):
+    """Sign of the permutation that sorts seq (distinct entries): -1 for
+    an odd number of inversions, else 1."""
+    inversions = sum(a > b for a, b in combinations(seq, 2))
+    return -1 if inversions % 2 else 1

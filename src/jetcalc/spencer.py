@@ -1,11 +1,11 @@
 """Bracket calculus on jets: algebraic bracket, Spencer operator,
 Spencer bracket, the action of vector jets on function jets, and the
-Lie algebra of the isotropy jet group, a `FiniteLieAlgebra` whose
-structure constants are the closed-form brackets of the truncated
-monomial fields x^alpha/alpha! d_i (`isotropy_bracket` of the basis jets
-gives the same table).  The constant basis sections e_s of g_k, with a
-single slot equal to 1, act and bracket in closed form (`basis_action`,
-`basis_bracket`); `jet_action` and `spencer_bracket` are their oracle.
+classical bracket of polynomial vector fields (`bracket_fields`), the
+oracle of the Spencer bracket of their prolongations.  The constant
+basis sections e_s of g_k, with a single slot equal to 1, act and
+bracket in closed form (`basis_action`, `basis_bracket`, whose table
+`liealg.JetGroupAlgebra` holds); `jet_action` and `spencer_bracket` are
+their oracle.
 
 The bracket and the action share one Leibniz formula, `_leibniz_terms`,
 for jet sections and jets at a point alike: it lists the terms of each
@@ -16,19 +16,21 @@ the Spencer bracket corrects the algebraic bracket by Spencer terms so
 that it closes at the same order and satisfies the Jacobi identity.
 """
 
-from fractions import Fraction
-from itertools import combinations
+from .multiindex import add, multi_binomial, order, sub, unit
+from .poly import Poly, random_poly
 
-from .jets import vector_slots
-from .liealg import FiniteLieAlgebra
-from .multiindex import (
-    add,
-    multi_binomial,
-    order,
-    sub,
-    unit,
-)
-from .poly import random_poly
+
+def bracket_fields(x_comps, y_comps):
+    """Bracket of polynomial vector fields, componentwise."""
+    n = len(x_comps)
+    return [
+        Poly.sum_of_products(n, [
+            (sign, p[a], q[i].diff(a))
+            for sign, p, q in ((1, x_comps, y_comps), (-1, y_comps, x_comps))
+            for a in range(n)
+        ])
+        for i in range(n)
+    ]
 
 
 def _leibniz_terms(slot_terms, x_jet, f_values, k, sign=1, i=None):
@@ -111,7 +113,7 @@ def spencer_operator(section):
     ]
 
 
-def _lift(section, lift_policy, rng=None, degree=2):
+def _lift(section, lift_policy, rng=None):
     """Lift a section by one order, with zero or seeded random new slots."""
     if lift_policy == "zero":
         return section.lift(section.k + 1)
@@ -120,7 +122,7 @@ def _lift(section, lift_policy, rng=None, degree=2):
             raise ValueError("random lift needs an rng")
         new = [s for s in section.lift(section.k + 1).coeffs if s not in section.coeffs]
         return section.lift(
-            section.k + 1, {s: random_poly(section.n, rng, degree) for s in new}
+            section.k + 1, {s: random_poly(section.n, rng, 2) for s in new}
         )
     raise ValueError(f"unknown lift policy {lift_policy!r}")
 
@@ -163,12 +165,12 @@ def algebraic_action_star(x_section, f_section):
     return f_section._summed(x_section.k, slot_terms)
 
 
-def jet_action(x_section, f_section, lift_policy="zero", rng=None):
+def jet_action(x_section, f_section):
     """X f for a vector jet section X and function jet section f of equal
-    order: the Leibniz action on a lift plus the Spencer correction."""
+    order: the Leibniz action on the zero lift plus the Spencer correction."""
     if (x_section.n, x_section.k) != (f_section.n, f_section.k):
         raise ValueError("jet order/dimension mismatch")
-    f_lift = _lift(f_section, lift_policy, rng)
+    f_lift = f_section.lift(f_section.k + 1)
     main = algebraic_action_star(x_section, f_lift)
     df = spencer_operator(f_lift)
     return main + _contract_with_order0(x_section, df)
@@ -208,39 +210,3 @@ def basis_bracket(s, t, k):
             c = sub(add(x, y), unit(len(x), u))
             out[(v, c)] = out.get((v, c), 0) + sign * multi_binomial(c, x)
     return {slot: c for slot, c in out.items() if c}
-
-
-class JetGroupAlgebra(FiniteLieAlgebra):
-    """The Lie algebra of the isotropy jet group at a point: basis slots
-    (i, alpha) with 1 <= |alpha| <= k, the k-jets of the fields
-    x^alpha/alpha! d_i, antisymmetry and Jacobi checked on construction."""
-
-    __slots__ = ("n", "k", "slots")
-
-    def __init__(self, n, k):
-        if k < 1:
-            raise ValueError("order must be at least 1")
-        self.n = n
-        self.k = k
-        self.slots = vector_slots(n, k, min_order=1)
-        super().__init__(len(self.slots), self._structure_constants())
-
-    def _structure_constants(self):
-        """[x^a/a! d_i, x^b/b! d_j] = `basis_bracket((i, a), (j, b), k)`,
-        the bracket of the basis jets with a single slot equal to 1."""
-        pos = {s: r for r, s in enumerate(self.slots)}
-        table = {}
-        for (p, s), (q, t) in combinations(enumerate(self.slots), 2):
-            out = {pos[u]: c for u, c in basis_bracket(s, t, self.k).items()}
-            for r in sorted(out):
-                table[(p, q, r)] = Fraction(out[r])
-                table[(q, p, r)] = -Fraction(out[r])
-        return table
-
-    def finite_lie_algebra(self):
-        """This algebra: it is a FiniteLieAlgebra, checked on construction."""
-        return self
-
-
-def jet_group_algebra(n, k):
-    return JetGroupAlgebra(n, k)

@@ -24,9 +24,10 @@ from jetcalc.jets import (
     prolong_vector_field,
     vector_slots,
 )
+from jetcalc.liealg import jet_group_algebra
 from jetcalc.multiindex import multi_indices
 from jetcalc.poly import Poly
-from jetcalc.spencer import jet_action, jet_group_algebra, spencer_bracket
+from jetcalc.spencer import jet_action, spencer_bracket
 
 
 def rand_poly(n, rng, degree=2):

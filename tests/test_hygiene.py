@@ -125,19 +125,64 @@ def test_only_poly_and_its_tests_see_packed_monomials():
         assert all(type(m) is tuple and all(type(e) is int for e in m) for m in monomials)
 
 
-def test_forms_and_lie_equations_load_arrows_only_when_an_arrow_acts():
-    probe = (
-        "import sys\n"
-        "import jetcalc.forms, jetcalc.lie_equations\n"
-        "print('\\n'.join(sorted(sys.modules)))\n"
+def _jetcalc_modules_after(code):
+    """The jetcalc modules a fresh interpreter holds after running code."""
+    probe = code + (
+        "\nimport sys\n"
+        "print('\\n'.join(m for m in sys.modules if m.startswith('jetcalc')))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    loaded = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    ).stdout.split()
-    assert "jetcalc.forms" in loaded and "jetcalc.lie_equations" in loaded
-    assert "jetcalc.arrows" not in loaded
+    return set(
+        subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        ).stdout.split()
+    )
+
+
+def test_forms_and_lie_equations_load_arrows_only_when_an_arrow_acts():
+    """Importing forms or lie_equations loads no arrows, forms loads no
+    linear algebra until a function of it needs some, and spencer loads
+    neither the Lie algebras nor linear algebra."""
+    for module, absent in (
+        ("forms", ["arrows", "klein", "liealg", "linalg"]),
+        ("lie_equations", ["arrows"]),
+        ("spencer", ["liealg", "linalg"]),
+    ):
+        loaded = _jetcalc_modules_after(f"import jetcalc.{module}")
+        assert f"jetcalc.{module}" in loaded
+        assert sorted(loaded & {f"jetcalc.{m}" for m in absent}) == [], module
+
+
+# the modules every command loads to parse its arguments
+START_UP = {"cli", "jets", "multiindex", "poly"}
+# the modules each command loads beyond those, and small arguments to run it with
+COMMAND_LAYERS = {
+    "check-identities": (["--n", "2", "--k", "1", "--count", "1"], {"forms", "spencer"}),
+    "forms": (["--n", "2", "--k", "0", "--count", "1"], {"forms", "spencer"}),
+    "bracket": (["--scenario", "{scenario}"], {"spencer"}),
+    "prolong": (["--builtin", "flat-metric-2d"], {"lie_equations", "linalg"}),
+    "klein": (["--builtin", "affine-line"], {"klein", "liealg", "linalg", "spencer"}),
+    "extension": (["--n", "1", "--k", "2", "--m", "1"], {"liealg", "linalg", "spencer"}),
+    "list-builtins": ([], set()),
+}
+
+
+def test_each_command_loads_only_its_layers(tmp_path):
+    """Each subcommand, run to completion in a fresh interpreter, loads
+    exactly the start-up modules and the layers it computes with."""
+    scenario = tmp_path / "bracket.json"
+    scenario.write_text(
+        '{"task": "bracket", "n": 1, "k": 2, "point": ["0"],'
+        ' "x": [[{"exponents": [0], "value": "1"}]], "y": [[{"exponents": [1], "value": "1"}]]}'
+    )
+    out = tmp_path / "report.json"
+    for command, (args, layers) in COMMAND_LAYERS.items():
+        argv = [command, *(a.format(scenario=scenario) for a in args), "--out", str(out)]
+        loaded = _jetcalc_modules_after(
+            f"from jetcalc.cli import main\nassert main({argv!r}) == 0"
+        )
+        assert loaded == {"jetcalc"} | {f"jetcalc.{m}" for m in START_UP | layers}, command
 
 
 def test_modules_import_only_the_standard_library():

@@ -7,7 +7,6 @@ import pytest
 
 from jetcalc.klein import (
     RealizedLieAlgebra,
-    bracket_fields,
     build_affine_example,
     build_projective_example,
     build_projective_line_example,
@@ -23,6 +22,7 @@ from jetcalc.lie_equations import solve_system, StructureJet
 from jetcalc.liealg import FiniteLieAlgebra
 from jetcalc.linalg import rank
 from jetcalc.poly import Poly
+from jetcalc.spencer import bracket_fields
 
 
 def test_validate_realization_catches_wrong_constants():

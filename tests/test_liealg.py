@@ -18,9 +18,9 @@ from jetcalc.liealg import (
     relative_ce_cohomology_dims,
     ce_cohomology_dims,
     two_cocycle_witness,
+    jet_group_algebra,
     validate_lie_algebra,
 )
-from jetcalc.spencer import jet_group_algebra
 
 
 def anti(structure):

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from itertools import permutations
 from math import comb
 
 from jetcalc.multiindex import (
+    _sign,
     add,
     factorial,
     multi_binomial,
@@ -60,3 +62,20 @@ def test_binomial_row_sums():
 
 def test_factorial_of_multi_index():
     assert factorial((3, 2)) == 12
+
+
+def test_sign_matches_the_cycle_parity():
+    # a permutation of m items with c cycles is a product of m - c transpositions
+    for m in range(6):
+        items = [3 * i * i - 7 for i in range(m)]  # distinct, increasing, not 0..m-1
+        for seq in permutations(items):
+            target = [items.index(x) for x in seq]  # position -> sorted position
+            seen, cycles = set(), 0
+            for start in range(m):
+                if start not in seen:
+                    cycles += 1
+                    x = start
+                    while x not in seen:
+                        seen.add(x)
+                        x = target[x]
+            assert _sign(seq) == (-1) ** (m - cycles), seq

@@ -14,7 +14,7 @@ from jetcalc.jets import (
     prolong_vector_field,
     vector_slots,
 )
-from jetcalc.liealg import validate_lie_algebra
+from jetcalc.liealg import jet_group_algebra, validate_lie_algebra
 from jetcalc.multiindex import (
     add,
     multi_binomial,
@@ -32,7 +32,6 @@ from jetcalc.spencer import (
     basis_bracket,
     isotropy_bracket,
     jet_action,
-    jet_group_algebra,
     spencer_bracket,
     spencer_operator,
 )
