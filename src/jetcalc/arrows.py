@@ -40,9 +40,9 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .linalg import determinant, invert as mat_invert
-from .multiindex import factorial, multi_indices, order, unit
+from .multiindex import factorial, order, unit
 from .poly import Poly, PowerTable, _as_fraction
-from .jets import FunctionJetPoint, VectorJetPoint
+from .jets import FunctionJetPoint, VectorJetPoint, prolong_vector_field, vector_slots
 
 
 def _taylor(n, values):
@@ -83,8 +83,7 @@ class Arrow:
         self.target = tuple(_as_fraction(x) for x in target)
         if len(self.source) != n or len(self.target) != n:
             raise ValueError("point dimension mismatch")
-        slots = [(i, alpha) for alpha in multi_indices(n, k, k_min=1) for i in range(n)]
-        table = dict.fromkeys(slots, Fraction(0))
+        table = dict.fromkeys(vector_slots(n, k, min_order=1), Fraction(0))
         for (i, alpha), c in (coeffs or {}).items():
             s = (i, tuple(alpha))
             if s not in table:
@@ -102,15 +101,12 @@ class Arrow:
 
     @classmethod
     def from_polynomial_map(cls, components, k, source):
-        """Arrow induced by a polynomial map with invertible Jacobian at source."""
-        n = components[0].n
-        source = tuple(_as_fraction(x) for x in source)
-        target = tuple(c.evaluate(source) for c in components)
-        coeffs = {}
-        for i, comp in enumerate(components):
-            for alpha in multi_indices(n, k, k_min=1):
-                coeffs[(i, alpha)] = comp.derivative_value(alpha, source)
-        return cls(n, k, source, target, coeffs)
+        """Arrow induced by a polynomial map with invertible Jacobian at
+        source: the map's k-jet there, whose order-0 slots are the target."""
+        jet = prolong_vector_field(components, k).at(source)
+        target = jet.project(0).as_vector()
+        coeffs = {s: c for s, c in jet.coeffs.items() if order(s[1])}
+        return cls(jet.n, k, jet.point, target, coeffs)
 
     def slot(self, i, alpha):
         return self.coeffs[(i, tuple(alpha))]

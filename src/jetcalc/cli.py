@@ -15,7 +15,6 @@ import json
 import random
 import sys
 import time
-from fractions import Fraction
 
 from .jets import (
     FunctionJetSection,
@@ -24,7 +23,7 @@ from .jets import (
     vector_slots,
 )
 from .multiindex import is_natural, multi_indices
-from .poly import Poly, random_poly
+from .poly import Poly, _as_fraction, random_poly
 
 VERSION = "0.1.0"
 
@@ -40,17 +39,14 @@ class ResourceError(Exception):
 
 
 def _frac(value, field):
-    """Exact rational from a JSON value; floats are rejected."""
+    """Exact rational from a JSON value; floats are rejected, and the
+    gate's OverflowError (a decimal exponent past its bound) passes."""
     if isinstance(value, bool) or isinstance(value, float):
         raise SchemaError(f"{field}: rationals must be strings or integers")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise SchemaError(f"{field}: cannot parse rational {value!r}")
-    raise SchemaError(f"{field}: cannot parse rational {value!r}")
+    try:
+        return _as_fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise SchemaError(f"{field}: cannot parse rational {value!r}")
 
 
 _KINDS = {int: "an integer", list: "a list", dict: "an object", str: "a string"}
@@ -93,7 +89,7 @@ def _parse_poly(n, spec, field):
             raise SchemaError(f"{field}[{t}].exponents: expected {n} naturals")
         c = _frac(term.get("value"), f"{field}[{t}].value")
         key = tuple(exps)
-        coeffs[key] = coeffs.get(key, Fraction(0)) + c
+        coeffs[key] = coeffs.get(key, 0) + c
     try:
         return Poly(n, coeffs)
     except OverflowError as exc:
@@ -630,7 +626,7 @@ def main(argv=None):
     except SchemaError as exc:
         _emit({"error": str(exc), "exit": 2}, args.out)
         return 2
-    except (ResourceError, OverflowError) as exc:  # OverflowError: past the degree bound of a Poly
+    except (ResourceError, OverflowError) as exc:  # OverflowError: past poly's degree or exponent bound
         _emit({"error": str(exc), "exit": 3}, args.out)
         return 3
     report = {

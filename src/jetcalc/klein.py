@@ -199,25 +199,21 @@ def _antisymmetrize(structure):
     """Fill in the reversed-pair structure constants."""
     out = {}
     for (i, j, k), c in structure.items():
-        out[(i, j, k)] = Fraction(c)
-        out[(j, i, k)] = -Fraction(c)
+        out[(i, j, k)] = c
+        out[(j, i, k)] = -c
     return out
 
 
 def build_affine_example():
     """The affine line: constant and linear fields on one variable."""
-    algebra = FiniteLieAlgebra(2, _antisymmetrize({(0, 1, 0): Fraction(1)}))
+    algebra = FiniteLieAlgebra(2, _antisymmetrize({(0, 1, 0): 1}))
     fields = [[Poly.monomial(1, (d,))] for d in range(2)]  # d/dx and x d/dx
     return RealizedLieAlgebra(algebra, fields, (Fraction(0),))
 
 
 def build_projective_line_example():
     """The projective line: the span of d/dx, x d/dx, x^2 d/dx."""
-    structure = {
-        (0, 1, 0): Fraction(1),
-        (0, 2, 1): Fraction(2),
-        (1, 2, 2): Fraction(1),
-    }
+    structure = {(0, 1, 0): 1, (0, 2, 1): 2, (1, 2, 2): 1}
     algebra = FiniteLieAlgebra(3, _antisymmetrize(structure))
     fields = [[Poly.monomial(1, (d,))] for d in range(3)]
     return RealizedLieAlgebra(algebra, fields, (Fraction(0),))
@@ -241,12 +237,12 @@ def build_projective_example(n):
                 continue
             out = {}
             if v == w:
-                out[(u, z)] = out.get((u, z), Fraction(0)) + 1
+                out[(u, z)] = out.get((u, z), 0) + 1
             if z == u:
-                out[(w, v)] = out.get((w, v), Fraction(0)) - 1
+                out[(w, v)] = out.get((w, v), 0) - 1
             for cell, c in out.items():
                 if c != 0:
-                    structure[(p, q, pos[cell])] = Fraction(c)
+                    structure[(p, q, pos[cell])] = c
     algebra = FiniteLieAlgebra(m * m, _antisymmetrize(structure))
     e = partial(unit, n)
     radial = [Poly.monomial(n, e(a)) for a in range(n)]

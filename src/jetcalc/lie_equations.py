@@ -2,7 +2,8 @@
 systems built from structure jets, prolongation/surjectivity reports,
 Levi-Civita extraction with the unique second-order completion,
 anchor-exactness checks, bracket closure, and conjugation of systems by
-arrows."""
+arrows.  Levi-Civita and the Killing completion share one Koszul
+formula, `_koszul`."""
 
 from fractions import Fraction
 from functools import reduce
@@ -238,10 +239,15 @@ def symplectic_system(omega, k, require_closed=False):
     return _lie_derivative_rows(omega, k)
 
 
+def _system(structure, k):
+    """The Killing or symplectic rows, as the structure's kind asks."""
+    system = killing_system if structure.kind == "metric" else symplectic_system
+    return system(structure, k)
+
+
 def solve_system(structure, k):
     """Solution subspace of the invariance system on the order-k fiber."""
-    system = killing_system if structure.kind == "metric" else symplectic_system
-    return LinearJetSubspace(structure.n, k, structure.point, Echelon(system(structure, k)))
+    return LinearJetSubspace(structure.n, k, structure.point, Echelon(_system(structure, k)))
 
 
 def restrict_projection(sub, m):
@@ -266,8 +272,7 @@ def _prolongation(structure, k_max):
     The order-k system is a prefix of the order-k_max one, so one echelon
     grows by the rows of |alpha| = k-1 at each order k, and its nullspace
     on the order-k fiber is the order-k solution subspace."""
-    system = killing_system if structure.kind == "metric" else symplectic_system
-    rows = system(structure, k_max)
+    rows = _system(structure, k_max)
     per_alpha = len(rows) // len(multi_indices(structure.n, k_max - 1))
     equations, orders, prev, done = Echelon(), [], None, 0
     for k in range(1, k_max + 1):
@@ -323,80 +328,64 @@ class Christoffel:
         return f"Christoffel(n={self.n}, {nz})"
 
 
+def _koszul(g, r):
+    """{(i, j, k): sum_a g^{ia} (r(a, j, k) + r(a, k, j) - r(j, k, a)) / 2}
+    for j <= k, g^{ia} the inverse of the metric's order-0 matrix: the
+    unique solution x, symmetric in (j, k), of
+    g_ab x^b_jk + g_jb x^b_ak = r(a, j, k) for an r symmetric in (a, j)."""
+    n = g.n
+    ginv = invert(g.order0_matrix())
+    out = {}
+    for j in range(n):
+        for k in range(j, n):
+            lowered = [(r(a, j, k) + r(a, k, j) - r(j, k, a)) / 2 for a in range(n)]
+            for i in range(n):
+                out[(i, j, k)] = sum((ginv[i][a] * lowered[a] for a in range(n)), Fraction(0))
+    return out
+
+
 def levi_civita(g):
     """The unique symmetric metric connection, from the metric 1-jet."""
     if g.kind != "metric":
         raise ValueError("levi_civita needs a metric structure jet")
     if g.order < 1:
         raise ValueError("need the metric 1-jet")
-    n = g.n
-    ginv = invert(g.order0_matrix())
-    coeffs = {}
-    for i in range(n):
-        for j in range(n):
-            for k in range(j, n):
-                total = Fraction(0)
-                for a in range(n):
-                    total += ginv[i][a] * (
-                        g.slot(a, j, unit(n, k))
-                        + g.slot(a, k, unit(n, j))
-                        - g.slot(j, k, unit(n, a))
-                    )
-                coeffs[(i, j, k)] = total / 2
-    return Christoffel(n, coeffs)
+    return Christoffel(g.n, _koszul(g, lambda a, j, k: g.slot(a, j, unit(g.n, k))))
 
 
 def killing_order2_completion(g, low_coords):
     """Second-order slots of a Killing 2-jet, as the unique completion
     of its order-<=1 part.
 
-    Differentiating the invariance equation once and symmetrizing (the
-    same index trick that produces the Levi-Civita symbols) solves for
-    g_ia xi^a_jk in closed form.  Returns xi^i_jk as a table
-    (i, alpha) -> value for |alpha| = 2.
+    Differentiating the invariance equation once gives
+    g_ia xi^a_jk + g_ja xi^a_ik = r(i, j, k), and `_koszul` solves it
+    for xi^i_jk, as it solves for the Levi-Civita symbols.  Returns
+    xi^i_jk as a table (i, alpha) -> value for |alpha| = 2.
     """
     n = g.n
     if g.order < 2:
         raise ValueError("need the metric 2-jet (extend by zero if flat)")
-    slots1 = vector_slots(n, 1)
-    pos = {s: i for i, s in enumerate(slots1)}
+    xi = dict(zip(vector_slots(n, 1), low_coords))
     z = (0,) * n
-
-    def xi(a, alpha):
-        return low_coords[pos[(a, tuple(alpha))]]
 
     def r_term(i, j, k):
         total = Fraction(0)
         for a in range(n):
-            total -= xi(a, z) * g.slot(i, j, add(unit(n, a), unit(n, k)))
-            total -= xi(a, unit(n, k)) * g.slot(i, j, unit(n, a))
-            total -= g.slot(a, j, unit(n, k)) * xi(a, unit(n, i))
-            total -= g.slot(i, a, unit(n, k)) * xi(a, unit(n, j))
+            total -= xi[a, z] * g.slot(i, j, add(unit(n, a), unit(n, k)))
+            total -= xi[a, unit(n, k)] * g.slot(i, j, unit(n, a))
+            total -= g.slot(a, j, unit(n, k)) * xi[a, unit(n, i)]
+            total -= g.slot(i, a, unit(n, k)) * xi[a, unit(n, j)]
         return total
 
-    ginv = invert(g.order0_matrix())
-    table = {}
-    for j in range(n):
-        for k in range(j, n):
-            alpha = add(unit(n, j), unit(n, k))
-            # lowered[a] = g_ab xi^b_{jk}, by the symmetrization trick
-            lowered = [
-                (r_term(a, j, k) + r_term(a, k, j) - r_term(j, k, a)) / 2
-                for a in range(n)
-            ]
-            for i in range(n):
-                table[(i, alpha)] = sum(
-                    (ginv[i][a] * lowered[a] for a in range(n)), Fraction(0)
-                )
-    return table
+    return {(i, add(unit(n, j), unit(n, k))): c for (i, j, k), c in _koszul(g, r_term).items()}
 
 
 def atiyah_exactness(sub):
     """Anchor surjectivity onto the tangent fiber and the kernel
     dimension identity for a solution subspace."""
     n = sub.n
-    anchor_rank = rank([v[:n] for v in sub.basis])
-    kernel_dim = sub.dim - anchor_rank
+    # the order-0 slots are the tangent fiber
+    _, anchor_rank, kernel_dim = restrict_projection(sub, 0)
     return {
         "dim": sub.dim,
         "anchor_rank": anchor_rank,

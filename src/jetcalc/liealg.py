@@ -20,6 +20,7 @@ from itertools import combinations
 
 from .jets import vector_slots
 from .linalg import Echelon, matmul, zeros
+from .poly import _as_fraction
 from .spencer import basis_bracket
 
 
@@ -28,6 +29,7 @@ class FiniteLieAlgebra:
 
     `structure` is the flat table; `rows` indexes the same constants by
     basis pair, {(i, j): {k: c}}, so a basis bracket is one lookup.
+    Each constant passes the exact-scalar gate `poly._as_fraction`.
     Antisymmetry and the Jacobi identity are verified at construction.
     """
 
@@ -38,7 +40,7 @@ class FiniteLieAlgebra:
         table = {}
         if structure:
             for (i, j, k), c in structure.items():
-                c = Fraction(c)
+                c = _as_fraction(c)
                 if c != 0:
                     table[(i, j, k)] = c
         self.structure = table
@@ -128,8 +130,8 @@ class JetGroupAlgebra(FiniteLieAlgebra):
         for (p, s), (q, t) in combinations(enumerate(self.slots), 2):
             out = {pos[u]: c for u, c in basis_bracket(s, t, self.k).items()}
             for r in sorted(out):
-                table[(p, q, r)] = Fraction(out[r])
-                table[(q, p, r)] = -Fraction(out[r])
+                table[(p, q, r)] = out[r]
+                table[(q, p, r)] = -out[r]
         return table
 
     def finite_lie_algebra(self):

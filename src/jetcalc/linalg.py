@@ -1,7 +1,7 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of lists of exact scalars (Fraction, int or a
-rational string); results are Fractions.  One elimination kernel sits
+Matrices are lists of lists of exact scalars, each read through
+`poly._as_fraction`; results are Fractions.  One elimination kernel sits
 under everything: `Echelon`, the reduced row echelon form of a row space
 grown one row at a time.  It takes dense rows or sparse `{column: value}`
 rows and works fraction-free: each pivot row is a primitive int row over
@@ -20,6 +20,9 @@ from itertools import permutations
 from math import gcd, lcm
 
 from .multiindex import _sign
+from .poly import Poly, _as_fraction
+
+_FAST = (int, Fraction)  # the entry types an elimination reads as they are
 
 
 def _int_row(vector):
@@ -27,9 +30,9 @@ def _int_row(vector):
     entries times the lcm of their denominators."""
     row = {}
     for c, x in vector.items() if isinstance(vector, dict) else enumerate(vector):
-        # convert before testing: the string "0" is truthy
-        if not isinstance(x, (int, Fraction)):
-            x = Fraction(x)
+        # convert before testing: the string "0" is truthy; a bool goes to the gate
+        if type(x) not in _FAST:
+            x = _as_fraction(x)
         if x:
             row[c] = x
     den = reduce(lcm, [x.denominator for x in row.values()], 1)
@@ -240,7 +243,7 @@ def determinant(matrix):
     """
     if not matrix:
         return Fraction(1)
-    rows = [[Fraction(x) if isinstance(x, (int, str)) else x for x in row] for row in matrix]
+    rows = [[x if isinstance(x, (Fraction, Poly)) else _as_fraction(x) for x in row] for row in matrix]
     total = rows[0][0] * 0  # the zero of the entries' kind
     for perm in permutations(range(len(rows))):
         term = None

@@ -11,15 +11,23 @@ monomials is the sum of their keys.  No field carries while degrees stay
 below 2^16: the constructor, and each product kernel for the sum of its
 factors' degrees, raises OverflowError from degree 2^16 on.  Fractions
 and tuples appear only at the boundary: the constructor takes tuple
-monomials and int, Fraction or rational-string coefficients, and
-`coeffs` (a read-only {monomial: Fraction} view), `terms`,
-`constant_term`, `evaluate` and `repr` give them back.  The kernels run
+monomials and exact-scalar coefficients, and `coeffs` (a read-only
+{monomial: Fraction} view), `terms`, `constant_term`, `evaluate` and
+`repr` give them back.  The kernels run
 on ints.  The one accumulator, `addmul_into`, adds w times the product
 of two numerator dicts into a {monomial: int} dict whose denominator the
 caller keeps; `sum_of_products` adds many weighted products over the lcm
 of their denominators that way.
+
+`_as_fraction` is the library's one exact-scalar gate, through which
+every entry converts a caller's scalar: a Fraction, an int that is not
+a bool, or a rational string ("-3/4", "0.25", "1e-3").  Anything else,
+a float, bool or Decimal, raises TypeError.  A string whose decimal
+exponent exceeds 4300 in magnitude raises OverflowError, since the time
+`Fraction` takes to build that power of ten grows over tenfold per digit.
 """
 
+import re
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm, prod
@@ -29,6 +37,8 @@ from .multiindex import is_natural, multi_indices, unit
 
 _BITS = 16
 _MASK = (1 << _BITS) - 1  # the largest degree, and exponent, a key can hold
+_MAX_EXPONENT = 4300  # the bound on a rational string's decimal exponent
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
 def _check_degree(d):
@@ -51,9 +61,15 @@ def _unpack(n, key):
 
 
 def _as_fraction(x):
+    """The exact-scalar gate: x as a Fraction (see the module docstring)."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)) and not isinstance(x, bool):
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    if isinstance(x, str):
+        exponent = _EXPONENT.search(x)
+        if exponent and abs(int(exponent[1])) > _MAX_EXPONENT:
+            raise OverflowError(f"{x!r}: decimal exponent past {_MAX_EXPONENT}")
         return Fraction(x)
     raise TypeError(f"not an exact scalar: {x!r}")
 

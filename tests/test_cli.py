@@ -6,6 +6,7 @@ import json
 import os
 import random
 import tempfile
+import time
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -249,6 +250,122 @@ def test_resource_bound_exits_3(capsys):
     code, out = run_cli(capsys, "extension", "--n", "3", "--k", "3", "--m", "2")
     assert code == 3
     assert "exceed" in json.loads(out)["error"] or "bounded" in json.loads(out)["error"]
+
+
+def _bracket(**fields):
+    return json.dumps({"task": "bracket", "n": 1, "k": 1, "point": ["0"],
+                       "x": [[]], "y": [[]], **fields})
+
+
+def _metric(**fields):
+    return json.dumps({"task": "prolongation", "kind": "metric", "n": 2, "order": 2,
+                       "point": ["0", "0"], "coeffs": [[0, 0, [0, 0], "1"]], **fields})
+
+
+@pytest.mark.parametrize(
+    "argv, text, code, message",
+    [
+        (["bracket"], _bracket(point=["1/x"]), 2, "point[0]: cannot parse rational '1/x'"),
+        (["check-identities", "--n", "5"], None, 3, "n=5 exceeds the bound 4"),
+        (["check-identities", "--count", "-1"], None, 2, "count must be non-negative"),
+        (["bracket"], _bracket(x=[{"exponents": [0]}]), 2, "x[0]: expected a list of terms"),
+        (["bracket"], _bracket(x=[[7]]), 2, "x[0][0]: expected an object"),
+        (["bracket"], _bracket(x=[[{"exponents": [0, 0], "value": "1"}]]), 2,
+         "x[0][0].exponents: expected 1 naturals"),
+        (["bracket"], _bracket(point=[]), 2, "point: expected 1 rationals"),
+        (["bracket"], _bracket(y=[[], []]), 2, "y: expected 1 components"),
+        (["prolong", "--kmax", "1"], _metric(kind="conformal"), 2,
+         "kind: expected 'metric' or 'two_form'"),
+        (["prolong"], None, 2, "prolong needs --scenario or --builtin"),
+        (["prolong", "--builtin", "flat-metric-2d", "--kmax", "0"], None, 2,
+         "kmax must be at least 1"),
+        (["prolong", "--builtin", "sphere-metric-2d", "--kmax", "4"], None, 3,
+         "structure jet order 3 cannot support kmax=4"),
+        (["prolong", "--kmax", "1"], _metric(), 2, "structure is singular at the base point"),
+        (["klein", "--builtin", "projective", "--n", "0"], None, 2,
+         "projective example needs n >= 1"),
+        (["extension", "--n", "1", "--k", "3", "--m", "3"], None, 2, "need 1 <= m < k"),
+        (["bracket"], "missing", 2, "cannot read scenario"),
+        (["bracket"], "{", 2, "scenario is not valid JSON"),
+        (["bracket"], "[]", 2, "scenario: expected a JSON object"),
+    ],
+    ids=[
+        "unparsable-rational",
+        "past-a-limit",
+        "negative-bound",
+        "poly-not-a-list",
+        "term-not-an-object",
+        "bad-exponents",
+        "point-length",
+        "component-count",
+        "bad-kind",
+        "prolong-without-source",
+        "kmax-below-1",
+        "order-below-kmax",
+        "singular-structure",
+        "projective-n-below-1",
+        "extension-m-range",
+        "unreadable-scenario",
+        "scenario-not-json",
+        "scenario-not-an-object",
+    ],
+)
+def test_malformed_input_exits_with_one_json_error(capsys, tmp_path, argv, text, code, message):
+    # text None: no scenario; "missing": a path with no file behind it
+    if text is not None:
+        path = tmp_path / "s.json"
+        if text != "missing":
+            path.write_text(text)
+        argv = [*argv, "--scenario", str(path)]
+    got = main(argv)
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert got == code and report["exit"] == code and set(report) == {"error", "exit"}
+    assert message in report["error"]
+    assert "Traceback" not in captured.err
+
+
+def test_rational_past_the_exponent_bound_exits_3_at_once(capsys, tmp_path):
+    path = tmp_path / "b.json"
+    path.write_text('{"n":1,"k":1,"point":["1e10000000"],"x":[[]],"y":[[]]}')
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "bracket", "--scenario", str(path))
+    assert time.perf_counter() - start < 2
+    assert code == 3
+    assert json.loads(out) == {"error": "'1e10000000': decimal exponent past 4300", "exit": 3}
+    path.write_text('{"n":1,"k":1,"point":["1e4300"],"x":[[]],"y":[[]]}')
+    assert run_cli(capsys, "bracket", "--scenario", str(path))[0] == 0
+
+
+def test_failing_trial_is_the_witness(capsys, monkeypatch):
+    import jetcalc.spencer as spencer
+
+    real, random_lifts = spencer.spencer_bracket, []
+
+    def failing_from_trial_2(x, y, **kwargs):
+        out = real(x, y, **kwargs)
+        if kwargs.get("lift_policy") == "random":
+            random_lifts.append(out)
+            if len(random_lifts) > 2:
+                return None  # unequal to the zero-lift bracket
+        return out
+
+    monkeypatch.setattr(spencer, "spencer_bracket", failing_from_trial_2)
+    code, out = run_cli(capsys, "check-identities", "--n", "1", "--k", "1", "--count", "4")
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks.pop("lift_independence") == {
+        "name": "lift_independence", "pass": False, "witness": 2, "trials": 4
+    }
+    assert checks and all(c["pass"] for c in checks.values())
+
+
+def test_out_writes_the_bytes_stdout_would_carry(capsys, tmp_path):
+    args = ("prolong", "--builtin", "generic-metric-2d", "--kmax", "3")
+    code, out = run_cli(capsys, *args)
+    path = tmp_path / "report.json"
+    assert run_cli(capsys, *args, "--out", str(path)) == (code, "")
+    assert path.read_bytes() == out.encode("utf-8")
 
 
 @pytest.mark.parametrize(

@@ -19,16 +19,7 @@ from jetcalc.jets import (
     vector_slots,
 )
 from jetcalc.multiindex import multi_binomial, multi_indices, order, sub, sub_indices
-from jetcalc.poly import Poly
-
-
-def rand_poly(n, rng, degree=3):
-    coeffs = {}
-    for alpha in multi_indices(n, degree):
-        c = rng.randint(-4, 4)
-        if c:
-            coeffs[alpha] = Fraction(c, rng.randint(1, 3))
-    return Poly(n, coeffs)
+from jetcalc.poly import Poly, random_poly
 
 
 def test_slot_layout_orderings():
@@ -47,7 +38,7 @@ def test_slot_layout_orderings():
 def test_prolongation_is_holonomic_and_slots_are_derivatives():
     rng = random.Random(1)
     for _ in range(10):
-        p = rand_poly(2, rng)
+        p = random_poly(2, rng, 3)
         jet = prolong_function(p, 3)
         ok, witness = is_holonomic(jet)
         assert ok and witness is None
@@ -66,8 +57,8 @@ def test_generic_section_is_not_holonomic():
 def test_jet_product_matches_prolonged_product():
     rng = random.Random(2)
     for _ in range(10):
-        p = rand_poly(2, rng)
-        q = rand_poly(2, rng)
+        p = random_poly(2, rng, 3)
+        q = random_poly(2, rng, 3)
         lhs = jet_product(prolong_function(p, 2), prolong_function(q, 2))
         rhs = prolong_function(p * q, 2)
         assert all(lhs.slot(a) == rhs.slot(a) for a in multi_indices(2, 2))
@@ -75,7 +66,7 @@ def test_jet_product_matches_prolonged_product():
 
 def test_jet_unit_is_neutral():
     rng = random.Random(3)
-    jet = prolong_function(rand_poly(2, rng), 2)
+    jet = prolong_function(random_poly(2, rng, 3), 2)
     one = jet_unit(2, 2)
     out = jet_product(one, jet)
     assert all(out.slot(a) == jet.slot(a) for a in multi_indices(2, 2))
@@ -83,7 +74,7 @@ def test_jet_unit_is_neutral():
 
 def test_project_then_lift_preserves_low_slots():
     rng = random.Random(4)
-    jet = prolong_function(rand_poly(2, rng), 3)
+    jet = prolong_function(random_poly(2, rng, 3), 3)
     low = jet.project(1)
     back = low.lift(3)
     for alpha in multi_indices(2, 1):
@@ -95,7 +86,7 @@ def test_project_then_lift_preserves_low_slots():
 
 def test_point_evaluation_round_trip():
     rng = random.Random(5)
-    comps = [rand_poly(2, rng), rand_poly(2, rng)]
+    comps = [random_poly(2, rng, 3), random_poly(2, rng, 3)]
     section = prolong_vector_field(comps, 2)
     pt = (Fraction(1, 2), Fraction(-1, 3))
     jet = section.at(pt)
@@ -116,7 +107,7 @@ def make_jet(cls, n, k, rng, point=POINT):
     vector = cls in (VectorJetSection, VectorJetPoint)
     slots = vector_slots(n, k) if vector else function_slots(n, k)
     if cls in SECTIONS:
-        return cls(n, k, {s: rand_poly(n, rng, 2) for s in slots})
+        return cls(n, k, {s: random_poly(n, rng, 2) for s in slots})
     values = {s: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for s in slots}
     return cls(n, k, point[:n], values)
 

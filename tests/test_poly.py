@@ -1,4 +1,6 @@
 import random
+import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -288,6 +290,66 @@ def test_public_constructors_reject_bool_and_negative_exponents():
     with pytest.raises(ValueError):
         Poly.monomial(2, (1, -1))
     assert Poly.monomial(2, [1, 0], "1/2") == Poly.variable(2, 0) * Fraction(1, 2)
+
+
+# the exact-scalar gate
+
+
+def _gated_entries():
+    """(id, call of one scalar x) for every public entry that takes scalars."""
+    from jetcalc.arrows import Arrow
+    from jetcalc.forms import FormKR
+    from jetcalc.jets import FunctionJetPoint, VectorJetPoint
+    from jetcalc.lie_equations import Christoffel, StructureJet
+    from jetcalc.liealg import FiniteLieAlgebra
+    from jetcalc.linalg import Echelon, determinant, invert, nullspace, rank, solve
+
+    return [
+        ("poly", lambda x: Poly(1, {(0,): x})),
+        ("jet-point", lambda x: FunctionJetPoint(1, 1, (x,))),
+        ("jet-slot", lambda x: VectorJetPoint(1, 1, (0,), {(0, (1,)): x})),
+        ("arrow-point", lambda x: Arrow(1, 1, (x,), (0,), {(0, (1,)): 1})),
+        ("arrow-slot", lambda x: Arrow(1, 1, (0,), (0,), {(0, (1,)): x})),
+        ("form-point", lambda x: FormKR(1, 1, 0, point=(x,))),
+        ("structure-jet-point", lambda x: StructureJet("metric", 1, 0, (x,), {(0, 0, (0,)): 1})),
+        ("structure-jet-slot", lambda x: StructureJet("metric", 1, 0, (0,), {(0, 0, (0,)): x})),
+        ("christoffel", lambda x: Christoffel(1, {(0, 0, 0): x})),
+        ("lie-algebra", lambda x: FiniteLieAlgebra(2, {(0, 1, 0): x, (1, 0, 0): -1})),
+        ("echelon", lambda x: Echelon([[x, 1]])),
+        ("rank", lambda x: rank([[x, 1]])),
+        ("nullspace", lambda x: nullspace([[x, 1]])),
+        ("solve", lambda x: solve([[x]], [1])),
+        ("invert", lambda x: invert([[x]])),
+        ("determinant", lambda x: determinant([[x]])),
+    ]
+
+
+@pytest.mark.parametrize("entry", _gated_entries(), ids=lambda e: e[0])
+@pytest.mark.parametrize("x", [0.5, True, Decimal("0.5")], ids=["float", "bool", "decimal"])
+def test_every_scalar_entry_rejects_inexact_scalars(entry, x):
+    with pytest.raises(TypeError, match="not an exact scalar"):
+        entry[1](x)
+
+
+def test_determinant_returns_the_kind_of_its_entries():
+    from jetcalc.linalg import determinant
+
+    for exact, value in (([[2, 1], [1, 1]], 1), ([["2", "1/2"], [2, "3/2"]], 2)):
+        d = determinant(exact)
+        assert type(d) is Fraction and d == value
+    x = Poly.variable(1, 0)
+    d = determinant([[x, 1], [1, x]])
+    assert isinstance(d, Poly) and d == x * x - 1
+
+
+def test_rational_string_past_the_exponent_bound_overflows_at_once():
+    for text in ("1e10000000", "-2.5E-10000000", "1e4301"):
+        start = time.perf_counter()
+        with pytest.raises(OverflowError, match="4300"):
+            Poly(1, {(0,): text})
+        assert time.perf_counter() - start < 2
+    assert Poly(1, {(0,): "1e4300"}) == Poly(1, {(0,): 10**4300})
+    assert Poly(1, {(0,): "1e-4300"}).constant_term() == Fraction(1, 10**4300)
 
 
 # packed monomial keys
