@@ -42,7 +42,7 @@ from types import MappingProxyType
 from .linalg import determinant, invert as mat_invert
 from .multiindex import factorial, order, unit
 from .poly import Poly, PowerTable, _as_fraction
-from .jets import FunctionJetPoint, VectorJetPoint, prolong_vector_field, vector_slots
+from .jets import FunctionJetPoint, VectorJetPoint, prolong_vector_field, slot_layout
 
 
 def _taylor(n, values):
@@ -83,7 +83,7 @@ class Arrow:
         self.target = tuple(_as_fraction(x) for x in target)
         if len(self.source) != n or len(self.target) != n:
             raise ValueError("point dimension mismatch")
-        table = dict.fromkeys(vector_slots(n, k, min_order=1), Fraction(0))
+        table = dict.fromkeys(slot_layout("vector", n, k, min_order=1).slots, Fraction(0))
         for (i, alpha), c in (coeffs or {}).items():
             s = (i, tuple(alpha))
             if s not in table:

@@ -20,9 +20,9 @@ from .jets import (
     FunctionJetSection,
     VectorJetSection,
     prolong_vector_field,
-    vector_slots,
+    slot_layout,
 )
-from .multiindex import is_natural, multi_indices
+from .multiindex import is_natural
 from .poly import Poly, _as_fraction, random_poly
 
 VERSION = "0.1.0"
@@ -276,11 +276,11 @@ def _suite(args, min_n, min_k, message):
 
     def section():
         return VectorJetSection(
-            n, k, {s: random_poly(n, rng, degree) for s in vector_slots(n, k)}
+            n, k, {s: random_poly(n, rng, degree) for s in slot_layout("vector", n, k).slots}
         )
 
     def function():
-        coeffs = {alpha: random_poly(n, rng, degree) for alpha in multi_indices(n, k)}
+        coeffs = {a: random_poly(n, rng, degree) for a in slot_layout("function", n, k).slots}
         return FormKR(n, k, 0, {(): FunctionJetSection(n, k, coeffs)})
 
     params = {"n": n, "k": k, "degree": degree, "count": count}
@@ -373,9 +373,14 @@ def _run_bracket(args):
     )
     direct = prolong_vector_field(bracket_fields(x_comps, y_comps), k)
     checks = [_check("spencer_matches_classical", spencer == direct)]
+    values = direct.at(point).as_vector()
+    try:
+        coords = [str(c) for c in values]
+    except ValueError as exc:  # a value past CPython's int-to-string digit limit
+        raise ResourceError(f"report value: {exc}")
     results = {
-        "bracket_jet_coordinates": [str(c) for c in direct.at(point).as_vector()],
-        "slot_order": [[i, list(alpha)] for i, alpha in vector_slots(n, k)],
+        "bracket_jet_coordinates": coords,
+        "slot_order": [[i, list(alpha)] for i, alpha in slot_layout("vector", n, k).slots],
     }
     return scenario, checks, results
 

@@ -23,12 +23,11 @@ from .jets import (
     FunctionJetSection,
     VectorJetPoint,
     VectorJetSection,
-    function_slots,
     jet_product,
     jet_product_sum,
-    vector_slots,
+    slot_layout,
 )
-from .multiindex import _sign, multi_indices, order
+from .multiindex import _sign, order
 from .poly import Poly, _as_fraction
 from .spencer import basis_action, basis_bracket, jet_action, spencer_bracket
 
@@ -49,7 +48,7 @@ class FormKR:
     jet stored under the empty tuple.
     """
 
-    __slots__ = ("n", "k", "r", "point", "coeffs", "_slot_pos")
+    __slots__ = ("n", "k", "r", "point", "coeffs")
 
     def __init__(self, n, k, r, coeffs=None, point=None):
         if not 0 <= r:
@@ -58,14 +57,14 @@ class FormKR:
         self.k = k
         self.r = r
         self.point = None if point is None else tuple(_as_fraction(x) for x in point)
-        self._slot_pos = {s: i for i, s in enumerate(vector_slots(n, k))}
+        slot_pos = slot_layout("vector", n, k).pos
         zero = self._zero()
         table = {(): zero} if r == 0 else {}
         for key, c in (coeffs or {}).items():
             key = tuple((i, tuple(a)) for i, a in key) if r else tuple(key)
             if len(key) != r:
                 raise ValueError("coefficient tuple arity mismatch")
-            pos = [self._slot_pos.get(s) for s in key]
+            pos = [slot_pos.get(s) for s in key]
             if None in pos:
                 raise ValueError(f"{key} is not a tuple of fiber slots of order at most {k}")
             if any(b <= a for a, b in zip(pos, pos[1:])):
@@ -99,7 +98,8 @@ class FormKR:
 
         Returns (sign, coefficient); sign 0 when a slot repeats.
         """
-        pos = [self._slot_pos[s] for s in slots]
+        slot_pos = slot_layout("vector", self.n, self.k).pos
+        pos = [slot_pos[s] for s in slots]
         if len(set(pos)) != len(pos):
             return 0, self._zero()
         c = self.coeffs.get(tuple(s for _, s in sorted(zip(pos, slots))))
@@ -226,7 +226,7 @@ def exterior_derivative(omega):
     n, k, r = omega.n, omega.k, omega.r
     if r >= n:
         raise ValueError("complex is truncated at degree n")
-    slots = vector_slots(n, k)
+    slots = slot_layout("vector", n, k).slots
     if r == 0:
         f = omega.coeffs[()]
         return FormKR(n, k, 1, {(s,): basis_action(s, f) for s in slots})
@@ -260,7 +260,7 @@ def wedge(w, t):
     if p + q > n:
         raise ValueError("wedge degree exceeds the complex truncation")
     factor = Fraction(int_factorial(p) * int_factorial(q), int_factorial(p + q))
-    slots = vector_slots(n, k)
+    slots = slot_layout("vector", n, k).slots
     out = {}
     for key in combinations(slots, p + q) if p + q else [()]:
         terms = []
@@ -290,7 +290,7 @@ def interior_product(y_section, omega):
     if omega.r == 0:
         raise ValueError("interior product needs positive degree")
     n, k, r = omega.n, omega.k, omega.r
-    slots = vector_slots(n, k)
+    slots = slot_layout("vector", n, k).slots
     out = {}
     for key in combinations(slots, r - 1) if r > 1 else [()]:
         total = FunctionJetSection(n, k)
@@ -317,7 +317,7 @@ def lie_derivative(y_section, omega):
     n, k, r = omega.n, omega.k, omega.r
     if r == 0:
         return FormKR.from_function_section(jet_action(y_section, omega.coeffs[()]))
-    slots = vector_slots(n, k)
+    slots = slot_layout("vector", n, k).slots
     out = {}
     for key in combinations(slots, r):
         sec = omega.coeffs.get(key, FunctionJetSection(n, k))
@@ -441,7 +441,7 @@ def arrow_transform_form_at(arrow, omega):
     if arrow.n != n or arrow.k != k + 1:
         raise ValueError("need an arrow of order k+1")
     p = arrow.target
-    slots = vector_slots(n, k)
+    slots = slot_layout("vector", n, k).slots
     units = [VectorJetPoint(n, k, p, {s: Fraction(1)}) for s in slots]
     pulled = dict(zip(slots, pushforward_vector_jets(invert_arrow(arrow), units)))
     omega_q = form_at(omega, arrow.source)
@@ -459,7 +459,7 @@ def arrow_transform_form(arrows, omega):
 def _form_basis(n, k, r, poly_degree):
     """Coordinate layout (key, a, m) for degree-r section forms with
     coefficient polynomials of total degree <= poly_degree: coefficient
-    key, function slot a, monomial m.
+    key, function slot a, monomial m (a function slot of order poly_degree).
 
     Only filtration-compatible coordinates are kept: a coefficient
     attached to a tuple whose largest argument-slot order is M may only
@@ -467,10 +467,9 @@ def _form_basis(n, k, r, poly_degree):
     order-m projection of the output reads only the order-m argument
     slots).  On degree 0 every coordinate is kept.
     """
-    slots = vector_slots(n, k)
-    keys = list(combinations(slots, r)) if r else [()]
-    fslots = function_slots(n, k)
-    monos = multi_indices(n, poly_degree)
+    keys = list(combinations(slot_layout("vector", n, k).slots, r)) if r else [()]
+    fslots = slot_layout("function", n, k).slots
+    monos = slot_layout("function", n, poly_degree).slots
     layout = []
     for key in keys:
         max_arg = max((order(alpha) for _, alpha in key), default=0)

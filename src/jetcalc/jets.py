@@ -1,12 +1,19 @@
 """Jets of functions and vector fields on a single chart.
 
 Every jet is one slot table, `coeffs`, that maps each slot of order at
-most k to a value.  There are two slot layouts: a function jet has one
-slot per multi-index alpha, a vector jet one slot (i, alpha) per
-component i and multi-index alpha.  A jet section stores a coefficient
-`Poly` in each slot; a jet at a base point stores a `Fraction`.  The
-four classes below are the four combinations and share everything but
-their slot layout and the methods particular to them.
+most k to a value: a function jet has one slot per multi-index alpha, a
+vector jet one slot (i, alpha) per component i and multi-index alpha.
+`slot_layout` builds one layout per (kind, n, k, min_order) and caches
+it; every module reads its slots there.  A jet section stores a
+coefficient `Poly` in each slot; a jet at a base point stores a
+`Fraction`.  The four classes below are the four combinations and share
+everything but their slot kind and the methods particular to them.
+
+The public constructors, and so `lift`, check each slot against the
+layout and gate each value and the base point; they take input from
+outside.  `like` is the kernel path of the jet operations: their tables
+are keyed by the layout already, so it re-checks nothing but that no
+slot lies off the layout.
 
 Slots are derivative *values* (f_alpha stands for the value of the
 alpha-th derivative), not Taylor coefficients, and a section is not
@@ -15,6 +22,7 @@ derivative of the slot f_alpha.
 """
 
 from fractions import Fraction
+from types import MappingProxyType
 
 from .multiindex import (
     add,
@@ -26,18 +34,49 @@ from .multiindex import (
 from .poly import Poly, _as_fraction
 
 
+class SlotLayout:
+    """The slots of one (kind, n, k, min_order) in layout order, the
+    read-only map `pos` from slot to position, and the read-only map
+    `raised` from (slot, j), |slot| < k, to the slot d_j above it."""
+
+    __slots__ = ("slots", "pos", "raised")
+
+    def __init__(self, slots, raised):
+        self.slots, self.raised = slots, MappingProxyType(raised)
+        self.pos = MappingProxyType({s: i for i, s in enumerate(slots)})
+
+
+_LAYOUTS = {}  # cli.LIMITS bounds n and k, so the cache needs no eviction
+
+
+def slot_layout(kind, n, k, min_order=0):
+    """The cached `SlotLayout` of the "function" slots alpha (graded lex)
+    or the "vector" slots (i, alpha) (by (|alpha|, alpha, i)) of order
+    min_order..k; each order-m layout is a prefix of the order-k one."""
+    key = (kind, n, k, min_order)
+    if key not in _LAYOUTS:
+        if kind == "function":
+            slots = tuple(multi_indices(n, k, k_min=min_order))
+            units = list(enumerate(unit(n, j) for j in range(n)))
+            raised = {(a, j): add(a, e) for a in slots if order(a) < k for j, e in units}
+        elif kind == "vector":
+            f = slot_layout("function", n, k, min_order)
+            slots = tuple((i, a) for a in f.slots for i in range(n))
+            raised = {((i, a), j): (i, b) for (a, j), b in f.raised.items() for i in range(n)}
+        else:
+            raise ValueError(f"unknown slot kind {kind!r}")
+        _LAYOUTS[key] = SlotLayout(slots, raised)
+    return _LAYOUTS[key]
+
+
 def function_slots(n, k):
     """Slots of J_k(M): multi-indices |alpha| <= k in graded lex order."""
-    return multi_indices(n, k)
+    return list(slot_layout("function", n, k).slots)
 
 
 def vector_slots(n, k, min_order=0):
     """Slots (i, alpha) of the g_k fiber, ordered by (|alpha|, alpha, i)."""
-    return [
-        (i, alpha)
-        for alpha in multi_indices(n, k, k_min=min_order)
-        for i in range(n)
-    ]
+    return list(slot_layout("vector", n, k, min_order).slots)
 
 
 class _JetTable:
@@ -57,20 +96,28 @@ class _JetTable:
             point = tuple(_as_fraction(x) for x in point)
             if len(point) != n:
                 raise ValueError("base point dimension mismatch")
-        self.n = n
-        self.k = k
-        self.point = point
-        zero = Poly.zero(n) if self._section else Fraction(0)
-        table = dict.fromkeys(self._slots(n, k), zero)
-        for s, v in (coeffs or {}).items():
-            if s not in table:
-                raise ValueError(f"{s} is not a slot of order at most {k}")
-            if not self._section:
-                v = _as_fraction(v)
-            elif not isinstance(v, Poly):
-                v = Poly.const(n, v)
-            table[s] = v
-        self.coeffs = table
+        self.n, self.k, self.point = n, k, point
+        coeffs = coeffs or {}
+        if self._section:
+            coeffs = {s: v if isinstance(v, Poly) else Poly.const(n, v) for s, v in coeffs.items()}
+        else:
+            coeffs = {s: _as_fraction(v) for s, v in coeffs.items()}
+        self.coeffs = self._table(k, coeffs)
+
+    def _table(self, k, coeffs):
+        """The order-k table of this kind: zero but for coeffs, which must lie on the layout."""
+        layout = slot_layout(self._kind, self.n, k)
+        table = dict.fromkeys(layout.slots, Poly.zero(self.n) if self._section else Fraction(0))
+        table.update(coeffs)
+        if len(table) != len(layout.slots):
+            off = next(s for s in coeffs if s not in layout.pos)
+            raise ValueError(f"{off} is not a slot of order at most {k}")
+        return table
+
+    @property
+    def layout(self):
+        """The shared `SlotLayout` of this jet's kind, dimension and order."""
+        return slot_layout(self._kind, self.n, self.k)
 
     def _summed(self, k, slot_terms):
         """A jet of this kind at order k whose slot s is the sum of
@@ -89,15 +136,18 @@ class _JetTable:
         })
 
     def like(self, k, coeffs):
-        """A jet of the same kind, dimension and base point at order k."""
+        """A jet of the same kind, dimension and base point at order k, on the
+        kernel path: coeffs holds slot values of this kind, not gated again."""
         jet = object.__new__(type(self))
-        _JetTable.__init__(jet, self.n, k, self.point, coeffs)
+        jet.n, jet.k, jet.point = self.n, k, self.point
+        jet.coeffs = jet._table(k, coeffs)
         return jet
 
     def project(self, m):
         if not 0 <= m <= self.k:
             raise ValueError(f"projection order {m} out of range 0..{self.k}")
-        return self.like(m, {s: self.coeffs[s] for s in self._slots(self.n, m)})
+        slots = slot_layout(self._kind, self.n, m).slots
+        return self.like(m, {s: self.coeffs[s] for s in slots})
 
     def lift(self, m, top_slots=None):
         """Reinterpret at order m >= k; new slots zero unless supplied."""
@@ -106,7 +156,9 @@ class _JetTable:
         top_slots = top_slots or {}
         if any(s in self.coeffs for s in top_slots):
             raise ValueError("lift may only set new slots")
-        return self.like(m, {**self.coeffs, **top_slots})
+        jet = object.__new__(type(self))  # new slots come from outside: the checking path
+        _JetTable.__init__(jet, self.n, m, self.point, {**self.coeffs, **top_slots})
+        return jet
 
     def is_zero(self):
         return not any(self.coeffs.values())
@@ -127,6 +179,8 @@ class _JetTable:
 
     def scale(self, c):
         """Multiply every slot by c: a rational, or a Poly for a section."""
+        if not (self._section and isinstance(c, Poly)):
+            c = _as_fraction(c)
         return self.like(self.k, {s: v * c for s, v in self.coeffs.items()})
 
     def _shape(self):
@@ -156,12 +210,7 @@ class _FunctionLayout:
     """Slots alpha, one per multi-index."""
 
     __slots__ = ()
-    _slots = staticmethod(function_slots)
-
-    @staticmethod
-    def raised(alpha, j):
-        """The slot one derivative d_j above the slot alpha."""
-        return add(alpha, unit(len(alpha), j))
+    _kind = "function"
 
     def slot(self, alpha):
         return self.coeffs[tuple(alpha)]
@@ -171,13 +220,7 @@ class _VectorLayout:
     """Slots (i, alpha), one per component and multi-index."""
 
     __slots__ = ()
-    _slots = staticmethod(vector_slots)
-
-    @staticmethod
-    def raised(slot, j):
-        """The slot one derivative d_j above the slot (i, alpha)."""
-        i, alpha = slot
-        return (i, add(alpha, unit(len(alpha), j)))
+    _kind = "vector"
 
     def slot(self, i, alpha):
         return self.coeffs[(i, tuple(alpha))]
@@ -226,7 +269,7 @@ class VectorJetPoint(_VectorLayout, _JetTable):
 
 
 def vector_point_from_coords(n, k, point, coords):
-    slots = vector_slots(n, k)
+    slots = slot_layout("vector", n, k).slots
     if len(coords) != len(slots):
         raise ValueError("coordinate vector length mismatch")
     return VectorJetPoint(n, k, point, dict(zip(slots, coords)))
@@ -234,9 +277,8 @@ def vector_point_from_coords(n, k, point, coords):
 
 def prolong_function(f, k):
     """The holonomic k-jet section of a polynomial function."""
-    return FunctionJetSection(
-        f.n, k, {alpha: f.diff_multi(alpha) for alpha in multi_indices(f.n, k)}
-    )
+    slots = slot_layout("function", f.n, k).slots
+    return FunctionJetSection(f.n, k, {alpha: f.diff_multi(alpha) for alpha in slots})
 
 
 def prolong_vector_field(components, k):
@@ -244,11 +286,8 @@ def prolong_vector_field(components, k):
     n = components[0].n
     if len(components) != n:
         raise ValueError("need one component per chart dimension")
-    coeffs = {}
-    for i, comp in enumerate(components):
-        for alpha in multi_indices(n, k):
-            coeffs[(i, alpha)] = comp.diff_multi(alpha)
-    return VectorJetSection(n, k, coeffs)
+    slots = slot_layout("vector", n, k).slots
+    return VectorJetSection(n, k, {(i, a): components[i].diff_multi(a) for i, a in slots})
 
 
 def jet_product(f, g):
@@ -265,6 +304,7 @@ def jet_product_sum(terms):
     k = first.k
     slot_terms = {}
     for c, f, g in terms:
+        c = c if type(c) is int else _as_fraction(c)
         first._check(f)
         first._check(g)
         right = [(gamma, order(gamma), v) for gamma, v in g.coeffs.items() if v]
@@ -293,8 +333,9 @@ def is_holonomic(section):
     """
     if section.k == 0:
         return True, None
+    raised = section.layout.raised
     for s, p in section.project(section.k - 1).coeffs.items():
         for j in range(section.n):
-            if section.coeffs[section.raised(s, j)] != p.diff(j):
+            if section.coeffs[raised[s, j]] != p.diff(j):
                 return False, (j, s)
     return True, None

@@ -11,7 +11,7 @@ prefixes: vector jet slots are ordered by order."""
 from fractions import Fraction
 from functools import partial
 
-from .jets import prolong_vector_field, vector_point_from_coords, vector_slots
+from .jets import prolong_vector_field, slot_layout, vector_point_from_coords
 from .liealg import FiniteLieAlgebra
 from .linalg import Echelon, rank
 from .multiindex import unit
@@ -56,7 +56,7 @@ class RealizedLieAlgebra:
     def basis_jets(self, k):
         """The order-k jets at the base point of the basis fields, one row
         per basis element; the order-m jets, m <= k, are the prefixes of
-        length len(vector_slots(n, m))."""
+        the length of the order-m vector slot layout."""
         g = self.algebra
         return [self.jet_at_point(g.basis_vector(b), k) for b in range(g.dim)]
 
@@ -101,7 +101,7 @@ def isotropy_filtration(a):
     columns = list(zip(*a.basis_jets(deg + 1)))
     span, chain, done = Echelon(), [], 0
     for k in range(deg + 2):
-        width = len(vector_slots(a.n, k))
+        width = len(slot_layout("vector", a.n, k).slots)
         for column in columns[done:width]:
             span.add_row(column)
         done = width
@@ -143,7 +143,7 @@ def sigma_homomorphism_check(a, m):
     # jets serve every pair; their prefixes are the order-(m-1) jets
     table = a.basis_jets(m)
     jets = [vector_point_from_coords(a.n, m, a.point, v) for v in table]
-    lower = [v[: len(vector_slots(a.n, m - 1))] for v in table]
+    lower = [v[: len(slot_layout("vector", a.n, m - 1).slots)] for v in table]
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
             direct = [Fraction(0)] * len(lower[0])
@@ -168,7 +168,7 @@ def realized_jet_family(a, k_max):
     table = a.basis_jets(k_max)
     family = []
     for k in range(1, k_max + 1):
-        jets = [v[: len(vector_slots(a.n, k))] for v in table]
+        jets = [v[: len(slot_layout("vector", a.n, k).slots)] for v in table]
         # reduce to an independent spanning set
         span = Echelon()
         basis = [v for v in jets if span.add_row(v)]

@@ -9,13 +9,12 @@ from fractions import Fraction
 from functools import reduce
 from math import lcm
 
-from .jets import vector_slots
+from .jets import slot_layout
 from .linalg import Echelon, _int_row, determinant, invert, rank
 from .multiindex import (
     add,
     is_natural,
     multi_binomial,
-    multi_indices,
     order,
     sub,
     sub_indices,
@@ -73,7 +72,7 @@ class StructureJet:
         coeffs = {}
         for i in range(n):
             for j in range(n):
-                for alpha in multi_indices(n, order_):
+                for alpha in slot_layout("function", n, order_).slots:
                     c = polys[i][j].derivative_value(alpha, point)
                     if c != 0:
                         coeffs[(i, j, alpha)] = c
@@ -104,7 +103,7 @@ class StructureJet:
         if self.kind != "two_form":
             raise ValueError("closedness applies to 2-forms")
         n = self.n
-        for alpha in multi_indices(n, self.order - 1):
+        for alpha in slot_layout("function", n, self.order - 1).slots:
             for i in range(n):
                 for j in range(i + 1, n):
                     for l in range(j + 1, n):
@@ -130,7 +129,7 @@ class LinearJetSubspace:
         self.n = n
         self.k = k
         self.point = tuple(_as_fraction(x) for x in point)
-        width = len(vector_slots(n, k))
+        width = len(slot_layout("vector", n, k).slots)
         # the echelon of the span answers every contains; an independence
         # check builds it at once, otherwise the first contains does
         self._span = None
@@ -169,7 +168,7 @@ class LinearJetSubspace:
 def _lie_derivative_rows(structure, k):
     """Equation rows of the prolonged infinitesimal invariance system
     L_X (structure) = 0 on the order-k fiber, one per multi-index alpha,
-    |alpha| <= k-1 in `multi_indices` order, and component pair.  Rows are
+    |alpha| <= k-1 in function slot order, and component pair.  Rows are
     sparse {column: int}: the system is linear in the structure, whose
     slots are scaled by the lcm of their denominators.  A row reads fiber
     slots of order <= |alpha| + 1, which come first in the fiber, so the
@@ -183,7 +182,7 @@ def _lie_derivative_rows(structure, k):
         )
     if not structure.is_invertible():
         raise ValueError("structure is singular at the base point")
-    pos = {s: i for i, s in enumerate(vector_slots(n, k))}
+    pos = slot_layout("vector", n, k).pos
     e = [unit(n, a) for a in range(n)]
     den = reduce(lcm, [c.denominator for c in structure.coeffs.values()], 1)
     sign = 1 if structure.kind == "metric" else -1
@@ -201,7 +200,7 @@ def _lie_derivative_rows(structure, k):
                     transport.setdefault((i, j, sub(gamma, e[a])), []).append((a, c))
     pairs = [(i, j) for i in range(n) for j in range(i + (sign < 0), n)]
     rows = []
-    for alpha in multi_indices(n, k - 1):
+    for alpha in slot_layout("function", n, k - 1).slots:
         for i, j in pairs:
             row = {}
             # d^alpha of xi^a d_a g_ij + g_aj d_i xi^a + g_ia d_j xi^a, with
@@ -254,7 +253,7 @@ def restrict_projection(sub, m):
     """Image of a subspace under pi_{k,m}, with the projection's rank
     and kernel dimension on the subspace."""
     # the order-m slots are a prefix of the order-k ones
-    width = len(vector_slots(sub.n, m))
+    width = len(slot_layout("vector", sub.n, m).slots)
     images = [v[:width] for v in sub.basis]
     rk = rank(images)
     return images, rk, sub.dim - rk
@@ -273,10 +272,10 @@ def _prolongation(structure, k_max):
     grows by the rows of |alpha| = k-1 at each order k, and its nullspace
     on the order-k fiber is the order-k solution subspace."""
     rows = _system(structure, k_max)
-    per_alpha = len(rows) // len(multi_indices(structure.n, k_max - 1))
+    per_alpha = len(rows) // len(slot_layout("function", structure.n, k_max - 1).slots)
     equations, orders, prev, done = Echelon(), [], None, 0
     for k in range(1, k_max + 1):
-        top = per_alpha * len(multi_indices(structure.n, k - 1))
+        top = per_alpha * len(slot_layout("function", structure.n, k - 1).slots)
         for row in rows[done:top]:
             equations.add_row(row)
         sub = LinearJetSubspace(structure.n, k, structure.point, equations)
@@ -365,7 +364,7 @@ def killing_order2_completion(g, low_coords):
     n = g.n
     if g.order < 2:
         raise ValueError("need the metric 2-jet (extend by zero if flat)")
-    xi = dict(zip(vector_slots(n, 1), low_coords))
+    xi = dict(zip(slot_layout("vector", n, 1).slots, low_coords))
     z = (0,) * n
 
     def r_term(i, j, k):
@@ -406,7 +405,7 @@ def linear_solution_sections(structure, k):
     from .jets import prolong_vector_field
 
     sub = solve_system(structure, 1)
-    slots1 = vector_slots(n, 1)
+    slots1 = slot_layout("vector", n, 1).slots
     sections = []
     for v in sub.basis:
         # an order-0 or order-1 slot value is the coefficient of x^alpha

@@ -18,7 +18,7 @@ d)."""
 from fractions import Fraction
 from itertools import combinations
 
-from .jets import vector_slots
+from .jets import slot_layout
 from .linalg import Echelon, matmul, zeros
 from .poly import _as_fraction
 from .spencer import basis_bracket
@@ -119,13 +119,13 @@ class JetGroupAlgebra(FiniteLieAlgebra):
             raise ValueError("order must be at least 1")
         self.n = n
         self.k = k
-        self.slots = vector_slots(n, k, min_order=1)
+        self.slots = list(slot_layout("vector", n, k, min_order=1).slots)
         super().__init__(len(self.slots), self._structure_constants())
 
     def _structure_constants(self):
         """[x^a/a! d_i, x^b/b! d_j] = `basis_bracket((i, a), (j, b), k)`,
         the bracket of the basis jets with a single slot equal to 1."""
-        pos = {s: r for r, s in enumerate(self.slots)}
+        pos = slot_layout("vector", self.n, self.k, min_order=1).pos
         table = {}
         for (p, s), (q, t) in combinations(enumerate(self.slots), 2):
             out = {pos[u]: c for u, c in basis_bracket(s, t, self.k).items()}
@@ -144,7 +144,8 @@ def jet_group_algebra(n, k):
 
 
 class LieModule:
-    """A representation: one action matrix per basis element of g."""
+    """A representation: one action matrix per basis element of g, each
+    entry through the exact-scalar gate."""
 
     __slots__ = ("algebra", "dim", "matrices")
 
@@ -153,7 +154,7 @@ class LieModule:
             raise ValueError("need one action matrix per basis element")
         self.algebra = algebra
         self.dim = dim
-        self.matrices = matrices
+        self.matrices = [[[_as_fraction(x) for x in row] for row in mat] for mat in matrices]
         if check and not self._is_representation():
             raise ValueError("matrices do not define a representation")
 

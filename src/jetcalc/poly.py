@@ -33,7 +33,7 @@ from functools import reduce
 from math import gcd, lcm, prod
 from types import MappingProxyType
 
-from .multiindex import is_natural, multi_indices, unit
+from .multiindex import is_natural, unit
 
 _BITS = 16
 _MASK = (1 << _BITS) - 1  # the largest degree, and exponent, a key can hold
@@ -353,9 +353,12 @@ class PowerTable:
 def random_poly(n, rng, degree):
     """A seeded random polynomial of degree at most `degree`: for each
     monomial in graded lex order, draw an integer c in [-4, 4] from the
-    `random.Random` rng and, when c is nonzero, a denominator in [1, 3]."""
+    `random.Random` rng and, when c is nonzero, a denominator in [1, 3].
+    The monomials are the order-`degree` function slots of `jets`."""
+    from .jets import slot_layout
+
     coeffs = {}
-    for alpha in multi_indices(n, degree):
+    for alpha in slot_layout("function", n, degree).slots:
         c = rng.randint(-4, 4)
         if c:
             coeffs[alpha] = Fraction(c, rng.randint(1, 3))

@@ -101,13 +101,11 @@ def spencer_operator(section):
     if section.k < 1:
         raise ValueError("Spencer operator needs order at least 1")
     low = section.project(section.k - 1)
+    raised = section.layout.raised
     return [
         low.like(
             low.k,
-            {
-                s: p.diff(j) - section.coeffs[section.raised(s, j)]
-                for s, p in low.coeffs.items()
-            },
+            {s: p.diff(j) - section.coeffs[raised[s, j]] for s, p in low.coeffs.items()},
         )
         for j in range(section.n)
     ]

@@ -337,6 +337,22 @@ def test_rational_past_the_exponent_bound_exits_3_at_once(capsys, tmp_path):
     assert run_cli(capsys, "bracket", "--scenario", str(path))[0] == 0
 
 
+def test_report_value_past_the_digit_limit_exits_3(capsys, tmp_path):
+    """[x0^2 d, d] = -2 x0 d at x0 = 10^4300 has a 4,301-digit coordinate,
+    past CPython's int-to-string limit: one JSON error naming it, exit 3."""
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps({
+        "n": 1, "k": 1, "point": ["1e4300"],
+        "x": [[{"exponents": [2], "value": "1"}]], "y": [[{"exponents": [0], "value": "1"}]],
+    }))
+    code = main(["bracket", "--scenario", str(path)])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert code == 3 and set(report) == {"error", "exit"} and report["exit"] == 3
+    assert "4300 digits" in report["error"]
+    assert "Traceback" not in captured.err
+
+
 def test_failing_trial_is_the_witness(capsys, monkeypatch):
     import jetcalc.spencer as spencer
 

@@ -454,19 +454,22 @@ def test_form_kinds_are_validated_and_kept_apart():
     p, q = (Fraction(0), Fraction(1)), (Fraction(1), Fraction(1))
     s0, s1 = vector_slots(n, k)[:2]
     at_p = FunctionJetPoint(n, k, p, {(0, 0): 1})
-    with pytest.raises(ValueError):
+    mismatch = "jet kind, dimension, order or base point mismatch"
+    with pytest.raises(ValueError, match=mismatch):
         FormKR(n, k, 1, {(s0,): at_p})  # a point value in a section form
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=mismatch):
         FormKR(n, k, 1, {(s0,): at_p}, q)  # a value at another point
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="strictly increasing"):
         FormKR(n, k, 2, {(s1, s0): at_p}, p)  # an unsorted key
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="arity mismatch"):
         FormKR(n, k, 2, {(s0,): at_p}, p)  # a key of the wrong size
+    with pytest.raises(ValueError, match="is not a tuple of fiber slots of order at most 1"):
+        FormKR(n, k, 1, {((0, (2, 0)),): at_p}, p)  # a slot above order k
     one = FormKR(n, k, 1, {(s0,): at_p}, p)
     assert FormKR(n, k, 1, {(s0,): at_p}, [0, 1]) == one
     section = FormKR(n, k, 1, {(s0,): FunctionJetSection(n, k, {(0, 0): Poly.const(n, 1)})})
     assert form_at(section, p) == one
     assert section != one and one != form_at(section, q)
     assert len({one, form_at(section, p), section}) == 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="argument order/dimension/base point mismatch"):
         eval_form(one, [basis_section(n, k, s0).at(q)])  # argument at another point

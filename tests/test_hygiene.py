@@ -125,6 +125,29 @@ def test_only_poly_and_its_tests_see_packed_monomials():
         assert all(type(m) is tuple and all(type(e) is int for e in m) for m in monomials)
 
 
+# the list views of the slot layout, which only jets may name in src/
+SLOT_LISTS = {"function_slots", "vector_slots"}
+
+
+def test_only_jets_names_the_slot_lists():
+    """The slot layout has one owner: no src/ module but jets imports,
+    calls or reads `function_slots` or `vector_slots`; the others read
+    `jets.slot_layout`.  Tests may still call the public list views."""
+    leaks = sorted(
+        f"{p.relative_to(SRC.parent)}:{node.lineno} {name}"
+        for p in sorted(SRC.rglob("*.py"))
+        if p != PACKAGE / "jets.py"
+        for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+        for name in (
+            [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+            else [node.attr] if isinstance(node, ast.Attribute)
+            else [node.id] if isinstance(node, ast.Name) else []
+        )
+        if name in SLOT_LISTS
+    )
+    assert leaks == []
+
+
 def _jetcalc_modules_after(code):
     """The jetcalc modules a fresh interpreter holds after running code."""
     probe = code + (

@@ -15,6 +15,7 @@ from jetcalc.jets import (
     jet_unit,
     prolong_function,
     prolong_vector_field,
+    slot_layout,
     vector_point_from_coords,
     vector_slots,
 )
@@ -152,17 +153,22 @@ def test_section_evaluation_projection_lift_and_validation(cls):
     for m in range(4):
         assert a.at(POINT).project(m) == a.project(m).at(POINT)
     old_slot = next(iter(a.coeffs))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="lift may only set new slots"):
         a.lift(4, {old_slot: Poly.const(2, 1)})
     new_slot = list(a.lift(4).coeffs)[-1]
     assert a.lift(4, {new_slot: Poly.const(2, 1)}).project(3) == a
+    above = list(a.lift(5).coeffs)[-1]
+    with pytest.raises(ValueError, match="is not a slot of order at most 4"):
+        a.lift(4, {above: Poly.const(2, 1)})
     if cls is FunctionJetSection:
         bad_slots = [(2, 0)]
     else:
         bad_slots = [(2, (0, 0)), (0, (2, 0))]
     for bad in bad_slots:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="is not a slot of order at most 1"):
             cls(2, 1, {bad: 1})
+        with pytest.raises(ValueError, match="is not a slot of order at most 1"):
+            POINT_KIND[cls](2, 1, POINT, {bad: 1})
     with pytest.raises(ValueError):
         cls(2, -1)
 
@@ -194,3 +200,93 @@ def test_jet_product_against_term_by_term_reference(cls, n, k):
     fg, hf = reference_jet_product(f, g), reference_jet_product(h, f)
     weighted = jet_product_sum([(Fraction(-2, 3), f, g), (5, h, f)])
     assert weighted.coeffs == {a: fg[a] * Fraction(-2, 3) + hf[a] * 5 for a in fg}
+
+
+def test_slot_layouts_are_shared_read_only_prefixes():
+    """One cached layout per (kind, n, k, min_order): its slot tuple, its
+    position map and its raised table cannot be mutated, and each
+    order-m layout is a prefix of the order-k one."""
+    layout = slot_layout("vector", 2, 2)
+    assert slot_layout("vector", 2, 2) is layout
+    assert layout.slots == tuple(vector_slots(2, 2))
+    assert [layout.pos[s] for s in layout.slots] == list(range(len(layout.slots)))
+    assert slot_layout("vector", 2, 3).slots[: len(layout.slots)] == layout.slots
+    assert slot_layout("vector", 2, 2, min_order=1).slots == tuple(vector_slots(2, 2, min_order=1))
+    assert layout.raised[(1, (0, 1)), 0] == (1, (1, 1))
+    assert all(order(alpha) < 2 for (_, alpha), _ in layout.raised)
+    assert slot_layout("function", 2, 1).raised == {
+        ((0, 0), 0): (1, 0), ((0, 0), 1): (0, 1)
+    }
+    with pytest.raises(TypeError):
+        layout.slots[0] = (0, (0, 0))
+    with pytest.raises(AttributeError):
+        layout.slots.append((0, (3, 0)))
+    with pytest.raises(TypeError):
+        layout.pos[(0, (3, 0))] = 0
+    with pytest.raises(TypeError):
+        del layout.pos[(0, (0, 0))]
+    with pytest.raises(TypeError):
+        layout.raised[(0, (2, 0)), 0] = (0, (3, 0))
+    with pytest.raises(ValueError, match="unknown slot kind"):
+        slot_layout("tensor", 2, 2)
+
+
+def test_slot_lists_are_fresh_copies_of_the_layout():
+    for listed, kind in ((function_slots, "function"), (vector_slots, "vector")):
+        first = listed(2, 2)
+        first.append("junk")
+        first[0] = None
+        assert listed(2, 2) == list(slot_layout(kind, 2, 2).slots)
+        assert listed(2, 2) is not listed(2, 2)
+
+
+def rebuilt(jet):
+    """The jet built again by its public constructor, which checks every
+    key and gates every value."""
+    if jet.point is None:
+        return type(jet)(jet.n, jet.k, jet.coeffs)
+    return type(jet)(jet.n, jet.k, jet.point, jet.coeffs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_kernel_built_jets_equal_constructor_built_jets(n, k):
+    """The jets that the kernels build on the unchecked `like` path equal
+    their tables passed to the public constructors, slot for slot in
+    layout order, with Poly values on sections and Fractions at a point."""
+    from jetcalc.spencer import _bracket_slots, basis_action, spencer_operator
+
+    rng = random.Random(100 + 10 * n + k)
+    point = (Fraction(1, 2), Fraction(-1, 3), Fraction(2))[:n]
+    jets = {cls: [make_jet(cls, n, k, rng, point) for _ in range(2)] for cls in ALL_KINDS}
+    built = []
+    for cls in (FunctionJetSection, FunctionJetPoint):
+        f, g = jets[cls]
+        built.append(jet_product_sum([(Fraction(-2, 3), f, g), (5, g, f)]))
+    for cls in (VectorJetSection, VectorJetPoint):
+        x, y = jets[cls]
+        built += [_bracket_slots(x, y, k - 1), _bracket_slots(x, y, k)]
+    built += [basis_action(s, jets[FunctionJetSection][0]) for s in vector_slots(n, k)]
+    for cls in SECTIONS:
+        built += spencer_operator(jets[cls][0])
+    for cls, (jet, _) in jets.items():
+        built += [jet.project(m) for m in range(k + 1)]
+        listed = vector_slots if cls in (VectorJetSection, VectorJetPoint) else function_slots
+        new = listed(n, k + 1)[len(jet.coeffs):]
+        values = make_jet(cls, n, k + 1, rng, point).coeffs
+        built.append(jet.lift(k + 1, {s: values[s] for s in new[::2]}))
+    for jet in built:
+        twin = rebuilt(jet)
+        assert twin == jet and list(twin.coeffs) == list(jet.coeffs)
+        kind = Poly if jet.point is None else Fraction
+        assert all(type(v) is kind for v in jet.coeffs.values())
+
+
+@pytest.mark.parametrize("cls", ALL_KINDS)
+def test_like_still_rejects_a_slot_off_the_layout(cls):
+    jet = make_jet(cls, 2, 1, random.Random(9))
+    bad = (0, (2, 0)) if cls in (VectorJetSection, VectorJetPoint) else (2, 0)
+    value = next(iter(jet.coeffs.values()))
+    with pytest.raises(ValueError, match=r"\(2, 0\)\)? is not a slot of order at most 1"):
+        jet.like(1, {bad: value})
+    assert jet.like(1, {}) == jet.scale(0)

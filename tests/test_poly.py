@@ -299,15 +299,18 @@ def _gated_entries():
     """(id, call of one scalar x) for every public entry that takes scalars."""
     from jetcalc.arrows import Arrow
     from jetcalc.forms import FormKR
-    from jetcalc.jets import FunctionJetPoint, VectorJetPoint
+    from jetcalc.jets import FunctionJetPoint, VectorJetPoint, jet_product_sum
     from jetcalc.lie_equations import Christoffel, StructureJet
-    from jetcalc.liealg import FiniteLieAlgebra
+    from jetcalc.liealg import FiniteLieAlgebra, LieModule
     from jetcalc.linalg import Echelon, determinant, invert, nullspace, rank, solve
 
+    one = FunctionJetPoint(1, 1, (0,), {(0,): 1})
     return [
         ("poly", lambda x: Poly(1, {(0,): x})),
         ("jet-point", lambda x: FunctionJetPoint(1, 1, (x,))),
         ("jet-slot", lambda x: VectorJetPoint(1, 1, (0,), {(0, (1,)): x})),
+        ("jet-scale", lambda x: one.scale(x)),
+        ("jet-product-weight", lambda x: jet_product_sum([(x, one, one)])),
         ("arrow-point", lambda x: Arrow(1, 1, (x,), (0,), {(0, (1,)): 1})),
         ("arrow-slot", lambda x: Arrow(1, 1, (0,), (0,), {(0, (1,)): x})),
         ("form-point", lambda x: FormKR(1, 1, 0, point=(x,))),
@@ -315,6 +318,7 @@ def _gated_entries():
         ("structure-jet-slot", lambda x: StructureJet("metric", 1, 0, (0,), {(0, 0, (0,)): x})),
         ("christoffel", lambda x: Christoffel(1, {(0, 0, 0): x})),
         ("lie-algebra", lambda x: FiniteLieAlgebra(2, {(0, 1, 0): x, (1, 0, 0): -1})),
+        ("lie-module", lambda x: LieModule(FiniteLieAlgebra(1), 1, [[[x]]])),
         ("echelon", lambda x: Echelon([[x, 1]])),
         ("rank", lambda x: rank([[x, 1]])),
         ("nullspace", lambda x: nullspace([[x, 1]])),
