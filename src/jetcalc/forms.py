@@ -11,6 +11,10 @@ function jet sections as coefficients, a form at a base point has
 function jets at that point.  The four functions that need linear
 algebra import `linalg` when they run, as the arrow action imports
 `arrows`, so the identity suites of the CLI load neither.
+
+On the constant basis a section form is a Chevalley-Eilenberg cochain
+of the Lie algebroid J_k T, d its differential by `multiindex.ce_terms`;
+`lie_derivative`, `eval_form` and `_intrinsic_value` stay generic: oracles.
 """
 
 from fractions import Fraction
@@ -27,7 +31,7 @@ from .jets import (
     jet_product_sum,
     slot_layout,
 )
-from .multiindex import _sign, order
+from .multiindex import _sign, ce_terms, order
 from .poly import Poly, _as_fraction
 from .spencer import basis_action, basis_bracket, jet_action, spencer_bracket
 
@@ -93,23 +97,11 @@ class FormKR:
         c = self.coeffs.get(key)
         return self._zero() if c is None else c
 
-    def signed_coefficient(self, slots):
-        """Coefficient on an arbitrary slot tuple: sorts and signs.
-
-        Returns (sign, coefficient); sign 0 when a slot repeats.
-        """
-        slot_pos = slot_layout("vector", self.n, self.k).pos
-        pos = [slot_pos[s] for s in slots]
-        if len(set(pos)) != len(pos):
-            return 0, self._zero()
-        c = self.coeffs.get(tuple(s for _, s in sorted(zip(pos, slots))))
-        return _sign(pos), self._zero() if c is None else c
-
     def is_zero(self):
         return all(c.is_zero() for c in self.coeffs.values())
 
     def __add__(self, other):
-        self._check(other)
+        self._check(other, self.r)
         zero = self._zero()
         return self._like(
             self.k,
@@ -161,8 +153,9 @@ class FormKR:
             },
         )
 
-    def _check(self, other):
-        if self._shape() != other._shape():
+    def _check(self, other, r):
+        """Raise unless other is a degree-r form of this n, k and point."""
+        if (self.n, self.k, r, self.point) != other._shape():
             raise ValueError("form degree/order/dimension/base point mismatch")
 
     def __repr__(self):
@@ -214,106 +207,100 @@ def _intrinsic_value(omega, args):
     return total.scale(Fraction(1, r + 1))
 
 
+def _sections_only(name, omega, *vector_sections):
+    if any(x.point is not None for x in (omega, *vector_sections)):
+        raise ValueError(f"{name} needs a section form and vector sections, not values at a point")
+    if any((y.n, y.k) != (omega.n, omega.k) for y in vector_sections):
+        raise ValueError("order/dimension mismatch")
+
+
 def exterior_derivative(omega):
     """d: degree r to degree r+1, same jet order.
 
-    Coefficients are the intrinsic formula evaluated on the constant
-    basis sections e_s; the result is well defined because the formula
-    is tensorial in its arguments.  On basis sections every piece has a
-    closed form: e_s acts by `basis_action`, two of them bracket to
-    `basis_bracket`, and omega on basis sections is a signed coefficient.
+    d is the Chevalley-Eilenberg differential of the Lie algebroid J_k T
+    on its constant basis sections e_s, weighted 1/(r+1): the intrinsic
+    formula, tensorial, on the basis.  For r >= 1 a coefficient sums the
+    terms of `multiindex.ce_terms`, as `liealg` does, on layout positions
+    (`basis_action`, `basis_bracket`), each output slot in one sum.
     """
+    _sections_only("exterior_derivative", omega)
     n, k, r = omega.n, omega.k, omega.r
     if r >= n:
         raise ValueError("complex is truncated at degree n")
-    slots = slot_layout("vector", n, k).slots
+    layout = slot_layout("vector", n, k)
+    slots, pos = layout.slots, layout.pos
     if r == 0:
-        f = omega.coeffs[()]
-        return FormKR(n, k, 1, {(s,): basis_action(s, f) for s in slots})
+        return FormKR(n, k, 1, {(s,): basis_action(s, omega.coeffs[()]) for s in slots})
+
+    def bracket(x, y):
+        return {pos[z]: c for z, c in basis_bracket(slots[x], slots[y], k).items()}
+
+    coeffs = {tuple(pos[s] for s in key): c for key, c in omega.coeffs.items() if not c.is_zero()}
+    weight, one, zero = Fraction(1, r + 1), Poly.const(n, 1), omega._zero()
     out = {}
-    for key in combinations(slots, r + 1):
-        total = FunctionJetSection(n, k)
-        for i in range(r + 1):
-            sign, sec = omega.signed_coefficient(key[:i] + key[i + 1 :])
-            if sign != 0 and not sec.is_zero():
-                term = basis_action(key[i], sec)
-                total = total + (term if sign * (-1) ** i > 0 else -term)
-        for i, j in combinations(range(r + 1), 2):
-            rest = tuple(key[m] for m in range(r + 1) if m not in (i, j))
-            for u, c in basis_bracket(key[i], key[j], k).items():
-                sign, sec = omega.signed_coefficient((u,) + rest)
-                if sign != 0 and not sec.is_zero():
-                    total = total + sec.scale(c * sign * (-1) ** (i + j))
-        total = total.scale(Fraction(1, r + 1))
+    for okey in combinations(range(len(slots)), r + 1):
+        slot_terms = {}
+        for x, key, c in ce_terms(okey, bracket):
+            sec = coeffs.get(key)
+            if sec is not None:
+                c *= weight
+                for alpha, v in (sec if x is None else basis_action(slots[x], sec)).coeffs.items():
+                    if v:
+                        slot_terms.setdefault(alpha, []).append((c, v, one))
+        total = zero._summed(k, slot_terms)
         if not total.is_zero():
-            out[key] = total
+            out[tuple(slots[x] for x in okey)] = total
     return FormKR(n, k, r + 1, out)
 
 
 def wedge(w, t):
     """Wedge product, normalized so that the degree-0 case is the jet
-    product and d is a graded derivation."""
-    if (w.n, w.k) != (t.n, t.k):
-        raise ValueError("form order/dimension mismatch")
-    n, k = w.n, w.k
-    p, q = w.r, t.r
+    product and d is a graded derivation.  Each pair of nonzero
+    coefficients on disjoint keys, signed by the shuffle that sorts the
+    keys together, is one term of its output key's `jet_product_sum`."""
+    w._check(t, t.r)
+    n, k, p, q = w.n, w.k, w.r, t.r
     if p + q > n:
         raise ValueError("wedge degree exceeds the complex truncation")
     factor = Fraction(int_factorial(p) * int_factorial(q), int_factorial(p + q))
-    slots = slot_layout("vector", n, k).slots
-    out = {}
-    for key in combinations(slots, p + q) if p + q else [()]:
-        terms = []
-        for positions in combinations(range(p + q), p):
-            a_key = tuple(key[i] for i in positions)
-            b_key = tuple(key[i] for i in range(p + q) if i not in positions)
-            sec_a = w.coeffs.get(a_key)
-            sec_b = t.coeffs.get(b_key)
-            if sec_a is None or sec_b is None:
-                continue
-            if sec_a.is_zero() or sec_b.is_zero():
-                continue
-            inversions = sum(pos - idx for idx, pos in enumerate(positions))
-            terms.append((factor if inversions % 2 == 0 else -factor, sec_a, sec_b))
-        if terms:
-            total = jet_product_sum(terms)
-            if not total.is_zero():
-                out[key] = total
-    return FormKR(n, k, p + q, out)
+    pos = slot_layout("vector", n, k).pos
+    right = [(key, [pos[s] for s in key], c) for key, c in t.coeffs.items() if not c.is_zero()]
+    terms = {}
+    for a_key, a in w.coeffs.items():
+        for b_key, b_pos, b in right if not a.is_zero() else ():
+            both = [pos[s] for s in a_key] + b_pos
+            if len(set(both)) == p + q:
+                key = tuple(s for _, s in sorted(zip(both, a_key + b_key)))
+                terms.setdefault(key, []).append((factor * _sign(both), a, b))
+    out = {key: jet_product_sum(ts) for key, ts in terms.items()}
+    return FormKR(n, k, p + q, {key: c for key, c in out.items() if not c.is_zero()}, w.point)
 
 
 def interior_product(y_section, omega):
     """i_Y: degree r to degree r-1, with the degree of the input form as
-    the normalization factor."""
-    if (y_section.n, y_section.k) != (omega.n, omega.k):
-        raise ValueError("order/dimension mismatch")
-    if omega.r == 0:
+    the normalization factor: (i_Y omega)(rest) = r sum_s Y^s omega(e_s,
+    rest), scattered from omega's nonzero keys, each output slot one sum."""
+    _sections_only("interior_product", omega, y_section)
+    r, zero = omega.r, omega._zero()
+    if r == 0:
         raise ValueError("interior product needs positive degree")
-    n, k, r = omega.n, omega.k, omega.r
-    slots = slot_layout("vector", n, k).slots
-    out = {}
-    for key in combinations(slots, r - 1) if r > 1 else [()]:
-        total = FunctionJetSection(n, k)
-        for s in slots:
-            ypoly = y_section.slot(*s)
-            if ypoly.is_zero():
-                continue
-            sign, sec = omega.signed_coefficient((s,) + tuple(key))
-            if sign == 0 or sec.is_zero():
-                continue
-            term = sec.scale(ypoly)
-            total = total + (term if sign > 0 else -term)
-        total = total.scale(Fraction(r))
-        if not total.is_zero():
-            out[key] = total
-    return FormKR(n, k, r - 1, out)
+    terms = {}
+    for key, sec in omega.coeffs.items():
+        for p, s in enumerate(key):
+            y = y_section.coeffs[s]
+            if y:
+                slot_terms = terms.setdefault(key[:p] + key[p + 1 :], {})
+                for alpha, v in sec.coeffs.items():
+                    if v:
+                        slot_terms.setdefault(alpha, []).append((-r if p % 2 else r, y, v))
+    out = {key: zero._summed(omega.k, slot_terms) for key, slot_terms in terms.items()}
+    return FormKR(omega.n, omega.k, r - 1, {key: c for key, c in out.items() if not c.is_zero()})
 
 
 def lie_derivative(y_section, omega):
     """L_Y: degree-preserving; satisfies the homotopy identity
     L = d i + i d and commutes with d."""
-    if (y_section.n, y_section.k) != (omega.n, omega.k):
-        raise ValueError("order/dimension mismatch")
+    _sections_only("lie_derivative", omega, y_section)
     n, k, r = omega.n, omega.k, omega.r
     if r == 0:
         return FormKR.from_function_section(jet_action(y_section, omega.coeffs[()]))

@@ -7,8 +7,9 @@ splitting test, and lower-central-series analysis.
 An algebra keeps its constants twice: flat, as validated, and indexed by
 basis pair (`FiniteLieAlgebra.rows`), so brackets and the Jacobi check
 visit only nonzero constants.  The Chevalley-Eilenberg differential is
-built once, as sparse rows by `ce_differential_rows`, and every reader
-takes those rows: cohomology, the 2-cocycle check and the splitting
+built once, as sparse rows by `ce_differential_rows` from the term list
+`multiindex.ce_terms` that `forms.exterior_derivative` shares, and every
+reader takes those rows: cohomology, the 2-cocycle check and the splitting
 test.  Cohomology is relative cohomology over a subalgebra, the absolute
 kind being the zero subalgebra's; its dimensions are ranks of one
 `Echelon` per degree, grown first by the contraction conditions and then
@@ -20,6 +21,7 @@ from itertools import combinations
 
 from .jets import slot_layout
 from .linalg import Echelon, matmul, zeros
+from .multiindex import _insert_sorted, ce_terms
 from .poly import _as_fraction
 from .spencer import basis_bracket
 
@@ -183,11 +185,8 @@ def ce_differential_rows(g, module, r):
     values in the module, as sparse {column: value} rows: row t*m + a is
     the coordinate a of (d w) at the t-th (r+1)-key, and column i*m + b
     the coordinate b of w at the i-th r-key (m = module.dim, keys in
-    `_cochain_keys` order).
-
-    (d w)(x_0, ..., x_r) = sum_p (-1)^p rho(x_p) w(..., ^x_p, ...)
-        + sum_{p<q} (-1)^(p+q) w([x_p, x_q], ..., ^x_p, ..., ^x_q, ...)
-    """
+    `_cochain_keys` order), from the terms `multiindex.ce_terms` lists,
+    x_p acting by rho(x_p)."""
     m = module.dim
     in_pos = {key: i * m for i, key in enumerate(_cochain_keys(g.dim, r))}
     action = [
@@ -197,33 +196,17 @@ def ce_differential_rows(g, module, r):
     rows = []
     for okey in _cochain_keys(g.dim, r + 1):
         block = [{} for _ in range(m)]
-        # each p drops a different x_p, so these terms never share a column
-        for p, x in enumerate(okey):
-            i = in_pos[okey[:p] + okey[p + 1 :]]
-            for a, b, c in action[x]:
-                block[a][i + b] = -c if p % 2 else c
-        for p, q in combinations(range(len(okey)), 2):
-            rest = tuple(x for t, x in enumerate(okey) if t not in (p, q))
-            for k, c in g.basis_bracket(okey[p], okey[q]).items():
-                merged, sign = _insert_sorted(k, rest)
-                if merged is not None:
-                    i, c = in_pos[merged], c if sign == (-1) ** (p + q) else -c
-                    for a, row in enumerate(block):
-                        row[i + a] = row[i + a] + c if i + a in row else c
+        # the action terms come first and never share a column: each drops another x_p
+        for x, key, c in ce_terms(okey, g.basis_bracket):
+            i = in_pos[key]
+            if x is not None:
+                for a, b, v in action[x]:
+                    block[a][i + b] = v if c > 0 else -v
+            else:
+                for a, row in enumerate(block):
+                    row[i + a] = row[i + a] + c if i + a in row else c
         rows.extend(block)
     return rows
-
-
-def _insert_sorted(k, rest):
-    """Insert index k into a strictly increasing tuple; returns the
-    sorted tuple and the alternation sign, or (None, 0) on repetition."""
-    if k in rest:
-        return None, 0
-    pos = 0
-    while pos < len(rest) and rest[pos] < k:
-        pos += 1
-    sign = 1 if pos % 2 == 0 else -1
-    return rest[:pos] + (k,) + rest[pos:], sign
 
 
 def ce_cohomology_dims(g, module, r_max):

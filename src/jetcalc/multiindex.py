@@ -3,7 +3,9 @@
 A multi-index is a tuple of n non-negative integers.  All basis
 enumerations in the library use graded lexicographic order (by total
 order first, then lexicographic), produced by :func:`multi_indices`.
-`_sign` is the sign of a sorting permutation, for forms and determinants.
+Alternating keys are strictly increasing tuples: `_sign` and
+`_insert_sorted` sort them with a sign, and `ce_terms` is the one
+Chevalley-Eilenberg formula, of `liealg` cochains and `forms` alike.
 """
 
 import operator
@@ -97,3 +99,29 @@ def _sign(seq):
     an odd number of inversions, else 1."""
     inversions = sum(a > b for a, b in combinations(seq, 2))
     return -1 if inversions % 2 else 1
+
+
+def _insert_sorted(k, rest):
+    """Insert index k into a strictly increasing tuple; returns the
+    sorted tuple and the alternation sign, or (None, 0) on repetition."""
+    if k in rest:
+        return None, 0
+    pos = 0
+    while pos < len(rest) and rest[pos] < k:
+        pos += 1
+    return rest[:pos] + (k,) + rest[pos:], -1 if pos % 2 else 1
+
+
+def ce_terms(key, bracket):
+    """The terms of (d w)(x_0..x_r) = sum_p (-1)^p x_p . w(..^x_p..)
+    + sum_{p<q} (-1)^(p+q) w([x_p, x_q], ..^x_p..^x_q..) at a strictly
+    increasing key, bracket(x, y) = [x, y] as {z: c}: (x_p, key without
+    x_p, (-1)^p) per action term, then (None, key, signed c) per c."""
+    terms = [(x, key[:p] + key[p + 1 :], -1 if p % 2 else 1) for p, x in enumerate(key)]
+    for p, q in combinations(range(len(key)), 2):
+        rest = key[:p] + key[p + 1 : q] + key[q + 1 :]
+        for z, c in bracket(key[p], key[q]).items():
+            merged, sign = _insert_sorted(z, rest)
+            if merged is not None:
+                terms.append((None, merged, c if sign == (-1) ** (p + q) else -c))
+    return terms

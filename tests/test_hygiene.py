@@ -227,3 +227,29 @@ def test_modules_import_only_the_standard_library():
         if m.split(".")[0] not in sys.stdlib_module_names and m.split(".")[0] != "jetcalc"
     ]
     assert outside == []
+
+
+# concepts that have one implementation, each in one src/ module
+ONE_DEFINITION = {
+    "_insert_sorted", "ce_terms", "_sign", "determinant", "_as_fraction", "slot_layout", "Echelon",
+}
+
+
+def test_each_concept_is_defined_in_one_module():
+    """The alternating-key helpers, the Chevalley-Eilenberg term list, the
+    determinant, the exact-scalar gate, the slot layout and the echelon
+    are each defined (as a function, a class or a module-level name) in
+    exactly one src/ module."""
+    homes = {name: [] for name in ONE_DEFINITION}
+    for p in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(p.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in ONE_DEFINITION.intersection(names):
+                homes[name].append(p.relative_to(SRC.parent).as_posix())
+    assert {name: files for name, files in homes.items() if len(files) != 1} == {}

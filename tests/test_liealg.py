@@ -423,3 +423,53 @@ def test_jet_group_2_2_adjoint_cohomology():
     module = g.adjoint_module()
     assert ce_cohomology_dims(g, module, 3) == [0, 1, 1, 0]
     assert relative_ce_cohomology_dims(g, [g.basis_vector(0)], module, 3) == [0, 1, 1, 0]
+
+
+def _reference_ce_differential_rows(g, module, r):
+    """The sparse differential with the Chevalley-Eilenberg formula
+    written out in place, as it was before the term list moved to
+    `multiindex.ce_terms`: the oracle of the shared formula."""
+    m = module.dim
+    in_pos = {key: i * m for i, key in enumerate(_oracle_keys(g.dim, r))}
+    action = [
+        [(a, b, c) for a, row in enumerate(mat) for b, c in enumerate(row) if c]
+        for mat in module.matrices
+    ]
+    rows = []
+    for okey in _oracle_keys(g.dim, r + 1):
+        block = [{} for _ in range(m)]
+        for p, x in enumerate(okey):
+            i = in_pos[okey[:p] + okey[p + 1 :]]
+            for a, b, c in action[x]:
+                block[a][i + b] = -c if p % 2 else c
+        for p, q in combinations(range(len(okey)), 2):
+            rest = tuple(x for t, x in enumerate(okey) if t not in (p, q))
+            for k, c in g.basis_bracket(okey[p], okey[q]).items():
+                merged, sign = _oracle_insert(k, rest)
+                if merged is not None:
+                    i, c = in_pos[merged], c if sign == (-1) ** (p + q) else -c
+                    for a, row in enumerate(block):
+                        row[i + a] = row[i + a] + c if i + a in row else c
+        rows.extend(block)
+    return rows
+
+
+def test_ce_differential_rows_match_the_reference_rows():
+    """Degrees 0..2 on the adjoint and trivial modules of two jet algebras
+    and on the kernel module of the n=2, k=3, m=2 extension: the rows
+    equal the reference rows, zero entries dropped."""
+    modules = [
+        module
+        for g in (jet_group_algebra(1, 4), jet_group_algebra(2, 2))
+        for module in (g.adjoint_module(), g.trivial_module())
+    ]
+    ext = _jet_group_extension_n2_k3_m2()
+    cases = [(module.algebra, module) for module in modules] + [(ext.Q, ext.kernel_module())]
+
+    def nonzero(rows):
+        return [{col: c for col, c in row.items() if c} for row in rows]
+
+    for g, module in cases:
+        for r in range(3):
+            expected = nonzero(_reference_ce_differential_rows(g, module, r))
+            assert nonzero(ce_differential_rows(g, module, r)) == expected, (g.dim, module.dim, r)

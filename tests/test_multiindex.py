@@ -3,8 +3,10 @@ from itertools import permutations
 from math import comb
 
 from jetcalc.multiindex import (
+    _insert_sorted,
     _sign,
     add,
+    ce_terms,
     factorial,
     multi_binomial,
     multi_indices,
@@ -79,3 +81,18 @@ def test_sign_matches_the_cycle_parity():
                         seen.add(x)
                         x = target[x]
             assert _sign(seq) == (-1) ** (m - cycles), seq
+
+
+def test_insert_sorted_and_ce_terms():
+    """One index goes into a strictly increasing key with the sign of
+    the sort; the Chevalley-Eilenberg terms at a key list the action
+    terms first, then each bracket constant on its sorted, signed key,
+    constants whose index is already in the rest dropped."""
+    assert _insert_sorted(2, (0, 3)) == ((0, 2, 3), -1)
+    assert _insert_sorted(0, (1, 3)) == ((0, 1, 3), 1)
+    assert _insert_sorted(3, (0, 3)) == (None, 0)
+    table = {(0, 1): {3: 5, 2: 4}, (1, 2): {3: 7}}
+    assert ce_terms((0, 1, 2), lambda x, y: table.get((x, y), {})) == [
+        (0, (1, 2), 1), (1, (0, 2), -1), (2, (0, 1), 1), (None, (2, 3), 5), (None, (0, 3), 7)
+    ]
+    assert ce_terms((4,), lambda x, y: {}) == [(4, (), 1)]
