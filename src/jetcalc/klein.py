@@ -162,18 +162,15 @@ def sigma_injective(a, m):
 
 def realized_jet_family(a, k_max):
     """Solution-style subspaces spanned by the realized jets at the base
-    point, for orders 1..k_max."""
+    point, for orders 1..k_max: each order's basis jets go in as its
+    spanning set, whose rank-raising jets become the basis."""
     from .lie_equations import LinearJetSubspace
 
     table = a.basis_jets(k_max)
-    family = []
-    for k in range(1, k_max + 1):
-        jets = [v[: len(slot_layout("vector", a.n, k).slots)] for v in table]
-        # reduce to an independent spanning set
-        span = Echelon()
-        basis = [v for v in jets if span.add_row(v)]
-        family.append(LinearJetSubspace(a.n, k, a.point, basis))
-    return family
+    return [
+        LinearJetSubspace(a.n, k, a.point, [v[: len(slot_layout("vector", a.n, k).slots)] for v in table])
+        for k in range(1, k_max + 1)
+    ]
 
 
 def klein_order_of_system(family, k_max):

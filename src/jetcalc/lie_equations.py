@@ -10,7 +10,7 @@ from functools import reduce
 from math import lcm
 
 from .jets import slot_layout
-from .linalg import Echelon, _int_row, determinant, invert, rank
+from .linalg import Echelon, _int_row, determinant, invert
 from .multiindex import (
     add,
     is_natural,
@@ -42,6 +42,8 @@ class StructureJet:
         self.n = n
         self.order = order_
         self.point = tuple(_as_fraction(x) for x in point)
+        if len(self.point) != n:
+            raise ValueError("base point dimension mismatch")
         table = {}
         for (i, j, alpha), c in coeffs.items():
             if not all(is_natural(x) and x < n for x in (i, j)):
@@ -119,9 +121,11 @@ class StructureJet:
 
 class LinearJetSubspace:
     """A subspace of the order-k vector-jet fiber at a point, presented
-    by a basis in the canonical slot coordinates.  The basis may also be
-    given as an `Echelon` of equations: its nullspace on the fiber is
-    then the basis, independent by construction."""
+    by a spanning set in the canonical slot coordinates: its basis is the
+    vectors that raise the rank, in the order given.  The spanning set
+    may also be an `Echelon` of equations: their nullspace on the fiber
+    is then the basis.  Either way the subspace keeps the echelon (RREF)
+    of its span, which answers `contains` and `restrict_projection`."""
 
     __slots__ = ("n", "k", "point", "basis", "_span")
 
@@ -129,28 +133,21 @@ class LinearJetSubspace:
         self.n = n
         self.k = k
         self.point = tuple(_as_fraction(x) for x in point)
+        if len(self.point) != n:
+            raise ValueError("base point dimension mismatch")
         width = len(slot_layout("vector", n, k).slots)
-        # the echelon of the span answers every contains; an independence
-        # check builds it at once, otherwise the first contains does
-        self._span = None
         if isinstance(basis, Echelon):
             basis = basis.nullspace(width)
-        else:
-            for v in basis:
-                if len(v) != width:
-                    raise ValueError("basis vector has wrong fiber dimension")
-            self._span = Echelon(basis)
-            if self._span.rank < len(basis):
-                raise ValueError("basis is linearly dependent")
-        self.basis = [list(v) for v in basis]
+        elif any(len(v) != width for v in basis):
+            raise ValueError("basis vector has wrong fiber dimension")
+        self._span = Echelon()
+        self.basis = [list(v) for v in basis if self._span.add_row(v)]
 
     @property
     def dim(self):
         return len(self.basis)
 
     def contains(self, vector):
-        if self._span is None:
-            self._span = Echelon(self.basis)
         return self._span.contains(vector)
 
     def contains_jet(self, jet_point):
@@ -250,13 +247,16 @@ def solve_system(structure, k):
 
 
 def restrict_projection(sub, m):
-    """Image of a subspace under pi_{k,m}, with the projection's rank
-    and kernel dimension on the subspace."""
-    # the order-m slots are a prefix of the order-k ones
+    """Image of a subspace under pi_{k,m}, 0 <= m <= k, with the
+    projection's rank and kernel dimension on the subspace.  The order-m
+    slots are a prefix of the order-k ones, so an RREF row of the span
+    with its pivot in that prefix keeps an independent image and every
+    other row projects to zero: the rank is the count of such pivots."""
+    if not 0 <= m <= sub.k:
+        raise ValueError(f"projection order {m} out of range 0..{sub.k}")
     width = len(slot_layout("vector", sub.n, m).slots)
-    images = [v[:width] for v in sub.basis]
-    rk = rank(images)
-    return images, rk, sub.dim - rk
+    rk = sum(p < width for p in sub._span.pivots)
+    return [v[:width] for v in sub.basis], rk, sub.dim - rk
 
 
 def prolongation_report(structure, k_max):

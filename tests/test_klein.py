@@ -20,7 +20,7 @@ from jetcalc.klein import (
 from jetcalc.jets import prolong_vector_field
 from jetcalc.lie_equations import solve_system, StructureJet
 from jetcalc.liealg import FiniteLieAlgebra
-from jetcalc.linalg import rank
+from jetcalc.linalg import Echelon, rank
 from jetcalc.poly import Poly
 from jetcalc.spencer import bracket_fields
 
@@ -111,6 +111,35 @@ def test_klein_order_of_projective_jets():
     family = realized_jet_family(g, 4)
     assert [s.dim for s in family] == [2, 3, 3, 3]
     assert klein_order_of_system(family, 4)["order"] == 2
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_realized_jet_family_projection_ranks_are_image_ranks(n):
+    """Each order's subspace spans the prefixes of the basis jets, and for
+    every m in 0..k its pivot-read projection rank is the rank of the
+    returned images."""
+    from jetcalc.jets import vector_slots
+    from jetcalc.lie_equations import restrict_projection
+
+    a = build_projective_example(n)
+    table = a.basis_jets(3)
+    for k, sub in enumerate(realized_jet_family(a, 3), start=1):
+        jets = [v[: len(vector_slots(n, k))] for v in table]
+        assert sub.dim == rank(jets) and all(sub.contains(v) for v in jets)
+        for m in range(k + 1):
+            images, rk, ker = restrict_projection(sub, m)
+            assert images == [v[: len(vector_slots(n, m))] for v in sub.basis]
+            assert rk == rank(images) and ker == sub.dim - rk
+
+
+def test_realized_jet_family_eliminates_each_jet_once(monkeypatch):
+    """The subspace's own span echelon picks the basis, so each order's
+    jets go through `Echelon.add_row` once: 9 jets at 3 orders."""
+    a = build_projective_example(2)
+    calls, real = [], Echelon.add_row
+    monkeypatch.setattr(Echelon, "add_row", lambda self, v: calls.append(v) or real(self, v))
+    realized_jet_family(a, 3)
+    assert len(calls) == 3 * a.algebra.dim == 27
 
 
 def test_full_fiber_family_does_not_stabilize():

@@ -24,7 +24,7 @@ from jetcalc.lie_equations import (
     subspaces_equal,
     symplectic_system,
 )
-from jetcalc.linalg import Echelon, invert, nullspace
+from jetcalc.linalg import Echelon, invert, nullspace, rank
 from jetcalc.multiindex import add, multi_binomial, multi_indices, sub, sub_indices, unit
 from jetcalc.poly import Poly
 
@@ -148,6 +148,40 @@ def test_structure_jet_rejects_malformed_slots():
     for key in [(5, 0, (0, 0)), (0, 1, (-1, 0)), (0, 1, (True, 0)), (0, 1, ("a", 0)), (0, 1, (0,))]:
         with pytest.raises(ValueError):
             StructureJet("metric", 2, 2, ZERO2, {(0, 0, (0, 0)): 1, key: 1})
+    for point in [(0,), (0, 0, 0)]:
+        with pytest.raises(ValueError, match="base point dimension mismatch"):
+            StructureJet("metric", 2, 2, point, {(0, 0, (0, 0)): 1, (1, 1, (0, 0)): 1})
+
+
+def test_subspace_rejects_malformed_input():
+    width = len(vector_slots(2, 1))
+    with pytest.raises(ValueError, match="base point dimension mismatch"):
+        LinearJetSubspace(2, 1, (0, 0, 0), [[1] + [0] * (width - 1)])
+    with pytest.raises(ValueError, match="base point dimension mismatch"):
+        LinearJetSubspace(2, 1, (0,), Echelon())
+    with pytest.raises(ValueError, match="basis vector has wrong fiber dimension"):
+        LinearJetSubspace(2, 1, ZERO2, [[1] * width, [1] * (width + 1)])
+
+
+def test_spanning_set_keeps_its_rank_raising_vectors_in_order():
+    width = len(vector_slots(2, 1))
+    e = [[Fraction(int(i == j)) for j in range(width)] for i in range(width)]
+    u = [a + 2 * b for a, b in zip(e[1], e[4])]
+    spanning = [
+        e[1], [2 * x for x in e[1]], u, [0] * width, e[4],
+        [a - b for a, b in zip(u, e[1])], e[0], [a + b for a, b in zip(e[0], u)],
+    ]
+    sub = LinearJetSubspace(2, 1, ZERO2, spanning)
+    assert sub.basis == [e[1], u, e[0]]
+    assert sub.dim == rank(spanning) == 3
+    assert all(sub.contains(v) for v in spanning)
+    assert not any(sub.contains(e[i]) for i in (2, 3, 5))
+    assert not sub.contains([a + b for a, b in zip(e[4], e[5])])
+    assert subspaces_equal(sub, LinearJetSubspace(2, 1, ZERO2, sub.basis))
+    # an all-dependent or empty spanning set spans the zero subspace
+    zero = LinearJetSubspace(2, 1, ZERO2, [[0] * width] * 3)
+    assert zero.basis == [] and zero.dim == 0 and zero.contains([0] * width)
+    assert restrict_projection(zero, 1) == ([], 0, 0)
 
 
 def test_levi_civita_flat_and_conformal():
@@ -437,3 +471,54 @@ def test_prolongation_checks_projected_images_against_lower_rows(monkeypatch):
     monkeypatch.setattr(Echelon, "nullspace", lambda self, w: _break_first(real_nullspace(self, w)))
     with pytest.raises(AssertionError, match="projection left the lower solution space"):
         _prolongation(flat_metric(), 2)
+
+
+# ---------------------------------------------------------------------------
+# projection ranks read from the pivots of the span echelon
+
+
+def assert_projection_ranks_are_image_ranks(sub):
+    """For every order m in 0..k, the pivot-read projection rank is the
+    rank of the returned images, which are the basis prefixes."""
+    for m in range(sub.k + 1):
+        images, rk, ker = restrict_projection(sub, m)
+        assert images == [v[: len(vector_slots(sub.n, m))] for v in sub.basis]
+        assert rk == rank(images) and ker == sub.dim - rk
+
+
+@pytest.mark.parametrize("case", PROLONG_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_projection_rank_of_solution_spaces_is_image_rank(case):
+    kind, n, k_max, density = case
+    for seed in range(2):
+        assert_projection_ranks_are_image_ranks(
+            solve_system(seeded_structure(kind, n, k_max, density, seed), k_max)
+        )
+
+
+def test_projection_rank_of_seeded_spans_is_image_rank():
+    rng = random.Random(23)
+    for n, k in ((1, 3), (2, 1), (2, 2), (3, 2)):
+        width = len(vector_slots(n, k))
+        for _ in range(6):
+            vectors = [
+                [Fraction(rng.choice((0, 0, 0, 1, -2, 3)), rng.randint(1, 3)) for _ in range(width)]
+                for _ in range(rng.randint(0, width))
+            ]
+            # a dependent combination, and the first vector cut to a prefix
+            if vectors:
+                vectors.append([2 * x - y for x, y in zip(vectors[0], vectors[-1])])
+                cut = rng.randrange(width)
+                vectors.append(vectors[0][:cut] + [Fraction(0)] * (width - cut))
+            sub = LinearJetSubspace(n, k, tuple(rng.randint(-2, 2) for _ in range(n)), vectors)
+            assert sub.dim == rank(vectors)
+            assert_projection_ranks_are_image_ranks(sub)
+
+
+def test_projection_order_out_of_range_raises():
+    sub = solve_system(flat_metric(), 2)
+    assert sub.dim == 3
+    for m in (-1, 3, 5):
+        with pytest.raises(ValueError, match=rf"projection order {m} out of range 0\.\.2"):
+            restrict_projection(sub, m)
+    assert restrict_projection(sub, 0)[1:] == (2, 1)
+    assert restrict_projection(sub, 2)[1:] == (3, 0)
