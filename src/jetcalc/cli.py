@@ -394,7 +394,7 @@ def _expectation(name, got, want):
 
 
 def _run_prolong(args):
-    from .lie_equations import _prolongation, atiyah_exactness
+    from .lie_equations import _prolongation
 
     if args.builtin:
         scenario = {"task": "prolongation", **BUILTINS[args.builtin]["scenario"]}
@@ -411,11 +411,11 @@ def _run_prolong(args):
             f"structure jet order {structure.order} cannot support kmax={kmax}"
         )
     try:
-        report, top = _prolongation(structure, kmax)
+        report, anchor = _prolongation(structure, kmax)
     except ValueError as exc:
         raise SchemaError(f"structure: {exc}")
     results = {key: report[key] for key in ("kind", "n", "orders")}
-    results["anchor"] = atiyah_exactness(top)
+    results["anchor"] = anchor
     checks = []
     expect = scenario.get("expect")
     if expect is not None:
@@ -538,6 +538,8 @@ def _load_scenario(path):
         raise SchemaError(f"cannot read scenario: {exc}")
     except json.JSONDecodeError as exc:
         raise SchemaError(f"scenario is not valid JSON: {exc}")
+    except ValueError as exc:  # an integer literal past CPython's string-to-int digit limit
+        raise ResourceError(f"scenario: {exc}")
     if not isinstance(scenario, dict):
         raise SchemaError("scenario: expected a JSON object")
     return scenario

@@ -1,7 +1,7 @@
 """Realized Lie algebras of polynomial vector fields: the isotropy
-filtration by vanishing order at a base point, the order and ghost of
-the realization, the jet-evaluation homomorphism, and the projective
-examples.
+filtration by vanishing order at a base point (its dimensions read as
+ranks, its ghost the one nullspace), the order of the realization, the
+jet-evaluation homomorphism, and the projective examples.
 
 Jet evaluation at the base point is linear in the abstract vector, so
 each function that evaluates builds one table of basis jets
@@ -89,41 +89,36 @@ def isotropy_filtration(a):
 
     h_k is the left kernel of the order-k basis jets.  One echelon of
     the jet table's slot columns, grown by each order's columns, gives
-    h_0, h_1, ... in turn.  A polynomial field of degree <= deg vanishes
-    iff its order-deg jet at a point does, so h_deg is the realization
-    kernel: the chain reaches it by the fields' degree and stabilizes
-    exactly where it first does.  The ghost is cross-checked to be an
-    ideal and to coincide with the kernel; a mismatch raises instead of
-    being resolved silently.
+    dim h_k as dim less its rank.  A polynomial field of degree <= deg
+    vanishes iff its order-deg jet at a point does, so h_deg is the
+    realization kernel: the chain reaches it by the fields' degree and
+    stabilizes exactly where it first does; a dip below it after that
+    raises.  The chain is nested, so equal ranks from the stabilization
+    order on give one RREF: the nullspace at order deg+1 is the ghost,
+    which is cross-checked to be an ideal.
     """
     dim = a.algebra.dim
     deg = max([0] + [p.degree() for f in a.fields for p in f])
     columns = list(zip(*a.basis_jets(deg + 1)))
-    span, chain, done = Echelon(), [], 0
+    span, dims, done = Echelon(), [], 0
     for k in range(deg + 2):
         width = len(slot_layout("vector", a.n, k).slots)
         for column in columns[done:width]:
             span.add_row(column)
         done = width
-        chain.append(span.nullspace(dim))
-    kernel = chain[deg]
-    order = next(k for k, h in enumerate(chain) if len(h) == len(kernel))
-    # verify stabilization one step beyond the reported order
-    if len(chain[order + 1]) != len(kernel):
+        dims.append(dim - span.rank)
+    order = dims.index(dims[deg])
+    if any(d != dims[deg] for d in dims[order:]):
         raise AssertionError("filtration dipped below the realization kernel")
-    ghost = chain[order]
+    ghost = span.nullspace(dim)
     ghost_span = Echelon(ghost)
-    if not all(ghost_span.contains(v) for v in kernel):
-        raise AssertionError(
-            "stable filtration subspace differs from the realization kernel"
-        )
     for b in range(dim):
         for g in ghost:
             br = a.algebra.bracket(a.algebra.basis_vector(b), g)
             if not ghost_span.contains(br):
                 raise AssertionError("ghost is not an ideal")
     return {
-        "dims": [len(h) for h in chain[: order + 2]],
+        "dims": dims[: order + 2],
         "order": order,
         "stabilized": True,
         "ghost_dim": len(ghost),

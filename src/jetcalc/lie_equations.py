@@ -1,16 +1,16 @@
 """Linear Lie equations at a base point: Killing and symplectic
-systems built from structure jets, prolongation/surjectivity reports,
-Levi-Civita extraction with the unique second-order completion,
-anchor-exactness checks, bracket closure, and conjugation of systems by
-arrows.  Levi-Civita and the Killing completion share one Koszul
-formula, `_koszul`."""
+systems built from structure jets, prolongation/surjectivity reports
+read as pivot counts of one echelon of the invariance rows, Levi-Civita
+extraction with the unique second-order completion, anchor-exactness
+checks, bracket closure, and conjugation of systems by arrows.
+Levi-Civita and the Killing completion share one Koszul formula, `_koszul`."""
 
 from fractions import Fraction
 from functools import reduce
 from math import lcm
 
 from .jets import slot_layout
-from .linalg import Echelon, _int_row, determinant, invert
+from .linalg import Echelon, determinant, invert
 from .multiindex import (
     add,
     is_natural,
@@ -122,10 +122,9 @@ class StructureJet:
 class LinearJetSubspace:
     """A subspace of the order-k vector-jet fiber at a point, presented
     by a spanning set in the canonical slot coordinates: its basis is the
-    vectors that raise the rank, in the order given.  The spanning set
-    may also be an `Echelon` of equations: their nullspace on the fiber
-    is then the basis.  Either way the subspace keeps the echelon (RREF)
-    of its span, which answers `contains` and `restrict_projection`."""
+    vectors that raise the rank, in the order given.  The subspace keeps
+    the echelon (RREF) of its span, which answers `contains` and
+    `restrict_projection`."""
 
     __slots__ = ("n", "k", "point", "basis", "_span")
 
@@ -136,9 +135,7 @@ class LinearJetSubspace:
         if len(self.point) != n:
             raise ValueError("base point dimension mismatch")
         width = len(slot_layout("vector", n, k).slots)
-        if isinstance(basis, Echelon):
-            basis = basis.nullspace(width)
-        elif any(len(v) != width for v in basis):
+        if any(len(v) != width for v in basis):
             raise ValueError("basis vector has wrong fiber dimension")
         self._span = Echelon()
         self.basis = [list(v) for v in basis if self._span.add_row(v)]
@@ -243,7 +240,9 @@ def _system(structure, k):
 
 def solve_system(structure, k):
     """Solution subspace of the invariance system on the order-k fiber."""
-    return LinearJetSubspace(structure.n, k, structure.point, Echelon(_system(structure, k)))
+    width = len(slot_layout("vector", structure.n, k).slots)
+    basis = Echelon(_system(structure, k)).nullspace(width)
+    return LinearJetSubspace(structure.n, k, structure.point, basis)
 
 
 def restrict_projection(sub, m):
@@ -267,32 +266,38 @@ def prolongation_report(structure, k_max):
 
 
 def _prolongation(structure, k_max):
-    """The prolongation report and the order-k_max solution subspace.
+    """The prolongation report and the anchor report at order k_max.
     The order-k system is a prefix of the order-k_max one, so one echelon
-    grows by the rows of |alpha| = k-1 at each order k, and its nullspace
-    on the order-k fiber is the order-k solution subspace."""
+    grows by the rows of |alpha| = k-1 at each order k.  Its columns are
+    negated, so each pivot is its row's highest slot, and the rows
+    pivoted among the order-m slots span the equations on those slots
+    alone, the annihilator of the order-m image of R_k: the image rank is
+    the order-m width less their count, and m = k gives dim R_k."""
+    n = structure.n
     rows = _system(structure, k_max)
-    per_alpha = len(rows) // len(slot_layout("function", structure.n, k_max - 1).slots)
-    equations, orders, prev, done = Echelon(), [], None, 0
+    widths = [len(slot_layout("vector", n, m).slots) for m in range(k_max + 1)]
+    per_alpha = len(rows) // len(slot_layout("function", n, k_max - 1).slots)
+    equations, orders, done = Echelon(), [], 0
+
+    def image_rank(m):
+        return widths[m] - sum(-p < widths[m] for p in equations.pivots)
+
     for k in range(1, k_max + 1):
-        top = per_alpha * len(slot_layout("function", structure.n, k - 1).slots)
+        top = per_alpha * len(slot_layout("function", n, k - 1).slots)
         for row in rows[done:top]:
-            equations.add_row(row)
-        sub = LinearJetSubspace(structure.n, k, structure.point, equations)
-        entry = {"k": k, "dim": sub.dim}
-        if prev is not None:
-            images, rk, ker = restrict_projection(sub, k - 1)
-            onto = rk == prev.dim
-            entry.update(projection_rank=rk, kernel_dim=ker, surjective=onto,
-                         bijective=onto and ker == 0)
-            # each image must solve the order-(k-1) rows; checked on int multiples
-            ints = [_int_row(v) for v in images]
-            if any(sum(x * v.get(c, 0) for c, x in row.items()) for row in rows[:done] for v in ints):
-                raise AssertionError("projection left the lower solution space")
-        orders.append(entry)
-        prev = sub
+            equations.add_row({-c: x for c, x in row.items()})
         done = top
-    return {"kind": structure.kind, "n": structure.n, "k_max": k_max, "orders": orders}, prev
+        entry = {"k": k, "dim": image_rank(k)}
+        if k > 1:
+            rk, prev = image_rank(k - 1), orders[-1]["dim"]
+            if rk > prev:  # the order-(k-1) rows are among the order-k ones
+                raise AssertionError("projection left the lower solution space")
+            ker = entry["dim"] - rk
+            entry.update(projection_rank=rk, kernel_dim=ker, surjective=rk == prev,
+                         bijective=rk == prev and ker == 0)
+        orders.append(entry)
+    report = {"kind": structure.kind, "n": n, "k_max": k_max, "orders": orders}
+    return report, _anchor(n, orders[-1]["dim"], image_rank(0))
 
 
 class Christoffel:
@@ -379,19 +384,18 @@ def killing_order2_completion(g, low_coords):
     return {(i, add(unit(n, j), unit(n, k))): c for (i, j, k), c in _koszul(g, r_term).items()}
 
 
+def _anchor(n, dim, rk):
+    """Anchor surjectivity onto the tangent fiber and the kernel dimension
+    identity, for a solution space of dimension dim whose order-0
+    projection has rank rk."""
+    ker = dim - rk
+    return {"dim": dim, "anchor_rank": rk, "anchor_surjective": rk == n,
+            "kernel_dim": ker, "exact": rk == n and ker == dim - n}
+
+
 def atiyah_exactness(sub):
-    """Anchor surjectivity onto the tangent fiber and the kernel
-    dimension identity for a solution subspace."""
-    n = sub.n
-    # the order-0 slots are the tangent fiber
-    _, anchor_rank, kernel_dim = restrict_projection(sub, 0)
-    return {
-        "dim": sub.dim,
-        "anchor_rank": anchor_rank,
-        "anchor_surjective": anchor_rank == n,
-        "kernel_dim": kernel_dim,
-        "exact": anchor_rank == n and kernel_dim == sub.dim - n,
-    }
+    """`_anchor` of a solution subspace: its order-0 slots are the tangent fiber."""
+    return _anchor(sub.n, sub.dim, restrict_projection(sub, 0)[1])
 
 
 def linear_solution_sections(structure, k):

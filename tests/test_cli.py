@@ -7,7 +7,7 @@ import os
 import random
 import tempfile
 import time
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -337,6 +337,23 @@ def test_rational_past_the_exponent_bound_exits_3_at_once(capsys, tmp_path):
     assert run_cli(capsys, "bracket", "--scenario", str(path))[0] == 0
 
 
+def test_integer_literal_past_the_digit_limit_exits_3(capsys, tmp_path):
+    """A scenario integer literal past CPython's 4,300-digit string-to-int
+    limit cannot be loaded: one JSON error naming the limit, exit 3.
+    JSON that is broken after a literal at the limit stays exit 2."""
+    path = tmp_path / "b.json"
+    path.write_text('{"n":1,"k":1,"point":[' + "7" * 5000 + '],"x":[[]],"y":[[]]}')
+    code = main(["bracket", "--scenario", str(path)])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert code == 3 and set(report) == {"error", "exit"} and report["exit"] == 3
+    assert "4300 digits" in report["error"]
+    assert "Traceback" not in captured.err
+    path.write_text('{"n":1,"k":1,"point":[' + "7" * 4300 + "],")
+    code, out = run_cli(capsys, "bracket", "--scenario", str(path))
+    assert code == 2 and "scenario is not valid JSON" in json.loads(out)["error"]
+
+
 def test_report_value_past_the_digit_limit_exits_3(capsys, tmp_path):
     """[x0^2 d, d] = -2 x0 d at x0 = 10^4300 has a 4,301-digit coordinate,
     past CPython's int-to-string limit: one JSON error naming it, exit 3."""
@@ -512,35 +529,59 @@ def test_malformed_expectation_exits_2(capsys, tmp_path, expect):
 
 
 _OTHER_TYPES = [None, True, -1, 1.5, "x", "1/2", [], [0], ["0", "0"], {}, {"dims": [1]}]
+# digits past CPython's 4,300-digit int-string limit, and the placeholder
+# that becomes them as a bare JSON integer (json.dumps cannot write one)
+_DIGITS, _GROWN = "7" * 5000, "<grown integer>"
+BRACKET_SCENARIO = {
+    "task": "bracket", "n": 2, "k": 2, "point": ["1", "-1/2"],
+    "x": [[{"exponents": [1, 0], "value": "1"}], [{"exponents": [0, 2], "value": "-3/2"}]],
+    "y": [[{"exponents": [0, 0], "value": "2"}], []],
+}
 
 
 @st.composite
-def _mutated_prolongation_scenarios(draw):
-    """A prolongation builtin's scenario with one field dropped or given
-    a value of another type: a top-level field, a field of `expect`, or
-    a position in one `coeffs` entry."""
-    name = draw(st.sampled_from(sorted(n for n, e in BUILTINS.items() if e["task"] == "prolongation")))
-    scenario = copy.deepcopy({"task": "prolongation", **BUILTINS[name]["scenario"]})
-    places = [scenario, scenario["expect"], *scenario["coeffs"]]
+def _mutated_scenarios(draw):
+    """The argv and scenario text of a prolongation builtin's scenario or
+    a bracket scenario, with one place dropped, given a value of another
+    type, or grown past the digit limit (a string gains the digits, any
+    other value becomes a bare integer literal).  A place is a top-level
+    field, a field of `expect`, a point coordinate, a position in one
+    `coeffs` entry, or a field of a bracket term or its exponents."""
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(sorted(n for n, e in BUILTINS.items() if e["task"] == "prolongation")))
+        scenario = copy.deepcopy({"task": "prolongation", **BUILTINS[name]["scenario"]})
+        places = [scenario, scenario["expect"], scenario["point"], *scenario["coeffs"]]
+        argv = ["prolong", "--kmax", "2"]
+    else:
+        scenario = copy.deepcopy(BRACKET_SCENARIO)
+        terms = [t for field in ("x", "y") for comp in scenario[field] for t in comp]
+        places = [scenario, scenario["point"], *terms, *(t["exponents"] for t in terms)]
+        argv = ["bracket"]
     target = draw(st.sampled_from(places))
     key = draw(st.sampled_from(sorted(target) if isinstance(target, dict) else range(len(target))))
-    if draw(st.booleans()):
+    mutation, old = draw(st.sampled_from(["drop", "retype", "grow"])), target[key]
+    if mutation == "drop":
         del target[key]
-    else:
-        old = target[key]
+    elif mutation == "retype":
         target[key] = draw(st.sampled_from([v for v in _OTHER_TYPES if type(v) is not type(old)]))
-    return scenario
+    else:
+        target[key] = old + _DIGITS if isinstance(old, str) else _GROWN
+    return argv, json.dumps(scenario).replace(json.dumps(_GROWN), _DIGITS)
 
 
-@settings(max_examples=40, deadline=None)
-@given(_mutated_prolongation_scenarios())
-def test_mutated_builtin_scenarios_exit_cleanly(scenario):
+@settings(max_examples=60, deadline=None)
+@given(_mutated_scenarios())
+def test_mutated_builtin_scenarios_exit_cleanly(case):
+    """Every mutated scenario ends in one JSON object on stdout, exit 0-3
+    and no traceback."""
+    argv, text = case
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "s.json")
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(scenario, fh)
-        buf = io.StringIO()
-        with redirect_stdout(buf):
-            code = main(["prolong", "--scenario", path, "--kmax", "2"])
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([*argv, "--scenario", path])
     assert code in (0, 1, 2, 3)
-    json.loads(buf.getvalue())
+    assert isinstance(json.loads(out.getvalue()), dict)
+    assert "Traceback" not in err.getvalue()

@@ -125,27 +125,34 @@ def test_only_poly_and_its_tests_see_packed_monomials():
         assert all(type(m) is tuple and all(type(e) is int for e in m) for m in monomials)
 
 
-# the list views of the slot layout, which only jets may name in src/
-SLOT_LISTS = {"function_slots", "vector_slots"}
-
-
-def test_only_jets_names_the_slot_lists():
-    """The slot layout has one owner: no src/ module but jets imports,
-    calls or reads `function_slots` or `vector_slots`; the others read
-    `jets.slot_layout`.  Tests may still call the public list views."""
-    leaks = sorted(
+def _src_names_outside(names, home):
+    """Each use of one of names (imported, called or read) in a src/
+    module other than home."""
+    return sorted(
         f"{p.relative_to(SRC.parent)}:{node.lineno} {name}"
         for p in sorted(SRC.rglob("*.py"))
-        if p != PACKAGE / "jets.py"
+        if p != PACKAGE / home
         for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
         for name in (
             [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
             else [node.attr] if isinstance(node, ast.Attribute)
             else [node.id] if isinstance(node, ast.Name) else []
         )
-        if name in SLOT_LISTS
+        if name in names
     )
-    assert leaks == []
+
+
+def test_only_jets_names_the_slot_lists():
+    """The slot layout has one owner: no src/ module but jets imports,
+    calls or reads `function_slots` or `vector_slots`; the others read
+    `jets.slot_layout`.  Tests may still call the public list views."""
+    assert _src_names_outside({"function_slots", "vector_slots"}, "jets.py") == []
+
+
+def test_only_linalg_converts_rows_to_ints():
+    """Rows reach the echelon kernel through its public methods: no src/
+    module but linalg names `_int_row`."""
+    assert _src_names_outside({"_int_row"}, "linalg.py") == []
 
 
 def _jetcalc_modules_after(code):

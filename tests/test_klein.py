@@ -223,6 +223,26 @@ def test_isotropy_filtration_matches_rank_oracle(build):
     assert all(d > dims[order] for d in dims[:order])
 
 
+@pytest.mark.parametrize(
+    "build", [build_affine_example, build_projective_line_example, partial(build_projective_example, 1)],
+    ids=["affine-line", "projective-line", "gl2-projective"],
+)
+def test_isotropy_filtration_builds_one_nullspace_the_ghost(build, monkeypatch):
+    """Each dim h_k is read as dim less a rank; the one nullspace, at the
+    top order, is the left kernel of the jets at the stabilization order,
+    vector for vector."""
+    from jetcalc.jets import vector_slots
+
+    a = build()
+    calls, real = [], Echelon.nullspace
+    monkeypatch.setattr(Echelon, "nullspace", lambda self, w: calls.append(w) or real(self, w))
+    rep = isotropy_filtration(a)
+    assert calls == [a.algebra.dim]
+    width = len(vector_slots(a.n, rep["order"]))
+    jets = [v[:width] for v in a.basis_jets(rep["order"])]
+    assert rep["ghost_basis"] == real(Echelon(zip(*jets)), a.algebra.dim)
+
+
 def test_high_degree_field_stabilizes_at_its_degree():
     """x^11 d/dx spans a one-dimensional abelian algebra; its jets at 0
     vanish up to order 10 and not at order 11."""

@@ -158,7 +158,7 @@ def test_subspace_rejects_malformed_input():
     with pytest.raises(ValueError, match="base point dimension mismatch"):
         LinearJetSubspace(2, 1, (0, 0, 0), [[1] + [0] * (width - 1)])
     with pytest.raises(ValueError, match="base point dimension mismatch"):
-        LinearJetSubspace(2, 1, (0,), Echelon())
+        LinearJetSubspace(2, 1, (0,), [])
     with pytest.raises(ValueError, match="basis vector has wrong fiber dimension"):
         LinearJetSubspace(2, 1, ZERO2, [[1] * width, [1] * (width + 1)])
 
@@ -409,11 +409,13 @@ def test_incremental_prolongation_matches_per_order_oracle(case):
     kind, n, k_max, density = case
     for seed in range(2):
         structure = seeded_structure(kind, n, k_max, density, seed)
-        report, top = _prolongation(structure, k_max)
+        report, anchor = _prolongation(structure, k_max)
         want_report, want_basis = oracle_prolongation(structure, k_max)
         assert report == want_report == prolongation_report(structure, k_max)
-        assert top.basis == want_basis == solve_system(structure, k_max).basis
+        top = solve_system(structure, k_max)
+        assert top.basis == want_basis
         assert all(type(x) is Fraction for v in top.basis for x in v)
+        assert anchor == atiyah_exactness(top)
 
 
 @pytest.mark.parametrize("case", PROLONG_CASES, ids=lambda c: "-".join(map(str, c)))
@@ -439,7 +441,7 @@ def test_subspace_from_equations_is_their_nullspace():
     structure = seeded_structure("metric", 3, 2, 0.5, 1)
     rows = killing_system(structure, 2)
     width = len(vector_slots(3, 2))
-    sub = LinearJetSubspace(3, 2, structure.point, Echelon(rows))
+    sub = solve_system(structure, 2)
     assert sub.basis == nullspace([[row.get(c, 0) for c in range(width)] for row in rows])
     assert all(sub.contains(v) for v in sub.basis)
     # a vector that breaks one equation is not in the subspace
@@ -450,27 +452,59 @@ def test_subspace_from_equations_is_their_nullspace():
     assert subspaces_equal(sub, LinearJetSubspace(3, 2, structure.point, sub.basis))
 
 
-def _break_first(vectors):
-    vectors[0] = [x + 1 for x in vectors[0]]
-    return vectors
+def test_prolongation_checks_projection_ranks_against_lower_dimensions(monkeypatch):
+    """The cross-check reads the pivots: hiding the lowest pivot where the
+    order-2 projection rank is read raises that rank past dim R_1."""
+    calls, real = [], Echelon.pivots.fget
 
+    def pivots(self):
+        calls.append(None)
+        # the third read is the order-2 echelon's projection to order 1
+        return real(self)[:-1] if len(calls) == 3 else real(self)
 
-def test_prolongation_checks_projected_images_against_lower_rows(monkeypatch):
-    """The cross-check reads the computed solutions: a wrong projected
-    image, or a wrong nullspace vector, trips it."""
-    import jetcalc.lie_equations as le
-
-    real_restrict, real_nullspace = le.restrict_projection, Echelon.nullspace
-    monkeypatch.setattr(
-        le, "restrict_projection",
-        lambda sub, m: (_break_first(real_restrict(sub, m)[0]),) + real_restrict(sub, m)[1:],
-    )
+    monkeypatch.setattr(Echelon, "pivots", property(pivots))
     with pytest.raises(AssertionError, match="projection left the lower solution space"):
         _prolongation(flat_metric(), 2)
-    monkeypatch.setattr(le, "restrict_projection", real_restrict)
-    monkeypatch.setattr(Echelon, "nullspace", lambda self, w: _break_first(real_nullspace(self, w)))
-    with pytest.raises(AssertionError, match="projection left the lower solution space"):
-        _prolongation(flat_metric(), 2)
+
+
+def test_prolongation_adds_each_row_once_and_builds_no_nullspace(monkeypatch):
+    """One echelon of the order-k_max rows: each row goes in once, and
+    every dimension and rank is read off its pivots."""
+    structure = seeded_structure("two_form", 4, 3, 0.3, 1)
+    added, nulls = [], []
+    real_add, real_null = Echelon.add_row, Echelon.nullspace
+    monkeypatch.setattr(Echelon, "add_row", lambda self, v: added.append(v) or real_add(self, v))
+    monkeypatch.setattr(Echelon, "nullspace", lambda self, w: nulls.append(w) or real_null(self, w))
+    _prolongation(structure, 3)
+    assert len(added) == len(symplectic_system(structure, 3)) and nulls == []
+
+
+# generic n = 4 jets at order 4, seed 1, recorded from the per-order
+# nullspace builder the echelon replaced (too slow there for the oracle)
+HEAVY_REPORTS = {
+    "two_form": [
+        {"k": 1, "dim": 14},
+        {"k": 2, "dim": 30, "projection_rank": 10, "kernel_dim": 20, "surjective": False, "bijective": False},
+        {"k": 3, "dim": 50, "projection_rank": 15, "kernel_dim": 35, "surjective": False, "bijective": False},
+        {"k": 4, "dim": 73, "projection_rank": 17, "kernel_dim": 56, "surjective": False, "bijective": False},
+    ],
+    "metric": [
+        {"k": 1, "dim": 10},
+        {"k": 2, "dim": 10, "projection_rank": 10, "kernel_dim": 0, "surjective": True, "bijective": True},
+        {"k": 3, "dim": 0, "projection_rank": 0, "kernel_dim": 0, "surjective": False, "bijective": False},
+        {"k": 4, "dim": 0, "projection_rank": 0, "kernel_dim": 0, "surjective": True, "bijective": True},
+    ],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(HEAVY_REPORTS))
+def test_generic_order4_reports_match_recorded(kind):
+    structure = seeded_structure(kind, 4, 4, 1.0, 1)
+    report, anchor = _prolongation(structure, 4)
+    assert report == {"kind": kind, "n": 4, "k_max": 4, "orders": HEAVY_REPORTS[kind]}
+    dim = HEAVY_REPORTS[kind][-1]["dim"]
+    assert anchor == {"dim": dim, "anchor_rank": 0, "anchor_surjective": False,
+                      "kernel_dim": dim, "exact": False}
 
 
 # ---------------------------------------------------------------------------
