@@ -39,13 +39,17 @@ class ResourceError(Exception):
 
 
 def _frac(value, field):
-    """Exact rational from a JSON value; floats are rejected, and the
-    gate's OverflowError (a decimal exponent past its bound) passes."""
+    """Exact rational from a JSON value; floats are rejected, the gate's
+    OverflowError (a decimal exponent past its bound) passes, and a
+    string with more digits than CPython's int-string limit is a
+    resource error whose message cuts the value short."""
     if isinstance(value, bool) or isinstance(value, float):
         raise SchemaError(f"{field}: rationals must be strings or integers")
     try:
         return _as_fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError):
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        if str(exc).startswith("Exceeds the limit"):  # CPython's int-string digit limit
+            raise ResourceError(f"{field}: {value[:12]!r}...: {exc}")
         raise SchemaError(f"{field}: cannot parse rational {value!r}")
 
 

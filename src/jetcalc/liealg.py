@@ -4,6 +4,13 @@ its constants `spencer.basis_bracket`), Chevalley-Eilenberg cohomology
 (absolute and relative), abelian extensions with their 2-cocycles and
 splitting test, and lower-central-series analysis.
 
+Structure constants and module entries pass the exact-scalar gate in
+its normal form, `poly._as_exact`: an integral value is kept as an int,
+so an integral algebra (every jet-group algebra) runs on int arithmetic
+throughout, from the Jacobi check to the echelons of cohomology and the
+splitting test, while a rational one keeps its Fractions.  No value here
+is ever divided.
+
 An algebra keeps its constants twice: flat, as validated, and indexed by
 basis pair (`FiniteLieAlgebra.rows`), so brackets and the Jacobi check
 visit only nonzero constants.  The Chevalley-Eilenberg differential is
@@ -16,13 +23,12 @@ kind being the zero subalgebra's; its dimensions are ranks of one
 by the differential (Cartan's formula makes invariance a contraction of
 d)."""
 
-from fractions import Fraction
 from itertools import combinations
 
 from .jets import slot_layout
-from .linalg import Echelon, matmul, zeros
+from .linalg import Echelon, matmul
 from .multiindex import _insert_sorted, ce_terms
-from .poly import _as_fraction
+from .poly import _as_exact
 from .spencer import basis_bracket
 
 
@@ -31,7 +37,8 @@ class FiniteLieAlgebra:
 
     `structure` is the flat table; `rows` indexes the same constants by
     basis pair, {(i, j): {k: c}}, so a basis bracket is one lookup.
-    Each constant passes the exact-scalar gate `poly._as_fraction`.
+    Each constant passes the exact-scalar gate in its normal form
+    `poly._as_exact`, so integral constants are stored as ints.
     Antisymmetry and the Jacobi identity are verified at construction.
     """
 
@@ -42,7 +49,7 @@ class FiniteLieAlgebra:
         table = {}
         if structure:
             for (i, j, k), c in structure.items():
-                c = _as_fraction(c)
+                c = _as_exact(c)
                 if c != 0:
                     table[(i, j, k)] = c
         self.structure = table
@@ -57,7 +64,7 @@ class FiniteLieAlgebra:
         return self.rows.get((i, j), {})
 
     def bracket(self, u, v):
-        out = [Fraction(0)] * self.dim
+        out = [0] * self.dim
         v_terms = [(j, b) for j, b in enumerate(v) if b != 0]
         for i, a in enumerate(u):
             if a == 0:
@@ -68,21 +75,26 @@ class FiniteLieAlgebra:
         return out
 
     def basis_vector(self, i):
-        e = [Fraction(0)] * self.dim
-        e[i] = Fraction(1)
+        e = [0] * self.dim
+        e[i] = 1
         return e
 
     def is_abelian(self):
         return not self.structure
 
     def adjoint_module(self):
-        mats = [zeros(self.dim, self.dim) for _ in range(self.dim)]
+        mats = [_zeros(self.dim) for _ in range(self.dim)]
         for (i, j, k), c in self.structure.items():
             mats[i][k][j] += c
         return LieModule(self, self.dim, mats)
 
     def trivial_module(self, m=1):
-        return LieModule(self, m, [zeros(m, m) for _ in range(self.dim)])
+        return LieModule(self, m, [_zeros(m) for _ in range(self.dim)])
+
+
+def _zeros(m):
+    """The m x m zero matrix of ints."""
+    return [[0] * m for _ in range(m)]
 
 
 def _rows(structure):
@@ -95,7 +107,7 @@ def _rows(structure):
 def validate_lie_algebra(dim, structure):
     """Exact antisymmetry + Jacobi check; returns (ok, witness)."""
     for (i, j, k), c in structure.items():
-        if structure.get((j, i, k), Fraction(0)) != -c:
+        if structure.get((j, i, k), 0) != -c:
             return False, ("antisymmetry", i, j, k)
     rows = _rows(structure)
     for i, j, k in combinations(range(dim), 3):
@@ -147,7 +159,8 @@ def jet_group_algebra(n, k):
 
 class LieModule:
     """A representation: one action matrix per basis element of g, each
-    entry through the exact-scalar gate."""
+    entry through the exact-scalar gate's normal form `poly._as_exact`,
+    so integral entries are stored as ints."""
 
     __slots__ = ("algebra", "dim", "matrices")
 
@@ -156,7 +169,7 @@ class LieModule:
             raise ValueError("need one action matrix per basis element")
         self.algebra = algebra
         self.dim = dim
-        self.matrices = [[[_as_fraction(x) for x in row] for row in mat] for mat in matrices]
+        self.matrices = [[[_as_exact(x) for x in row] for row in mat] for mat in matrices]
         if check and not self._is_representation():
             raise ValueError("matrices do not define a representation")
 
@@ -166,7 +179,7 @@ class LieModule:
         for i, j in combinations(range(g.dim), 2):
             ij, ji = matmul(mats[i], mats[j]), matmul(mats[j], mats[i])
             comm = [[x - y for x, y in zip(r, s)] for r, s in zip(ij, ji)]
-            expected = zeros(m, m)
+            expected = _zeros(m)
             for k, c in g.basis_bracket(i, j).items():
                 for a in range(m):
                     for b in range(m):
@@ -286,7 +299,7 @@ class ExtensionData:
     ideal A inside E and a linear section of the quotient map; `cocycle`
     is the section's 2-cocycle (see `extension_two_cocycle`)."""
 
-    __slots__ = ("E", "Q", "q_lift", "a_coords", "cocycle")
+    __slots__ = ("E", "Q", "q_lift", "a_coords", "cocycle", "_module")
 
     def __init__(self, E, a_indices):
         """Build from a big algebra and the indices of basis elements
@@ -311,6 +324,15 @@ class ExtensionData:
         self.q_lift = q_indices
         self.a_coords = a_indices
         self.cocycle = extension_two_cocycle(self)
+        # A as a Q-module via the adjoint action through the section
+        self._module = None
+        if self.ideal_is_abelian():
+            apos = {e: i for i, e in enumerate(a_indices)}
+            mats = [_zeros(len(apos)) for _ in q_indices]
+            for (i, j, k), c in E.structure.items():
+                if i in qpos and j in apos and k in apos:
+                    mats[qpos[i]][apos[k]][apos[j]] += c
+            self._module = LieModule(self.Q, len(apos), mats, check=False)
 
     def ideal_is_abelian(self):
         # the structure table holds only nonzero constants
@@ -326,16 +348,11 @@ class ExtensionData:
         return FiniteLieAlgebra(len(apos), struct, check=False)
 
     def kernel_module(self):
-        """A as a Q-module via the adjoint action through the section."""
-        if not self.ideal_is_abelian():
+        """A as a Q-module via the adjoint action through the section,
+        built once with the extension; do not mutate it."""
+        if self._module is None:
             raise ValueError("module structure needs an abelian ideal")
-        apos = {e: i for i, e in enumerate(self.a_coords)}
-        qpos = {e: i for i, e in enumerate(self.q_lift)}
-        mats = [zeros(len(apos), len(apos)) for _ in qpos]
-        for (i, j, k), c in self.E.structure.items():
-            if i in qpos and j in apos and k in apos:
-                mats[qpos[i]][apos[k]][apos[j]] += c
-        return LieModule(self.Q, len(apos), mats, check=False)
+        return self._module
 
 
 def extension_two_cocycle(ext):
@@ -352,7 +369,7 @@ def extension_two_cocycle(ext):
             defect[lift[k]] = defect.get(lift[k], 0) - c
         if any(defect.get(e, 0) != 0 for e in lift):
             raise ValueError("section defect leaves the ideal")
-        cocycle[(i, j)] = [defect.get(e, Fraction(0)) for e in ext.a_coords]
+        cocycle[(i, j)] = [defect.get(e, 0) for e in ext.a_coords]
     return cocycle
 
 
@@ -391,11 +408,16 @@ def nilpotency_analysis(g):
     dims = [g.dim]
     current = basis
     while True:
-        span = Echelon(g.bracket(u, v) for u in basis for v in current)
+        span, spanning = Echelon(), []
+        for u in basis:
+            for v in current:
+                w = g.bracket(u, v)
+                if span.add_row(w):
+                    spanning.append(w)
         dims.append(span.rank)
         if span.rank in (0, dims[-2]):
             break
-        current = span.dense_rows(g.dim)  # a basis of the next term
+        current = spanning  # a basis of the next term, of brackets
     return {
         "lower_central_series_dims": dims,
         "nilpotent": dims[-1] == 0,

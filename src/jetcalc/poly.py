@@ -25,6 +25,9 @@ a bool, or a rational string ("-3/4", "0.25", "1e-3").  Anything else,
 a float, bool or Decimal, raises TypeError.  A string whose decimal
 exponent exceeds 4300 in magnitude raises OverflowError, since the time
 `Fraction` takes to build that power of ten grows over tenfold per digit.
+`_as_exact` is the gate's normal form for entries that keep integral
+scalars as ints: an int passes unchanged, anything else goes through the
+gate and comes back as an int when its denominator is 1.
 """
 
 import re
@@ -72,6 +75,15 @@ def _as_fraction(x):
             raise OverflowError(f"{x!r}: decimal exponent past {_MAX_EXPONENT}")
         return Fraction(x)
     raise TypeError(f"not an exact scalar: {x!r}")
+
+
+def _as_exact(x):
+    """x through the gate, as an int when it is integral (a bool is not
+    an int here: it reaches the gate and raises)."""
+    if type(x) is int:
+        return x
+    c = _as_fraction(x)
+    return c.numerator if c.denominator == 1 else c
 
 
 class Poly:

@@ -337,6 +337,21 @@ def test_rational_past_the_exponent_bound_exits_3_at_once(capsys, tmp_path):
     assert run_cli(capsys, "bracket", "--scenario", str(path))[0] == 0
 
 
+def test_rational_string_past_the_digit_limit_exits_3(capsys, tmp_path):
+    """A quoted rational with more digits than CPython's int-string limit
+    is a resource error: one line naming the limit, the value cut short."""
+    path = tmp_path / "b.json"
+    for value in ("7" * 5000, "1/" + "7" * 5000, "0." + "7" * 5000):
+        path.write_text(json.dumps({"n": 1, "k": 1, "point": [value], "x": [[]], "y": [[]]}))
+        code, out = run_cli(capsys, "bracket", "--scenario", str(path))
+        report = json.loads(out)
+        assert code == 3 and report["exit"] == 3 and set(report) == {"error", "exit"}
+        assert report["error"].startswith("point[0]: ") and "4300 digits" in report["error"]
+        assert "\n" not in report["error"] and len(report["error"]) < 200
+    path.write_text(json.dumps({"n": 1, "k": 1, "point": ["7" * 4300], "x": [[]], "y": [[]]}))
+    assert run_cli(capsys, "bracket", "--scenario", str(path))[0] == 0
+
+
 def test_integer_literal_past_the_digit_limit_exits_3(capsys, tmp_path):
     """A scenario integer literal past CPython's 4,300-digit string-to-int
     limit cannot be loaded: one JSON error naming the limit, exit 3.

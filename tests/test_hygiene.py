@@ -238,15 +238,16 @@ def test_modules_import_only_the_standard_library():
 
 # concepts that have one implementation, each in one src/ module
 ONE_DEFINITION = {
-    "_insert_sorted", "ce_terms", "_sign", "determinant", "_as_fraction", "slot_layout", "Echelon",
+    "_insert_sorted", "ce_terms", "_sign", "determinant", "_as_fraction", "_as_exact", "slot_layout",
+    "Echelon",
 }
 
 
 def test_each_concept_is_defined_in_one_module():
     """The alternating-key helpers, the Chevalley-Eilenberg term list, the
-    determinant, the exact-scalar gate, the slot layout and the echelon
-    are each defined (as a function, a class or a module-level name) in
-    exactly one src/ module."""
+    determinant, the exact-scalar gate and its int normal form, the slot
+    layout and the echelon are each defined (as a function, a class or a
+    module-level name) in exactly one src/ module."""
     homes = {name: [] for name in ONE_DEFINITION}
     for p in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(p.read_text(encoding="utf-8"))):

@@ -11,6 +11,7 @@ from jetcalc.linalg import matmul, matvec, nullspace, rank, zeros
 from jetcalc.liealg import (
     ExtensionData,
     FiniteLieAlgebra,
+    LieModule,
     ce_differential_rows,
     extension_two_cocycle,
     is_split,
@@ -473,3 +474,91 @@ def test_ce_differential_rows_match_the_reference_rows():
         for r in range(3):
             expected = nonzero(_reference_ce_differential_rows(g, module, r))
             assert nonzero(ce_differential_rows(g, module, r)) == expected, (g.dim, module.dim, r)
+
+
+# Integral constants stay ints after the gate; rational ones stay exact.
+
+
+def test_jet_group_constants_and_ce_rows_are_ints():
+    """Every constant of the jet-group algebra, every entry of the n=2,
+    k=3, m=2 kernel module and of its degree-1 and degree-2 CE rows is
+    an int: the integral path never builds a Fraction."""
+    assert all(type(c) is int for c in jet_group_algebra(2, 3).structure.values())
+    ext = _jet_group_extension_n2_k3_m2()
+    module = ext.kernel_module()
+    assert all(type(x) is int for mat in module.matrices for row in mat for x in row)
+    for r in (1, 2):
+        rows = ce_differential_rows(ext.Q, module, r)
+        assert all(type(x) is int for row in rows for x in row.values()), r
+
+
+def test_kernel_module_is_built_once_per_extension():
+    ext = _jet_group_extension_n2_k3_m2()
+    assert ext.kernel_module() is ext.kernel_module()
+    from jetcalc.multiindex import order
+
+    g = jet_group_algebra(2, 3)
+    nonabelian = ExtensionData(g, [i for i, (c, al) in enumerate(g.slots) if order(al) > 1])
+    with pytest.raises(ValueError, match="abelian ideal"):
+        nonabelian.kernel_module()
+
+
+@pytest.mark.parametrize("entry", ["structure", "module"])
+def test_integral_scalars_are_stored_as_ints(entry):
+    """"3", Fraction(6, 2) and 3 are stored as the int 3; "1/2" stays a
+    Fraction."""
+
+    def stored(x):
+        if entry == "structure":
+            neg = "-" + x if isinstance(x, str) else -x
+            return FiniteLieAlgebra(2, {(0, 1, 0): x, (1, 0, 0): neg}).structure[(0, 1, 0)]
+        return LieModule(FiniteLieAlgebra(1), 1, [[[x]]]).matrices[0][0][0]
+
+    for x in ("3", Fraction(6, 2), 3):
+        c = stored(x)
+        assert type(c) is int and c == 3
+    c = stored("1/2")
+    assert type(c) is Fraction and c == Fraction(1, 2)
+
+
+def _rescaled(g, scales):
+    """g in the basis f_i = s_i e_i: [f_i, f_j] = sum_k c^k_ij s_i s_j / s_k f_k."""
+    return FiniteLieAlgebra(
+        g.dim, {(i, j, k): c * scales[i] * scales[j] / scales[k] for (i, j, k), c in g.structure.items()}
+    )
+
+
+def _no_floats(values):
+    return all(type(x) in (int, Fraction) for x in values)
+
+
+def test_rescaled_jet_group_algebra_gives_the_same_results():
+    """Rescaling the basis of a jet-group algebra by seeded nonzero
+    rationals makes its constants non-integral and leaves validation,
+    adjoint cohomology, the lower central series and the extension's
+    cocycle and splitting unchanged; no value on those paths is a float."""
+    from jetcalc.multiindex import order
+
+    rng = random.Random(25)
+    for n, k, m in ((1, 4, 2), (2, 2, 1), (2, 3, 2)):
+        g = jet_group_algebra(n, k)
+        scales = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(2, 9)) for _ in range(g.dim)]
+        h = _rescaled(g, scales)
+        assert any(type(c) is Fraction for c in h.structure.values())
+        assert _no_floats(h.structure.values())
+        assert validate_lie_algebra(h.dim, h.structure) == validate_lie_algebra(g.dim, g.structure) == (True, None)
+        if g.dim <= 10:
+            assert ce_cohomology_dims(h, h.adjoint_module(), 2) == ce_cohomology_dims(g, g.adjoint_module(), 2)
+        assert nilpotency_analysis(h) == nilpotency_analysis(g)
+        a_indices = [i for i, (c, al) in enumerate(g.slots) if order(al) > m]
+        exts = [ExtensionData(g, a_indices), ExtensionData(h, a_indices)]
+        assert nilpotency_analysis(exts[1].ideal_algebra()) == nilpotency_analysis(exts[0].ideal_algebra())
+        assert all(ext.ideal_is_abelian() for ext in exts)
+        for ext in exts:
+            module = ext.kernel_module()
+            assert _no_floats(x for v in ext.cocycle.values() for x in v)
+            assert _no_floats(x for mat in module.matrices for row in mat for x in row)
+            for r in (1, 2):
+                assert _no_floats(x for row in ce_differential_rows(ext.Q, module, r) for x in row.values())
+            assert two_cocycle_witness(ext, ext.cocycle) is None
+        assert is_split(exts[1]) == is_split(exts[0])
