@@ -42,15 +42,17 @@ def _frac(value, field):
     """Exact rational from a JSON value; floats are rejected, the gate's
     OverflowError (a decimal exponent past its bound) passes, and a
     string with more digits than CPython's int-string limit is a
-    resource error whose message cuts the value short."""
+    resource error.  Both error messages cut the value short."""
     if isinstance(value, bool) or isinstance(value, float):
         raise SchemaError(f"{field}: rationals must be strings or integers")
     try:
         return _as_fraction(value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
+        shown = repr(value)
+        shown = shown if len(shown) <= 40 else f"{shown[:40]}..."
         if str(exc).startswith("Exceeds the limit"):  # CPython's int-string digit limit
-            raise ResourceError(f"{field}: {value[:12]!r}...: {exc}")
-        raise SchemaError(f"{field}: cannot parse rational {value!r}")
+            raise ResourceError(f"{field}: {shown}: {exc}")
+        raise SchemaError(f"{field}: cannot parse rational {shown}")
 
 
 _KINDS = {int: "an integer", list: "a list", dict: "an object", str: "a string"}

@@ -257,12 +257,14 @@ def wedge(w, t):
     """Wedge product, normalized so that the degree-0 case is the jet
     product and d is a graded derivation.  Each pair of nonzero
     coefficients on disjoint keys, signed by the shuffle that sorts the
-    keys together, is one term of its output key's `jet_product_sum`."""
+    keys together, is one term of its output key's sum: one
+    `jet_product_sum` call takes every output key."""
     w._check(t, t.r)
     n, k, p, q = w.n, w.k, w.r, t.r
     if p + q > n:
         raise ValueError("wedge degree exceeds the complex truncation")
     factor = Fraction(int_factorial(p) * int_factorial(q), int_factorial(p + q))
+    signed = {1: factor, -1: -factor}
     pos = slot_layout("vector", n, k).pos
     right = [(key, [pos[s] for s in key], c) for key, c in t.coeffs.items() if not c.is_zero()]
     terms = {}
@@ -271,8 +273,8 @@ def wedge(w, t):
             both = [pos[s] for s in a_key] + b_pos
             if len(set(both)) == p + q:
                 key = tuple(s for _, s in sorted(zip(both, a_key + b_key)))
-                terms.setdefault(key, []).append((factor * _sign(both), a, b))
-    out = {key: jet_product_sum(ts) for key, ts in terms.items()}
+                terms.setdefault(key, []).append((signed[_sign(both)], a, b))
+    out = jet_product_sum(terms)
     return FormKR(n, k, p + q, {key: c for key, c in out.items() if not c.is_zero()}, w.point)
 
 

@@ -4,7 +4,10 @@ Every jet is one slot table, `coeffs`, that maps each slot of order at
 most k to a value: a function jet has one slot per multi-index alpha, a
 vector jet one slot (i, alpha) per component i and multi-index alpha.
 `slot_layout` builds one layout per (kind, n, k, min_order) and caches
-it; every module reads its slots there.  A jet section stores a
+it; every module reads its slots there, and a function layout's
+`products` and `leibniz` tables hold the index arithmetic of the jet
+product and of the Leibniz action (sums of slots, binomials), built
+once on first use.  A jet section stores a
 coefficient `Poly` in each slot; a jet at a base point stores a
 `Fraction`.  The four classes below are the four combinations and share
 everything but their slot kind and the methods particular to them.
@@ -35,15 +38,54 @@ from .poly import Poly, _as_fraction
 
 
 class SlotLayout:
-    """The slots of one (kind, n, k, min_order) in layout order, the
+    """The slots of one (kind, n, k, min_order) `key` in layout order, the
     read-only map `pos` from slot to position, and the read-only map
-    `raised` from (slot, j), |slot| < k, to the slot d_j above it."""
+    `raised` from (slot, j), |slot| < k, to the slot d_j above it.  A
+    function layout of min_order 0 also gives two read-only tables, each
+    built on first use and kept: `products` and `leibniz`."""
 
-    __slots__ = ("slots", "pos", "raised")
+    __slots__ = ("key", "slots", "pos", "raised", "_products", "_leibniz")
 
-    def __init__(self, slots, raised):
-        self.slots, self.raised = slots, MappingProxyType(raised)
+    def __init__(self, key, slots, raised):
+        self.key, self.slots, self.raised = key, slots, MappingProxyType(raised)
         self.pos = MappingProxyType({s: i for i, s in enumerate(slots)})
+        self._products = self._leibniz = None
+
+    @property
+    def products(self):
+        """beta -> ((gamma, beta+gamma, C(beta+gamma, beta)), ...) over
+        |beta| + |gamma| <= k: the terms f_beta g_gamma of a jet product."""
+        if self._products is None:
+            self._products = self._grouped(lambda b, d, alpha, c: [(b, (d, alpha, c))])
+        return self._products
+
+    @property
+    def leibniz(self):
+        """(a, beta) -> ((alpha, alpha-beta+e_a, C(alpha, beta)), ...) over
+        alpha >= beta, |alpha| <= k: the terms xi^a_beta f_{alpha-beta+e_a}
+        of the Leibniz action on slot alpha (sources reach order k + 1)."""
+        if self._leibniz is None:
+            units = [(a, unit(self.key[1], a)) for a in range(self.key[1])]
+            self._leibniz = self._grouped(
+                lambda b, d, alpha, c: [((a, b), (alpha, add(d, e), c)) for a, e in units]
+            )
+        return self._leibniz
+
+    def _grouped(self, entries):
+        """The read-only map from each key of entries(beta, delta, alpha,
+        C(alpha, beta)), alpha = beta + delta over the slot pairs with
+        |beta| + |delta| <= k, to the tuple of its entries in delta order."""
+        kind, _, k, min_order = self.key
+        if kind != "function" or min_order:
+            raise ValueError("slot tables need a function layout of min_order 0")
+        end = {order(s): i + 1 for i, s in enumerate(self.slots)}  # order m: slots[:end[m]]
+        table = {}
+        for beta in self.slots:
+            for delta in self.slots[: end[k - order(beta)]]:
+                alpha = add(beta, delta)
+                for key, entry in entries(beta, delta, alpha, multi_binomial(alpha, beta)):
+                    table.setdefault(key, []).append(entry)
+        return MappingProxyType({key: tuple(values) for key, values in table.items()})
 
 
 _LAYOUTS = {}  # cli.LIMITS bounds n and k, so the cache needs no eviction
@@ -65,7 +107,7 @@ def slot_layout(kind, n, k, min_order=0):
             raised = {((i, a), j): (i, b) for (a, j), b in f.raised.items() for i in range(n)}
         else:
             raise ValueError(f"unknown slot kind {kind!r}")
-        _LAYOUTS[key] = SlotLayout(slots, raised)
+        _LAYOUTS[key] = SlotLayout(key, slots, raised)
     return _LAYOUTS[key]
 
 
@@ -292,32 +334,40 @@ def prolong_vector_field(components, k):
 
 def jet_product(f, g):
     """The product on J_k(M): (f*g)_alpha = sum C(alpha,beta) f_beta g_{alpha-beta}."""
-    return jet_product_sum([(1, f, g)])
+    return jet_product_sum({(): [(1, f, g)]})[()]
 
 
 def jet_product_sum(terms):
-    """sum c * (f*g) over the terms (c, f, g): jets of one kind and shape
-    and int or Fraction weights c, each slot accumulated once over every
-    term (a wedge product is such a signed sum).  Only the nonzero slots
-    f_beta and g_gamma are visited, each pair adding to slot beta+gamma."""
-    first = terms[0][1]
-    k = first.k
-    slot_terms = {}
-    for c, f, g in terms:
-        c = c if type(c) is int else _as_fraction(c)
-        first._check(f)
-        first._check(g)
-        right = [(gamma, order(gamma), v) for gamma, v in g.coeffs.items() if v]
-        for beta, u in f.coeffs.items():
-            if not u:
-                continue
-            room = k - order(beta)
-            for gamma, d, v in right:
-                if d <= room:
-                    alpha = add(beta, gamma)
-                    weight = c * multi_binomial(alpha, beta)
-                    slot_terms.setdefault(alpha, []).append((weight, u, v))
-    return first._summed(k, slot_terms)
+    """{key: sum c * (f*g) over terms[key]} for terms mapping each key to a
+    nonempty list of (c, f, g): function jets of one shape and int or
+    Fraction weights c (a wedge is such a family of signed sums).  Each
+    output slot is one sum; each distinct operand's nonzero slots are
+    listed once per call, paired by the layout's `products` table, and
+    each distinct weight c * C(beta+gamma, beta) is computed once."""
+    if not terms:
+        return {}
+    first = next(iter(terms.values()))[0][1]
+    products, nonzero, weights, out = first.layout.products, {}, {}, {}
+    for key, key_terms in terms.items():
+        slot_terms = {}
+        for c, f, g in key_terms:
+            c = c if type(c) is int else _as_fraction(c)
+            for jet in (f, g):
+                if id(jet) not in nonzero:  # the terms keep each operand, and so its id, alive
+                    first._check(jet)
+                    nonzero[id(jet)] = {s: v for s, v in jet.coeffs.items() if v}
+            right = nonzero[id(g)]
+            scaled = weights.setdefault((c.numerator, c.denominator), {})
+            for beta, u in nonzero[id(f)].items():
+                for gamma, alpha, b in products[beta]:
+                    v = right.get(gamma)
+                    if v is not None:
+                        w = scaled.get(b)
+                        if w is None:
+                            w = scaled[b] = c * b
+                        slot_terms.setdefault(alpha, []).append((w, u, v))
+        out[key] = first._summed(first.k, slot_terms)
+    return out
 
 
 def jet_unit(n, k):

@@ -366,12 +366,15 @@ def random_poly(n, rng, degree):
     """A seeded random polynomial of degree at most `degree`: for each
     monomial in graded lex order, draw an integer c in [-4, 4] from the
     `random.Random` rng and, when c is nonzero, a denominator in [1, 3].
-    The monomials are the order-`degree` function slots of `jets`."""
+    The monomials are the order-`degree` function slots of `jets`; the
+    draws are ints, so they go straight to the kernel form over the lcm
+    of the drawn denominators."""
     from .jets import slot_layout
 
-    coeffs = {}
+    draws = {}
     for alpha in slot_layout("function", n, degree).slots:
         c = rng.randint(-4, 4)
         if c:
-            coeffs[alpha] = Fraction(c, rng.randint(1, 3))
-    return Poly(n, coeffs)
+            draws[_pack(alpha)] = (c, rng.randint(1, 3))
+    den = reduce(lcm, (d for _, d in draws.values()), 1)
+    return Poly._canon(n, {m: c * (den // d) for m, (c, d) in draws.items()}, den)

@@ -9,13 +9,18 @@ their oracle.
 
 The bracket and the action share one Leibniz formula, `_leibniz_terms`,
 for jet sections and jets at a point alike: it lists the terms of each
-output slot and the jet's `_summed` adds them up.
+output slot, reading their slots and binomials from the `leibniz` table
+of the output's function layout, and the jet's `_summed` adds them up.
 
 The Spencer operator measures the failure of a section to be holonomic;
 the Spencer bracket corrects the algebraic bracket by Spencer terms so
-that it closes at the same order and satisfies the Jacobi identity.
+that it closes at the same order and satisfies the Jacobi identity.  D
+has one slot formula, `_spencer_slots`: `spencer_operator` builds its
+parts from it, and `spencer_bracket` and `jet_action` add its terms,
+with the Leibniz terms of the lifts, into one sum per output slot.
 """
 
+from .jets import slot_layout
 from .multiindex import add, multi_binomial, order, sub, unit
 from .poly import Poly, random_poly
 
@@ -38,23 +43,21 @@ def _leibniz_terms(slot_terms, x_jet, f_values, k, sign=1, i=None):
     slot_terms[alpha], or to slot_terms[(i, alpha)] when f is the i-th
     component of a vector jet; f_values maps gamma to f_gamma.
     (X f)_alpha = sum_{beta<=alpha} C(alpha,beta) xi^a_beta f_{(alpha-beta)+e_a}:
-    only nonzero slots are visited, xi^a_beta and f_gamma with gamma_a > 0
-    giving the term of alpha = beta + gamma - e_a."""
-    units = [unit(x_jet.n, a) for a in range(x_jet.n)]
-    right = [(gamma, order(gamma), v) for gamma, v in f_values.items() if v]
-    for (a, beta), u in x_jet.coeffs.items():
-        if not u:
-            continue
-        room = k + 1 - order(beta)
-        for gamma, d, v in right:
-            if gamma[a] and d <= room:
-                alpha = sub(add(beta, gamma), units[a])
-                term = (sign * multi_binomial(alpha, beta), u, v)
-                slot_terms.setdefault(alpha if i is None else (i, alpha), []).append(term)
+    for each nonzero xi^a_beta the order-k `leibniz` table lists alpha,
+    the source slot and the binomial, and only nonzero sources are kept
+    (a source above the order of f_values is absent, hence zero)."""
+    table = slot_layout("function", x_jet.n, k).leibniz
+    for slot, u in x_jet.coeffs.items():
+        if u:
+            for alpha, gamma, c in table.get(slot, ()):
+                v = f_values.get(gamma)
+                if v:
+                    term = (sign * c, u, v)
+                    slot_terms.setdefault(alpha if i is None else (i, alpha), []).append(term)
 
 
-def _bracket_slots(x_jet, y_jet, k):
-    """Slots of order <= k of the jet-level bracket formula
+def _bracket_terms(x_jet, y_jet, k):
+    """The terms of the slots of order <= k of the jet-level bracket formula
     {X,Y}^i_alpha = sum_{beta<=alpha} C(alpha,beta)
         (xi^a_beta eta^i_{(alpha-beta)+e_a} - eta^a_beta xi^i_{(alpha-beta)+e_a}),
     that is X(eta^i) - Y(xi^i), over the terms whose slots exist at the
@@ -65,7 +68,12 @@ def _bracket_slots(x_jet, y_jet, k):
         for sign, p, q in ((1, x_jet, y_jet), (-1, y_jet, x_jet)):
             component = {gamma: v for (j, gamma), v in q.coeffs.items() if j == i}
             _leibniz_terms(slot_terms, p, component, k, sign, i)
-    return x_jet._summed(k, slot_terms)
+    return slot_terms
+
+
+def _bracket_slots(x_jet, y_jet, k):
+    """The jet-level bracket formula at order k (see `_bracket_terms`)."""
+    return x_jet._summed(k, _bracket_terms(x_jet, y_jet, k))
 
 
 def algebraic_bracket(x_jet, y_jet):
@@ -94,19 +102,26 @@ def isotropy_bracket(x_jet, y_jet):
     return _bracket_slots(x_jet, y_jet, x_jet.k)
 
 
+def _spencer_slots(section, j):
+    """Part j of D(section), slot by slot: (s, d_j (slot s), slot s raised
+    by e_j) over the slots s of order below the section's, in layout
+    order; the slot of the part is the difference of the last two."""
+    coeffs = section.coeffs
+    return [
+        (s, coeffs[s].diff(j), coeffs[up])
+        for (s, a), up in section.layout.raised.items()
+        if a == j
+    ]
+
+
 def spencer_operator(section):
     """D: J_{k+1} -> T* tensor J_k and g_{k+1} -> T* tensor g_k, as the
     list of its n parts: part j is the jet of order k with slot
     s = d_j (slot s) - (slot s raised by e_j)."""
     if section.k < 1:
         raise ValueError("Spencer operator needs order at least 1")
-    low = section.project(section.k - 1)
-    raised = section.layout.raised
     return [
-        low.like(
-            low.k,
-            {s: p.diff(j) - section.coeffs[raised[s, j]] for s, p in low.coeffs.items()},
-        )
+        section.like(section.k - 1, {s: dj - up for s, dj, up in _spencer_slots(section, j)})
         for j in range(section.n)
     ]
 
@@ -125,32 +140,35 @@ def _lift(section, lift_policy, rng=None):
     raise ValueError(f"unknown lift policy {lift_policy!r}")
 
 
-def _contract_with_order0(x_section, parts):
-    """i(X^(0)) applied to the parts of a Spencer operator: sum_a xi^a_0 parts[a]."""
+def _contraction_terms(slot_terms, x_section, lifted, sign=1):
+    """Add sign times the terms of i(X^(0)) D(lifted), the contraction of
+    D with the order-0 part of X: xi^a_0 (d_a lifted_s - lifted_{s+e_a})
+    in slot s, for each nonzero xi^a_0 and nonzero slot value."""
     zero = (0,) * x_section.n
-    first = parts[0]
-    slot_terms = {}
-    for a, part in enumerate(parts):
-        xi = x_section.slot(a, zero)
+    for a in range(x_section.n):
+        xi = x_section.coeffs[(a, zero)]
         if xi:
-            for s, v in part.coeffs.items():
-                if v:
-                    slot_terms.setdefault(s, []).append((1, xi, v))
-    return first._summed(first.k, slot_terms)
+            for s, da, up in _spencer_slots(lifted, a):
+                if da:
+                    slot_terms.setdefault(s, []).append((sign, xi, da))
+                if up:
+                    slot_terms.setdefault(s, []).append((-sign, xi, up))
 
 
 def spencer_bracket(x_section, y_section, lift_policy="zero", rng=None):
     """The bracket on g_k sections: algebraic bracket of arbitrary lifts
-    plus Spencer corrections.  Independent of the lifts; satisfies Jacobi.
-    """
+    plus Spencer corrections, i(X^(0)) D(Y') - i(Y^(0)) D(X'), each output
+    slot one sum over the terms of all three.  Independent of the lifts
+    (the lifted slots enter the Leibniz and the Spencer terms, and cancel
+    in the sum); satisfies Jacobi."""
     if (x_section.n, x_section.k) != (y_section.n, y_section.k):
         raise ValueError("jet order/dimension mismatch")
     x_lift = _lift(x_section, lift_policy, rng)
     y_lift = _lift(y_section, lift_policy, rng)
-    main = algebraic_bracket(x_lift, y_lift)
-    dx = spencer_operator(x_lift)
-    dy = spencer_operator(y_lift)
-    return main + _contract_with_order0(x_section, dy) - _contract_with_order0(y_section, dx)
+    slot_terms = _bracket_terms(x_lift, y_lift, x_section.k)
+    _contraction_terms(slot_terms, x_section, y_lift)
+    _contraction_terms(slot_terms, y_section, x_lift, -1)
+    return x_section._summed(x_section.k, slot_terms)
 
 
 def algebraic_action_star(x_section, f_section):
@@ -165,31 +183,30 @@ def algebraic_action_star(x_section, f_section):
 
 def jet_action(x_section, f_section):
     """X f for a vector jet section X and function jet section f of equal
-    order: the Leibniz action on the zero lift plus the Spencer correction."""
+    order: the Leibniz action on the zero lift f' plus the Spencer
+    correction i(X^(0)) D(f'), each output slot one sum."""
     if (x_section.n, x_section.k) != (f_section.n, f_section.k):
         raise ValueError("jet order/dimension mismatch")
     f_lift = f_section.lift(f_section.k + 1)
-    main = algebraic_action_star(x_section, f_lift)
-    df = spencer_operator(f_lift)
-    return main + _contract_with_order0(x_section, df)
+    slot_terms = {}
+    _leibniz_terms(slot_terms, x_section, f_lift.coeffs, x_section.k)
+    _contraction_terms(slot_terms, x_section, f_lift)
+    return f_section._summed(f_section.k, slot_terms)
 
 
 def basis_action(slot, f_section):
     """jet_action(e_s, f) for the constant basis section e_s of g_k with
     the single slot s = (i, b) equal to 1, in closed form: slot alpha is
     d_i f_alpha when b = 0, C(alpha,b) f_{alpha-b+e_i} when 0 < b <= alpha,
-    and 0 otherwise (the Spencer term cancels the lifted slot when b = 0)."""
+    and 0 otherwise (the Spencer term cancels the lifted slot when b = 0).
+    For b != 0 the terms are the entries of the `leibniz` table of f's
+    layout at slot s whose source is nonzero."""
     i, b = slot
-    e = unit(f_section.n, i)
     fs = f_section.coeffs
-    if not order(b):
+    if not any(b):
         out = {alpha: p.diff(i) for alpha, p in fs.items()}
     else:
-        out = {
-            alpha: fs[add(sub(alpha, b), e)] * multi_binomial(alpha, b)
-            for alpha in fs
-            if all(x >= y for x, y in zip(alpha, b))
-        }
+        out = {alpha: fs[src] * c for alpha, src, c in f_section.layout.leibniz[slot] if fs[src]}
     return f_section.like(f_section.k, out)
 
 

@@ -352,6 +352,19 @@ def test_rational_string_past_the_digit_limit_exits_3(capsys, tmp_path):
     assert run_cli(capsys, "bracket", "--scenario", str(path))[0] == 0
 
 
+def test_unparseable_rational_error_cuts_the_value_short(capsys, tmp_path):
+    """A long value that is no rational exits 2 with a one-line error that
+    names the field and shows only the start of the value."""
+    path = tmp_path / "b.json"
+    for value in ("x" + "7" * 5000, ["7"] * 5000, {"7" * 5000: 1}):
+        path.write_text(json.dumps({"n": 1, "k": 1, "point": [value], "x": [[]], "y": [[]]}))
+        code, out = run_cli(capsys, "bracket", "--scenario", str(path))
+        report = json.loads(out)
+        assert code == 2 and set(report) == {"error", "exit"} and report["exit"] == 2
+        assert report["error"].startswith("point[0]: cannot parse rational ")
+        assert "\n" not in report["error"] and len(out) < 200
+
+
 def test_integer_literal_past_the_digit_limit_exits_3(capsys, tmp_path):
     """A scenario integer literal past CPython's 4,300-digit string-to-int
     limit cannot be loaded: one JSON error naming the limit, exit 3.

@@ -549,7 +549,7 @@ def _reference_wedge(w, t):
             inversions = sum(pos - idx for idx, pos in enumerate(positions))
             terms.append((factor if inversions % 2 == 0 else -factor, sec_a, sec_b))
         if terms:
-            total = jet_product_sum(terms)
+            total = jet_product_sum({key: terms})[key]
             if not total.is_zero():
                 out[key] = total
     return FormKR(n, k, p + q, out, w.point)

@@ -155,6 +155,35 @@ def test_only_linalg_converts_rows_to_ints():
     assert _src_names_outside({"_int_row"}, "linalg.py") == []
 
 
+# the kernels that read slot index arithmetic from the layout tables
+TABLE_READERS = {"jets.py": {"jet_product_sum"}, "spencer.py": {"_leibniz_terms", "basis_action"}}
+
+
+def test_slot_kernels_read_index_arithmetic_from_the_layout():
+    """`SlotLayout` is the one home of slot index arithmetic: the jet
+    product and the Leibniz action read its `products` and `leibniz`
+    tables and call none of the multi-index `add`, `sub` or
+    `multi_binomial` themselves."""
+    calls = sorted(
+        f"{module}:{node.lineno} {name}"
+        for module, functions in TABLE_READERS.items()
+        for definition in ast.walk(ast.parse((PACKAGE / module).read_text(encoding="utf-8")))
+        if isinstance(definition, ast.FunctionDef) and definition.name in functions
+        for node in ast.walk(definition)
+        if isinstance(node, ast.Call)
+        for name in [getattr(node.func, "id", None) or getattr(node.func, "attr", None)]
+        if name in {"add", "sub", "multi_binomial"}
+    )
+    found = {
+        node.name
+        for module in TABLE_READERS
+        for node in ast.walk(ast.parse((PACKAGE / module).read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert set().union(*TABLE_READERS.values()) <= found
+    assert calls == []
+
+
 def _jetcalc_modules_after(code):
     """The jetcalc modules a fresh interpreter holds after running code."""
     probe = code + (

@@ -19,7 +19,7 @@ from jetcalc.jets import (
     vector_point_from_coords,
     vector_slots,
 )
-from jetcalc.multiindex import multi_binomial, multi_indices, order, sub, sub_indices
+from jetcalc.multiindex import add, multi_binomial, multi_indices, order, sub, sub_indices, unit
 from jetcalc.poly import Poly, random_poly
 
 
@@ -198,7 +198,7 @@ def test_jet_product_against_term_by_term_reference(cls, n, k):
         assert not is_holonomic(f)[0]
     assert jet_product(f, g).coeffs == reference_jet_product(f, g)
     fg, hf = reference_jet_product(f, g), reference_jet_product(h, f)
-    weighted = jet_product_sum([(Fraction(-2, 3), f, g), (5, h, f)])
+    weighted = jet_product_sum({(): [(Fraction(-2, 3), f, g), (5, h, f)]})[()]
     assert weighted.coeffs == {a: fg[a] * Fraction(-2, 3) + hf[a] * 5 for a in fg}
 
 
@@ -229,6 +229,73 @@ def test_slot_layouts_are_shared_read_only_prefixes():
         layout.raised[(0, (2, 0)), 0] = (0, (3, 0))
     with pytest.raises(ValueError, match="unknown slot kind"):
         slot_layout("tensor", 2, 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_slot_tables_match_the_multi_index_brute_force(n, k):
+    """Every entry of a function layout's `products` and `leibniz` tables
+    equals the sums, differences and binomials of `multiindex`, over every
+    pair of slots the table covers, in layout order."""
+    layout = slot_layout("function", n, k)
+    slots = function_slots(n, k)
+    products = {
+        beta: tuple(
+            (gamma, add(beta, gamma), multi_binomial(add(beta, gamma), beta))
+            for gamma in slots
+            if order(beta) + order(gamma) <= k
+        )
+        for beta in slots
+    }
+    assert dict(layout.products) == products
+    leibniz = {
+        (a, beta): tuple(
+            (alpha, add(sub(alpha, beta), unit(n, a)), multi_binomial(alpha, beta))
+            for alpha in slots
+            if all(x >= y for x, y in zip(alpha, beta))
+        )
+        for beta in slots
+        for a in range(n)
+    }
+    assert dict(layout.leibniz) == leibniz
+
+
+def test_slot_tables_are_cached_and_read_only():
+    layout = slot_layout("function", 2, 3)
+    assert layout.products is slot_layout("function", 2, 3).products
+    assert layout.leibniz is layout.leibniz
+    with pytest.raises(TypeError):
+        layout.products[(0, 0)] = ()
+    with pytest.raises(TypeError):
+        del layout.leibniz[0, (0, 0)]
+    assert all(type(entries) is tuple for entries in layout.products.values())
+    assert all(type(entries) is tuple for entries in layout.leibniz.values())
+    for kind, min_order in (("vector", 0), ("function", 1)):
+        with pytest.raises(ValueError, match="function layout of min_order 0"):
+            slot_layout(kind, 2, 3, min_order).products
+        with pytest.raises(ValueError, match="function layout of min_order 0"):
+            slot_layout(kind, 2, 3, min_order).leibniz
+
+
+@pytest.mark.parametrize("n, k", [(1, 3), (2, 2), (2, 3), (3, 2)])
+def test_basis_action_matches_the_slot_scan(n, k):
+    """The table-driven closed form equals the scan it replaced: slot
+    alpha is d_i f_alpha for b = 0, C(alpha, b) f_{alpha-b+e_i} for every
+    alpha >= b, and zero elsewhere."""
+    from jetcalc.spencer import basis_action
+
+    f = make_jet(FunctionJetSection, n, k, random.Random(30 + 10 * n + k))
+    fs = f.coeffs
+    for i, b in vector_slots(n, k):
+        if not order(b):
+            scan = {alpha: p.diff(i) for alpha, p in fs.items()}
+        else:
+            scan = {
+                alpha: fs[add(sub(alpha, b), unit(n, i))] * multi_binomial(alpha, b)
+                for alpha in fs
+                if all(x >= y for x, y in zip(alpha, b))
+            }
+        assert basis_action((i, b), f) == FunctionJetSection(n, k, scan), (i, b)
 
 
 def test_slot_lists_are_fresh_copies_of_the_layout():
@@ -262,7 +329,7 @@ def test_kernel_built_jets_equal_constructor_built_jets(n, k):
     built = []
     for cls in (FunctionJetSection, FunctionJetPoint):
         f, g = jets[cls]
-        built.append(jet_product_sum([(Fraction(-2, 3), f, g), (5, g, f)]))
+        built += jet_product_sum({0: [(Fraction(-2, 3), f, g)], 1: [(5, g, f)]}).values()
     for cls in (VectorJetSection, VectorJetPoint):
         x, y = jets[cls]
         built += [_bracket_slots(x, y, k - 1), _bracket_slots(x, y, k)]

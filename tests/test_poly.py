@@ -310,7 +310,7 @@ def _gated_entries():
         ("jet-point", lambda x: FunctionJetPoint(1, 1, (x,))),
         ("jet-slot", lambda x: VectorJetPoint(1, 1, (0,), {(0, (1,)): x})),
         ("jet-scale", lambda x: one.scale(x)),
-        ("jet-product-weight", lambda x: jet_product_sum([(x, one, one)])),
+        ("jet-product-weight", lambda x: jet_product_sum({(): [(x, one, one)]})),
         ("arrow-point", lambda x: Arrow(1, 1, (x,), (0,), {(0, (1,)): 1})),
         ("arrow-slot", lambda x: Arrow(1, 1, (0,), (0,), {(0, (1,)): x})),
         ("form-point", lambda x: FormKR(1, 1, 0, point=(x,))),

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetcalc.forms import basis_section
 from jetcalc.jets import (
@@ -354,3 +356,55 @@ def test_basis_closed_forms_match_generic_action_and_bracket(n, k):
         for t, e_t in basis.items():
             closed = VectorJetSection(n, k, basis_bracket(s, t, k))
             assert closed == spencer_bracket(e_s, e_t), (s, t)
+
+
+@st.composite
+def sparse_algebroid_inputs(draw):
+    """(n, k, X, Y, f) for n, k <= 3: two vector jet sections and a
+    function jet section with a few nonzero slots, each a small polynomial
+    of degree at most 2 with rational coefficients."""
+    n, k = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    monomials = multi_indices(n, 2)
+    scalars = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+    def section(cls, slots):
+        chosen = draw(st.lists(st.sampled_from(slots), max_size=4, unique=True))
+        polys = [
+            Poly(n, draw(st.dictionaries(st.sampled_from(monomials), scalars, max_size=3)))
+            for _ in chosen
+        ]
+        return cls(n, k, dict(zip(chosen, polys)))
+
+    vector = vector_slots(n, k)
+    return (n, k, section(VectorJetSection, vector), section(VectorJetSection, vector),
+            section(FunctionJetSection, multi_indices(n, k)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_algebroid_inputs())
+def test_action_and_bracket_expand_over_the_constant_basis(inputs):
+    """J_k T is a Lie algebroid with anchor rho(X) = sum_a X^(a,0) d_a,
+    and the basis closed forms are its structure:
+    X f = sum_s X^s (e_s f), and
+    [X, Y] = sum_{s,t} X^s Y^t [e_s, e_t] + sum_t rho(X)(Y^t) e_t
+             - sum_s rho(Y)(X^s) e_s."""
+    n, k, x, y, f = inputs
+    zero = (0,) * n
+    action = FunctionJetSection(n, k)
+    for s, xs in x.coeffs.items():
+        action = action + basis_action(s, f).scale(xs)
+    assert jet_action(x, f) == action
+
+    def rho(z, p):
+        return sum((z.coeffs[(a, zero)] * p.diff(a) for a in range(n)), Poly.zero(n))
+
+    bracket = {s: Poly.zero(n) for s in vector_slots(n, k)}
+    for s, xs in x.coeffs.items():
+        for t, yt in y.coeffs.items():
+            for slot, c in basis_bracket(s, t, k).items():
+                bracket[slot] = bracket[slot] + xs * yt * c
+    for t, yt in y.coeffs.items():
+        bracket[t] = bracket[t] + rho(x, yt)
+    for s, xs in x.coeffs.items():
+        bracket[s] = bracket[s] - rho(y, xs)
+    assert spencer_bracket(x, y) == VectorJetSection(n, k, bracket)
