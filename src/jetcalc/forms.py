@@ -368,7 +368,7 @@ def theta_structure_algebra(spanning_sections, n, k, poly_degree):
     """Basis of the function jet sections annihilated by the jet action
     of every member of a spanning family, with coefficient polynomials
     of total degree <= poly_degree."""
-    from .linalg import nullspace
+    from .linalg import Echelon
 
     layout = _form_basis(n, k, 0, poly_degree)
     matrix = []
@@ -381,7 +381,7 @@ def theta_structure_algebra(spanning_sections, n, k, poly_degree):
         matrix += _matrix_of(
             partial(lie_derivative, x), n, k, 0, layout, _form_basis(n, k, 0, top)
         )
-    kernel = nullspace(matrix, cols=len(layout))
+    kernel = Echelon(matrix).nullspace(len(layout))
     return [_vector_to_form(n, k, 0, layout, v).coeffs[()] for v in kernel]
 
 
@@ -449,6 +449,7 @@ def _form_basis(n, k, r, poly_degree):
     """Coordinate layout (key, a, m) for degree-r section forms with
     coefficient polynomials of total degree <= poly_degree: coefficient
     key, function slot a, monomial m (a function slot of order poly_degree).
+    The layout maps each coordinate to its index, in index order.
 
     Only filtration-compatible coordinates are kept: a coefficient
     attached to a tuple whose largest argument-slot order is M may only
@@ -459,26 +460,27 @@ def _form_basis(n, k, r, poly_degree):
     keys = list(combinations(slot_layout("vector", n, k).slots, r)) if r else [()]
     fslots = slot_layout("function", n, k).slots
     monos = slot_layout("function", n, poly_degree).slots
-    layout = []
+    layout = {}
     for key in keys:
         max_arg = max((order(alpha) for _, alpha in key), default=0)
         for a in fslots:
             if order(a) < max_arg:
                 continue
-            layout.extend((key, a, m) for m in monos)
+            for m in monos:
+                layout[key, a, m] = len(layout)
     return layout
 
 
 def _form_to_vector(omega, layout):
-    pos = {coord: i for i, coord in enumerate(layout)}
-    v = [Fraction(0)] * len(layout)
+    """The form's nonzero coordinates on the layout, as {index: value}."""
+    v = {}
     for key, sec in omega.coeffs.items():
         for a, poly in sec.coeffs.items():
             for m, c in poly.terms():
                 coord = (key, a, m)
-                if coord not in pos:
+                if coord not in layout:
                     raise ValueError("form exceeds the coordinate layout")
-                v[pos[coord]] = c
+                v[layout[coord]] = c
     return v
 
 
@@ -495,13 +497,14 @@ def _vector_to_form(n, k, r, layout, v):
 
 def _matrix_of(op, n, k, r, in_layout, out_layout):
     """Matrix of a linear map on degree-r section forms between two
-    coordinate layouts: column j is the image of the form whose single
-    coordinate in_layout[j] is 1."""
-    columns = []
-    for key, a, m in in_layout:
+    coordinate layouts, as sparse {column: value} rows: column j is the
+    image of the form whose single coordinate, the j-th of in_layout, is 1."""
+    rows = [{} for _ in out_layout]
+    for j, (key, a, m) in enumerate(in_layout):
         sec = FunctionJetSection(n, k, {a: Poly.monomial(n, m, 1)})
-        columns.append(_form_to_vector(op(FormKR(n, k, r, {key: sec})), out_layout))
-    return [list(row) for row in zip(*columns)]
+        for i, c in _form_to_vector(op(FormKR(n, k, r, {key: sec})), out_layout).items():
+            rows[i][j] = c
+    return rows
 
 
 def local_exactness_check(n, k, r, poly_degree):
@@ -512,7 +515,7 @@ def local_exactness_check(n, k, r, poly_degree):
     degree r-1 and coefficient degree <= poly_degree + 1 (for r >= 1).
     For r = 0 reports the kernel dimension of d instead.
     """
-    from .linalg import nullspace, solve
+    from .linalg import Echelon, solve
 
     if r > n:
         raise ValueError("complex is truncated at degree n")
@@ -521,7 +524,7 @@ def local_exactness_check(n, k, r, poly_degree):
     if r < n:
         out_layout = _form_basis(n, k, r + 1, poly_degree)  # d never raises the degree
         matrix = _matrix_of(exterior_derivative, n, k, r, in_layout, out_layout)
-    closed = nullspace(matrix, cols=len(in_layout))
+    closed = Echelon(matrix).nullspace(len(in_layout))
     closed_forms = [_vector_to_form(n, k, r, in_layout, v) for v in closed]
     if r == 0:
         return {
@@ -535,21 +538,17 @@ def local_exactness_check(n, k, r, poly_degree):
     prev_layout = _form_basis(n, k, r - 1, poly_degree + 1)
     target_layout = _form_basis(n, k, r, poly_degree + 1)
     prev_matrix = _matrix_of(exterior_derivative, n, k, r - 1, prev_layout, target_layout)
-    results = []
-    solvable = 0
-    for omega in closed_forms:
-        sol = solve(prev_matrix, _form_to_vector(omega, target_layout))
-        ok = sol is not None
-        solvable += ok
-        results.append(
-            {
-                "closed_form": omega,
-                "exact": ok,
-                "primitive": None
-                if sol is None
-                else _vector_to_form(n, k, r - 1, prev_layout, sol),
-            }
-        )
+    rhs = [_form_to_vector(omega, target_layout) for omega in closed_forms]
+    solutions = solve(prev_matrix, rhs, len(prev_layout))
+    results = [
+        {
+            "closed_form": omega,
+            "exact": sol is not None,
+            "primitive": None if sol is None else _vector_to_form(n, k, r - 1, prev_layout, sol),
+        }
+        for omega, sol in zip(closed_forms, solutions)
+    ]
+    solvable = sum(sol is not None for sol in solutions)
     return {
         "n": n,
         "k": k,

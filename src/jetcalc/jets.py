@@ -149,7 +149,9 @@ class _JetTable:
     def _table(self, k, coeffs):
         """The order-k table of this kind: zero but for coeffs, which must lie on the layout."""
         layout = slot_layout(self._kind, self.n, k)
-        table = dict.fromkeys(layout.slots, Poly.zero(self.n) if self._section else Fraction(0))
+        # the jet has checked n, so its zero Poly skips the validating constructor
+        zero = Poly._canon(self.n, {}, 1) if self._section else Fraction(0)
+        table = dict.fromkeys(layout.slots, zero)
         table.update(coeffs)
         if len(table) != len(layout.slots):
             off = next(s for s in coeffs if s not in layout.pos)

@@ -1,14 +1,15 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of lists of exact scalars, each read through
+Matrices are lists of rows of exact scalars, each read through
 `poly._as_fraction`; results are Fractions.  One elimination kernel sits
 under everything: `Echelon`, the reduced row echelon form of a row space
 grown one row at a time.  It takes dense rows or sparse `{column: value}`
 rows and works fraction-free: each pivot row is a primitive int row over
 one positive int pivot, and Fractions appear only where the RREF is read.
-`rref`, `rank`, `nullspace`, `solve`, `invert`, `row_space_contains` and
-`same_row_space` are thin views of it, and a caller that tests many
-vectors against one span keeps the `Echelon` and calls `contains`.
+A caller reads pivots, ranks, dense RREF rows and nullspaces off the
+`Echelon`, and keeps it to test many vectors against one span with
+`contains`.  `rank`, `solve` and `invert` are one-call forms of it;
+`solve` eliminates the matrix beside all of its right-hand sides at once.
 `determinant` is the Leibniz expansion instead: it only multiplies and
 adds, so it also takes `Poly` entries.  With exact rationals there are no
 tolerance decisions anywhere.
@@ -146,64 +147,44 @@ class Echelon:
         return basis
 
 
-def zeros(rows, cols):
-    return [[Fraction(0)] * cols for _ in range(rows)]
-
-
-def rref(matrix):
-    """Reduced row echelon form.  Returns (rref_rows, pivot_columns);
-    the rows are dense, with the zero rows at the end."""
-    if not matrix:
-        return [], []
-    cols = len(matrix[0])
-    ech = Echelon(matrix)
-    out = ech.dense_rows(cols)
-    out.extend([Fraction(0)] * cols for _ in range(len(matrix) - ech.rank))
-    return out, ech.pivots
-
-
 def rank(matrix):
     return Echelon(matrix).rank
 
 
-def nullspace(matrix, cols=None):
-    """Basis of the right nullspace as a list of column vectors."""
-    if not matrix:
-        if cols is None:
-            raise ValueError("empty matrix needs an explicit column count")
-        return identity(cols)
-    return Echelon(matrix).nullspace(len(matrix[0]))
-
-
-def solve(matrix, rhs):
-    """One solution of matrix @ x = rhs, or None if inconsistent."""
-    if not matrix:
-        return None if any(b != 0 for b in rhs) else []
-    ncols = len(matrix[0])
-    ech = Echelon(list(row) + [b] for row, b in zip(matrix, rhs))
-    if ncols in ech._rows:
-        return None
-    x = [Fraction(0)] * ncols
-    for p, (d, tail) in ech._rows.items():
-        x[p] = Fraction(tail.get(ncols, 0), d)
-    return x
-
-
-def row_space_contains(rows, vector):
-    """True iff vector lies in the span of the given row vectors."""
-    return Echelon(rows).contains(vector)
-
-
-def same_row_space(rows_a, rows_b):
-    # the RREF of a span is unique, so equal spans have equal echelons
-    return Echelon(rows_a)._rows == Echelon(rows_b)._rows
+def solve(matrix, rhs, width):
+    """Solutions x of matrix @ x = b, one for each b in rhs, from one
+    elimination of [matrix | b_1 ... b_m].  The matrix rows are dense or
+    {column: value} over width unknowns; each b is dense or {row: value}.
+    Returns one entry per b: None if inconsistent, else the solution with
+    every free variable 0."""
+    rows = [dict(row) if isinstance(row, dict) else dict(enumerate(row)) for row in matrix]
+    for j, b in enumerate(rhs):
+        for i, x in b.items() if isinstance(b, dict) else enumerate(b):
+            rows[i][width + j] = x
+    pivots = Echelon(rows)._rows
+    # a row pivoted right of the unknowns reads 0 = c != 0 for each b it touches
+    bad = set()
+    for p, (_, tail) in pivots.items():
+        if p >= width:
+            bad |= {p, *tail}
+    out = []
+    for j in range(width, width + len(rhs)):
+        if j in bad:
+            out.append(None)
+            continue
+        x = [Fraction(0)] * width
+        for p, (d, tail) in pivots.items():
+            if p < width:
+                x[p] = Fraction(tail.get(j, 0), d)
+        out.append(x)
+    return out
 
 
 def matmul(a, b):
     if not a or not b:
         return []
     rows, inner, cols = len(a), len(b), len(b[0])
-    out = zeros(rows, cols)
+    out = [[Fraction(0)] * cols for _ in range(rows)]
     for i in range(rows):
         for k in range(inner):
             aik = a[i][k]
@@ -214,18 +195,10 @@ def matmul(a, b):
     return out
 
 
-def matvec(a, v):
-    return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in a]
-
-
-def identity(n):
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-
-
 def invert(matrix):
     """Inverse of a square matrix; raises ValueError if singular."""
     n = len(matrix)
-    ech = Echelon(list(row) + e for row, e in zip(matrix, identity(n)))
+    ech = Echelon({**dict(enumerate(row)), n + i: 1} for i, row in enumerate(matrix))
     if ech.pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in ech.dense_rows(2 * n)]

@@ -285,6 +285,18 @@ def test_local_exactness_primitives_and_closed_forms(n, k, r, degree):
             assert exterior_derivative(res["primitive"]) == omega
 
 
+def test_local_exactness_eliminates_once_for_all_closed_forms(monkeypatch):
+    """The probe builds one echelon for the closed forms and one for
+    [d_0 | B], whatever the number of closed forms."""
+    from jetcalc.linalg import Echelon
+
+    built, real_init = [], Echelon.__init__
+    monkeypatch.setattr(Echelon, "__init__", lambda self, *a: built.append(1) or real_init(self, *a))
+    rep = local_exactness_check(2, 1, 1, 2)
+    assert rep["closed_dimension"] == 21 and rep["all_exact"]
+    assert len(built) <= 2
+
+
 def test_theta_full_fiber_leaves_only_constants():
     n, k = 2, 1
     spanning = [basis_section(n, k, s) for s in vector_slots(n, k)]

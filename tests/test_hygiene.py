@@ -155,6 +155,41 @@ def test_only_linalg_converts_rows_to_ints():
     assert _src_names_outside({"_int_row"}, "linalg.py") == []
 
 
+def test_every_public_name_of_linalg_has_an_importer():
+    """linalg holds only what other modules use: each public function,
+    class or module-level name it defines is imported by another src/
+    module, so dense views no module calls cannot grow back."""
+    defined = set()
+    for node in ast.parse((PACKAGE / "linalg.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    public = {name for name in defined if not name.startswith("_")}
+    imported = {
+        alias.name
+        for p in sorted(PACKAGE.glob("*.py"))
+        if p.name != "linalg.py"
+        for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.module == "linalg" and node.level == 1
+        for alias in node.names
+    }
+    assert "Echelon" in public
+    assert sorted(public - imported) == []
+
+
+def test_jets_fills_tables_with_a_kernel_built_zero():
+    """A jet has checked its dimension, so the zero Poly of its table
+    comes off `Poly._canon`, not the validating `Poly.zero`."""
+    calls = sorted(
+        node.lineno
+        for node in ast.walk(ast.parse((PACKAGE / "jets.py").read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "zero"
+        and getattr(node.value, "id", None) == "Poly"
+    )
+    assert calls == []
+
+
 # the kernels that read slot index arithmetic from the layout tables
 TABLE_READERS = {"jets.py": {"jet_product_sum"}, "spencer.py": {"_leibniz_terms", "basis_action"}}
 

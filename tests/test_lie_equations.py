@@ -24,7 +24,7 @@ from jetcalc.lie_equations import (
     subspaces_equal,
     symplectic_system,
 )
-from jetcalc.linalg import Echelon, invert, nullspace, rank
+from jetcalc.linalg import Echelon, invert, rank
 from jetcalc.multiindex import add, multi_binomial, multi_indices, sub, sub_indices, unit
 from jetcalc.poly import Poly
 
@@ -357,12 +357,12 @@ def oracle_rows(structure, k):
 
 
 def oracle_prolongation(structure, k_max):
-    """Report and top basis, each order solved from scratch by `nullspace`."""
+    """Report and top basis, each order solved from scratch by its own echelon."""
     orders, prev = [], None
     for k in range(1, k_max + 1):
         width = len(vector_slots(structure.n, k))
         sub_k = LinearJetSubspace(
-            structure.n, k, structure.point, nullspace(oracle_rows(structure, k), cols=width)
+            structure.n, k, structure.point, Echelon(oracle_rows(structure, k)).nullspace(width)
         )
         entry = {"k": k, "dim": sub_k.dim}
         if prev is not None:
@@ -442,7 +442,7 @@ def test_subspace_from_equations_is_their_nullspace():
     rows = killing_system(structure, 2)
     width = len(vector_slots(3, 2))
     sub = solve_system(structure, 2)
-    assert sub.basis == nullspace([[row.get(c, 0) for c in range(width)] for row in rows])
+    assert sub.basis == Echelon([[row.get(c, 0) for c in range(width)] for row in rows]).nullspace(width)
     assert all(sub.contains(v) for v in sub.basis)
     # a vector that breaks one equation is not in the subspace
     c, x = next(iter(rows[0].items()))

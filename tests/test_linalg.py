@@ -2,25 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
-from jetcalc.linalg import (
-    Echelon,
-    determinant,
-    identity,
-    invert,
-    matmul,
-    matvec,
-    nullspace,
-    rank,
-    row_space_contains,
-    rref,
-    same_row_space,
-    solve,
-)
+from jetcalc.linalg import Echelon, determinant, invert, matmul, rank, solve
+
+
+def identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def matvec(a, v):
+    return [sum((Fraction(x) * y for x, y in zip(row, v)), Fraction(0)) for row in a]
 
 
 def rand_matrix(rows, cols, rng):
@@ -48,7 +43,7 @@ def test_nullspace_vectors_annihilate():
     rng = random.Random(4)
     for _ in range(15):
         a = rand_matrix(3, 5, rng)
-        basis = nullspace(a, cols=5)
+        basis = Echelon(a).nullspace(5)
         assert len(basis) == 5 - rank(a)
         for v in basis:
             assert all(x == 0 for x in matvec(a, v))
@@ -60,7 +55,7 @@ def test_solve_consistency():
         a = rand_matrix(4, 3, rng)
         x = [Fraction(rng.randint(-3, 3)) for _ in range(3)]
         b = matvec(a, x)
-        sol = solve(a, b)
+        [sol] = solve(a, [b], 3)
         assert sol is not None
         assert matvec(a, sol) == b
 
@@ -68,7 +63,7 @@ def test_solve_consistency():
 def test_solve_detects_inconsistency():
     a = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(0)]]
     b = [Fraction(0), Fraction(1)]
-    assert solve(a, b) is None
+    assert solve(a, [b], 2) == [None]
 
 
 def test_determinant_multiplicative():
@@ -83,17 +78,18 @@ def test_rank_rref_agree():
     rng = random.Random(10)
     for _ in range(10):
         a = rand_matrix(4, 6, rng)
-        reduced, pivots = rref([row[:] for row in a])
-        nonzero = sum(1 for row in reduced if any(x != 0 for x in row))
-        assert nonzero == rank(a) == len(pivots)
+        ech = Echelon(a)
+        nonzero = sum(1 for row in ech.dense_rows(6) if any(x != 0 for x in row))
+        assert nonzero == rank(a) == len(ech.pivots)
 
 
 def test_same_row_space():
     a = [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]]
     b = [[Fraction(2), Fraction(4)], [Fraction(1), Fraction(3)]]
     c = [[Fraction(1), Fraction(0)]]
-    assert same_row_space(a, b)
-    assert not same_row_space(a, c)
+    # the RREF of a span is unique, so equal spans have equal echelons
+    assert Echelon(a).dense_rows(2) == Echelon(b).dense_rows(2)
+    assert Echelon(a).dense_rows(2) != Echelon(c).dense_rows(2)
 
 
 # ---------------------------------------------------------------------------
@@ -142,50 +138,92 @@ def matrices(draw):
 def test_kernel_matches_sympy(case, rnd):
     matrix, cols = case
     want_rows, want_pivots = sympy_rref(matrix, cols)
-    got_rows, got_pivots = rref(matrix)
-    assert got_pivots == want_pivots
-    assert got_rows == want_rows
+    ech = Echelon(matrix)
+    assert ech.pivots == want_pivots
+    # sympy keeps the zero rows of the RREF at the end; the echelon drops them
+    got_rows = ech.dense_rows(cols)
+    assert got_rows == want_rows[: len(want_pivots)]
+    assert not any(x for row in want_rows[len(want_pivots) :] for x in row)
     assert all(isinstance(x, Fraction) for row in got_rows for x in row)
-    assert rank(matrix) == len(want_pivots) == to_domain(matrix, cols).rank()
+    assert ech.rank == rank(matrix) == len(want_pivots) == to_domain(matrix, cols).rank()
     want_null = from_domain(to_domain(matrix, cols).nullspace()) if matrix else identity(cols)
-    assert nullspace(matrix, cols=cols) == want_null
+    assert ech.nullspace(cols) == want_null
     # the RREF does not depend on the order the rows arrive in
     shuffled = matrix[:]
     rnd.shuffle(shuffled)
-    assert rref(shuffled) == (want_rows, want_pivots)
-    assert same_row_space(matrix, shuffled)
+    again = Echelon(shuffled)
+    assert (again.dense_rows(cols), again.pivots) == (got_rows, want_pivots)
 
 
+@st.composite
+def systems(draw):
+    """A matrix, its width and up to four right-hand sides: arbitrary,
+    consistent by construction (matrix @ x) or zero; the matrix rows and
+    the right-hand sides are given sparse half of the time."""
+    matrix, cols = draw(matrices())
+    rhs = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["any", "image", "zero"]))
+        if kind == "any":
+            rhs.append([draw(ENTRIES) for _ in matrix])
+        elif kind == "image":
+            rhs.append(matvec(matrix, [draw(st.integers(-2, 2)) for _ in range(cols)]))
+        else:
+            rhs.append([0] * len(matrix))
+    if draw(st.booleans()):
+        matrix = [{c: x for c, x in enumerate(row) if Fraction(x)} for row in matrix]
+        rhs = [{i: x for i, x in enumerate(b) if Fraction(x)} for b in rhs]
+    return matrix, cols, rhs
+
+
+def _dense(vector, length):
+    if isinstance(vector, dict):
+        return [vector.get(i, 0) for i in range(length)]
+    return list(vector)
+
+
+# an inconsistent column before a consistent one, so that a pivot lands
+# right of the unknowns; a column made inconsistent by that pivot row
+# alone; a zero column; no rows; width 0
+@example(([[1, 0], [1, 0]], 2, [[0, 1], [1, 1], [0, 2], [0, 0]]))
+@example(([{0: 1}, {0: 1}], 2, [{1: 1}, {0: 1, 1: 1}, {1: 2}, {}]))
+@example(([], 3, [[], []]))
+@example(([[], []], 0, [[0, 0], [0, "1/2"], ["0", 0]]))
 @settings(max_examples=200, deadline=None)
-@given(matrices(), st.data())
-def test_solve_matches_sympy(case, data):
-    matrix, cols = case
-    rhs = [data.draw(ENTRIES) for _ in matrix]
-    x = solve(matrix, rhs)
-    if not matrix:
-        assert x == ([] if all(Fraction(b) == 0 for b in rhs) else None)
-        return
-    augmented = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    reduced, pivots = sympy_rref(augmented, cols + 1)
-    if cols in pivots:
-        assert x is None
-        return
-    # the particular solution with every free variable zero
-    want = [Fraction(0)] * cols
-    for r, p in enumerate(pivots):
-        want[p] = reduced[r][cols]
-    assert x == want
-    assert matvec([[Fraction(v) for v in row] for row in matrix], x) == [Fraction(b) for b in rhs]
+@given(systems())
+def test_solve_matches_sympy(case):
+    matrix, cols, rhs = case
+    dense = [_dense(row, cols) for row in matrix]
+    got = solve(matrix, rhs, cols)
+    assert len(got) == len(rhs)
+    for b, x in zip(rhs, got):
+        # sympy solves each right-hand side on its own
+        b = _dense(b, len(matrix))
+        augmented = [row + [c] for row, c in zip(dense, b)]
+        reduced, pivots = sympy_rref(augmented, cols + 1)
+        if cols in pivots:
+            assert x is None
+            continue
+        # the particular solution with every free variable zero
+        want = [Fraction(0)] * cols
+        for r, p in enumerate(pivots):
+            want[p] = reduced[r][cols]
+        assert x == want
+        assert all(type(v) is Fraction for v in x)
+        assert matvec(dense, x) == [Fraction(c) for c in b]
 
 
 def test_kernel_edge_shapes():
-    assert rref([]) == ([], [])
+    empty = Echelon([])
+    assert (empty.rank, empty.pivots, empty.dense_rows(0)) == (0, [], [])
     assert rank([]) == 0
-    assert rref([[], []]) == ([[], []], [])
-    assert nullspace([[0, "0"]]) == identity(2)
-    assert rref([["0", "0"], ["2", "1"]]) == ([[1, Fraction(1, 2)], [0, 0]], [0])
-    assert not row_space_contains([], [1, 0])
-    assert row_space_contains([], ["0", 0])
+    assert Echelon([[], []]).dense_rows(0) == [] and Echelon([[], []]).pivots == []
+    assert Echelon([[0, "0"]]).nullspace(2) == identity(2)
+    halves = Echelon([["0", "0"], ["2", "1"]])
+    assert (halves.dense_rows(2), halves.pivots) == ([[1, Fraction(1, 2)]], [0])
+    assert not Echelon([]).contains([1, 0])
+    assert Echelon([]).contains(["0", 0])
+    assert solve([], [[]], 2) == [[0, 0]] and solve([[1, 0]], [], 2) == []
     assert determinant([]) == 1
     assert determinant([[0, 1], [1, 0]]) == -1
 
@@ -309,15 +347,6 @@ class FractionEchelon:
         return basis
 
 
-def oracle_rref(matrix):
-    if not matrix:
-        return [], []
-    cols = len(matrix[0])
-    ech = FractionEchelon(matrix)
-    out = ech.dense_rows(cols) + [[Fraction(0)] * cols for _ in range(len(matrix) - len(ech.rows))]
-    return out, sorted(ech.rows)
-
-
 def oracle_solve(matrix, rhs):
     ncols = len(matrix[0])
     ech = FractionEchelon(list(row) + [b] for row, b in zip(matrix, rhs))
@@ -381,27 +410,27 @@ def _all_fractions(rows):
 @given(rich_matrices(), st.data())
 def test_fraction_free_kernel_matches_fraction_oracle(matrix, data):
     cols = len(matrix[0])
-    got = rref(matrix)
-    assert got == oracle_rref(matrix)
-    assert _all_fractions(got[0])
-    null = nullspace(matrix, cols=cols)
-    assert null == FractionEchelon(matrix).nullspace(cols)
+    ech, oracle = Echelon(matrix), FractionEchelon(matrix)
+    got = ech.dense_rows(cols)
+    assert (got, ech.pivots) == (oracle.dense_rows(cols), sorted(oracle.rows))
+    assert _all_fractions(got)
+    null = ech.nullspace(cols)
+    assert null == oracle.nullspace(cols)
     assert _all_fractions(null)
-    rhs = [data.draw(BIG_ENTRIES) for _ in matrix]
-    x = solve(matrix, rhs)
-    assert x == oracle_solve(matrix, rhs)
-    assert x is None or _all_fractions([x])
+    rhs = [[data.draw(BIG_ENTRIES) for _ in matrix] for _ in range(data.draw(st.integers(1, 3)))]
+    xs = solve(matrix, rhs, cols)
+    assert xs == [oracle_solve(matrix, b) for b in rhs]
+    assert all(x is None or _all_fractions([x]) for x in xs)
     # the same rows as sparse {column: value} dicts, in another order
     sparse = [{c: v for c, v in enumerate(row) if data.draw(st.booleans()) or Fraction(v)}
               for row in data.draw(st.permutations(matrix))]
-    ech = Echelon(sparse)
-    assert ech.dense_rows(cols) == got[0][: ech.rank]
-    assert ech.nullspace(cols) == null
-    assert same_row_space(matrix, sparse)
+    again = Echelon(sparse)
+    assert (again.dense_rows(cols), again.pivots) == (got, ech.pivots)
+    assert again.nullspace(cols) == null
     other = data.draw(rich_matrices())
     if len(other[0]) == cols:
-        assert same_row_space(matrix, other) == (
-            FractionEchelon(matrix).rows == FractionEchelon(other).rows
+        assert (Echelon(other).dense_rows(cols) == got) == (
+            FractionEchelon(other).rows == oracle.rows
         )
 
 

@@ -302,7 +302,7 @@ def _gated_entries():
     from jetcalc.jets import FunctionJetPoint, VectorJetPoint, jet_product_sum
     from jetcalc.lie_equations import Christoffel, StructureJet
     from jetcalc.liealg import FiniteLieAlgebra, LieModule
-    from jetcalc.linalg import Echelon, determinant, invert, nullspace, rank, solve
+    from jetcalc.linalg import Echelon, determinant, invert, rank, solve
 
     one = FunctionJetPoint(1, 1, (0,), {(0,): 1})
     return [
@@ -321,8 +321,9 @@ def _gated_entries():
         ("lie-module", lambda x: LieModule(FiniteLieAlgebra(1), 1, [[[x]]])),
         ("echelon", lambda x: Echelon([[x, 1]])),
         ("rank", lambda x: rank([[x, 1]])),
-        ("nullspace", lambda x: nullspace([[x, 1]])),
-        ("solve", lambda x: solve([[x]], [1])),
+        ("nullspace", lambda x: Echelon([[x, 1]]).nullspace(2)),
+        ("solve", lambda x: solve([[x]], [[1]], 1)),
+        ("solve-rhs", lambda x: solve([{0: 1}], [{0: x}], 1)),
         ("invert", lambda x: invert([[x]])),
         ("determinant", lambda x: determinant([[x]])),
     ]
