@@ -395,6 +395,15 @@ def _run_bracket(args):
 # subcommand: prolong
 
 
+def _expected(expect, field, valid, kind):
+    """The list expect[field], each entry of which must pass valid."""
+    values = _require(expect, field, list)
+    for t, v in enumerate(values):
+        if not valid(v):
+            raise SchemaError(f"expect.{field}[{t}]: expected {kind}")
+    return values
+
+
 def _expectation(name, got, want):
     return _check(name, got == want, None if got == want else {"got": got, "want": want})
 
@@ -429,12 +438,12 @@ def _run_prolong(args):
             raise SchemaError("expect: expected an object")
         if "dims" in expect:
             dims = [e["dim"] for e in report["orders"]]
-            want = _require(expect, "dims", list)[:kmax]
+            want = _expected(expect, "dims", is_natural, "a natural number")[:kmax]
             checks.append(_expectation("expected_dimensions", dims, want))
         if "surjective" in expect:
-            got = [bool(e["surjective"]) for e in report["orders"][1:]]
-            want = [bool(b) for b in _require(expect, "surjective", list)[: kmax - 1]]
-            checks.append(_expectation("expected_surjectivity", got, want))
+            got = [e["surjective"] for e in report["orders"][1:]]
+            want = _expected(expect, "surjective", lambda b: type(b) is bool, "true or false")
+            checks.append(_expectation("expected_surjectivity", got, want[: kmax - 1]))
     return scenario, checks, results
 
 

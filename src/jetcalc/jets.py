@@ -7,7 +7,8 @@ vector jet one slot (i, alpha) per component i and multi-index alpha.
 it; every module reads its slots there, and a function layout's
 `products` and `leibniz` tables hold the index arithmetic of the jet
 product and of the Leibniz action (sums of slots, binomials), built
-once on first use.  A jet section stores a
+once on first use, and prolongation takes one `diff` per slot along
+`raised`.  A jet section stores a
 coefficient `Poly` in each slot; a jet at a base point stores a
 `Fraction`.  The four classes below are the four combinations and share
 everything but their slot kind and the methods particular to them.
@@ -319,10 +320,18 @@ def vector_point_from_coords(n, k, point, coords):
     return VectorJetPoint(n, k, point, dict(zip(slots, coords)))
 
 
+def _derivatives(p, k):
+    """{alpha: d^alpha p} for |alpha| <= k, one `diff` per slot along `raised`."""
+    out = {(0,) * p.n: p}
+    for (alpha, j), up in slot_layout("function", p.n, k).raised.items():
+        if up not in out:
+            out[up] = out[alpha].diff(j)
+    return out
+
+
 def prolong_function(f, k):
     """The holonomic k-jet section of a polynomial function."""
-    slots = slot_layout("function", f.n, k).slots
-    return FunctionJetSection(f.n, k, {alpha: f.diff_multi(alpha) for alpha in slots})
+    return FunctionJetSection(f.n, k, _derivatives(f, k))
 
 
 def prolong_vector_field(components, k):
@@ -330,8 +339,8 @@ def prolong_vector_field(components, k):
     n = components[0].n
     if len(components) != n:
         raise ValueError("need one component per chart dimension")
-    slots = slot_layout("vector", n, k).slots
-    return VectorJetSection(n, k, {(i, a): components[i].diff_multi(a) for i, a in slots})
+    coeffs = {(i, a): d for i, p in enumerate(components) for a, d in _derivatives(p, k).items()}
+    return VectorJetSection(n, k, coeffs)
 
 
 def jet_product(f, g):

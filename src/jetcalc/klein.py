@@ -4,9 +4,11 @@ ranks, its ghost the one nullspace), the order of the realization, the
 jet-evaluation homomorphism, and the projective examples.
 
 Jet evaluation at the base point is linear in the abstract vector, so
-each function that evaluates builds one table of basis jets
-(`basis_jets`) at the highest order it needs and reads lower orders as
-prefixes: vector jet slots are ordered by order."""
+every function that evaluates reads one table of basis jets
+(`basis_jets`).  A realization keeps the table of the highest order
+asked for, and lower orders are its prefixes (vector jet slots are
+ordered by order): the filtration and the homomorphism check of one
+`klein` run prolong each basis field once."""
 
 from fractions import Fraction
 from functools import partial
@@ -23,7 +25,7 @@ class RealizedLieAlgebra:
     """An abstract Lie algebra together with polynomial vector fields
     realizing its basis on a chart, anchored at a base point."""
 
-    __slots__ = ("algebra", "fields", "n", "point")
+    __slots__ = ("algebra", "fields", "n", "point", "_jets")
 
     def __init__(self, algebra, fields, point, check=True):
         if len(fields) != algebra.dim:
@@ -35,6 +37,7 @@ class RealizedLieAlgebra:
             if len(f) != self.n or any(p.n != self.n for p in f):
                 raise ValueError("field component dimension mismatch")
         self.point = tuple(_as_fraction(x) for x in point)
+        self._jets = []  # the highest-order basis jets built so far
         if check:
             ok, witness = validate_realization(self)
             if not ok:
@@ -56,9 +59,14 @@ class RealizedLieAlgebra:
     def basis_jets(self, k):
         """The order-k jets at the base point of the basis fields, one row
         per basis element; the order-m jets, m <= k, are the prefixes of
-        the length of the order-m vector slot layout."""
-        g = self.algebra
-        return [self.jet_at_point(g.basis_vector(b), k) for b in range(g.dim)]
+        the length of the order-m vector slot layout.  The table of the
+        highest order asked for is kept, and each call returns fresh
+        prefixes of it."""
+        width = len(slot_layout("vector", self.n, k).slots)
+        if not self._jets or len(self._jets[0]) < width:
+            g = self.algebra
+            self._jets = [self.jet_at_point(g.basis_vector(b), k) for b in range(g.dim)]
+        return [v[:width] for v in self._jets]
 
     def is_transitive(self):
         values = [

@@ -3,23 +3,16 @@ systems built from structure jets, prolongation/surjectivity reports
 read as pivot counts of one echelon of the invariance rows, Levi-Civita
 extraction with the unique second-order completion, anchor-exactness
 checks, bracket closure, and conjugation of systems by arrows.
-Levi-Civita and the Killing completion share one Koszul formula, `_koszul`."""
+Levi-Civita and the Killing completion share one Koszul formula, `_koszul`;
+every slot sum and binomial is read from the `jets.slot_layout` tables."""
 
 from fractions import Fraction
 from functools import reduce
 from math import lcm
 
-from .jets import slot_layout
+from .jets import prolong_function, prolong_vector_field, slot_layout
 from .linalg import Echelon, determinant, invert
-from .multiindex import (
-    add,
-    is_natural,
-    multi_binomial,
-    order,
-    sub,
-    sub_indices,
-    unit,
-)
+from .multiindex import is_natural, order, unit
 from .poly import Poly, _as_fraction
 
 
@@ -70,12 +63,10 @@ class StructureJet:
     def from_polynomial_matrix(cls, kind, polys, order_, point):
         """Structure jet of a polynomial component matrix at a point."""
         n = len(polys)
-        point = tuple(_as_fraction(x) for x in point)
         coeffs = {}
         for i in range(n):
             for j in range(n):
-                for alpha in slot_layout("function", n, order_).slots:
-                    c = polys[i][j].derivative_value(alpha, point)
+                for alpha, c in prolong_function(polys[i][j], order_).at(point).coeffs.items():
                     if c != 0:
                         coeffs[(i, j, alpha)] = c
         return cls(kind, n, order_, point, coeffs)
@@ -104,15 +95,15 @@ class StructureJet:
         every component vanishes, at all slot orders the jet can see."""
         if self.kind != "two_form":
             raise ValueError("closedness applies to 2-forms")
-        n = self.n
+        n, raised = self.n, slot_layout("function", self.n, self.order).raised
         for alpha in slot_layout("function", n, self.order - 1).slots:
             for i in range(n):
                 for j in range(i + 1, n):
                     for l in range(j + 1, n):
                         total = (
-                            self.slot(j, l, add(alpha, unit(n, i)))
-                            - self.slot(i, l, add(alpha, unit(n, j)))
-                            + self.slot(i, j, add(alpha, unit(n, l)))
+                            self.slot(j, l, raised[alpha, i])
+                            - self.slot(i, l, raised[alpha, j])
+                            + self.slot(i, j, raised[alpha, l])
                         )
                         if total != 0:
                             return False
@@ -166,7 +157,9 @@ def _lie_derivative_rows(structure, k):
     sparse {column: int}: the system is linear in the structure, whose
     slots are scaled by the lcm of their denominators.  A row reads fiber
     slots of order <= |alpha| + 1, which come first in the fiber, so the
-    order-(k-1) system is a prefix of the order-k one."""
+    order-(k-1) system is a prefix of the order-k one.  A row is three jet
+    products, each with a structure slot rest as left factor: the terms
+    (beta, alpha, C(alpha, rest)) are the order-(k-1) `products[rest]`."""
     n = structure.n
     if k < 1:
         raise ValueError("system order must be at least 1")
@@ -176,42 +169,40 @@ def _lie_derivative_rows(structure, k):
         )
     if not structure.is_invertible():
         raise ValueError("structure is singular at the base point")
-    pos = slot_layout("vector", n, k).pos
-    e = [unit(n, a) for a in range(n)]
+    pos, raised = slot_layout("vector", n, k).pos, slot_layout("function", n, k).raised
+    lower = slot_layout("function", n, k - 1)
     den = reduce(lcm, [c.denominator for c in structure.coeffs.values()], 1)
     sign = 1 if structure.kind == "metric" else -1
     # the nonzero slots as ints: g(u, v, gamma) listed under (u, gamma),
     # and g(i, j, rest + e_a) under (i, j, rest) for the transport term
-    first, transport = {}, {}
+    first, transport, at_slot = {}, {}, {}
     for (i, j, gamma), c in structure.coeffs.items():
         c = c.numerator * (den // c.denominator)
         if c:
             first.setdefault((i, gamma), []).append((j, c))
             if i != j:
                 first.setdefault((j, gamma), []).append((i, sign * c))
-            for a in range(n):
-                if gamma[a]:
-                    transport.setdefault((i, j, sub(gamma, e[a])), []).append((a, c))
+            at_slot.setdefault(gamma, []).append((i, j, c))
+    for (rest, a), gamma in raised.items():
+        for i, j, c in at_slot.get(gamma, ()):
+            transport.setdefault((i, j, rest), []).append((a, c))
     pairs = [(i, j) for i in range(n) for j in range(i + (sign < 0), n)]
-    rows = []
-    for alpha in slot_layout("function", n, k - 1).slots:
-        for i, j in pairs:
-            row = {}
+    rows = {(alpha, pair): {} for alpha in lower.slots for pair in pairs}
+    for i, j in pairs:
+        for rest in lower.slots:
+            hits = (transport.get((i, j, rest)), first.get((j, rest)), first.get((i, rest)))
+            if not any(hits):
+                continue
             # d^alpha of xi^a d_a g_ij + g_aj d_i xi^a + g_ia d_j xi^a, with
             # d^rest on g and d^beta on xi; g_aj = sign * g_ja
-            for rest in sub_indices(alpha):
-                hits = (transport.get((i, j, rest)), first.get((j, rest)), first.get((i, rest)))
-                if not any(hits):
-                    continue
-                beta = sub(alpha, rest)
-                c = multi_binomial(alpha, rest)
-                shifts = ((beta, c), (add(beta, e[i]), sign * c), (add(beta, e[j]), c))
+            for beta, alpha, c in lower.products[rest]:
+                row = rows[alpha, (i, j)]
+                shifts = ((beta, c), (raised[beta, i], sign * c), (raised[beta, j], c))
                 for slots, (b, f) in zip(hits, shifts):
                     for a, x in slots or ():
-                        col = pos[(a, b)]
+                        col = pos[a, b]
                         row[col] = row.get(col, 0) + f * x
-            rows.append({col: x for col, x in row.items() if x})
-    return rows
+    return [{col: x for col, x in row.items() if x} for row in rows.values()]
 
 
 def killing_system(g, k):
@@ -370,18 +361,18 @@ def killing_order2_completion(g, low_coords):
     if g.order < 2:
         raise ValueError("need the metric 2-jet (extend by zero if flat)")
     xi = dict(zip(slot_layout("vector", n, 1).slots, low_coords))
-    z = (0,) * n
+    z, raised = (0,) * n, slot_layout("function", n, 2).raised
 
     def r_term(i, j, k):
         total = Fraction(0)
         for a in range(n):
-            total -= xi[a, z] * g.slot(i, j, add(unit(n, a), unit(n, k)))
+            total -= xi[a, z] * g.slot(i, j, raised[unit(n, a), k])
             total -= xi[a, unit(n, k)] * g.slot(i, j, unit(n, a))
             total -= g.slot(a, j, unit(n, k)) * xi[a, unit(n, i)]
             total -= g.slot(i, a, unit(n, k)) * xi[a, unit(n, j)]
         return total
 
-    return {(i, add(unit(n, j), unit(n, k))): c for (i, j, k), c in _koszul(g, r_term).items()}
+    return {(i, raised[unit(n, j), k]): c for (i, j, k), c in _koszul(g, r_term).items()}
 
 
 def _anchor(n, dim, rk):
@@ -406,8 +397,6 @@ def linear_solution_sections(structure, k):
     for (i, j, alpha), c in structure.coeffs.items():
         if order(alpha) >= 1 and c != 0:
             raise ValueError("structure is not constant-coefficient")
-    from .jets import prolong_vector_field
-
     sub = solve_system(structure, 1)
     slots1 = slot_layout("vector", n, 1).slots
     sections = []

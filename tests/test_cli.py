@@ -535,11 +535,29 @@ def test_random_poly_draws_are_pinned():
 
 
 @pytest.mark.parametrize(
-    "expect",
-    [{"dims": 5}, {"surjective": "yes"}, {"surjective": 3}],
-    ids=["dims-an-int", "surjective-a-string", "surjective-an-int"],
+    "expect, field",
+    [
+        ({"dims": 5}, "dims"),
+        ({"surjective": "yes"}, "surjective"),
+        ({"surjective": 3}, "surjective"),
+        ({"surjective": ["false"]}, "expect.surjective[0]"),
+        ({"surjective": [0]}, "expect.surjective[0]"),
+        ({"dims": [3, 3], "surjective": [True, None]}, "expect.surjective[1]"),
+        ({"dims": [3.0, 3.0]}, "expect.dims[0]"),
+        ({"dims": [3, "3"]}, "expect.dims[1]"),
+        ({"dims": [True, 3]}, "expect.dims[0]"),
+        ({"dims": [3, -1]}, "expect.dims[1]"),
+        ({"dims": ["3", 3.0], "surjective": [0]}, "expect.dims[0]"),
+        ({"dims": [3, 3, 3.5]}, "expect.dims[2]"),
+    ],
+    ids=[
+        "dims-an-int", "surjective-a-string", "surjective-an-int", "surjective-a-string-entry",
+        "surjective-an-int-entry", "surjective-a-null-entry", "dims-float-entries",
+        "dims-a-string-entry", "dims-a-bool-entry", "dims-a-negative-entry",
+        "dims-and-surjective-mistyped", "dims-entry-past-kmax",
+    ],
 )
-def test_malformed_expectation_exits_2(capsys, tmp_path, expect):
+def test_malformed_expectation_exits_2(capsys, tmp_path, expect, field):
     scenario = {
         "task": "prolongation",
         "kind": "metric",
@@ -553,7 +571,7 @@ def test_malformed_expectation_exits_2(capsys, tmp_path, expect):
     path.write_text(json.dumps(scenario))
     code, out = run_cli(capsys, "prolong", "--scenario", str(path), "--kmax", "2")
     assert code == 2
-    assert "error" in json.loads(out)
+    assert json.loads(out)["error"].startswith(field)
 
 
 _OTHER_TYPES = [None, True, -1, 1.5, "x", "1/2", [], [0], ["0", "0"], {}, {"dims": [1]}]

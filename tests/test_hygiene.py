@@ -191,14 +191,22 @@ def test_jets_fills_tables_with_a_kernel_built_zero():
 
 
 # the kernels that read slot index arithmetic from the layout tables
-TABLE_READERS = {"jets.py": {"jet_product_sum"}, "spencer.py": {"_leibniz_terms", "basis_action"}}
+TABLE_READERS = {
+    "jets.py": {"jet_product_sum", "_derivatives", "prolong_function", "prolong_vector_field"},
+    "spencer.py": {"_leibniz_terms", "basis_action"},
+    "lie_equations.py": {"_lie_derivative_rows", "is_closed", "killing_order2_completion"},
+}
+# the per-use multi-index arithmetic that the layout tables replace
+PER_USE_ARITHMETIC = {"add", "sub", "multi_binomial", "sub_indices", "diff_multi"}
 
 
 def test_slot_kernels_read_index_arithmetic_from_the_layout():
     """`SlotLayout` is the one home of slot index arithmetic: the jet
-    product and the Leibniz action read its `products` and `leibniz`
-    tables and call none of the multi-index `add`, `sub` or
-    `multi_binomial` themselves."""
+    product, the Leibniz action, the prolongation of a polynomial, the
+    invariance rows of a Lie equation and the closedness of a 2-form jet
+    read its `products`, `leibniz` and `raised` tables and call none of
+    the multi-index `add`, `sub`, `multi_binomial` or `sub_indices`, nor
+    `Poly.diff_multi`, themselves."""
     calls = sorted(
         f"{module}:{node.lineno} {name}"
         for module, functions in TABLE_READERS.items()
@@ -207,7 +215,7 @@ def test_slot_kernels_read_index_arithmetic_from_the_layout():
         for node in ast.walk(definition)
         if isinstance(node, ast.Call)
         for name in [getattr(node.func, "id", None) or getattr(node.func, "attr", None)]
-        if name in {"add", "sub", "multi_binomial"}
+        if name in PER_USE_ARITHMETIC
     )
     found = {
         node.name
@@ -303,15 +311,16 @@ def test_modules_import_only_the_standard_library():
 # concepts that have one implementation, each in one src/ module
 ONE_DEFINITION = {
     "_insert_sorted", "ce_terms", "_sign", "determinant", "_as_fraction", "_as_exact", "slot_layout",
-    "Echelon",
+    "Echelon", "random_poly",
 }
 
 
 def test_each_concept_is_defined_in_one_module():
     """The alternating-key helpers, the Chevalley-Eilenberg term list, the
     determinant, the exact-scalar gate and its int normal form, the slot
-    layout and the echelon are each defined (as a function, a class or a
-    module-level name) in exactly one src/ module."""
+    layout, the echelon and the seeded random-polynomial generator are
+    each defined (as a function, a class or a module-level name) in
+    exactly one src/ module."""
     homes = {name: [] for name in ONE_DEFINITION}
     for p in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(p.read_text(encoding="utf-8"))):

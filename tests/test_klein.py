@@ -289,3 +289,27 @@ def test_klein_cli_validates_once_and_checks_the_top_order(monkeypatch, capsys):
     assert main(["klein", "--builtin", "projective", "--n", "2"]) == 0
     order = json.loads(capsys.readouterr().out)["results"]["order"]
     assert calls == [("validate_realization", ()), ("sigma_homomorphism_check", (order + 1,))]
+
+
+def test_klein_cli_prolongs_each_basis_field_once(monkeypatch, capsys):
+    """The filtration and the homomorphism check of one `klein` run read
+    one table of basis jets: `jet_at_point` runs once per basis element."""
+    from jetcalc.cli import main
+
+    calls, real = [], RealizedLieAlgebra.jet_at_point
+    monkeypatch.setattr(
+        RealizedLieAlgebra, "jet_at_point",
+        lambda self, coords, k: calls.append(k) or real(self, coords, k),
+    )
+    assert main(["klein", "--builtin", "projective", "--n", "3"]) == 0
+    capsys.readouterr()
+    assert len(calls) == build_projective_example(3).algebra.dim == 16
+
+
+def test_basis_jets_are_prefix_copies_of_the_highest_table():
+    a = build_projective_example(2)
+    top = a.basis_jets(3)
+    low = a.basis_jets(1)
+    assert low == [v[: len(low[0])] for v in top]
+    low[0][0] = Fraction(99)
+    assert a.basis_jets(3) == top and a.basis_jets(1)[0][0] != 99
