@@ -276,6 +276,8 @@ def _suite(args, min_n, min_k, message):
     k = _bound("k", args.k, "k")
     degree = _bound("degree", args.degree, "degree")
     count = _bound("count", args.count, "count")
+    if count < 1:
+        raise SchemaError("count must be at least 1")
     if n < min_n or k < min_k:
         raise SchemaError(message)
     rng = random.Random(args.seed)

@@ -4,8 +4,10 @@ relative-cochain membership, structure algebras, the arrow action on
 forms, and a local-exactness probe.
 
 A form of degree r at order k is an r-linear alternating map taking r
-vector k-jets to a function k-jet, stored through its coefficients on
-strictly increasing tuples of fiber basis slots.  One type, `FormKR`,
+vector k-jets to a function k-jet, stored through its nonzero
+coefficients on strictly increasing tuples of fiber basis slots: the
+constructor drops a zero coefficient, so no operator filters zeros and
+equality is a dict compare.  One type, `FormKR`,
 holds both kinds of form, as the jet classes do: a section form has
 function jet sections as coefficients, a form at a base point has
 function jets at that point.  The four functions that need linear
@@ -48,8 +50,9 @@ class FormKR:
     FunctionJetSection of order k; with a base point (a form at a point)
     each is a FunctionJetPoint of order k at that point.  Evaluation on
     r vector jets of the same kind is multilinear and alternating with
-    values in the order-k function jets.  Degree 0 is a single function
-    jet stored under the empty tuple.
+    values in the order-k function jets.  Only nonzero coefficients are
+    stored (degree 0 keeps its function jet under the empty tuple, the
+    zero form keeps nothing); `coefficient` reads any key, zero included.
     """
 
     __slots__ = ("n", "k", "r", "point", "coeffs")
@@ -63,9 +66,9 @@ class FormKR:
         self.point = None if point is None else tuple(_as_fraction(x) for x in point)
         slot_pos = slot_layout("vector", n, k).pos
         zero = self._zero()
-        table = {(): zero} if r == 0 else {}
+        table = {}
         for key, c in (coeffs or {}).items():
-            key = tuple((i, tuple(a)) for i, a in key) if r else tuple(key)
+            key = tuple((i, tuple(a)) for i, a in key)
             if len(key) != r:
                 raise ValueError("coefficient tuple arity mismatch")
             pos = [slot_pos.get(s) for s in key]
@@ -74,7 +77,8 @@ class FormKR:
             if any(b <= a for a, b in zip(pos, pos[1:])):
                 raise ValueError("slot tuple must be strictly increasing")
             zero._check(c)
-            table[key] = c
+            if not c.is_zero():
+                table[key] = c
         self.coeffs = table
 
     @classmethod
@@ -93,12 +97,11 @@ class FormKR:
         return FormKR(self.n, k, self.r, coeffs, self.point)
 
     def coefficient(self, key):
-        key = tuple((i, tuple(a)) for i, a in key) if self.r else ()
-        c = self.coeffs.get(key)
+        c = self.coeffs.get(tuple((i, tuple(a)) for i, a in key))
         return self._zero() if c is None else c
 
     def is_zero(self):
-        return all(c.is_zero() for c in self.coeffs.values())
+        return not self.coeffs
 
     def __add__(self, other):
         self._check(other, self.r)
@@ -123,17 +126,10 @@ class FormKR:
     def __eq__(self, other):
         if not isinstance(other, FormKR):
             return NotImplemented
-        if self._shape() != other._shape():
-            return False
-        zero = self._zero()
-        return all(
-            self.coeffs.get(key, zero) == other.coeffs.get(key, zero)
-            for key in set(self.coeffs) | set(other.coeffs)
-        )
+        return self._shape() == other._shape() and self.coeffs == other.coeffs
 
     def __hash__(self):
-        nz = frozenset((key, c) for key, c in self.coeffs.items() if not c.is_zero())
-        return hash((self._shape(), nz))
+        return hash((self._shape(), frozenset(self.coeffs.items())))
 
     def project(self, m):
         """Projection pi_{k,m} on the output values, re-read at order m.
@@ -160,8 +156,7 @@ class FormKR:
 
     def __repr__(self):
         at = "" if self.point is None else f", at={self.point}"
-        nz = {key: c for key, c in self.coeffs.items() if not c.is_zero()}
-        return f"FormKR(n={self.n}, k={self.k}, r={self.r}{at}, {nz})"
+        return f"FormKR(n={self.n}, k={self.k}, r={self.r}{at}, {self.coeffs})"
 
 
 def eval_form(omega, args):
@@ -175,12 +170,8 @@ def eval_form(omega, args):
     for x in args:
         if (x.n, x.k, x.point) != (omega.n, omega.k, omega.point):
             raise ValueError("argument order/dimension/base point mismatch")
-    if omega.r == 0:
-        return omega.coeffs[()]
     result = omega._zero()
     for key, c in omega.coeffs.items():
-        if c.is_zero():
-            continue
         det = determinant([[x.slot(i, alpha) for x in args] for (i, alpha) in key])
         if det:
             result = result + c.scale(det)
@@ -230,12 +221,12 @@ def exterior_derivative(omega):
     layout = slot_layout("vector", n, k)
     slots, pos = layout.slots, layout.pos
     if r == 0:
-        return FormKR(n, k, 1, {(s,): basis_action(s, omega.coeffs[()]) for s in slots})
+        return FormKR(n, k, 1, {(s,): basis_action(s, omega.coefficient(())) for s in slots})
 
     def bracket(x, y):
         return {pos[z]: c for z, c in basis_bracket(slots[x], slots[y], k).items()}
 
-    coeffs = {tuple(pos[s] for s in key): c for key, c in omega.coeffs.items() if not c.is_zero()}
+    coeffs = {tuple(pos[s] for s in key): c for key, c in omega.coeffs.items()}
     weight, one, zero = Fraction(1, r + 1), Poly.const(n, 1), omega._zero()
     out = {}
     for okey in combinations(range(len(slots)), r + 1):
@@ -247,9 +238,7 @@ def exterior_derivative(omega):
                 for alpha, v in (sec if x is None else basis_action(slots[x], sec)).coeffs.items():
                     if v:
                         slot_terms.setdefault(alpha, []).append((c, v, one))
-        total = zero._summed(k, slot_terms)
-        if not total.is_zero():
-            out[tuple(slots[x] for x in okey)] = total
+        out[tuple(slots[x] for x in okey)] = zero._summed(k, slot_terms)
     return FormKR(n, k, r + 1, out)
 
 
@@ -266,16 +255,15 @@ def wedge(w, t):
     factor = Fraction(int_factorial(p) * int_factorial(q), int_factorial(p + q))
     signed = {1: factor, -1: -factor}
     pos = slot_layout("vector", n, k).pos
-    right = [(key, [pos[s] for s in key], c) for key, c in t.coeffs.items() if not c.is_zero()]
+    right = [(key, [pos[s] for s in key], c) for key, c in t.coeffs.items()]
     terms = {}
     for a_key, a in w.coeffs.items():
-        for b_key, b_pos, b in right if not a.is_zero() else ():
+        for b_key, b_pos, b in right:
             both = [pos[s] for s in a_key] + b_pos
             if len(set(both)) == p + q:
                 key = tuple(s for _, s in sorted(zip(both, a_key + b_key)))
                 terms.setdefault(key, []).append((signed[_sign(both)], a, b))
-    out = jet_product_sum(terms)
-    return FormKR(n, k, p + q, {key: c for key, c in out.items() if not c.is_zero()}, w.point)
+    return FormKR(n, k, p + q, jet_product_sum(terms), w.point)
 
 
 def interior_product(y_section, omega):
@@ -296,7 +284,7 @@ def interior_product(y_section, omega):
                     if v:
                         slot_terms.setdefault(alpha, []).append((-r if p % 2 else r, y, v))
     out = {key: zero._summed(omega.k, slot_terms) for key, slot_terms in terms.items()}
-    return FormKR(omega.n, omega.k, r - 1, {key: c for key, c in out.items() if not c.is_zero()})
+    return FormKR(omega.n, omega.k, r - 1, out)
 
 
 def lie_derivative(y_section, omega):
@@ -304,20 +292,16 @@ def lie_derivative(y_section, omega):
     L = d i + i d and commutes with d."""
     _sections_only("lie_derivative", omega, y_section)
     n, k, r = omega.n, omega.k, omega.r
-    if r == 0:
-        return FormKR.from_function_section(jet_action(y_section, omega.coeffs[()]))
     slots = slot_layout("vector", n, k).slots
     out = {}
     for key in combinations(slots, r):
-        sec = omega.coeffs.get(key, FunctionJetSection(n, k))
-        total = jet_action(y_section, sec)
+        total = jet_action(y_section, omega.coefficient(key))
         for i in range(r):
             br = spencer_bracket(y_section, basis_section(n, k, key[i]))
             rest = [basis_section(n, k, s) for s in key]
             rest[i] = br
             total = total - eval_form(omega, rest)
-        if not total.is_zero():
-            out[key] = total
+        out[key] = total
     return FormKR(n, k, r, out)
 
 
@@ -382,7 +366,7 @@ def theta_structure_algebra(spanning_sections, n, k, poly_degree):
             partial(lie_derivative, x), n, k, 0, layout, _form_basis(n, k, 0, top)
         )
     kernel = Echelon(matrix).nullspace(len(layout))
-    return [_vector_to_form(n, k, 0, layout, v).coeffs[()] for v in kernel]
+    return [_vector_to_form(n, k, 0, layout, v).coefficient(()) for v in kernel]
 
 
 def theta_closed_under_product(spanning_sections, basis_sections, n, k, poly_degree):

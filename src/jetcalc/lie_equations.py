@@ -23,7 +23,8 @@ class StructureJet:
     component functions; symmetric in (i, j) for metrics, antisymmetric
     for 2-forms (stored on i < j).  Component indices must lie in
     0..n-1 and alpha must list n naturals; anything else raises
-    ValueError.
+    ValueError.  Only nonzero values are stored, once the given entries
+    are checked against each other; `slot` reads any slot.
     """
 
     __slots__ = ("kind", "n", "order", "point", "coeffs")
@@ -57,7 +58,7 @@ class StructureJet:
                 word = "symmetric" if kind == "metric" else "antisymmetric"
                 raise ValueError(f"inconsistent {word} entries")
             table[key] = v
-        self.coeffs = table
+        self.coeffs = {key: v for key, v in table.items() if v}
 
     @classmethod
     def from_polynomial_matrix(cls, kind, polys, order_, point):
@@ -67,8 +68,7 @@ class StructureJet:
         for i in range(n):
             for j in range(n):
                 for alpha, c in prolong_function(polys[i][j], order_).at(point).coeffs.items():
-                    if c != 0:
-                        coeffs[(i, j, alpha)] = c
+                    coeffs[(i, j, alpha)] = c
         return cls(kind, n, order_, point, coeffs)
 
     def slot(self, i, j, alpha):
@@ -178,11 +178,10 @@ def _lie_derivative_rows(structure, k):
     first, transport, at_slot = {}, {}, {}
     for (i, j, gamma), c in structure.coeffs.items():
         c = c.numerator * (den // c.denominator)
-        if c:
-            first.setdefault((i, gamma), []).append((j, c))
-            if i != j:
-                first.setdefault((j, gamma), []).append((i, sign * c))
-            at_slot.setdefault(gamma, []).append((i, j, c))
+        first.setdefault((i, gamma), []).append((j, c))
+        if i != j:
+            first.setdefault((j, gamma), []).append((i, sign * c))
+        at_slot.setdefault(gamma, []).append((i, j, c))
     for (rest, a), gamma in raised.items():
         for i, j, c in at_slot.get(gamma, ()):
             transport.setdefault((i, j, rest), []).append((a, c))
@@ -292,19 +291,22 @@ def _prolongation(structure, k_max):
 
 
 class Christoffel:
-    """Symbols gamma[(i, j, k)], symmetric in the lower pair (j, k)."""
+    """Symbols gamma[(i, j, k)], symmetric in the lower pair (j, k),
+    stored on j <= k.  Only nonzero symbols are stored, once the given
+    entries are checked for symmetry; `value` reads any symbol."""
 
     __slots__ = ("n", "coeffs")
 
     def __init__(self, n, coeffs):
         self.n = n
-        self.coeffs = {}
+        table = {}
         for (i, j, k), c in coeffs.items():
             c = _as_fraction(c)
             key = (i, min(j, k), max(j, k))
-            if key in self.coeffs and self.coeffs[key] != c:
+            if table.get(key, c) != c:
                 raise ValueError("symbols not symmetric in the lower pair")
-            self.coeffs[key] = c
+            table[key] = c
+        self.coeffs = {key: c for key, c in table.items() if c}
 
     def value(self, i, j, k):
         return self.coeffs.get((i, min(j, k), max(j, k)), Fraction(0))
@@ -312,15 +314,10 @@ class Christoffel:
     def __eq__(self, other):
         if not isinstance(other, Christoffel):
             return NotImplemented
-        keys = set(self.coeffs) | set(other.coeffs)
-        return self.n == other.n and all(
-            self.coeffs.get(k, Fraction(0)) == other.coeffs.get(k, Fraction(0))
-            for k in keys
-        )
+        return self.n == other.n and self.coeffs == other.coeffs
 
     def __repr__(self):
-        nz = {k: c for k, c in self.coeffs.items() if c}
-        return f"Christoffel(n={self.n}, {nz})"
+        return f"Christoffel(n={self.n}, {self.coeffs})"
 
 
 def _koszul(g, r):
@@ -394,9 +391,8 @@ def linear_solution_sections(structure, k):
     constant-coefficient structure's order-1 system, prolonged to order
     k.  Only valid when all order->=1 structure slots vanish."""
     n = structure.n
-    for (i, j, alpha), c in structure.coeffs.items():
-        if order(alpha) >= 1 and c != 0:
-            raise ValueError("structure is not constant-coefficient")
+    if any(order(alpha) >= 1 for _, _, alpha in structure.coeffs):
+        raise ValueError("structure is not constant-coefficient")
     sub = solve_system(structure, 1)
     slots1 = slot_layout("vector", n, 1).slots
     sections = []

@@ -26,7 +26,7 @@ d)."""
 from itertools import combinations
 
 from .jets import slot_layout
-from .linalg import Echelon, matmul
+from .linalg import Echelon, matmul, solve
 from .multiindex import _insert_sorted, ce_terms
 from .poly import _as_exact
 from .spencer import basis_bracket
@@ -391,14 +391,9 @@ def is_split(ext):
     if not ext.ideal_is_abelian():
         raise ValueError("splitting test needs an abelian ideal")
     Q, module = ext.Q, ext.kernel_module()
-    rhs = Q.dim * module.dim
-    # the rows of [d | cocycle] for d from 1- to 2-cochains; d x = cocycle
-    # is inconsistent iff the rhs column's unit vector is in the span
-    rows = ce_differential_rows(Q, module, 1)
+    # the cocycle is a coboundary iff d x = cocycle, d from 1- to 2-cochains, is solvable
     cocycle = [x for key in _cochain_keys(Q.dim, 2) for x in ext.cocycle[key]]
-    for row, x in zip(rows, cocycle):
-        row[rhs] = x
-    return not Echelon(rows).contains({rhs: 1})
+    return solve(ce_differential_rows(Q, module, 1), [cocycle], Q.dim * module.dim)[0] is not None
 
 
 def nilpotency_analysis(g):

@@ -1,9 +1,11 @@
 """Exact linear algebra over the rationals.
 
 Matrices are lists of rows of exact scalars, each read through
-`poly._as_fraction`; results are Fractions.  One elimination kernel sits
-under everything: `Echelon`, the reduced row echelon form of a row space
-grown one row at a time.  It takes dense rows or sparse `{column: value}`
+`poly._as_fraction`; results are Fractions, except that `matmul`
+returns the entries' kind: ints for int matrices, Fractions for
+Fraction ones.  One elimination kernel sits under everything:
+`Echelon`, the reduced row echelon form of a row space grown one row at
+a time.  It takes dense rows or sparse `{column: value}`
 rows and works fraction-free: each pivot row is a primitive int row over
 one positive int pivot, and Fractions appear only where the RREF is read.
 A caller reads pivots, ranks, dense RREF rows and nullspaces off the
@@ -184,7 +186,7 @@ def matmul(a, b):
     if not a or not b:
         return []
     rows, inner, cols = len(a), len(b), len(b[0])
-    out = [[Fraction(0)] * cols for _ in range(rows)]
+    out = [[0] * cols for _ in range(rows)]
     for i in range(rows):
         for k in range(inner):
             aik = a[i][k]

@@ -268,6 +268,9 @@ def _metric(**fields):
         (["bracket"], _bracket(point=["1/x"]), 2, "point[0]: cannot parse rational '1/x'"),
         (["check-identities", "--n", "5"], None, 3, "n=5 exceeds the bound 4"),
         (["check-identities", "--count", "-1"], None, 2, "count must be non-negative"),
+        (["check-identities", "--n", "1", "--k", "1", "--count", "0"], None, 2,
+         "count must be at least 1"),
+        (["forms", "--count", "0"], None, 2, "count must be at least 1"),
         (["bracket"], _bracket(x=[{"exponents": [0]}]), 2, "x[0]: expected a list of terms"),
         (["bracket"], _bracket(x=[[7]]), 2, "x[0][0]: expected an object"),
         (["bracket"], _bracket(x=[[{"exponents": [0, 0], "value": "1"}]]), 2,
@@ -293,6 +296,8 @@ def _metric(**fields):
         "unparsable-rational",
         "past-a-limit",
         "negative-bound",
+        "identities-count-0",
+        "forms-count-0",
         "poly-not-a-list",
         "term-not-an-object",
         "bad-exponents",

@@ -519,7 +519,7 @@ def _reference_exterior_derivative(omega):
     n, k, r = omega.n, omega.k, omega.r
     slots = vector_slots(n, k)
     if r == 0:
-        f = omega.coeffs[()]
+        f = omega.coefficient(())
         return FormKR(n, k, 1, {(s,): basis_action(s, f) for s in slots})
     out = {}
     for key in combinations(slots, r + 1):
@@ -628,6 +628,48 @@ def test_operators_match_the_reference_formulas(n, k):
         for q in (0, 1):
             w, t = _sparse_form(n, k, p, rng), _sparse_form(n, k, q, rng)
             assert _same_coefficients(wedge(w, t), _reference_wedge(w, t))
+
+
+@pytest.mark.parametrize("n, k", [(1, 0), (1, 2), (2, 1), (2, 2), (3, 1)])
+def test_forms_store_no_zero_coefficient_and_equal_forms_hash_equal(n, k):
+    """The constructor drops a zero coefficient, so every operator result,
+    cancellations included, stores only nonzero coefficients, and equal
+    forms, however built, have the same coefficient dict and hash."""
+    from itertools import combinations
+
+    rng = random.Random(300 + 10 * n + k)
+    zero, slots = FunctionJetSection(n, k), vector_slots(n, k)
+    x = rand_vector_section(n, k, rng, degree=1)
+    constant = VectorJetSection(n, k, {s: Poly.const(n, 1) for s in slots})
+    p = (Fraction(1, 2),) * n
+    for r in range(n + 1):
+        keys = list(combinations(slots, r))
+        explicit = FormKR(n, k, r, {key: zero for key in keys})
+        assert explicit.coeffs == {} and explicit.is_zero()
+        assert explicit == FormKR(n, k, r) and hash(explicit) == hash(FormKR(n, k, r))
+        omega = _sparse_form(n, k, r, rng)
+        padded = FormKR(n, k, r, {**{key: zero for key in keys}, **omega.coeffs})
+        assert padded.coeffs == omega.coeffs and hash(padded) == hash(omega)
+        assert omega - omega == explicit and hash(omega - omega) == hash(explicit)
+        at_p = form_at(omega, p)
+        assert at_p == form_at(padded, p) and hash(at_p) == hash(form_at(padded, p))
+        results = [omega + omega, omega - omega, omega.scale(0), at_p - at_p]
+        results += [omega.project(m) for m in range(k + 1)]
+        results += [lie_derivative(x, omega), lie_derivative(constant, omega)]
+        if r < n:
+            results.append(exterior_derivative(omega))
+            if r + 1 < n:
+                results.append(exterior_derivative(exterior_derivative(omega)))
+        if r:
+            results.append(interior_product(x, omega))
+        for q in range(n - r + 1):
+            t = _sparse_form(n, k, q, rng)
+            results += [wedge(omega, t), wedge(at_p, form_at(t, p))]
+            if r % 2 and q % 2:  # odd forms anticommute: the sum cancels
+                results.append(wedge(omega, t) + wedge(t, omega))
+        for form in results:
+            assert not any(c.is_zero() for c in form.coeffs.values())
+        assert results[1].coeffs == results[2].coeffs == results[3].coeffs == {}
 
 
 def test_wedge_of_forms_at_a_point_is_the_value_of_the_section_wedge():

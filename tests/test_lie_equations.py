@@ -153,6 +153,33 @@ def test_structure_jet_rejects_malformed_slots():
             StructureJet("metric", 2, 2, point, {(0, 0, (0, 0)): 1, (1, 1, (0, 0)): 1})
 
 
+def test_structure_jets_and_christoffel_symbols_store_no_zero():
+    """Zero entries are checked against their mirror entries, then dropped:
+    only nonzero values are stored, and `slot`/`value` read them as 0."""
+    g = StructureJet("metric", 2, 1, ZERO2, {
+        (0, 0, (0, 0)): 1, (1, 1, (0, 0)): 1, (0, 1, (0, 0)): 0, (1, 0, (0, 0)): 0,
+        (0, 0, (1, 0)): Fraction(0),
+    })
+    assert g.coeffs == {(0, 0, (0, 0)): 1, (1, 1, (0, 0)): 1}
+    assert g.slot(1, 0, (0, 0)) == 0 and g.slot(0, 0, (1, 0)) == 0
+    assert flat_metric(order=2).coeffs == g.coeffs
+    omega = StructureJet("two_form", 2, 1, ZERO2, {
+        (0, 0, (0, 0)): 0, (1, 0, (0, 0)): -1, (0, 1, (1, 0)): 0, (1, 0, (1, 0)): 0,
+    })
+    assert omega.coeffs == {(0, 1, (0, 0)): 1} and omega.slot(1, 0, (1, 0)) == 0
+    with pytest.raises(ValueError, match="inconsistent symmetric"):
+        StructureJet("metric", 2, 1, ZERO2, {(0, 1, (0, 0)): 0, (1, 0, (0, 0)): 1})
+    with pytest.raises(ValueError, match="inconsistent antisymmetric"):
+        StructureJet("two_form", 2, 1, ZERO2, {(0, 1, (0, 0)): 1, (1, 0, (0, 0)): 0})
+    gamma = Christoffel(2, {(0, 0, 1): 0, (0, 1, 0): 0, (1, 1, 1): 2, (1, 0, 0): Fraction(0)})
+    assert gamma.coeffs == {(1, 1, 1): 2} and gamma.value(0, 1, 0) == 0
+    assert gamma == Christoffel(2, {(1, 1, 1): 2})
+    assert gamma != Christoffel(3, {(1, 1, 1): 2})
+    with pytest.raises(ValueError, match="not symmetric in the lower pair"):
+        Christoffel(2, {(0, 0, 1): 0, (0, 1, 0): 1})
+    assert levi_civita(g).coeffs == {}
+
+
 def test_subspace_rejects_malformed_input():
     width = len(vector_slots(2, 1))
     with pytest.raises(ValueError, match="base point dimension mismatch"):
@@ -186,7 +213,7 @@ def test_spanning_set_keeps_its_rank_raising_vectors_in_order():
 
 def test_levi_civita_flat_and_conformal():
     gamma = levi_civita(flat_metric())
-    assert all(c == 0 for c in gamma.coeffs.values())
+    assert gamma.coeffs == {}
     # g = (1 + 2 x1) delta to first order: the only nonzero symbols are
     # built from the single derivative g_ii,1 = 2
     g = StructureJet(

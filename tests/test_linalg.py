@@ -39,6 +39,21 @@ def test_invert_round_trip():
         done += 1
 
 
+def test_matmul_returns_the_entries_kind():
+    """Int matrices multiply to ints, Fraction matrices to Fractions."""
+    rng = random.Random(3)
+    for _ in range(10):
+        a = [[rng.choice([-2, -1, 1, 3]) for _ in range(3)] for _ in range(2)]
+        b = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(3)]
+        product = matmul(a, b)
+        assert all(type(x) is int for row in product for x in row)
+        fa = [[Fraction(x, 2) for x in row] for row in a]
+        fb = [[Fraction(x, 3) for x in row] for row in b]
+        product_f = matmul(fa, fb)
+        assert all(type(x) is Fraction for row in product_f for x in row)
+        assert product_f == [[Fraction(x, 6) for x in row] for row in product]
+
+
 def test_nullspace_vectors_annihilate():
     rng = random.Random(4)
     for _ in range(15):
