@@ -48,11 +48,15 @@ def _frac(value, field):
     try:
         return _as_fraction(value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
-        shown = repr(value)
-        shown = shown if len(shown) <= 40 else f"{shown[:40]}..."
         if str(exc).startswith("Exceeds the limit"):  # CPython's int-string digit limit
-            raise ResourceError(f"{field}: {shown}: {exc}")
-        raise SchemaError(f"{field}: cannot parse rational {shown}")
+            raise ResourceError(f"{field}: {_shown(value)}: {exc}")
+        raise SchemaError(f"{field}: cannot parse rational {_shown(value)}")
+
+
+def _shown(value):
+    """The repr of value, cut short after 40 characters."""
+    shown = repr(value)
+    return shown if len(shown) <= 40 else f"{shown[:40]}..."
 
 
 _KINDS = {int: "an integer", list: "a list", dict: "an object", str: "a string"}
@@ -562,16 +566,27 @@ def _load_scenario(path):
     return scenario
 
 
-def _emit(report, out_path):
+def _emit(report, out_path, code):
+    """Write report to out_path, or to stdout without one, and return the
+    exit code: code, or 2 with a JSON error on stdout when out_path
+    cannot be written."""
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return code
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        error = f"--out: cannot write {_shown(out_path)}: {exc.strerror or type(exc).__name__}"
+        return _emit({"error": error, "exit": 2}, None, 2)
+    return code
 
 
-def _build_parser():
+def _build_parser(command=None):
+    """The jetcalc parser.  Every subcommand is registered with its name
+    and help, but only `command`'s gets its options, or every one's when
+    command names none (as for `--help`)."""
     parser = argparse.ArgumentParser(
         prog="jetcalc",
         description="Exact jet-calculus checks over the rationals.",
@@ -588,50 +603,59 @@ def _build_parser():
         )
         p.set_defaults(run=run)
 
-    def suite(name, run, help, k):
-        p = sub.add_parser(name, help=help)
-        p.add_argument("--n", type=int, default=2)
-        p.add_argument("--k", type=int, default=k)
-        p.add_argument("--degree", type=int, default=2)
-        p.add_argument("--count", type=int, default=5)
-        common(p, run)
+    def suite(run, k):
+        def options(p):
+            p.add_argument("--n", type=int, default=2)
+            p.add_argument("--k", type=int, default=k)
+            p.add_argument("--degree", type=int, default=2)
+            p.add_argument("--count", type=int, default=5)
+            common(p, run)
+        return options
 
-    suite("check-identities", _run_check_identities, "seeded random identity suite", k=2)
+    def bracket(p):
+        p.add_argument("--scenario", required=True)
+        common(p, _run_bracket)
 
-    p = sub.add_parser("bracket", help="bracket of two polynomial fields")
-    p.add_argument("--scenario", required=True)
-    common(p, _run_bracket)
+    def prolong(p):
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--scenario")
+        source.add_argument("--builtin", choices=_builtin_names("prolongation"))
+        p.add_argument("--kmax", type=int, default=2)
+        common(p, _run_prolong)
 
-    suite("forms", _run_forms_suite, "form identities from a scenario seed", k=1)
+    def klein(p):
+        p.add_argument(
+            "--builtin", required=True, choices=_builtin_names("klein") + ["projective"]
+        )
+        p.add_argument("--n", type=int, default=1)
+        common(p, _run_klein)
 
-    p = sub.add_parser("prolong", help="solution dimensions of a linear system")
-    source = p.add_mutually_exclusive_group()
-    source.add_argument("--scenario")
-    source.add_argument("--builtin", choices=_builtin_names("prolongation"))
-    p.add_argument("--kmax", type=int, default=2)
-    common(p, _run_prolong)
+    def extension(p):
+        p.add_argument("--builtin", choices=_builtin_names("extension"))
+        p.add_argument("--n", type=int, default=1)
+        p.add_argument("--k", type=int, default=3)
+        p.add_argument("--m", type=int, default=2)
+        common(p, _run_extension)
 
-    p = sub.add_parser("klein", help="isotropy filtration of a realized algebra")
-    p.add_argument(
-        "--builtin", required=True, choices=_builtin_names("klein") + ["projective"]
-    )
-    p.add_argument("--n", type=int, default=1)
-    common(p, _run_klein)
-
-    p = sub.add_parser("extension", help="jet-group algebra extension analysis")
-    p.add_argument("--builtin", choices=_builtin_names("extension"))
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--m", type=int, default=2)
-    common(p, _run_extension)
-
-    p = sub.add_parser("list-builtins", help="catalog of example scenarios")
-    p.add_argument("--out")
+    commands = {
+        "check-identities": ("seeded random identity suite", suite(_run_check_identities, 2)),
+        "bracket": ("bracket of two polynomial fields", bracket),
+        "forms": ("form identities from a scenario seed", suite(_run_forms_suite, 1)),
+        "prolong": ("solution dimensions of a linear system", prolong),
+        "klein": ("isotropy filtration of a realized algebra", klein),
+        "extension": ("jet-group algebra extension analysis", extension),
+        "list-builtins": ("catalog of example scenarios", lambda p: p.add_argument("--out")),
+    }
+    for name, (summary, options) in commands.items():
+        p = sub.add_parser(name, help=summary)
+        if command == name or command not in commands:
+            options(p)
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -642,17 +666,14 @@ def main(argv=None):
             name: {"task": entry["task"], "description": entry["description"]}
             for name, entry in sorted(BUILTINS.items())
         }
-        _emit({**header, "builtins": catalog}, args.out)
-        return 0
+        return _emit({**header, "builtins": catalog}, args.out, 0)
     started = time.monotonic()
     try:
         scenario_echo, checks, results = args.run(args)
     except SchemaError as exc:
-        _emit({"error": str(exc), "exit": 2}, args.out)
-        return 2
+        return _emit({"error": str(exc), "exit": 2}, args.out, 2)
     except (ResourceError, OverflowError) as exc:  # OverflowError: past poly's degree or exponent bound
-        _emit({"error": str(exc), "exit": 3}, args.out)
-        return 3
+        return _emit({"error": str(exc), "exit": 3}, args.out, 3)
     report = {
         **header,
         "seed": args.seed,
@@ -662,8 +683,7 @@ def main(argv=None):
     }
     if args.timing:
         report["timing_seconds"] = round(time.monotonic() - started, 3)
-    _emit(report, args.out)
-    return 0 if all(c["pass"] for c in checks) else 1
+    return _emit(report, args.out, 0 if all(c["pass"] for c in checks) else 1)
 
 
 if __name__ == "__main__":

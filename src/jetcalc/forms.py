@@ -29,13 +29,14 @@ from .jets import (
     FunctionJetSection,
     VectorJetPoint,
     VectorJetSection,
+    basis_bracket,
     jet_product,
     jet_product_sum,
     slot_layout,
 )
 from .multiindex import _sign, ce_terms, order
 from .poly import Poly, _as_fraction
-from .spencer import basis_action, basis_bracket, jet_action, spencer_bracket
+from .spencer import basis_action, jet_action, spencer_bracket
 
 
 def basis_section(n, k, slot):

@@ -6,12 +6,13 @@ vector jet one slot (i, alpha) per component i and multi-index alpha.
 `slot_layout` builds one layout per (kind, n, k, min_order) and caches
 it; every module reads its slots there, and a function layout's
 `products` and `leibniz` tables hold the index arithmetic of the jet
-product and of the Leibniz action (sums of slots, binomials), built
-once on first use, and prolongation takes one `diff` per slot along
-`raised`.  A jet section stores a
-coefficient `Poly` in each slot; a jet at a base point stores a
-`Fraction`.  The four classes below are the four combinations and share
-everything but their slot kind and the methods particular to them.
+product, of the Leibniz action and of the bracket of constant basis
+sections (`basis_bracket`): sums of slots and binomials, built once on
+first use.  Prolongation takes one `diff` per slot along `raised`.  A
+jet section stores a coefficient `Poly` in each slot; a jet at a base
+point stores a `Fraction`.  The four classes below are the four
+combinations and share everything but their slot kind and the methods
+particular to them.
 
 The public constructors, and so `lift`, check each slot against the
 layout and gate each value and the base point; they take input from
@@ -43,7 +44,8 @@ class SlotLayout:
     read-only map `pos` from slot to position, and the read-only map
     `raised` from (slot, j), |slot| < k, to the slot d_j above it.  A
     function layout of min_order 0 also gives two read-only tables, each
-    built on first use and kept: `products` and `leibniz`."""
+    built on first use and kept: `products`, read by the jet product,
+    and `leibniz`, read by the Leibniz action and `basis_bracket`."""
 
     __slots__ = ("key", "slots", "pos", "raised", "_products", "_leibniz")
 
@@ -379,6 +381,26 @@ def jet_product_sum(terms):
                         slot_terms.setdefault(alpha, []).append((w, u, v))
         out[key] = first._summed(first.k, slot_terms)
     return out
+
+
+def basis_bracket(s, t, k):
+    """[e_s, e_t] of two constant basis sections of g_k, s = (i, a) and
+    t = (j, b), as {slot: nonzero int}:
+        C(a+b-e_i, a) e_(j, a+b-e_i) - C(a+b-e_j, b) e_(i, a+b-e_j).
+    The first term is the entry of the order-k `leibniz[s]` whose source
+    is b, the second that of `leibniz[t]` whose source is a; a term is
+    absent above order k and when b_i = 0 (a_j = 0), and is dropped when
+    a (b) has order 0: there the Spencer term cancels it.  On order >= 1
+    slots these are the structure constants of the isotropy jet algebra."""
+    leibniz = slot_layout("function", len(s[1]), k).leibniz
+    out = {}
+    for (u, x), (v, y), sign in ((s, t, 1), (t, s, -1)):
+        if any(x):
+            for alpha, source, c in leibniz[u, x]:
+                if source == y:
+                    out[v, alpha] = out.get((v, alpha), 0) + sign * c
+                    break
+    return {slot: c for slot, c in out.items() if c}
 
 
 def jet_unit(n, k):

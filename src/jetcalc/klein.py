@@ -150,7 +150,7 @@ def sigma_homomorphism_check(a, m):
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
             direct = [Fraction(0)] * len(lower[0])
-            for b, c in g.basis_bracket(i, j).items():
+            for b, c in g.bracket_row(i, j).items():
                 direct = [x + c * y for x, y in zip(direct, lower[b])]
             if algebraic_bracket(jets[i], jets[j]).as_vector() != direct:
                 return False

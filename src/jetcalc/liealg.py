@@ -1,8 +1,9 @@
 """Finite-dimensional Lie algebras over the rationals: structure
 constant validation, the isotropy jet group algebra (`JetGroupAlgebra`,
-its constants `spencer.basis_bracket`), Chevalley-Eilenberg cohomology
-(absolute and relative), abelian extensions with their 2-cocycles and
-splitting test, and lower-central-series analysis.
+its constants `jets.basis_bracket`, read off the slot layout's `leibniz`
+table), Chevalley-Eilenberg cohomology (absolute and relative), abelian
+extensions with their 2-cocycles and splitting test, and
+lower-central-series analysis.
 
 Structure constants and module entries pass the exact-scalar gate in
 its normal form, `poly._as_exact`: an integral value is kept as an int,
@@ -25,11 +26,10 @@ d)."""
 
 from itertools import combinations
 
-from .jets import slot_layout
+from .jets import basis_bracket, slot_layout
 from .linalg import Echelon, matmul, solve
 from .multiindex import _insert_sorted, ce_terms
 from .poly import _as_exact
-from .spencer import basis_bracket
 
 
 class FiniteLieAlgebra:
@@ -59,7 +59,7 @@ class FiniteLieAlgebra:
             if not ok:
                 raise ValueError(f"structure constants fail at {witness}")
 
-    def basis_bracket(self, i, j):
+    def bracket_row(self, i, j):
         """[e_i, e_j] as a sparse {k: c} row; do not mutate it."""
         return self.rows.get((i, j), {})
 
@@ -70,7 +70,7 @@ class FiniteLieAlgebra:
             if a == 0:
                 continue
             for j, b in v_terms:
-                for k, c in self.basis_bracket(i, j).items():
+                for k, c in self.bracket_row(i, j).items():
                     out[k] += c * a * b
         return out
 
@@ -180,7 +180,7 @@ class LieModule:
             ij, ji = matmul(mats[i], mats[j]), matmul(mats[j], mats[i])
             comm = [[x - y for x, y in zip(r, s)] for r, s in zip(ij, ji)]
             expected = _zeros(m)
-            for k, c in g.basis_bracket(i, j).items():
+            for k, c in g.bracket_row(i, j).items():
                 for a in range(m):
                     for b in range(m):
                         expected[a][b] += c * mats[k][a][b]
@@ -210,7 +210,7 @@ def ce_differential_rows(g, module, r):
     for okey in _cochain_keys(g.dim, r + 1):
         block = [{} for _ in range(m)]
         # the action terms come first and never share a column: each drops another x_p
-        for x, key, c in ce_terms(okey, g.basis_bracket):
+        for x, key, c in ce_terms(okey, g.bracket_row):
             i = in_pos[key]
             if x is not None:
                 for a, b, v in action[x]:
@@ -364,8 +364,8 @@ def extension_two_cocycle(ext):
     E, Q, lift = ext.E, ext.Q, ext.q_lift
     cocycle = {}
     for i, j in combinations(range(Q.dim), 2):
-        defect = dict(E.basis_bracket(lift[i], lift[j]))
-        for k, c in Q.basis_bracket(i, j).items():
+        defect = dict(E.bracket_row(lift[i], lift[j]))
+        for k, c in Q.bracket_row(i, j).items():
             defect[lift[k]] = defect.get(lift[k], 0) - c
         if any(defect.get(e, 0) != 0 for e in lift):
             raise ValueError("section defect leaves the ideal")

@@ -2,10 +2,10 @@
 Spencer bracket, the action of vector jets on function jets, and the
 classical bracket of polynomial vector fields (`bracket_fields`), the
 oracle of the Spencer bracket of their prolongations.  The constant
-basis sections e_s of g_k, with a single slot equal to 1, act and
-bracket in closed form (`basis_action`, `basis_bracket`, whose table
-`liealg.JetGroupAlgebra` holds); `jet_action` and `spencer_bracket` are
-their oracle.
+basis sections e_s of g_k, with a single slot equal to 1, act in closed
+form (`basis_action`) and bracket by the layout's `leibniz` table
+(`jets.basis_bracket`, whose constants `liealg.JetGroupAlgebra` holds);
+`jet_action` and `spencer_bracket` are their oracle.
 
 The bracket and the action share one Leibniz formula, `_leibniz_terms`,
 for jet sections and jets at a point alike: it lists the terms of each
@@ -21,7 +21,6 @@ with the Leibniz terms of the lifts, into one sum per output slot.
 """
 
 from .jets import slot_layout
-from .multiindex import add, multi_binomial, order, sub, unit
 from .poly import Poly, random_poly
 
 
@@ -208,20 +207,3 @@ def basis_action(slot, f_section):
     else:
         out = {alpha: fs[src] * c for alpha, src, c in f_section.layout.leibniz[slot] if fs[src]}
     return f_section.like(f_section.k, out)
-
-
-def basis_bracket(s, t, k):
-    """[e_s, e_t] of two constant basis sections of g_k, s = (i, a) and
-    t = (j, b), in closed form as {slot: nonzero int}:
-        C(a+b-e_i, a) e_(j, a+b-e_i) - C(a+b-e_j, b) e_(i, a+b-e_j).
-    A term is dropped above order k, when it needs b_i = 0 (a_j = 0 for
-    the second), and when the other slot, a (b), has order 0: there the
-    Spencer term cancels it.  On order >= 1 slots these are the structure
-    constants of the isotropy jet algebra."""
-    out = {}
-    for (u, x), (v, y), sign in ((s, t, 1), (t, s, -1)):
-        # sign * C(x+y-e_u, x) e_(v, x+y-e_u)
-        if y[u] and order(x) and order(x) + order(y) <= k + 1:
-            c = sub(add(x, y), unit(len(x), u))
-            out[(v, c)] = out.get((v, c), 0) + sign * multi_binomial(c, x)
-    return {slot: c for slot, c in out.items() if c}

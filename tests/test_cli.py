@@ -123,17 +123,18 @@ def _perfbench_workloads():
 
 
 def test_plain_reports_match_recorded_digests(capsys, tmp_path):
-    """Every recorded klein, extension and prolong op prints a report whose
-    sha256 equals its digest in perfbench/golden.json.  The prolong ops
-    that read a scenario file are regenerated from the workload seed by
-    perfbench/workloads.py and their files written under tmp_path; the
-    perfbench files are only read."""
+    """Every recorded op (check-identities, forms, klein, extension and
+    prolong) prints a report whose sha256 equals its digest in
+    perfbench/golden.json.  The prolong ops that read a scenario file are
+    regenerated from the workload seed by perfbench/workloads.py and their
+    files written under tmp_path; the perfbench files are only read."""
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     plain = {
         key: digest for key, digest in golden.items()
-        if key.split()[0] in ("klein", "extension", "prolong")
+        if key.split()[0] in ("check-identities", "forms", "klein", "extension", "prolong")
     }
-    assert len(plain) == 176
+    assert len(plain) == 376
+    assert sum(key.split()[0] in ("check-identities", "forms") for key in plain) == 200
     assert sum(key.startswith("prolong") for key in plain) == 152
     workloads = _perfbench_workloads()
     ops = {op.key(): op for op in workloads.take(workloads.cli_schedule("prolong", 0), 200)}
@@ -432,6 +433,74 @@ def test_out_writes_the_bytes_stdout_would_carry(capsys, tmp_path):
     path = tmp_path / "report.json"
     assert run_cli(capsys, *args, "--out", str(path)) == (code, "")
     assert path.read_bytes() == out.encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extension", "--n", "1", "--k", "3", "--m", "1"],
+        ["extension", "--n", "9", "--k", "3", "--m", "1"],
+    ],
+    ids=["report", "error-report"],
+)
+@pytest.mark.parametrize("target", ["missing-directory", "a-directory"])
+def test_unwritable_out_exits_2_with_one_json_error(capsys, tmp_path, argv, target):
+    """A report or an error report that cannot be written to --out exits 2
+    with one JSON error on stdout that cuts the path short."""
+    out = tmp_path / "missing" / "report.json" if target == "missing-directory" else tmp_path
+    got = main([*argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert got == 2 and report["exit"] == 2 and set(report) == {"error", "exit"}
+    assert report["error"].startswith("--out: cannot write ")
+    assert str(out) not in report["error"] and len(report["error"]) < 120
+    assert "Traceback" not in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
+COMMANDS = ["check-identities", "bracket", "forms", "prolong", "klein", "extension", "list-builtins"]
+# for each command: an unknown option, and a value its parser refuses
+REFUSED = {
+    "check-identities": ["--n", "x"],
+    "bracket": ["--scenario", "s.json", "--seed", "x"],
+    "forms": ["--count", "x"],
+    "prolong": ["--builtin", "no-such-builtin"],
+    "klein": ["--builtin", "no-such-builtin"],
+    "extension": ["--builtin", "no-such-builtin"],
+    "list-builtins": ["--out"],
+}
+
+
+def _parsed_output(capsys, argv):
+    """Exit code, stdout and stderr of the parser built for every command."""
+    from jetcalc.cli import _build_parser
+
+    with pytest.raises(SystemExit) as exc:
+        _build_parser().parse_args(argv)
+    captured = capsys.readouterr()
+    return (0 if exc.value.code in (0, None) else 2), captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["no-such-command"]]
+    + [[c, "--help"] for c in COMMANDS]
+    + [[c, "--bogus"] for c in COMMANDS]
+    + [[c, *REFUSED[c]] for c in COMMANDS],
+    ids=lambda argv: " ".join(argv),
+)
+def test_the_invoked_command_parses_as_with_every_command_built(capsys, argv):
+    """Only the invoked command gets its options, and every help text,
+    usage error and exit code is byte-identical to the parser built for
+    every command; an error exits 2 with empty stdout and no traceback."""
+    expected = _parsed_output(capsys, argv)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == expected
+    if argv[-1] != "--help":
+        assert code == 2 and captured.out == "" and "Traceback" not in captured.err
+    else:
+        assert code == 0 and captured.out.startswith("usage: jetcalc")
 
 
 @pytest.mark.parametrize(

@@ -514,7 +514,8 @@ def _reference_signed_coefficient(omega, slots):
 def _reference_exterior_derivative(omega):
     from itertools import combinations
 
-    from jetcalc.spencer import basis_action, basis_bracket
+    from jetcalc.jets import basis_bracket
+    from jetcalc.spencer import basis_action
 
     n, k, r = omega.n, omega.k, omega.r
     slots = vector_slots(n, k)

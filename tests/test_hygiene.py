@@ -192,7 +192,10 @@ def test_jets_fills_tables_with_a_kernel_built_zero():
 
 # the kernels that read slot index arithmetic from the layout tables
 TABLE_READERS = {
-    "jets.py": {"jet_product_sum", "_derivatives", "prolong_function", "prolong_vector_field"},
+    "jets.py": {
+        "jet_product_sum", "_derivatives", "prolong_function", "prolong_vector_field",
+        "basis_bracket",
+    },
     "spencer.py": {"_leibniz_terms", "basis_action"},
     "lie_equations.py": {"_lie_derivative_rows", "is_closed", "killing_order2_completion"},
 }
@@ -202,9 +205,9 @@ PER_USE_ARITHMETIC = {"add", "sub", "multi_binomial", "sub_indices", "diff_multi
 
 def test_slot_kernels_read_index_arithmetic_from_the_layout():
     """`SlotLayout` is the one home of slot index arithmetic: the jet
-    product, the Leibniz action, the prolongation of a polynomial, the
-    invariance rows of a Lie equation and the closedness of a 2-form jet
-    read its `products`, `leibniz` and `raised` tables and call none of
+    product, the Leibniz action, the bracket of constant basis sections,
+    the prolongation of a polynomial, the invariance rows of a Lie
+    equation and the closedness of a 2-form jet read its `products`, `leibniz` and `raised` tables and call none of
     the multi-index `add`, `sub`, `multi_binomial` or `sub_indices`, nor
     `Poly.diff_multi`, themselves."""
     calls = sorted(
@@ -244,12 +247,14 @@ def _jetcalc_modules_after(code):
 
 def test_forms_and_lie_equations_load_arrows_only_when_an_arrow_acts():
     """Importing forms or lie_equations loads no arrows, forms loads no
-    linear algebra until a function of it needs some, and spencer loads
-    neither the Lie algebras nor linear algebra."""
+    linear algebra until a function of it needs some, spencer loads
+    neither the Lie algebras nor linear algebra, and the Lie algebras
+    load no bracket calculus."""
     for module, absent in (
         ("forms", ["arrows", "klein", "liealg", "linalg"]),
         ("lie_equations", ["arrows"]),
         ("spencer", ["liealg", "linalg"]),
+        ("liealg", ["spencer"]),
     ):
         loaded = _jetcalc_modules_after(f"import jetcalc.{module}")
         assert f"jetcalc.{module}" in loaded
@@ -265,7 +270,7 @@ COMMAND_LAYERS = {
     "bracket": (["--scenario", "{scenario}"], {"spencer"}),
     "prolong": (["--builtin", "flat-metric-2d"], {"lie_equations", "linalg"}),
     "klein": (["--builtin", "affine-line"], {"klein", "liealg", "linalg", "spencer"}),
-    "extension": (["--n", "1", "--k", "2", "--m", "1"], {"liealg", "linalg", "spencer"}),
+    "extension": (["--n", "1", "--k", "2", "--m", "1"], {"liealg", "linalg"}),
     "list-builtins": ([], set()),
 }
 
@@ -311,15 +316,15 @@ def test_modules_import_only_the_standard_library():
 # concepts that have one implementation, each in one src/ module
 ONE_DEFINITION = {
     "_insert_sorted", "ce_terms", "_sign", "determinant", "_as_fraction", "_as_exact", "slot_layout",
-    "Echelon", "random_poly",
+    "Echelon", "random_poly", "basis_bracket",
 }
 
 
 def test_each_concept_is_defined_in_one_module():
     """The alternating-key helpers, the Chevalley-Eilenberg term list, the
     determinant, the exact-scalar gate and its int normal form, the slot
-    layout, the echelon and the seeded random-polynomial generator are
-    each defined (as a function, a class or a module-level name) in
+    layout, the bracket of constant basis sections, the echelon and the
+    seeded random-polynomial generator are each defined (as a function, a class or a module-level name) in
     exactly one src/ module."""
     homes = {name: [] for name in ONE_DEFINITION}
     for p in sorted(SRC.rglob("*.py")):

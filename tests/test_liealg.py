@@ -449,7 +449,7 @@ def _reference_ce_differential_rows(g, module, r):
                 block[a][i + b] = -c if p % 2 else c
         for p, q in combinations(range(len(okey)), 2):
             rest = tuple(x for t, x in enumerate(okey) if t not in (p, q))
-            for k, c in g.basis_bracket(okey[p], okey[q]).items():
+            for k, c in g.bracket_row(okey[p], okey[q]).items():
                 merged, sign = _oracle_insert(k, rest)
                 if merged is not None:
                     i, c = in_pos[merged], c if sign == (-1) ** (p + q) else -c

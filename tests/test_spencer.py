@@ -11,6 +11,7 @@ from jetcalc.jets import (
     FunctionJetSection,
     VectorJetPoint,
     VectorJetSection,
+    basis_bracket,
     is_holonomic,
     prolong_function,
     prolong_vector_field,
@@ -31,7 +32,6 @@ from jetcalc.spencer import (
     algebraic_action_star,
     algebraic_bracket,
     basis_action,
-    basis_bracket,
     isotropy_bracket,
     jet_action,
     spencer_bracket,
@@ -356,6 +356,30 @@ def test_basis_closed_forms_match_generic_action_and_bracket(n, k):
         for t, e_t in basis.items():
             closed = VectorJetSection(n, k, basis_bracket(s, t, k))
             assert closed == spencer_bracket(e_s, e_t), (s, t)
+
+
+def closed_form_basis_bracket(s, t, k):
+    """[e_s, e_t] by its closed form, sum and binomial computed per use:
+    sign * C(x+y-e_u, x) e_(v, x+y-e_u) for (u, x), (v, y) = s, t and
+    t, s, kept when y_u > 0, x has order >= 1 and |x| + |y| <= k + 1."""
+    out = {}
+    for (u, x), (v, y), sign in ((s, t, 1), (t, s, -1)):
+        if y[u] and order(x) and order(x) + order(y) <= k + 1:
+            c = sub(add(x, y), unit(len(x), u))
+            out[(v, c)] = out.get((v, c), 0) + sign * multi_binomial(c, x)
+    return {slot: c for slot, c in out.items() if c}
+
+
+@pytest.mark.parametrize(
+    "n, k", [(1, 4), (2, 3), (3, 2), (2, 4), (3, 3), (2, 6), (3, 4), (4, 3), (1, 6)]
+)
+def test_basis_bracket_matches_the_closed_form(n, k):
+    """The `leibniz` table scan equals the closed form on every ordered
+    pair of slots of g_k, order 0 included."""
+    slots = vector_slots(n, k)
+    for s in slots:
+        for t in slots:
+            assert basis_bracket(s, t, k) == closed_form_basis_bracket(s, t, k), (s, t)
 
 
 @st.composite
