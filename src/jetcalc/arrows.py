@@ -29,7 +29,7 @@ An arrow keeps its inverse alive but not the other way round, so a pair
 is freed as soon as the last reference to the arrow is dropped, with no
 cycle left for the garbage collector; an inverse whose arrow is gone
 inverts again when asked.  A pushforward or
-`forms.arrow_transform_form_at` along an unlinked arrow links it too.
+`form_probes.arrow_transform_form_at` along an unlinked arrow links it too.
 The slot table `coeffs` is a read-only view; the other fields of an
 arrow must not be reassigned either, or its link goes stale.  Pickling
 or copying an arrow drops its link.

@@ -167,7 +167,7 @@ def realized_jet_family(a, k_max):
     """Solution-style subspaces spanned by the realized jets at the base
     point, for orders 1..k_max: each order's basis jets go in as its
     spanning set, whose rank-raising jets become the basis."""
-    from .lie_equations import LinearJetSubspace
+    from .lie_solutions import LinearJetSubspace
 
     table = a.basis_jets(k_max)
     return [
@@ -179,7 +179,7 @@ def realized_jet_family(a, k_max):
 def klein_order_of_system(family, k_max):
     """Least order m such that every higher restricted projection in the
     family is bijective; reports non-stabilization honestly."""
-    from .lie_equations import restrict_projection
+    from .lie_solutions import restrict_projection
 
     if len(family) < k_max:
         raise ValueError("family must cover orders 1..k_max")

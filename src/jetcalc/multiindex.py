@@ -32,18 +32,6 @@ def add(alpha, beta):
     return tuple(map(operator.add, alpha, beta))
 
 
-def sub(alpha, beta):
-    """alpha - beta; raises ValueError if any entry would be negative."""
-    out = tuple(a - b for a, b in zip(alpha, beta))
-    if any(x < 0 for x in out):
-        raise ValueError(f"{beta} does not divide {alpha}")
-    return out
-
-
-def grlex_key(alpha):
-    return (sum(alpha), alpha)
-
-
 def multi_indices(n, k_max, k_min=0):
     """All multi-indices of length n with k_min <= |alpha| <= k_max, graded lex."""
     if n <= 0:
@@ -58,15 +46,6 @@ def multi_indices(n, k_max, k_min=0):
             level.append(tuple(alpha))
         level.sort()
         out.extend(level)
-    return out
-
-
-def sub_indices(alpha):
-    """All beta with 0 <= beta <= alpha (componentwise), graded lex."""
-    out = [()]
-    for a in alpha:
-        out = [beta + (b,) for beta in out for b in range(a + 1)]
-    out.sort(key=grlex_key)
     return out
 
 

@@ -44,9 +44,18 @@ _MAX_EXPONENT = 4300  # the bound on a rational string's decimal exponent
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
+def _shown(value):
+    """The repr of value, cut short after 40 characters: how an error
+    message names a value that may be as long as its input."""
+    shown = repr(value)
+    return shown if len(shown) <= 40 else f"{shown[:40]}..."
+
+
 def _check_degree(d):
     if d > _MASK:
-        raise OverflowError(f"degree {d} exceeds {_MASK}, the bound of a 16-bit monomial field")
+        raise OverflowError(
+            f"degree {_shown(d)} exceeds {_MASK}, the bound of a 16-bit monomial field"
+        )
     return d
 
 
@@ -72,7 +81,7 @@ def _as_fraction(x):
     if isinstance(x, str):
         exponent = _EXPONENT.search(x)
         if exponent and abs(int(exponent[1])) > _MAX_EXPONENT:
-            raise OverflowError(f"{x!r}: decimal exponent past {_MAX_EXPONENT}")
+            raise OverflowError(f"{_shown(x)}: decimal exponent past {_MAX_EXPONENT}")
         return Fraction(x)
     raise TypeError(f"not an exact scalar: {x!r}")
 
@@ -275,23 +284,12 @@ class Poly:
                 out[m - drop] = c * e
         return Poly._canon(self.n, out, self._den)
 
-    def diff_multi(self, alpha):
-        p = self
-        for j, a in enumerate(alpha):
-            for _ in range(a):
-                p = p.diff(j)
-        return p
-
     def evaluate(self, point):
         if len(point) != self.n:
             raise ValueError("point dimension mismatch")
         point = [_as_fraction(x) for x in point]
         total = sum(c * prod(map(pow, point, _unpack(self.n, m))) for m, c in self._num.items())
         return Fraction(total) / self._den
-
-    def derivative_value(self, alpha, point):
-        """Value of the alpha-th partial derivative at a point."""
-        return self.diff_multi(alpha).evaluate(point)
 
     def compose(self, substitutions, max_degree):
         """Substitute substitutions[j] for variable j, truncating at

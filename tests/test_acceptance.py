@@ -10,13 +10,8 @@ from jetcalc.arrows import (
     compose_arrows,
     invert_arrow,
 )
-from jetcalc.forms import (
-    FormKR,
-    basis_section,
-    eval_form,
-    exterior_derivative,
-    theta_structure_algebra,
-)
+from jetcalc.forms import FormKR, basis_section, eval_form, exterior_derivative
+from jetcalc.form_probes import theta_structure_algebra
 from jetcalc.jets import (
     FunctionJetSection,
     VectorJetSection,
@@ -211,7 +206,8 @@ def test_criterion_03_form_complex_suite():
     evaluation is independent of how arguments extend the jets."""
     from itertools import combinations
 
-    from jetcalc.forms import _intrinsic_value, kr_membership
+    from jetcalc.forms import _intrinsic_value
+    from jetcalc.form_probes import kr_membership
 
     rng = random.Random(303)
     n = 2
@@ -311,7 +307,8 @@ def test_criterion_04_constants_kernel():
 def test_criterion_05_riemannian_reproduction():
     """Flat, sphere, and stored generic 2D metrics reproduce the
     expected Killing solution dimensions and projection behavior."""
-    from jetcalc.lie_equations import StructureJet, prolongation_report
+    from jetcalc.lie_equations import StructureJet
+    from jetcalc.lie_solutions import prolongation_report
 
     z2 = (Fraction(0), Fraction(0))
     one = Poly.const(2, 1)
@@ -345,12 +342,12 @@ def test_criterion_06_levi_civita_completion():
     """The closed-formula connection symbols give exactly the unique
     order-2 completion of Killing 1-jets, with injective restricted
     projection, on 20 random invertible metric jets."""
-    from jetcalc.lie_equations import (
+    from jetcalc.lie_equations import StructureJet
+    from jetcalc.lie_solutions import (
         killing_order2_completion,
         levi_civita,
         restrict_projection,
         solve_system,
-        StructureJet,
     )
 
     rng = random.Random(606)
@@ -388,7 +385,8 @@ def test_criterion_07_symplectic_surjectivity():
     """The standard area form passes the surjectivity probes at orders
     1..3; a stored non-closed 2-form jet in four variables fails the
     order-2 probe."""
-    from jetcalc.lie_equations import StructureJet, prolongation_report
+    from jetcalc.lie_equations import StructureJet
+    from jetcalc.lie_solutions import prolongation_report
 
     omega = StructureJet("two_form", 2, 3, (0, 0), {(0, 1, (0, 0)): 1})
     rep = prolongation_report(omega, 3)
@@ -514,12 +512,8 @@ def test_criterion_10_atiyah_exactness():
     """Anchor surjectivity and the kernel-dimension identity for the
     flat-metric and standard-symplectic systems; an intransitive system
     is flagged."""
-    from jetcalc.lie_equations import (
-        LinearJetSubspace,
-        StructureJet,
-        atiyah_exactness,
-        solve_system,
-    )
+    from jetcalc.lie_equations import StructureJet
+    from jetcalc.lie_solutions import LinearJetSubspace, atiyah_exactness, solve_system
 
     one = Poly.const(2, 1)
     zero = Poly.zero(2)

@@ -263,6 +263,10 @@ def _metric(**fields):
                        "point": ["0", "0"], "coeffs": [[0, 0, [0, 0], "1"]], **fields})
 
 
+def _without_task(text):
+    return json.dumps({key: v for key, v in json.loads(text).items() if key != "task"})
+
+
 @pytest.mark.parametrize(
     "argv, text, code, message",
     [
@@ -292,6 +296,12 @@ def _metric(**fields):
         (["bracket"], "missing", 2, "cannot read scenario"),
         (["bracket"], "{", 2, "scenario is not valid JSON"),
         (["bracket"], "[]", 2, "scenario: expected a JSON object"),
+        (["bracket"], _bracket(task="prolongation"), 2, "task: expected 'bracket'"),
+        (["prolong", "--kmax", "1"], _metric(task="bracket"), 2, "task: expected 'prolongation'"),
+        (["bracket"], _without_task(_bracket()), 2, "task: expected 'bracket'"),
+        (["prolong", "--kmax", "1"], _without_task(_metric()), 2, "task: expected 'prolongation'"),
+        (["bracket"], _bracket(task=["bracket"]), 2, "task: expected 'bracket'"),
+        (["prolong", "--kmax", "1"], _metric(task=None), 2, "task: expected 'prolongation'"),
     ],
     ids=[
         "unparsable-rational",
@@ -314,6 +324,12 @@ def _metric(**fields):
         "unreadable-scenario",
         "scenario-not-json",
         "scenario-not-an-object",
+        "bracket-task-mismatched",
+        "prolong-task-mismatched",
+        "bracket-task-missing",
+        "prolong-task-missing",
+        "bracket-task-not-a-string",
+        "prolong-task-not-a-string",
     ],
 )
 def test_malformed_input_exits_with_one_json_error(capsys, tmp_path, argv, text, code, message):
@@ -333,13 +349,13 @@ def test_malformed_input_exits_with_one_json_error(capsys, tmp_path, argv, text,
 
 def test_rational_past_the_exponent_bound_exits_3_at_once(capsys, tmp_path):
     path = tmp_path / "b.json"
-    path.write_text('{"n":1,"k":1,"point":["1e10000000"],"x":[[]],"y":[[]]}')
+    path.write_text('{"task":"bracket","n":1,"k":1,"point":["1e10000000"],"x":[[]],"y":[[]]}')
     start = time.perf_counter()
     code, out = run_cli(capsys, "bracket", "--scenario", str(path))
     assert time.perf_counter() - start < 2
     assert code == 3
     assert json.loads(out) == {"error": "'1e10000000': decimal exponent past 4300", "exit": 3}
-    path.write_text('{"n":1,"k":1,"point":["1e4300"],"x":[[]],"y":[[]]}')
+    path.write_text('{"task":"bracket","n":1,"k":1,"point":["1e4300"],"x":[[]],"y":[[]]}')
     assert run_cli(capsys, "bracket", "--scenario", str(path))[0] == 0
 
 
@@ -348,13 +364,13 @@ def test_rational_string_past_the_digit_limit_exits_3(capsys, tmp_path):
     is a resource error: one line naming the limit, the value cut short."""
     path = tmp_path / "b.json"
     for value in ("7" * 5000, "1/" + "7" * 5000, "0." + "7" * 5000):
-        path.write_text(json.dumps({"n": 1, "k": 1, "point": [value], "x": [[]], "y": [[]]}))
+        path.write_text(json.dumps({"task": "bracket", "n": 1, "k": 1, "point": [value], "x": [[]], "y": [[]]}))
         code, out = run_cli(capsys, "bracket", "--scenario", str(path))
         report = json.loads(out)
         assert code == 3 and report["exit"] == 3 and set(report) == {"error", "exit"}
         assert report["error"].startswith("point[0]: ") and "4300 digits" in report["error"]
         assert "\n" not in report["error"] and len(report["error"]) < 200
-    path.write_text(json.dumps({"n": 1, "k": 1, "point": ["7" * 4300], "x": [[]], "y": [[]]}))
+    path.write_text(json.dumps({"task": "bracket", "n": 1, "k": 1, "point": ["7" * 4300], "x": [[]], "y": [[]]}))
     assert run_cli(capsys, "bracket", "--scenario", str(path))[0] == 0
 
 
@@ -363,7 +379,7 @@ def test_unparseable_rational_error_cuts_the_value_short(capsys, tmp_path):
     names the field and shows only the start of the value."""
     path = tmp_path / "b.json"
     for value in ("x" + "7" * 5000, ["7"] * 5000, {"7" * 5000: 1}):
-        path.write_text(json.dumps({"n": 1, "k": 1, "point": [value], "x": [[]], "y": [[]]}))
+        path.write_text(json.dumps({"task": "bracket", "n": 1, "k": 1, "point": [value], "x": [[]], "y": [[]]}))
         code, out = run_cli(capsys, "bracket", "--scenario", str(path))
         report = json.loads(out)
         assert code == 2 and set(report) == {"error", "exit"} and report["exit"] == 2
@@ -376,14 +392,14 @@ def test_integer_literal_past_the_digit_limit_exits_3(capsys, tmp_path):
     limit cannot be loaded: one JSON error naming the limit, exit 3.
     JSON that is broken after a literal at the limit stays exit 2."""
     path = tmp_path / "b.json"
-    path.write_text('{"n":1,"k":1,"point":[' + "7" * 5000 + '],"x":[[]],"y":[[]]}')
+    path.write_text('{"task":"bracket","n":1,"k":1,"point":[' + "7" * 5000 + '],"x":[[]],"y":[[]]}')
     code = main(["bracket", "--scenario", str(path)])
     captured = capsys.readouterr()
     report = json.loads(captured.out)
     assert code == 3 and set(report) == {"error", "exit"} and report["exit"] == 3
     assert "4300 digits" in report["error"]
     assert "Traceback" not in captured.err
-    path.write_text('{"n":1,"k":1,"point":[' + "7" * 4300 + "],")
+    path.write_text('{"task":"bracket","n":1,"k":1,"point":[' + "7" * 4300 + "],")
     code, out = run_cli(capsys, "bracket", "--scenario", str(path))
     assert code == 2 and "scenario is not valid JSON" in json.loads(out)["error"]
 
@@ -393,7 +409,7 @@ def test_report_value_past_the_digit_limit_exits_3(capsys, tmp_path):
     past CPython's int-to-string limit: one JSON error naming it, exit 3."""
     path = tmp_path / "b.json"
     path.write_text(json.dumps({
-        "n": 1, "k": 1, "point": ["1e4300"],
+        "task": "bracket", "n": 1, "k": 1, "point": ["1e4300"],
         "x": [[{"exponents": [2], "value": "1"}]], "y": [[{"exponents": [0], "value": "1"}]],
     }))
     code = main(["bracket", "--scenario", str(path)])
@@ -652,56 +668,106 @@ _OTHER_TYPES = [None, True, -1, 1.5, "x", "1/2", [], [0], ["0", "0"], {}, {"dims
 # digits past CPython's 4,300-digit int-string limit, and the placeholder
 # that becomes them as a bare JSON integer (json.dumps cannot write one)
 _DIGITS, _GROWN = "7" * 5000, "<grown integer>"
+# the placeholder of a bare JSON integer of 4,000 digits, within the limit
+_WIDE = "<wide integer>"
+# a decimal exponent past the exact-scalar gate's bound
+_EXPONENT = "e" + "9" * 12
 BRACKET_SCENARIO = {
     "task": "bracket", "n": 2, "k": 2, "point": ["1", "-1/2"],
     "x": [[{"exponents": [1, 0], "value": "1"}], [{"exponents": [0, 2], "value": "-3/2"}]],
     "y": [[{"exponents": [0, 0], "value": "2"}], []],
 }
+# each command's options, small enough to run in a few milliseconds; a
+# mutation may drop or change every integer among them
+COMMAND_OPTIONS = {
+    "check-identities": ["--n", "2", "--k", "1", "--degree", "1", "--count", "1", "--seed", "3"],
+    "forms": ["--n", "2", "--k", "1", "--degree", "1", "--count", "1", "--seed", "3"],
+    "bracket": ["--seed", "3"],
+    "prolong": ["--kmax", "2", "--seed", "3"],
+    "klein": ["--builtin", "projective", "--n", "1", "--seed", "3"],
+    "extension": ["--n", "1", "--k", "3", "--m", "2", "--seed", "3"],
+    "list-builtins": [],
+}
+# the longest one-line error a report may carry
+MAX_ERROR = 200
 
 
 @st.composite
-def _mutated_scenarios(draw):
-    """The argv and scenario text of a prolongation builtin's scenario or
-    a bracket scenario, with one place dropped, given a value of another
-    type, or grown past the digit limit (a string gains the digits, any
-    other value becomes a bare integer literal).  A place is a top-level
-    field, a field of `expect`, a point coordinate, a position in one
-    `coeffs` entry, or a field of a bracket term or its exponents."""
-    if draw(st.booleans()):
+def _mutated_runs(draw):
+    """The argv and scenario text (None for a command that reads none) of
+    one command with one mutation: `--out` pointed at a directory, or one
+    place dropped, given a value of another type, or grown (past the
+    digit limit, or past the exponent bound).  A place is an integer
+    option, which is only given integers, as its parser accepts nothing
+    else; or a place of the prolongation builtin's or bracket scenario:
+    a top-level field, a field of `expect`, a point coordinate, a position
+    in one `coeffs` entry, or a field of a bracket term or its exponents.
+    A grown string gains the digits, the exponent or both; any other
+    grown value becomes a bare integer literal, past the digit limit or
+    just within it."""
+    command = draw(st.sampled_from(sorted(COMMAND_OPTIONS)))
+    argv = [command, *COMMAND_OPTIONS[command]]
+    scenario, places = None, []
+    if command == "prolong":
         name = draw(st.sampled_from(sorted(n for n, e in BUILTINS.items() if e["task"] == "prolongation")))
         scenario = copy.deepcopy({"task": "prolongation", **BUILTINS[name]["scenario"]})
         places = [scenario, scenario["expect"], scenario["point"], *scenario["coeffs"]]
-        argv = ["prolong", "--kmax", "2"]
-    else:
+    elif command == "bracket":
         scenario = copy.deepcopy(BRACKET_SCENARIO)
         terms = [t for field in ("x", "y") for comp in scenario[field] for t in comp]
         places = [scenario, scenario["point"], *terms, *(t["exponents"] for t in terms)]
-        argv = ["bracket"]
-    target = draw(st.sampled_from(places))
-    key = draw(st.sampled_from(sorted(target) if isinstance(target, dict) else range(len(target))))
-    mutation, old = draw(st.sampled_from(["drop", "retype", "grow"])), target[key]
-    if mutation == "drop":
-        del target[key]
-    elif mutation == "retype":
-        target[key] = draw(st.sampled_from([v for v in _OTHER_TYPES if type(v) is not type(old)]))
+    options = [i for i in range(2, len(argv), 2) if argv[i - 1] != "--builtin"]
+    where = draw(st.sampled_from(["out"] + ["option"] * bool(options) + ["scenario"] * bool(places)))
+    mutation = draw(st.sampled_from(["drop", "retype", "grow"]))
+    if where == "out":
+        argv += ["--out", "{tmp}"]
+    elif where == "option":
+        i = draw(st.sampled_from(options))
+        if mutation == "drop":
+            del argv[i - 1 : i + 1]
+        elif mutation == "retype":
+            argv[i] = draw(st.sampled_from(["-1", "0"]))
+        else:
+            argv[i] += "0" * 4000  # within the parser's digit limit
     else:
-        target[key] = old + _DIGITS if isinstance(old, str) else _GROWN
-    return argv, json.dumps(scenario).replace(json.dumps(_GROWN), _DIGITS)
+        target = draw(st.sampled_from(places))
+        key = draw(st.sampled_from(sorted(target) if isinstance(target, dict) else range(len(target))))
+        old = target[key]
+        if mutation == "drop":
+            del target[key]
+        elif mutation == "retype":
+            target[key] = draw(st.sampled_from([v for v in _OTHER_TYPES if type(v) is not type(old)]))
+        elif isinstance(old, str):
+            target[key] = old + draw(st.sampled_from([_DIGITS, _EXPONENT, _DIGITS + _EXPONENT]))
+        else:
+            target[key] = draw(st.sampled_from([_GROWN, _WIDE]))
+    if scenario is None:
+        return argv, None
+    text = json.dumps(scenario).replace(json.dumps(_GROWN), _DIGITS)
+    return argv, text.replace(json.dumps(_WIDE), "7" * 4000)
 
 
-@settings(max_examples=60, deadline=None)
-@given(_mutated_scenarios())
+@settings(max_examples=150, deadline=None)
+@given(_mutated_runs())
 def test_mutated_builtin_scenarios_exit_cleanly(case):
-    """Every mutated scenario ends in one JSON object on stdout, exit 0-3
-    and no traceback."""
+    """Every mutated run of every command ends in exit 0-3 with exactly
+    one JSON object on stdout and no traceback; an error report carries
+    its exit code and a one-line message of at most MAX_ERROR characters."""
     argv, text = case
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "s.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        argv = [a.replace("{tmp}", tmp) for a in argv]
+        if text is not None:
+            path = os.path.join(tmp, "s.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            argv += ["--scenario", path]
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
-            code = main([*argv, "--scenario", path])
+            code = main(argv)
     assert code in (0, 1, 2, 3)
-    assert isinstance(json.loads(out.getvalue()), dict)
+    report = json.loads(out.getvalue())
+    assert isinstance(report, dict)
     assert "Traceback" not in err.getvalue()
+    if "error" in report:
+        assert set(report) == {"error", "exit"} and report["exit"] == code > 1
+        assert "\n" not in report["error"] and len(report["error"]) <= MAX_ERROR, report["error"][:300]

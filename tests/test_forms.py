@@ -7,20 +7,22 @@ from jetcalc.arrows import Arrow
 from jetcalc.forms import (
     FormKR,
     basis_section,
-    arrow_transform_form,
-    arrow_transform_form_at,
     eval_form,
     exterior_derivative,
+    interior_product,
+    lie_derivative,
+    wedge,
+)
+from jetcalc.form_probes import (
+    arrow_transform_form,
+    arrow_transform_form_at,
     filtration_tag,
     form_at,
-    interior_product,
     kr_membership,
-    lie_derivative,
     local_exactness_check,
     relative_membership,
     theta_closed_under_product,
     theta_structure_algebra,
-    wedge,
 )
 from jetcalc.jets import (
     FunctionJetSection,

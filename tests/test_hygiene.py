@@ -197,7 +197,8 @@ TABLE_READERS = {
         "basis_bracket",
     },
     "spencer.py": {"_leibniz_terms", "basis_action"},
-    "lie_equations.py": {"_lie_derivative_rows", "is_closed", "killing_order2_completion"},
+    "lie_equations.py": {"_lie_derivative_rows", "is_closed"},
+    "lie_solutions.py": {"killing_order2_completion"},
 }
 # the per-use multi-index arithmetic that the layout tables replace
 PER_USE_ARITHMETIC = {"add", "sub", "multi_binomial", "sub_indices", "diff_multi"}
@@ -246,13 +247,16 @@ def _jetcalc_modules_after(code):
 
 
 def test_forms_and_lie_equations_load_arrows_only_when_an_arrow_acts():
-    """Importing forms or lie_equations loads no arrows, forms loads no
-    linear algebra until a function of it needs some, spencer loads
-    neither the Lie algebras nor linear algebra, and the Lie algebras
-    load no bracket calculus."""
+    """Importing forms or lie_equations, or the probes and solution
+    spaces built on them, loads no arrows, forms loads no linear algebra
+    until a function of it needs some, spencer loads neither the Lie
+    algebras nor linear algebra, and the Lie algebras load no bracket
+    calculus."""
     for module, absent in (
         ("forms", ["arrows", "klein", "liealg", "linalg"]),
+        ("form_probes", ["arrows"]),
         ("lie_equations", ["arrows"]),
+        ("lie_solutions", ["arrows"]),
         ("spencer", ["liealg", "linalg"]),
         ("liealg", ["spencer"]),
     ):
@@ -263,33 +267,62 @@ def test_forms_and_lie_equations_load_arrows_only_when_an_arrow_acts():
 
 # the modules every command loads to parse its arguments
 START_UP = {"cli", "jets", "multiindex", "poly"}
-# the modules each command loads beyond those, and small arguments to run it with
+# for each command: small arguments to run it with, its runner module, and
+# the layers it computes with
 COMMAND_LAYERS = {
-    "check-identities": (["--n", "2", "--k", "1", "--count", "1"], {"forms", "spencer"}),
-    "forms": (["--n", "2", "--k", "0", "--count", "1"], {"forms", "spencer"}),
-    "bracket": (["--scenario", "{scenario}"], {"spencer"}),
-    "prolong": (["--builtin", "flat-metric-2d"], {"lie_equations", "linalg"}),
-    "klein": (["--builtin", "affine-line"], {"klein", "liealg", "linalg", "spencer"}),
-    "extension": (["--n", "1", "--k", "2", "--m", "1"], {"liealg", "linalg"}),
-    "list-builtins": ([], set()),
+    "check-identities": (["--n", "2", "--k", "1", "--count", "1"], "cli_suites", {"forms", "spencer"}),
+    "forms": (["--n", "2", "--k", "0", "--count", "1"], "cli_suites", {"forms", "spencer"}),
+    "bracket": (["--scenario", "{scenario}"], "cli_bracket", {"spencer"}),
+    "prolong": (["--builtin", "flat-metric-2d"], "cli_prolong", {"lie_equations", "linalg"}),
+    "klein": (["--builtin", "affine-line"], "cli_klein", {"klein", "liealg", "linalg", "spencer"}),
+    "extension": (["--n", "1", "--k", "2", "--m", "1"], "cli_extension", {"liealg", "linalg"}),
+    "list-builtins": ([], None, set()),
 }
+# the library modules no command computes with
+NO_COMMAND = {"arrows", "cohomology", "form_probes", "lie_solutions"}
+
+
+def test_import_of_the_cli_loads_only_the_start_up_modules():
+    assert _jetcalc_modules_after("import jetcalc.cli") == {"jetcalc"} | {
+        f"jetcalc.{m}" for m in START_UP
+    }
+
+
+def test_every_module_is_start_up_a_runner_a_layer_or_loaded_by_no_command():
+    """Each src/ module has one place in COMMAND_LAYERS: a module no
+    command loads is listed in NO_COMMAND and in no command's sets."""
+    runners = {runner for _, runner, _ in COMMAND_LAYERS.values()} - {None}
+    layers = set().union(*(layers for _, _, layers in COMMAND_LAYERS.values()))
+    assert sorted(START_UP | runners | layers | NO_COMMAND) == MODULES
+    assert sorted(NO_COMMAND & (START_UP | runners | layers)) == []
+    assert sorted(runners & (START_UP | layers)) == []
 
 
 def test_each_command_loads_only_its_layers(tmp_path):
     """Each subcommand, run to completion in a fresh interpreter, loads
-    exactly the start-up modules and the layers it computes with."""
+    exactly the start-up modules, its runner module and the layers it
+    computes with, and none of the modules no command computes with."""
     scenario = tmp_path / "bracket.json"
     scenario.write_text(
         '{"task": "bracket", "n": 1, "k": 2, "point": ["0"],'
         ' "x": [[{"exponents": [0], "value": "1"}]], "y": [[{"exponents": [1], "value": "1"}]]}'
     )
     out = tmp_path / "report.json"
-    for command, (args, layers) in COMMAND_LAYERS.items():
+    for command, (args, runner, layers) in COMMAND_LAYERS.items():
         argv = [command, *(a.format(scenario=scenario) for a in args), "--out", str(out)]
         loaded = _jetcalc_modules_after(
             f"from jetcalc.cli import main\nassert main({argv!r}) == 0"
         )
-        assert loaded == {"jetcalc"} | {f"jetcalc.{m}" for m in START_UP | layers}, command
+        modules = START_UP | layers | ({runner} if runner else set())
+        assert loaded == {"jetcalc"} | {f"jetcalc.{m}" for m in modules}, command
+        assert sorted(loaded & {f"jetcalc.{m}" for m in NO_COMMAND}) == [], command
+
+
+def test_the_package_lists_every_module():
+    import jetcalc
+
+    assert sorted(jetcalc.__all__) == MODULES
+    assert len(set(jetcalc.__all__)) == len(jetcalc.__all__)
 
 
 def test_modules_import_only_the_standard_library():

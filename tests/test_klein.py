@@ -18,7 +18,8 @@ from jetcalc.klein import (
     validate_realization,
 )
 from jetcalc.jets import prolong_vector_field
-from jetcalc.lie_equations import solve_system, StructureJet
+from jetcalc.lie_equations import StructureJet
+from jetcalc.lie_solutions import solve_system
 from jetcalc.liealg import FiniteLieAlgebra
 from jetcalc.linalg import Echelon, rank
 from jetcalc.poly import Poly
@@ -119,7 +120,7 @@ def test_realized_jet_family_projection_ranks_are_image_ranks(n):
     every m in 0..k its pivot-read projection rank is the rank of the
     returned images."""
     from jetcalc.jets import vector_slots
-    from jetcalc.lie_equations import restrict_projection
+    from jetcalc.lie_solutions import restrict_projection
 
     a = build_projective_example(n)
     table = a.basis_jets(3)
@@ -144,7 +145,7 @@ def test_realized_jet_family_eliminates_each_jet_once(monkeypatch):
 
 def test_full_fiber_family_does_not_stabilize():
     from jetcalc.jets import vector_slots
-    from jetcalc.lie_equations import LinearJetSubspace
+    from jetcalc.lie_solutions import LinearJetSubspace
 
     family = []
     for k in range(1, 4):

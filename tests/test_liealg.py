@@ -16,12 +16,11 @@ from jetcalc.liealg import (
     extension_two_cocycle,
     is_split,
     nilpotency_analysis,
-    relative_ce_cohomology_dims,
-    ce_cohomology_dims,
     two_cocycle_witness,
     jet_group_algebra,
     validate_lie_algebra,
 )
+from jetcalc.cohomology import relative_ce_cohomology_dims, ce_cohomology_dims
 
 
 def anti(structure):

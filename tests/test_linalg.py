@@ -269,7 +269,7 @@ def test_determinant_matches_sympy():
 
 def test_subspace_contains_agrees_with_rank_test():
     from jetcalc.jets import vector_slots
-    from jetcalc.lie_equations import LinearJetSubspace
+    from jetcalc.lie_solutions import LinearJetSubspace
 
     rng = random.Random(14)
     n, k = 2, 2

@@ -11,10 +11,9 @@ from jetcalc.multiindex import (
     multi_binomial,
     multi_indices,
     order,
-    sub,
-    sub_indices,
     unit,
 )
+from oracles import sub, sub_indices
 
 
 def test_multi_indices_graded_lex_order():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from jetcalc.multiindex import add, order
 from jetcalc.poly import Poly, PowerTable, _pack, _unpack
+from oracles import derivative_value
 
 
 def rand_poly(n, rng, degree=3):
@@ -45,8 +46,8 @@ def test_diff_product_rule():
 def test_derivative_value_is_a_derivative_not_a_taylor_coefficient():
     # p = x^3: third derivative value is 6, not the coefficient 1
     p = Poly.monomial(1, (3,))
-    assert p.derivative_value((3,), (Fraction(0),)) == 6
-    assert p.derivative_value((2,), (Fraction(1),)) == 6
+    assert derivative_value(p, (3,), (Fraction(0),)) == 6
+    assert derivative_value(p, (2,), (Fraction(1),)) == 6
 
 
 def test_compose_truncates_consistently():
@@ -300,7 +301,8 @@ def _gated_entries():
     from jetcalc.arrows import Arrow
     from jetcalc.forms import FormKR
     from jetcalc.jets import FunctionJetPoint, VectorJetPoint, jet_product_sum
-    from jetcalc.lie_equations import Christoffel, StructureJet
+    from jetcalc.lie_equations import StructureJet
+    from jetcalc.lie_solutions import Christoffel
     from jetcalc.liealg import FiniteLieAlgebra, LieModule
     from jetcalc.linalg import Echelon, determinant, invert, rank, solve
 

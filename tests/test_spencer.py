@@ -23,8 +23,6 @@ from jetcalc.multiindex import (
     multi_binomial,
     multi_indices,
     order,
-    sub,
-    sub_indices,
     unit,
 )
 from jetcalc.poly import Poly
@@ -37,6 +35,7 @@ from jetcalc.spencer import (
     spencer_bracket,
     spencer_operator,
 )
+from oracles import sub, sub_indices
 
 
 def rand_poly(n, rng, degree=2):
