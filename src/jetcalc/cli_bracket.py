@@ -15,6 +15,7 @@ from .cli import (
 )
 from .jets import prolong_vector_field, slot_layout
 from .poly import Poly
+from .spencer import bracket_fields, spencer_bracket
 
 
 def _parse_poly(n, spec, field):
@@ -38,8 +39,6 @@ def _parse_poly(n, spec, field):
 
 
 def run_bracket(args):
-    from .spencer import bracket_fields, spencer_bracket
-
     scenario = _load_scenario(args.scenario, "bracket")
     n = _bound("n", _require(scenario, "n", int), "n")
     if n < 1:

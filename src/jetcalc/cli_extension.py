@@ -3,18 +3,17 @@ extension of its order-m quotient by the slots of order above m, with
 the ideal's 2-cocycle, splitting and lower central series."""
 
 from .cli import BUILTINS, ResourceError, SchemaError, _bound, _check
+from .liealg import (
+    ExtensionData,
+    is_split,
+    jet_group_algebra,
+    nilpotency_analysis,
+    two_cocycle_witness,
+)
+from .multiindex import order
 
 
 def run_extension(args):
-    from .liealg import (
-        ExtensionData,
-        is_split,
-        jet_group_algebra,
-        nilpotency_analysis,
-        two_cocycle_witness,
-    )
-    from .multiindex import order
-
     n, k, m = BUILTINS[args.builtin]["nkm"] if args.builtin else (args.n, args.k, args.m)
     n = _bound("n", n, "n")
     if n < 1:

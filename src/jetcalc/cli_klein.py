@@ -2,32 +2,25 @@
 realized Lie algebra (a klein builtin or the projective family), with
 the jet-evaluation homomorphism checked at the top order."""
 
+from . import klein
 from .cli import SchemaError, _bound, _check
 
 
 def run_klein(args):
-    from .klein import (
-        build_affine_example,
-        build_projective_example,
-        build_projective_line_example,
-        isotropy_filtration,
-        sigma_homomorphism_check,
-    )
-
     if args.builtin == "affine-line":
-        algebra = build_affine_example()
+        algebra = klein.build_affine_example()
     elif args.builtin == "projective-line":
-        algebra = build_projective_line_example()
+        algebra = klein.build_projective_line_example()
     else:
         # gl2-projective is the n = 1 member of the projective family
         n = 1 if args.builtin == "gl2-projective" else _bound("n", args.n, "n")
         if n < 1:
             raise SchemaError("projective example needs n >= 1")
-        algebra = build_projective_example(n)
-    report = isotropy_filtration(algebra)
+        algebra = klein.build_projective_example(n)
+    report = klein.isotropy_filtration(algebra)
     order = report["order"]
     # passing at order m implies passing at every lower order
-    sigma_ok = sigma_homomorphism_check(algebra, order + 1)
+    sigma_ok = klein.sigma_homomorphism_check(algebra, order + 1)
     checks = [
         # the builder validated the realization: it raises on a failure
         _check("realization_homomorphism", True),

@@ -15,13 +15,12 @@ from .cli import (
     _parse_point,
     _require,
 )
+from .lie_equations import StructureJet, _prolongation
 from .multiindex import is_natural
 from .poly import _shown
 
 
 def _parse_structure_jet(scenario):
-    from .lie_equations import StructureJet
-
     kind = _require(scenario, "kind", str)
     if kind not in ("metric", "two_form"):
         raise SchemaError("kind: expected 'metric' or 'two_form'")
@@ -62,8 +61,6 @@ def _expectation(name, got, want):
 
 
 def run_prolong(args):
-    from .lie_equations import _prolongation
-
     if args.builtin:
         scenario = {"task": "prolongation", **BUILTINS[args.builtin]["scenario"]}
     elif args.scenario:

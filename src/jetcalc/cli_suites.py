@@ -2,28 +2,33 @@
 `forms`: each trial draws random sections from `cli._suite`'s generators
 and checks one identity of the Spencer bracket or the form complex."""
 
+from . import spencer
 from .cli import _suite, _trials
+from .forms import (
+    FormKR,
+    exterior_derivative,
+    interior_product,
+    lie_derivative,
+    wedge,
+)
 
 
 def run_check_identities(args):
-    from .forms import exterior_derivative, wedge
-    from .spencer import spencer_bracket
-
     params, rng, section, function = _suite(
         args, 1, 1, "check-identities needs n >= 1 and k >= 1"
     )
 
     def jacobi():
         x, y, z = section(), section(), section()
-        total = spencer_bracket(spencer_bracket(x, y), z)
-        total = total + spencer_bracket(spencer_bracket(y, z), x)
-        total = total + spencer_bracket(spencer_bracket(z, x), y)
+        total = spencer.spencer_bracket(spencer.spencer_bracket(x, y), z)
+        total = total + spencer.spencer_bracket(spencer.spencer_bracket(y, z), x)
+        total = total + spencer.spencer_bracket(spencer.spencer_bracket(z, x), y)
         return total.is_zero()
 
     def lift_independence():
         x, y = section(), section()
-        a = spencer_bracket(x, y, lift_policy="zero")
-        b = spencer_bracket(x, y, lift_policy="random", rng=rng)
+        a = spencer.spencer_bracket(x, y, lift_policy="zero")
+        b = spencer.spencer_bracket(x, y, lift_policy="random", rng=rng)
         return a == b
 
     def d_squared_zero():
@@ -41,14 +46,6 @@ def run_check_identities(args):
 
 
 def run_forms_suite(args):
-    from .forms import (
-        FormKR,
-        exterior_derivative,
-        interior_product,
-        lie_derivative,
-        wedge,
-    )
-
     params, _, section, function = _suite(
         args, 2, 0, "forms needs n >= 2: the wedge check builds 2-forms"
     )

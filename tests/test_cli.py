@@ -692,68 +692,79 @@ COMMAND_OPTIONS = {
 MAX_ERROR = 200
 
 
+def _grow(draw, old):
+    """A string gains the digits, the exponent or both; any other value
+    becomes a bare integer literal, past the digit limit or just within it."""
+    if isinstance(old, str):
+        return old + draw(st.sampled_from([_DIGITS, _EXPONENT, _DIGITS + _EXPONENT]))
+    return draw(st.sampled_from([_GROWN, _WIDE]))
+
+
 @st.composite
-def _mutated_runs(draw):
-    """The argv and scenario text (None for a command that reads none) of
-    one command with one mutation: `--out` pointed at a directory, or one
-    place dropped, given a value of another type, or grown (past the
-    digit limit, or past the exponent bound).  A place is an integer
-    option, which is only given integers, as its parser accepts nothing
-    else; or a place of the prolongation builtin's or bracket scenario:
-    a top-level field, a field of `expect`, a point coordinate, a position
-    in one `coeffs` entry, or a field of a bracket term or its exponents.
-    A grown string gains the digits, the exponent or both; any other
-    grown value becomes a bare integer literal, past the digit limit or
-    just within it."""
-    command = draw(st.sampled_from(sorted(COMMAND_OPTIONS)))
-    argv = [command, *COMMAND_OPTIONS[command]]
-    scenario, places = None, []
-    if command == "prolong":
+def _mutated_scenarios(draw):
+    """The argv and scenario text of a prolongation builtin's scenario or
+    a bracket scenario, with one place dropped, given a value of another
+    type, or grown (past the digit limit, or past the exponent bound).  A
+    place is a top-level field, a field of `expect`, a point coordinate, a
+    position in one `coeffs` entry, or a field of a bracket term or its
+    exponents."""
+    if draw(st.booleans()):
         name = draw(st.sampled_from(sorted(n for n, e in BUILTINS.items() if e["task"] == "prolongation")))
         scenario = copy.deepcopy({"task": "prolongation", **BUILTINS[name]["scenario"]})
         places = [scenario, scenario["expect"], scenario["point"], *scenario["coeffs"]]
-    elif command == "bracket":
+        argv = ["prolong", *COMMAND_OPTIONS["prolong"]]
+    else:
         scenario = copy.deepcopy(BRACKET_SCENARIO)
         terms = [t for field in ("x", "y") for comp in scenario[field] for t in comp]
         places = [scenario, scenario["point"], *terms, *(t["exponents"] for t in terms)]
-    options = [i for i in range(2, len(argv), 2) if argv[i - 1] != "--builtin"]
-    where = draw(st.sampled_from(["out"] + ["option"] * bool(options) + ["scenario"] * bool(places)))
-    mutation = draw(st.sampled_from(["drop", "retype", "grow"]))
-    if where == "out":
-        argv += ["--out", "{tmp}"]
-    elif where == "option":
-        i = draw(st.sampled_from(options))
-        if mutation == "drop":
-            del argv[i - 1 : i + 1]
-        elif mutation == "retype":
-            argv[i] = draw(st.sampled_from(["-1", "0"]))
-        else:
-            argv[i] += "0" * 4000  # within the parser's digit limit
+        argv = ["bracket", *COMMAND_OPTIONS["bracket"]]
+    target = draw(st.sampled_from(places))
+    key = draw(st.sampled_from(sorted(target) if isinstance(target, dict) else range(len(target))))
+    mutation, old = draw(st.sampled_from(["drop", "retype", "grow"])), target[key]
+    if mutation == "drop":
+        del target[key]
+    elif mutation == "retype":
+        target[key] = draw(st.sampled_from([v for v in _OTHER_TYPES if type(v) is not type(old)]))
     else:
-        target = draw(st.sampled_from(places))
-        key = draw(st.sampled_from(sorted(target) if isinstance(target, dict) else range(len(target))))
-        old = target[key]
-        if mutation == "drop":
-            del target[key]
-        elif mutation == "retype":
-            target[key] = draw(st.sampled_from([v for v in _OTHER_TYPES if type(v) is not type(old)]))
-        elif isinstance(old, str):
-            target[key] = old + draw(st.sampled_from([_DIGITS, _EXPONENT, _DIGITS + _EXPONENT]))
-        else:
-            target[key] = draw(st.sampled_from([_GROWN, _WIDE]))
-    if scenario is None:
-        return argv, None
+        target[key] = _grow(draw, old)
     text = json.dumps(scenario).replace(json.dumps(_GROWN), _DIGITS)
     return argv, text.replace(json.dumps(_WIDE), "7" * 4000)
 
 
-@settings(max_examples=150, deadline=None)
-@given(_mutated_runs())
-def test_mutated_builtin_scenarios_exit_cleanly(case):
-    """Every mutated run of every command ends in exit 0-3 with exactly
-    one JSON object on stdout and no traceback; an error report carries
-    its exit code and a one-line message of at most MAX_ERROR characters."""
-    argv, text = case
+@st.composite
+def _mutated_options(draw):
+    """The argv and scenario text (None for a command that reads none) of
+    one command with `--out` pointed at a directory, or one integer option
+    dropped, given a value out of range, or grown within the parser's
+    digit limit (an integer option is only given integers, as its parser
+    accepts nothing else).  The scenario is left as it is."""
+    command = draw(st.sampled_from(sorted(COMMAND_OPTIONS)))
+    argv = [command, *COMMAND_OPTIONS[command]]
+    text = None
+    if command == "prolong":
+        name = draw(st.sampled_from(sorted(n for n, e in BUILTINS.items() if e["task"] == "prolongation")))
+        text = json.dumps({"task": "prolongation", **BUILTINS[name]["scenario"]})
+    elif command == "bracket":
+        text = json.dumps(BRACKET_SCENARIO)
+    options = [i for i in range(2, len(argv), 2) if argv[i - 1] != "--builtin"]
+    if not options or draw(st.booleans()):
+        return argv + ["--out", "{tmp}"], text
+    i = draw(st.sampled_from(options))
+    mutation = draw(st.sampled_from(["drop", "retype", "grow"]))
+    if mutation == "drop":
+        del argv[i - 1 : i + 1]
+    elif mutation == "retype":
+        argv[i] = draw(st.sampled_from(["-1", "0"]))
+    else:
+        argv[i] += "0" * 4000
+    return argv, text
+
+
+def _assert_exits_cleanly(argv, text=None):
+    """Run `argv` (with `text` as its scenario file, if given) and require
+    exit 0-3, exactly one JSON object on stdout and no traceback; an error
+    report carries its exit code and a one-line message of at most
+    MAX_ERROR characters."""
     with tempfile.TemporaryDirectory() as tmp:
         argv = [a.replace("{tmp}", tmp) for a in argv]
         if text is not None:
@@ -771,3 +782,18 @@ def test_mutated_builtin_scenarios_exit_cleanly(case):
     if "error" in report:
         assert set(report) == {"error", "exit"} and report["exit"] == code > 1
         assert "\n" not in report["error"] and len(report["error"]) <= MAX_ERROR, report["error"][:300]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mutated_scenarios())
+def test_mutated_builtin_scenarios_exit_cleanly(case):
+    """Every mutated scenario exits cleanly (see _assert_exits_cleanly)."""
+    _assert_exits_cleanly(*case)
+
+
+@settings(max_examples=90, deadline=None)
+@given(_mutated_options())
+def test_mutated_command_options_exit_cleanly(case):
+    """Every command, run with one mutated option or an unwritable
+    `--out`, exits cleanly (see _assert_exits_cleanly)."""
+    _assert_exits_cleanly(*case)
