@@ -256,9 +256,11 @@ def _load_scenario(path, task):
             scenario = json.load(fh)
     except OSError as exc:
         raise SchemaError(f"cannot read scenario: {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # both are ValueErrors
         raise SchemaError(f"scenario is not valid JSON: {exc}")
-    except ValueError as exc:  # an integer literal past CPython's string-to-int digit limit
+    except (ValueError, RecursionError) as exc:
+        # an integer literal past CPython's string-to-int digit limit, or
+        # nesting past the parser's recursion limit
         raise ResourceError(f"scenario: {exc}")
     if not isinstance(scenario, dict):
         raise SchemaError("scenario: expected a JSON object")
@@ -408,4 +410,8 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # under `python -m jetcalc.cli` this file runs as `__main__`, but the
+    # runners raise the errors of the package module: run its `main`
+    from jetcalc.cli import main as package_main
+
+    sys.exit(package_main())

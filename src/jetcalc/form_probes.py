@@ -5,10 +5,12 @@ probe.
 
 The operators they probe are `forms`' (d, wedge, interior product, Lie
 derivative); these functions read forms through their coefficients and
-the coordinate layouts below, and import `linalg` or `arrows` when they
-run.  A layout flattens degree-r section forms with coefficient
-polynomials of bounded degree into coordinate vectors, so the linear
-maps of the complex become sparse matrices (`_matrix_of`).
+the coordinate layouts below.  No command loads this module, so it
+imports `linalg` at its top; it imports `arrows` only when an arrow
+acts, so importing the probes loads no arrows.  A layout flattens
+degree-r section forms with coefficient polynomials of bounded degree
+into coordinate vectors, so the linear maps of the complex become
+sparse matrices (`_matrix_of`).
 """
 
 from fractions import Fraction
@@ -17,6 +19,7 @@ from itertools import combinations
 
 from .forms import FormKR, eval_form, exterior_derivative, interior_product, lie_derivative
 from .jets import FunctionJetSection, VectorJetPoint, jet_product, slot_layout
+from .linalg import Echelon, solve
 from .multiindex import order
 from .poly import Poly
 
@@ -68,8 +71,6 @@ def theta_structure_algebra(spanning_sections, n, k, poly_degree):
     """Basis of the function jet sections annihilated by the jet action
     of every member of a spanning family, with coefficient polynomials
     of total degree <= poly_degree."""
-    from .linalg import Echelon
-
     layout = _form_basis(n, k, 0, poly_degree)
     matrix = []
     for x in spanning_sections:
@@ -92,8 +93,6 @@ def theta_closed_under_product(spanning_sections, basis_sections, n, k, poly_deg
     double the coefficient degree, so membership is re-solved in the
     structure algebra computed at twice the degree bound.
     """
-    from .linalg import Echelon
-
     if not basis_sections:
         return True
     layout = _form_basis(n, k, 0, 2 * poly_degree)
@@ -215,8 +214,6 @@ def local_exactness_check(n, k, r, poly_degree):
     degree r-1 and coefficient degree <= poly_degree + 1 (for r >= 1).
     For r = 0 reports the kernel dimension of d instead.
     """
-    from .linalg import Echelon, solve
-
     if r > n:
         raise ValueError("complex is truncated at degree n")
     in_layout = _form_basis(n, k, r, poly_degree)

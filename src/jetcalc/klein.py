@@ -3,6 +3,12 @@ filtration by vanishing order at a base point (its dimensions read as
 ranks, its ghost the one nullspace), the order of the realization, the
 jet-evaluation homomorphism, and the projective examples.
 
+The projective example of the chart dimension n is gl(n+1), spanned by
+the matrix units E_uv, [E_uv, E_wz] = [v = w] E_uz - [z = u] E_wv,
+realized on the standard chart by the fields
+-x_v d/dx_u + [u = n] x_v sum_a x_a d/dx_a, where x_n = 1 and a
+bracketed condition is 1 when it holds and 0 otherwise.
+
 Jet evaluation at the base point is linear in the abstract vector, so
 every function that evaluates reads one table of basis jets
 (`basis_jets`).  A realization keeps the table of the highest order
@@ -11,12 +17,10 @@ ordered by order): the filtration and the homomorphism check of one
 `klein` run prolong each basis field once."""
 
 from fractions import Fraction
-from functools import partial
 
 from .jets import prolong_vector_field, slot_layout, vector_point_from_coords
 from .liealg import FiniteLieAlgebra
 from .linalg import Echelon, rank
-from .multiindex import unit
 from .poly import Poly, _as_fraction
 from .spencer import algebraic_bracket, bracket_fields
 
@@ -195,73 +199,46 @@ def klein_order_of_system(family, k_max):
     return {"order": bijective_from, "stabilized": bijective_from is not None, "k_max": k_max}
 
 
-def _antisymmetrize(structure):
-    """Fill in the reversed-pair structure constants."""
-    out = {}
-    for (i, j, k), c in structure.items():
-        out[(i, j, k)] = c
-        out[(j, i, k)] = -c
-    return out
-
-
 def build_affine_example():
-    """The affine line: constant and linear fields on one variable."""
-    algebra = FiniteLieAlgebra(2, _antisymmetrize({(0, 1, 0): 1}))
-    fields = [[Poly.monomial(1, (d,))] for d in range(2)]  # d/dx and x d/dx
+    """The affine line: d/dx and x d/dx, with [d/dx, x d/dx] = d/dx."""
+    algebra = FiniteLieAlgebra(2, {(0, 1, 0): 1, (1, 0, 0): -1})
+    fields = [[Poly.monomial(1, (d,))] for d in range(2)]
     return RealizedLieAlgebra(algebra, fields, (Fraction(0),))
 
 
 def build_projective_line_example():
     """The projective line: the span of d/dx, x d/dx, x^2 d/dx."""
-    structure = {(0, 1, 0): 1, (0, 2, 1): 2, (1, 2, 2): 1}
-    algebra = FiniteLieAlgebra(3, _antisymmetrize(structure))
+    structure = {
+        (0, 1, 0): 1, (1, 0, 0): -1,
+        (0, 2, 1): 2, (2, 0, 1): -2,
+        (1, 2, 2): 1, (2, 1, 2): -1,
+    }
+    algebra = FiniteLieAlgebra(3, structure)
     fields = [[Poly.monomial(1, (d,))] for d in range(3)]
     return RealizedLieAlgebra(algebra, fields, (Fraction(0),))
 
 
 def build_projective_example(n):
-    """The full linear algebra of the (n+1)-dimensional space, realized
-    by the fractional-linear fields on the standard n-dimensional chart:
-    the basis cell (u, v) acts by x_v d/d x_u for u, v < n, the last
-    column gives translations, the last row the degree-two fields
-    -x_v sum_a x_a d/d x_a, and the corner the radial field."""
+    """gl(n+1) realized by fractional-linear fields on the standard
+    n-dimensional chart: the basis cell (u, v) is the matrix unit E_uv,
+    [E_uv, E_wz] = [v = w] E_uz - [z = u] E_wv, and acts by the field
+    -x_v d/dx_u + [u = n] x_v sum_a x_a d/dx_a, where x_n = 1.  That is
+    minus the t-derivative at 0 of the fractional-linear map of
+    I + t E_uv: the flow construction is an anti-homomorphism, and the
+    sign lands it in the stated constants."""
     if n < 1:
         raise ValueError("chart dimension must be at least 1")
-    m = n + 1
-    cells = [(u, v) for u in range(m) for v in range(m)]
+    cells = [(u, v) for u in range(n + 1) for v in range(n + 1)]
     pos = {c: i for i, c in enumerate(cells)}
     structure = {}
     for p, (u, v) in enumerate(cells):
         for q, (w, z) in enumerate(cells):
-            if q <= p:
-                continue
-            out = {}
             if v == w:
-                out[(u, z)] = out.get((u, z), 0) + 1
+                structure[p, q, pos[u, z]] = 1
             if z == u:
-                out[(w, v)] = out.get((w, v), 0) - 1
-            for cell, c in out.items():
-                if c != 0:
-                    structure[(p, q, pos[cell])] = c
-    algebra = FiniteLieAlgebra(m * m, _antisymmetrize(structure))
-    e = partial(unit, n)
-    radial = [Poly.monomial(n, e(a)) for a in range(n)]
-    fields = []
-    for u, v in cells:
-        if u < n and v < n:
-            comps = [Poly.zero(n) for _ in range(n)]
-            comps[u] = Poly.monomial(n, e(v))
-        elif u < n and v == n:
-            comps = [Poly.zero(n) for _ in range(n)]
-            comps[u] = Poly.const(n, 1)
-        elif u == n and v < n:
-            comps = [
-                Poly.monomial(n, e(v), -1) * radial_component
-                for radial_component in radial
-            ]
-        else:
-            comps = [Poly.monomial(n, e(a), -1) for a in range(n)]
-        # the flow construction yields an anti-homomorphism; negate to
-        # land in the stated structure constants
-        fields.append([-p for p in comps])
+                key = (p, q, pos[w, v])
+                structure[key] = structure.get(key, 0) - 1
+    x = [Poly.variable(n, a) for a in range(n)] + [Poly.const(n, 1)]
+    fields = [[x[v] * (x[a] * (u == n) - (a == u)) for a in range(n)] for u, v in cells]
+    algebra = FiniteLieAlgebra(len(cells), structure)
     return RealizedLieAlgebra(algebra, fields, (Fraction(0),) * n)

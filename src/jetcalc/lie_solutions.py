@@ -12,7 +12,7 @@ invariance rows alone; nothing here is on its path."""
 
 from fractions import Fraction
 
-from .jets import prolong_vector_field, slot_layout
+from .jets import prolong_vector_field, slot_layout, vector_point_from_coords
 from .lie_equations import _anchor, _prolongation, _system
 from .linalg import Echelon, invert
 from .multiindex import order, unit
@@ -51,8 +51,6 @@ class LinearJetSubspace:
         return self.contains(jet_point.as_vector())
 
     def jets(self):
-        from .jets import vector_point_from_coords
-
         return [
             vector_point_from_coords(self.n, self.k, self.point, v)
             for v in self.basis

@@ -5,6 +5,8 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -15,8 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jetcalc
 from jetcalc.cli import BUILTINS, main
 from jetcalc.poly import random_poly
+
+# the source tree the package under test was imported from
+SRC = Path(jetcalc.__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -302,6 +308,10 @@ def _without_task(text):
         (["prolong", "--kmax", "1"], _without_task(_metric()), 2, "task: expected 'prolongation'"),
         (["bracket"], _bracket(task=["bracket"]), 2, "task: expected 'bracket'"),
         (["prolong", "--kmax", "1"], _metric(task=None), 2, "task: expected 'prolongation'"),
+        (["bracket"], _bracket().encode()[:-1] + b', "note": "\xff"}', 2,
+         "scenario is not valid JSON: 'utf-8' codec can't decode byte 0xff"),
+        (["bracket"], '{"task": "bracket", "x": [' + "[" * 5000, 3,
+         "scenario: maximum recursion depth exceeded"),
     ],
     ids=[
         "unparsable-rational",
@@ -330,13 +340,18 @@ def _without_task(text):
         "prolong-task-missing",
         "bracket-task-not-a-string",
         "prolong-task-not-a-string",
+        "scenario-not-utf-8",
+        "scenario-nested-past-the-recursion-limit",
     ],
 )
 def test_malformed_input_exits_with_one_json_error(capsys, tmp_path, argv, text, code, message):
-    # text None: no scenario; "missing": a path with no file behind it
+    # text None: no scenario; "missing": a path with no file behind it;
+    # bytes: the file's raw content
     if text is not None:
         path = tmp_path / "s.json"
-        if text != "missing":
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        elif text != "missing":
             path.write_text(text)
         argv = [*argv, "--scenario", str(path)]
     got = main(argv)
@@ -344,7 +359,26 @@ def test_malformed_input_exits_with_one_json_error(capsys, tmp_path, argv, text,
     report = json.loads(captured.out)
     assert got == code and report["exit"] == code and set(report) == {"error", "exit"}
     assert message in report["error"]
+    assert "\n" not in report["error"] and len(report["error"]) < 200
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["prolong"], 2), (["prolong", "--builtin", "flat-metric-2d", "--kmax", "6"], 3)],
+    ids=["usage-error", "resource-bound"],
+)
+def test_module_entry_point_exits_like_main(capsys, argv, code):
+    """`python -m jetcalc.cli` is `main`: a runner's error gives the same
+    exit code and one JSON object on stdout, and no traceback."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "jetcalc.cli", *argv], env=env, capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stdout) == run_cli(capsys, *argv)
+    assert proc.returncode == code and json.loads(proc.stdout)["exit"] == code
+    assert "Traceback" not in proc.stderr
 
 
 def test_rational_past_the_exponent_bound_exits_3_at_once(capsys, tmp_path):

@@ -4,6 +4,7 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
+import sympy
 
 from jetcalc.klein import (
     RealizedLieAlgebra,
@@ -21,7 +22,7 @@ from jetcalc.jets import prolong_vector_field
 from jetcalc.lie_equations import StructureJet
 from jetcalc.lie_solutions import solve_system
 from jetcalc.liealg import FiniteLieAlgebra
-from jetcalc.linalg import Echelon, rank
+from jetcalc.linalg import Echelon, matmul, rank
 from jetcalc.poly import Poly
 from jetcalc.spencer import bracket_fields
 
@@ -81,6 +82,44 @@ def test_projective_plane_example():
     assert rep["order"] == 2
     assert rep["ghost_dim"] == 1
     assert g.is_transitive()
+
+
+def _matrix_unit(m, cell):
+    return [[int((a, b) == cell) for b in range(m)] for a in range(m)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_projective_constants_are_matrix_unit_commutators(n):
+    """Cell (u, v) is the matrix unit E_uv: every bracket row is the
+    commutator of the two units, multiplied out."""
+    m = n + 1
+    cells = [(u, v) for u in range(m) for v in range(m)]
+    units = [_matrix_unit(m, c) for c in cells]
+    g = build_projective_example(n).algebra
+    for p, a in enumerate(units):
+        for q, b in enumerate(units):
+            comm = [[x - y for x, y in zip(r, s)] for r, s in zip(matmul(a, b), matmul(b, a))]
+            expected = {i: comm[u][v] for i, (u, v) in enumerate(cells) if comm[u][v]}
+            assert g.bracket_row(p, q) == expected, (cells[p], cells[q])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_projective_fields_are_minus_the_fractional_linear_generators(n):
+    """The field of E_uv is minus the t-derivative at t = 0 of the
+    fractional-linear map of I + t E_uv on the chart x_n = 1."""
+    t = sympy.Symbol("t")
+    xs = sympy.symbols(f"x0:{n}")
+    homogeneous = sympy.Matrix([*xs, 1])
+    a = build_projective_example(n)
+    for cell, field in zip([(u, v) for u in range(n + 1) for v in range(n + 1)], a.fields):
+        image = (sympy.eye(n + 1) + t * sympy.Matrix(_matrix_unit(n + 1, cell))) * homogeneous
+        for i, component in enumerate(field):
+            generator = sympy.diff(image[i] / image[n], t).subs(t, 0)
+            ours = sum(
+                sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(x**e for x, e in zip(xs, mono)))
+                for mono, c in component.terms()
+            )
+            assert sympy.expand(ours + generator) == 0, (cell, i)
 
 
 def test_sigma_homomorphism_all_examples():

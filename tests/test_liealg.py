@@ -43,6 +43,21 @@ def heisenberg():
     return FiniteLieAlgebra(3, anti({(0, 1, 2): 1}))
 
 
+def test_lie_module_rejects_what_is_not_a_representation():
+    """The matrix count is always checked; the representation property
+    only with check=True."""
+    g = sl2()
+    adjoint = g.adjoint_module().matrices
+    with pytest.raises(ValueError, match="one action matrix per basis element"):
+        LieModule(g, g.dim, adjoint[:-1])
+    bent = [[row[:] for row in mat] for mat in adjoint]
+    bent[1][0][2] += 1
+    with pytest.raises(ValueError, match="do not define a representation"):
+        LieModule(g, g.dim, bent)
+    for mats in (adjoint, bent):
+        assert LieModule(g, g.dim, mats, check=False).matrices == mats
+
+
 def test_validator_produces_witnesses():
     ok, witness = validate_lie_algebra(2, {(0, 1, 0): Fraction(1)})
     assert not ok and witness[0] == "antisymmetry"
