@@ -41,6 +41,8 @@ class RealizedLieAlgebra:
             if len(f) != self.n or any(p.n != self.n for p in f):
                 raise ValueError("field component dimension mismatch")
         self.point = tuple(_as_fraction(x) for x in point)
+        if len(self.point) != self.n:
+            raise ValueError("base point dimension mismatch")
         self._jets = []  # the highest-order basis jets built so far
         if check:
             ok, witness = validate_realization(self)
@@ -73,10 +75,9 @@ class RealizedLieAlgebra:
         return [v[:width] for v in self._jets]
 
     def is_transitive(self):
-        values = [
-            [p.evaluate(self.point) for p in f] for f in self.fields
-        ]
-        return rank(values) == self.n
+        """Whether the fields span the tangent space at the base point:
+        their order-0 jets are their values there."""
+        return rank(self.basis_jets(0)) == self.n
 
 
 def validate_realization(a):

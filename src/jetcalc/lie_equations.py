@@ -1,7 +1,8 @@
-"""Linear Lie equations at a base point: Killing and symplectic
-systems built from structure jets, and the prolongation/surjectivity
-and anchor reports read as pivot counts of one echelon of the
-invariance rows (`_prolongation`, what the `prolong` command runs).
+"""Linear Lie equations at a base point: `invariance_system`, the rows
+of the order-k Lie equation L_X omega = 0 of any structure jet omega (a
+metric gives the Killing system, a 2-form the symplectic one), and the
+prolongation/surjectivity and anchor reports read as pivot counts of one
+echelon of those rows (`_prolongation`, what the `prolong` command runs).
 Every slot sum and binomial is read from the `jets.slot_layout` tables.
 The solution spaces as subspaces, with the reports read off them,
 Levi-Civita and the Killing completion are `lie_solutions`'."""
@@ -110,9 +111,11 @@ class StructureJet:
         return True
 
 
-def _lie_derivative_rows(structure, k):
-    """Equation rows of the prolonged infinitesimal invariance system
-    L_X (structure) = 0 on the order-k fiber, one per multi-index alpha,
+def invariance_system(structure, k):
+    """Equation rows of the order-k Lie equation of a structure jet: the
+    prolonged infinitesimal invariance system L_X (structure) = 0 on the
+    order-k fiber, Killing for a metric and symplectic for a 2-form, with
+    the sign of L_X read off the kind.  One row per multi-index alpha,
     |alpha| <= k-1 in function slot order, and component pair.  Rows are
     sparse {column: int}: the system is linear in the structure, whose
     slots are scaled by the lcm of their denominators.  A row reads fiber
@@ -121,6 +124,8 @@ def _lie_derivative_rows(structure, k):
     products, each with a structure slot rest as left factor: the terms
     (beta, alpha, C(alpha, rest)) are the order-(k-1) `products[rest]`."""
     n = structure.n
+    if structure.kind == "two_form" and n % 2 != 0:
+        raise ValueError("nondegenerate 2-forms need even dimension")
     if k < 1:
         raise ValueError("system order must be at least 1")
     if structure.order < k:
@@ -164,30 +169,6 @@ def _lie_derivative_rows(structure, k):
     return [{col: x for col, x in row.items() if x} for row in rows.values()]
 
 
-def killing_system(g, k):
-    """Sparse equation rows for metric-preserving vector jets of order k."""
-    if g.kind != "metric":
-        raise ValueError("killing_system needs a metric structure jet")
-    return _lie_derivative_rows(g, k)
-
-
-def symplectic_system(omega, k, require_closed=False):
-    """Sparse equation rows for 2-form-preserving vector jets of order k."""
-    if omega.kind != "two_form":
-        raise ValueError("symplectic_system needs a 2-form structure jet")
-    if omega.n % 2 != 0:
-        raise ValueError("nondegenerate 2-forms need even dimension")
-    if require_closed and not omega.is_closed():
-        raise ValueError("2-form jet is not closed to the available order")
-    return _lie_derivative_rows(omega, k)
-
-
-def _system(structure, k):
-    """The Killing or symplectic rows, as the structure's kind asks."""
-    system = killing_system if structure.kind == "metric" else symplectic_system
-    return system(structure, k)
-
-
 def _prolongation(structure, k_max):
     """The prolongation report and the anchor report at order k_max.
     The order-k system is a prefix of the order-k_max one, so one echelon
@@ -197,7 +178,7 @@ def _prolongation(structure, k_max):
     alone, the annihilator of the order-m image of R_k: the image rank is
     the order-m width less their count, and m = k gives dim R_k."""
     n = structure.n
-    rows = _system(structure, k_max)
+    rows = invariance_system(structure, k_max)
     widths = [len(slot_layout("vector", n, m).slots) for m in range(k_max + 1)]
     per_alpha = len(rows) // len(slot_layout("function", n, k_max - 1).slots)
     equations, orders, done = Echelon(), [], 0

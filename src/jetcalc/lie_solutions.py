@@ -1,9 +1,9 @@
 """Solutions of the linear Lie equations of `lie_equations` as
 subspaces of the vector-jet fiber at a point: `LinearJetSubspace`, the
-solution space of an invariance system and its restricted projections,
-the prolongation and anchor-exactness reports read off it, bracket
-closure, conjugation by arrows, and the affine solution fields of a
-constant structure.  Beside them the Levi-Civita connection and the
+nullspace of `invariance_system` (`solve_system`) and its restricted
+projections, the prolongation and anchor-exactness reports read off it,
+bracket closure, conjugation by arrows, and the affine solution fields
+of a constant structure.  Beside them the Levi-Civita connection and the
 unique second-order completion of a Killing jet, which share one Koszul
 formula, `_koszul`.
 
@@ -13,7 +13,7 @@ invariance rows alone; nothing here is on its path."""
 from fractions import Fraction
 
 from .jets import prolong_vector_field, slot_layout, vector_point_from_coords
-from .lie_equations import _anchor, _prolongation, _system
+from .lie_equations import _anchor, _prolongation, invariance_system
 from .linalg import Echelon, invert
 from .multiindex import order, unit
 from .poly import Poly, _as_fraction
@@ -60,7 +60,7 @@ class LinearJetSubspace:
 def solve_system(structure, k):
     """Solution subspace of the invariance system on the order-k fiber."""
     width = len(slot_layout("vector", structure.n, k).slots)
-    basis = Echelon(_system(structure, k)).nullspace(width)
+    basis = Echelon(invariance_system(structure, k)).nullspace(width)
     return LinearJetSubspace(structure.n, k, structure.point, basis)
 
 

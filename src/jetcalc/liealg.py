@@ -24,8 +24,8 @@ from itertools import combinations
 
 from .jets import basis_bracket, slot_layout
 from .linalg import Echelon, matmul, solve
-from .multiindex import ce_terms
-from .poly import _as_exact
+from .multiindex import ce_terms, is_natural
+from .poly import _as_exact, _shown
 
 
 class FiniteLieAlgebra:
@@ -34,8 +34,9 @@ class FiniteLieAlgebra:
     `structure` is the flat table; `rows` indexes the same constants by
     basis pair, {(i, j): {k: c}}, so a basis bracket is one lookup.
     Each constant passes the exact-scalar gate in its normal form
-    `poly._as_exact`, so integral constants are stored as ints.
-    Antisymmetry and the Jacobi identity are verified at construction.
+    `poly._as_exact`, so integral constants are stored as ints.  An
+    index outside 0..dim-1 always raises ValueError; antisymmetry and
+    the Jacobi identity are verified at construction when check is set.
     """
 
     __slots__ = ("dim", "structure", "rows")
@@ -45,6 +46,9 @@ class FiniteLieAlgebra:
         table = {}
         if structure:
             for (i, j, k), c in structure.items():
+                if not all(is_natural(x) and x < dim for x in (i, j, k)):
+                    key = _shown((i, j, k))
+                    raise ValueError(f"structure constant indices {key} not in 0..{dim - 1}")
                 c = _as_exact(c)
                 if c != 0:
                     table[(i, j, k)] = c
@@ -154,15 +158,18 @@ def jet_group_algebra(n, k):
 
 
 class LieModule:
-    """A representation: one action matrix per basis element of g, each
-    entry through the exact-scalar gate's normal form `poly._as_exact`,
-    so integral entries are stored as ints."""
+    """A representation: one dim x dim action matrix per basis element
+    of g (a wrong count or shape always raises ValueError), each entry
+    through the exact-scalar gate's normal form `poly._as_exact`, so
+    integral entries are stored as ints."""
 
     __slots__ = ("algebra", "dim", "matrices")
 
     def __init__(self, algebra, dim, matrices, check=True):
         if len(matrices) != algebra.dim:
             raise ValueError("need one action matrix per basis element")
+        if any(len(mat) != dim or any(len(row) != dim for row in mat) for mat in matrices):
+            raise ValueError(f"action matrices must be {dim} x {dim}")
         self.algebra = algebra
         self.dim = dim
         self.matrices = [[[_as_exact(x) for x in row] for row in mat] for mat in matrices]

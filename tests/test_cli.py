@@ -296,6 +296,9 @@ def _without_task(text):
         (["prolong", "--builtin", "sphere-metric-2d", "--kmax", "4"], None, 3,
          "structure jet order 3 cannot support kmax=4"),
         (["prolong", "--kmax", "1"], _metric(), 2, "structure is singular at the base point"),
+        (["prolong", "--kmax", "1"], _metric(kind="two_form", n=3, point=["0", "0", "0"],
+                                             coeffs=[[0, 1, [0, 0, 0], "1"]]), 2,
+         "structure: nondegenerate 2-forms need even dimension"),
         (["klein", "--builtin", "projective", "--n", "0"], None, 2,
          "projective example needs n >= 1"),
         (["extension", "--n", "1", "--k", "3", "--m", "3"], None, 2, "need 1 <= m < k"),
@@ -329,6 +332,7 @@ def _without_task(text):
         "kmax-below-1",
         "order-below-kmax",
         "singular-structure",
+        "two-form-odd-dimension",
         "projective-n-below-1",
         "extension-m-range",
         "unreadable-scenario",

@@ -155,12 +155,11 @@ def test_only_linalg_converts_rows_to_ints():
     assert _src_names_outside({"_int_row"}, "linalg.py") == []
 
 
-def test_every_public_name_of_linalg_has_an_importer():
-    """linalg holds only what other modules use: each public function,
-    class or module-level name it defines is imported by another src/
-    module, so dense views no module calls cannot grow back."""
+def _public_names_without_importer(module):
+    """The public functions, classes and module-level names that module
+    defines and no other src/ module imports."""
     defined = set()
-    for node in ast.parse((PACKAGE / "linalg.py").read_text(encoding="utf-8")).body:
+    for node in ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8")).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             defined.add(node.name)
         elif isinstance(node, ast.Assign):
@@ -169,13 +168,30 @@ def test_every_public_name_of_linalg_has_an_importer():
     imported = {
         alias.name
         for p in sorted(PACKAGE.glob("*.py"))
-        if p.name != "linalg.py"
+        if p.name != f"{module}.py"
         for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
-        if isinstance(node, ast.ImportFrom) and node.module == "linalg" and node.level == 1
+        if isinstance(node, ast.ImportFrom) and node.module == module and node.level == 1
         for alias in node.names
     }
+    return public, sorted(public - imported)
+
+
+def test_every_public_name_of_linalg_has_an_importer():
+    """linalg holds only what other modules use: each public function,
+    class or module-level name it defines is imported by another src/
+    module, so dense views no module calls cannot grow back."""
+    public, unimported = _public_names_without_importer("linalg")
     assert "Echelon" in public
-    assert sorted(public - imported) == []
+    assert unimported == []
+
+
+def test_every_public_name_of_lie_equations_has_an_importer():
+    """One Lie equation per structure jet: `lie_equations` exports the
+    structure jet and its one builder of invariance rows, each imported
+    by another src/ module, so per-kind entries cannot grow back."""
+    public, unimported = _public_names_without_importer("lie_equations")
+    assert {"StructureJet", "invariance_system"} <= public
+    assert unimported == []
 
 
 def test_jets_fills_tables_with_a_kernel_built_zero():
@@ -197,7 +213,7 @@ TABLE_READERS = {
         "basis_bracket",
     },
     "spencer.py": {"_leibniz_terms", "basis_action"},
-    "lie_equations.py": {"_lie_derivative_rows", "is_closed"},
+    "lie_equations.py": {"invariance_system", "is_closed"},
     "lie_solutions.py": {"killing_order2_completion"},
 }
 # the per-use multi-index arithmetic that the layout tables replace

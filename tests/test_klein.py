@@ -41,6 +41,28 @@ def test_validate_realization_catches_wrong_constants():
     assert not ok and witness == (0, 1)
 
 
+def test_realization_rejects_a_base_point_of_the_wrong_dimension():
+    affine = build_affine_example()
+    for point in [(0, 5), ()]:
+        for check in (True, False):
+            with pytest.raises(ValueError, match="base point dimension mismatch"):
+                RealizedLieAlgebra(affine.algebra, affine.fields, point, check=check)
+
+
+def test_transitivity_reads_the_order_zero_jets():
+    """The order-0 jets are the field values at the base point: the
+    projective line is transitive everywhere, its isotropy fields x d and
+    x^2 d alone only away from 0."""
+    a = build_projective_line_example()
+    assert a.basis_jets(0) == [[p.evaluate(a.point) for p in f] for f in a.fields]
+    for point in [(0,), (3,)]:
+        assert RealizedLieAlgebra(a.algebra, a.fields, point).is_transitive()
+    isotropy = FiniteLieAlgebra(2, {(0, 1, 1): 1, (1, 0, 1): -1})
+    fields = a.fields[1:]
+    assert not RealizedLieAlgebra(isotropy, fields, (0,)).is_transitive()
+    assert RealizedLieAlgebra(isotropy, fields, (3,)).is_transitive()
+
+
 def test_affine_line_filtration():
     a = build_affine_example()
     assert a.is_transitive()
@@ -132,7 +154,7 @@ def test_sigma_homomorphism_all_examples():
             assert sigma_homomorphism_check(a, m)
 
 
-def test_klein_order_of_flat_killing_system():
+def test_klein_order_of_flat_killing_equation():
     one = Poly.const(2, 1)
     zero = Poly.zero(2)
     flat = StructureJet.from_polynomial_matrix(

@@ -6,7 +6,7 @@ import pytest
 
 from jetcalc.arrows import Arrow
 from jetcalc.jets import vector_slots
-from jetcalc.lie_equations import StructureJet, _prolongation, killing_system, symplectic_system
+from jetcalc.lie_equations import StructureJet, _prolongation, invariance_system
 from jetcalc.lie_solutions import (
     Christoffel,
     LinearJetSubspace,
@@ -122,8 +122,6 @@ def test_nonclosed_two_form_fails_second_order_surjectivity():
         },
     )
     assert not omega.is_closed()
-    with pytest.raises(ValueError):
-        symplectic_system(omega, 1, require_closed=True)
     rep = prolongation_report(omega, 2)
     assert not rep["orders"][1]["surjective"]
 
@@ -131,14 +129,22 @@ def test_nonclosed_two_form_fails_second_order_surjectivity():
 def test_closed_two_form_passes_closedness_gate():
     omega = standard_symplectic()
     assert omega.is_closed()
-    rows = symplectic_system(omega, 1, require_closed=True)
+    rows = invariance_system(omega, 1)
     assert rows  # system exists
 
 
-def test_killing_system_needs_metric_jet_of_matching_order():
+def test_invariance_system_needs_a_structure_jet_of_matching_order():
     g = flat_metric(order=1)
-    with pytest.raises(ValueError):
-        killing_system(g, 2)
+    with pytest.raises(ValueError, match="structure jet of order 1 cannot support order 2"):
+        invariance_system(g, 2)
+
+
+def test_invariance_system_needs_even_dimension_for_a_two_form():
+    """The parity check comes first: this 2-form is singular too, and the
+    requested order exceeds its jet order."""
+    omega = StructureJet("two_form", 3, 1, (0,) * 3, {(0, 1, (0, 0, 0)): 1})
+    with pytest.raises(ValueError, match="nondegenerate 2-forms need even dimension"):
+        invariance_system(omega, 2)
 
 
 def test_structure_jet_rejects_malformed_slots():
@@ -447,11 +453,10 @@ def test_incremental_prolongation_matches_per_order_oracle(case):
 def test_invariance_rows_are_scaled_oracle_rows_and_grow_by_prefix(case):
     kind, n, k_max, density = case
     structure = seeded_structure(kind, n, k_max, density, 0)
-    system = killing_system if kind == "metric" else symplectic_system
     den = lcm(*[c.denominator for c in structure.coeffs.values()])
     prev = []
     for k in range(1, k_max + 1):
-        rows = system(structure, k)
+        rows = invariance_system(structure, k)
         width = len(vector_slots(n, k))
         # the oracle's rows, times the lcm of the structure's denominators
         dense = [[Fraction(row.get(c, 0)) for c in range(width)] for row in rows]
@@ -464,7 +469,7 @@ def test_invariance_rows_are_scaled_oracle_rows_and_grow_by_prefix(case):
 
 def test_subspace_from_equations_is_their_nullspace():
     structure = seeded_structure("metric", 3, 2, 0.5, 1)
-    rows = killing_system(structure, 2)
+    rows = invariance_system(structure, 2)
     width = len(vector_slots(3, 2))
     sub = solve_system(structure, 2)
     assert sub.basis == Echelon([[row.get(c, 0) for c in range(width)] for row in rows]).nullspace(width)
@@ -501,7 +506,7 @@ def test_prolongation_adds_each_row_once_and_builds_no_nullspace(monkeypatch):
     monkeypatch.setattr(Echelon, "add_row", lambda self, v: added.append(v) or real_add(self, v))
     monkeypatch.setattr(Echelon, "nullspace", lambda self, w: nulls.append(w) or real_null(self, w))
     _prolongation(structure, 3)
-    assert len(added) == len(symplectic_system(structure, 3)) and nulls == []
+    assert len(added) == len(invariance_system(structure, 3)) and nulls == []
 
 
 # generic n = 4 jets at order 4, seed 1, recorded from the per-order

@@ -58,6 +58,25 @@ def test_lie_module_rejects_what_is_not_a_representation():
         assert LieModule(g, g.dim, mats, check=False).matrices == mats
 
 
+def test_lie_module_rejects_a_misshapen_matrix_whatever_check_says():
+    g = FiniteLieAlgebra(2)
+    for check in (True, False):
+        with pytest.raises(ValueError, match="action matrices must be 2 x 2"):
+            LieModule(g, 2, [[[0]], [[0]]], check=check)
+        with pytest.raises(ValueError, match="action matrices must be 2 x 2"):
+            LieModule(g, 2, [[[0, 0], [0]], [[0, 0], [0, 0]]], check=check)
+
+
+def test_structure_constant_index_out_of_range_raises_whatever_check_says():
+    """An index the Jacobi loop never visits is still refused."""
+    for check in (True, False):
+        with pytest.raises(ValueError, match=r"indices \(0, 5, 1\) not in 0..1"):
+            FiniteLieAlgebra(2, {(0, 5, 1): 1, (5, 0, 1): -1}, check=check)
+        for key in [(0, 1, -1), (True, 1, 0), (0, 1, 2)]:
+            with pytest.raises(ValueError, match="not in 0..1"):
+                FiniteLieAlgebra(2, {key: 0}, check=check)
+
+
 def test_validator_produces_witnesses():
     ok, witness = validate_lie_algebra(2, {(0, 1, 0): Fraction(1)})
     assert not ok and witness[0] == "antisymmetry"
