@@ -1,26 +1,32 @@
 """Command-line front end: scenario files in, deterministic JSON
 reports out, plus a catalog of built-in example scenarios.
 
-This module is the shell every command loads: `main`, the parser table,
-`_emit` and the exit codes, the gates several commands share (`_frac`,
-`_require`, `_bound`, `_parse_point`, `_load_scenario`, ...), the
-seeded-suite harness of `check-identities` and `forms`, and `BUILTINS`,
-the catalog that `list-builtins` and each subcommand's `--builtin`
+This module is the shell every command loads: `main`, the option table
+`COMMANDS`, `_emit` and the exit codes, the gates several commands
+share (`_frac`, `_require`, `_bound`, `_parse_point`, `_load_scenario`,
+...), the seeded-suite harness of `check-identities` and `forms`, and
+`BUILTINS`, the catalog that `list-builtins` and each subcommand's `--builtin`
 choices read.  Each command's runner, `run_*(args) -> (scenario_echo,
 checks, results)`, lives in its own module (`cli_suites`, `cli_bracket`,
 `cli_prolong`, `cli_klein`, `cli_extension`) with the parsing only it
 reads; `_run` imports it when its command runs, so no command compiles
 another's runner.
 
+`COMMANDS` feeds both parses.  A plain command line (a command, then
+exact `--name value` pairs of its options) is read off the table by
+`_plain_args` without loading argparse; `--help`, abbreviations,
+`--opt=value` and every refusal go to the argparse parser that
+`_build_parser` builds from the same table, so their text is argparse's.
+
 Exit codes: 0 all checks pass; 1 a check failed (witnesses in the
 report); 2 scenario or usage error; 3 resource bound exceeded.
 """
 
-import argparse
 import json
 import random
 import sys
 import time
+from types import SimpleNamespace
 
 from .jets import FunctionJetSection, VectorJetSection, slot_layout
 from .multiindex import is_natural
@@ -286,73 +292,99 @@ def _emit(report, out_path, code):
     return code
 
 
+def _ints(**defaults):
+    """Integer options, each with its default."""
+    return {name: {"type": int, "default": value} for name, value in defaults.items()}
+
+
+_TIMING_HELP = "include wall-clock timing in the report (off by default so reports are byte-identical)"
+_COMMON = {
+    "out": {"help": "write the JSON report to this path"},
+    **_ints(seed=0),
+    "timing": {"action": "store_true", "default": False, "help": _TIMING_HELP},
+}
+# every command's summary, its options in help order (each one's
+# `add_argument` keywords: type or choices, default, help, required) and
+# the names among them that may not be given together
+COMMANDS = {
+    "check-identities": ("seeded random identity suite", {**_ints(n=2, k=2, degree=2, count=5), **_COMMON}, ()),
+    "bracket": ("bracket of two polynomial fields", {"scenario": {"required": True}, **_COMMON}, ()),
+    "forms": ("form identities from a scenario seed", {**_ints(n=2, k=1, degree=2, count=5), **_COMMON}, ()),
+    "prolong": (
+        "solution dimensions of a linear system",
+        {"scenario": {}, "builtin": {"choices": _builtin_names("prolongation")}, **_ints(kmax=2), **_COMMON},
+        ("scenario", "builtin"),
+    ),
+    "klein": (
+        "isotropy filtration of a realized algebra",
+        {"builtin": {"required": True, "choices": _builtin_names("klein") + ["projective"]}, **_ints(n=1), **_COMMON},
+        (),
+    ),
+    "extension": (
+        "jet-group algebra extension analysis",
+        {"builtin": {"choices": _builtin_names("extension")}, **_ints(n=1, k=3, m=2), **_COMMON},
+        (),
+    ),
+    "list-builtins": ("catalog of example scenarios", {"out": {}}, ()),
+}
+
+
 def _build_parser(command=None):
-    """The jetcalc parser.  Every subcommand is registered with its name
-    and help, but only `command`'s gets its options, or every one's when
-    command names none (as for `--help`)."""
+    """The jetcalc parser, built from COMMANDS.  Every subcommand is
+    registered with its name and help, but only `command`'s gets its
+    options, or every one's when command names none (as for `--help`)."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="jetcalc",
         description="Exact jet-calculus checks over the rationals.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--out", help="write the JSON report to this path")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument(
-            "--timing",
-            action="store_true",
-            help="include wall-clock timing in the report (off by default so reports are byte-identical)",
-        )
-
-    def suite(k):
-        def options(p):
-            p.add_argument("--n", type=int, default=2)
-            p.add_argument("--k", type=int, default=k)
-            p.add_argument("--degree", type=int, default=2)
-            p.add_argument("--count", type=int, default=5)
-            common(p)
-        return options
-
-    def bracket(p):
-        p.add_argument("--scenario", required=True)
-        common(p)
-
-    def prolong(p):
-        source = p.add_mutually_exclusive_group()
-        source.add_argument("--scenario")
-        source.add_argument("--builtin", choices=_builtin_names("prolongation"))
-        p.add_argument("--kmax", type=int, default=2)
-        common(p)
-
-    def klein(p):
-        p.add_argument(
-            "--builtin", required=True, choices=_builtin_names("klein") + ["projective"]
-        )
-        p.add_argument("--n", type=int, default=1)
-        common(p)
-
-    def extension(p):
-        p.add_argument("--builtin", choices=_builtin_names("extension"))
-        p.add_argument("--n", type=int, default=1)
-        p.add_argument("--k", type=int, default=3)
-        p.add_argument("--m", type=int, default=2)
-        common(p)
-
-    commands = {
-        "check-identities": ("seeded random identity suite", suite(2)),
-        "bracket": ("bracket of two polynomial fields", bracket),
-        "forms": ("form identities from a scenario seed", suite(1)),
-        "prolong": ("solution dimensions of a linear system", prolong),
-        "klein": ("isotropy filtration of a realized algebra", klein),
-        "extension": ("jet-group algebra extension analysis", extension),
-        "list-builtins": ("catalog of example scenarios", lambda p: p.add_argument("--out")),
-    }
-    for name, (summary, options) in commands.items():
+    for name, (summary, options, exclusive) in COMMANDS.items():
         p = sub.add_parser(name, help=summary)
-        if command == name or command not in commands:
-            options(p)
+        if command == name or command not in COMMANDS:
+            group = p.add_mutually_exclusive_group() if exclusive else None
+            for option, spec in options.items():
+                (group if option in exclusive else p).add_argument(f"--{option}", **spec)
     return parser
+
+
+def _plain_args(argv):
+    """The namespace argparse gives argv, read off COMMANDS without it, if
+    argv is a command and exact `--name value` pairs of its options (or
+    the bare `--timing`), each given once, no value beginning with "-",
+    every int and choice valid, every required option present and no
+    two exclusive ones given; else None, and argparse parses argv."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, options, exclusive = COMMANDS[argv[0]]
+    given = {}
+    words = iter(argv[1:])
+    for word in words:
+        name = word[2:] if word.startswith("--") else None
+        spec = options.get(name)
+        if spec is None or name in given:
+            return None
+        if "action" in spec:
+            given[name] = True
+            continue
+        value = next(words, "-")  # an option with no value left goes to argparse
+        if value.startswith("-"):
+            return None
+        try:
+            value = spec.get("type", str)(value)
+        except ValueError:
+            return None
+        if value not in spec.get("choices", [value]):
+            return None
+        given[name] = value
+    if sum(name in given for name in exclusive) > 1 or any(
+        spec.get("required") and name not in given for name, spec in options.items()
+    ):
+        return None
+    return SimpleNamespace(
+        command=argv[0], **{name: given.get(name, spec.get("default")) for name, spec in options.items()}
+    )
 
 
 def _run(args):
@@ -378,11 +410,12 @@ def _run(args):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    parser = _build_parser(argv[0] if argv else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+    args = _plain_args(argv)
+    if args is None:
+        try:
+            args = _build_parser(argv[0] if argv else None).parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code not in (0, None) else 0
     header = {"library": "jetcalc", "version": VERSION, "task": args.command}
     if args.command == "list-builtins":
         catalog = {

@@ -34,6 +34,8 @@ class RealizedLieAlgebra:
     def __init__(self, algebra, fields, point, check=True):
         if len(fields) != algebra.dim:
             raise ValueError("one field per abstract basis element")
+        if not fields:
+            raise ValueError("a realization needs at least one field")
         self.algebra = algebra
         self.fields = [list(f) for f in fields]
         self.n = len(fields[0])

@@ -34,14 +34,17 @@ class FiniteLieAlgebra:
     `structure` is the flat table; `rows` indexes the same constants by
     basis pair, {(i, j): {k: c}}, so a basis bracket is one lookup.
     Each constant passes the exact-scalar gate in its normal form
-    `poly._as_exact`, so integral constants are stored as ints.  An
-    index outside 0..dim-1 always raises ValueError; antisymmetry and
-    the Jacobi identity are verified at construction when check is set.
+    `poly._as_exact`, so integral constants are stored as ints.  A dim
+    that is not a natural number, or an index outside 0..dim-1, always
+    raises ValueError; antisymmetry and the Jacobi identity are verified
+    at construction when check is set.
     """
 
     __slots__ = ("dim", "structure", "rows")
 
     def __init__(self, dim, structure=None, check=True):
+        if not is_natural(dim):
+            raise ValueError(f"dimension {_shown(dim)} is not a natural number")
         self.dim = dim
         table = {}
         if structure:

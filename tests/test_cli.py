@@ -14,11 +14,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jetcalc
-from jetcalc.cli import BUILTINS, main
+from jetcalc.cli import BUILTINS, COMMANDS, _build_parser, _plain_args, main
 from jetcalc.poly import random_poly
 
 # the source tree the package under test was imported from
@@ -512,7 +512,6 @@ def test_unwritable_out_exits_2_with_one_json_error(capsys, tmp_path, argv, targ
     assert sorted(p.name for p in tmp_path.iterdir()) == []
 
 
-COMMANDS = ["check-identities", "bracket", "forms", "prolong", "klein", "extension", "list-builtins"]
 # for each command: an unknown option, and a value its parser refuses
 REFUSED = {
     "check-identities": ["--n", "x"],
@@ -527,8 +526,6 @@ REFUSED = {
 
 def _parsed_output(capsys, argv):
     """Exit code, stdout and stderr of the parser built for every command."""
-    from jetcalc.cli import _build_parser
-
     with pytest.raises(SystemExit) as exc:
         _build_parser().parse_args(argv)
     captured = capsys.readouterr()
@@ -555,6 +552,96 @@ def test_the_invoked_command_parses_as_with_every_command_built(capsys, argv):
         assert code == 2 and captured.out == "" and "Traceback" not in captured.err
     else:
         assert code == 0 and captured.out.startswith("usage: jetcalc")
+
+
+def _valid_value(draw, spec):
+    """A value the option's parser accepts (None for a flag)."""
+    if "action" in spec:
+        return None
+    if "choices" in spec:
+        return draw(st.sampled_from(spec["choices"]))
+    if spec.get("type") is int:
+        return draw(st.one_of(st.integers(0, 10**6).map(str), st.sampled_from(["+3", " 7 ", "1_0", "\u0663"])))
+    return draw(st.text(max_size=8).filter(lambda v: not v.startswith("-")))
+
+
+@st.composite
+def _command_lines(draw):
+    """An argv drawn from the option table, and whether it was mutated.
+    A valid line is a command with its required options and any others,
+    each once and at most one of an exclusive pair, with values its
+    parser accepts, in any order.  A mutation abbreviates an option,
+    joins one to its value by `=`, repeats one, gives an integer option
+    a negative or non-integer value or a choice option a bogus value,
+    drops a required option, gives both exclusive options, adds a
+    positional word, or puts `-h` or `--help` anywhere."""
+    command = draw(st.sampled_from(list(COMMANDS)))
+    _, options, exclusive = COMMANDS[command]
+    names = [name for name, spec in options.items() if spec.get("required") or draw(st.booleans())]
+    if exclusive:
+        keep = draw(st.sampled_from(exclusive))
+        names = [name for name in names if name not in exclusive or name == keep]
+    pairs = [(name, _valid_value(draw, options[name])) for name in draw(st.permutations(names))]
+    mutations = ["abbreviate", "join", "repeat", "positional", "help"]
+    mutations += ["negative", "non-integer"] * any(spec.get("type") is int for spec in options.values())
+    mutations += ["bogus choice"] * any("choices" in spec for spec in options.values())
+    mutations += ["missing required"] * any(spec.get("required") for spec in options.values())
+    mutations += ["both exclusive"] * bool(exclusive)
+    mutation = draw(st.sampled_from(mutations)) if draw(st.booleans()) else None
+    if mutation in ("abbreviate", "join", "repeat") and not any(len(n) > 1 and v is not None for n, v in pairs):
+        pairs.append(("out", "r.json"))
+    valued = [i for i, (_, v) in enumerate(pairs) if v is not None]
+    if mutation == "abbreviate":
+        i = draw(st.sampled_from([i for i in valued if len(pairs[i][0]) > 1]))
+        name, value = pairs[i]
+        pairs[i] = (draw(st.sampled_from([name[:j] for j in range(1, len(name)) if name[:j] not in options])), value)
+    elif mutation == "join":
+        i = draw(st.sampled_from(valued))
+        pairs[i] = (f"{pairs[i][0]}={pairs[i][1]}", None)
+    elif mutation == "repeat":
+        pairs.insert(draw(st.integers(0, len(pairs))), pairs[draw(st.sampled_from(valued))])
+    elif mutation in ("negative", "non-integer"):
+        name = draw(st.sampled_from([n for n, spec in options.items() if spec.get("type") is int]))
+        value = draw(st.sampled_from(["-1", "-0"] if mutation == "negative" else ["x", "1.5", "", "7" * 5000]))
+        pairs = [p for p in pairs if p[0] != name] + [(name, value)]
+    elif mutation == "bogus choice":
+        name = draw(st.sampled_from([n for n, spec in options.items() if "choices" in spec]))
+        pairs = [p for p in pairs if p[0] not in (name, *exclusive)] + [(name, "no-such-builtin")]
+    elif mutation == "missing required":
+        pairs = [p for p in pairs if not options[p[0]].get("required")]
+    elif mutation == "both exclusive":
+        pairs = [p for p in pairs if p[0] not in exclusive]
+        pairs += [(name, _valid_value(draw, options[name])) for name in exclusive]
+    argv = [command]
+    for name, value in pairs:
+        argv += [f"--{name}"] if value is None else [f"--{name}", value]
+    if mutation in ("positional", "help"):
+        word = "extra" if mutation == "positional" else draw(st.sampled_from(["-h", "--help"]))
+        argv.insert(draw(st.integers(0 if mutation == "help" else 1, len(argv))), word)
+    return argv, mutation is not None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_command_lines())
+@example((["extension", "--n", "-1"], True))
+@example((["bracket", "--scenario", "-h"], True))
+@example((["prolong", "--kmax=3"], True))
+def test_the_plain_parse_agrees_with_argparse(line):
+    """A valid command line is read off the option table, into the
+    namespace argparse gives it; a mutated one goes to argparse, and so
+    does every line argparse refuses or answers with help."""
+    argv, mutated = line
+    plain = _plain_args(argv)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            parsed = _build_parser(argv[0]).parse_args(argv)
+        except SystemExit:
+            parsed = None
+    assert (plain is None) == mutated
+    if parsed is None:
+        assert plain is None
+    if plain is not None:
+        assert vars(plain) == vars(parsed)
 
 
 @pytest.mark.parametrize(
@@ -715,17 +802,32 @@ BRACKET_SCENARIO = {
     "x": [[{"exponents": [1, 0], "value": "1"}], [{"exponents": [0, 2], "value": "-3/2"}]],
     "y": [[{"exponents": [0, 0], "value": "2"}], []],
 }
-# each command's options, small enough to run in a few milliseconds; a
-# mutation may drop or change every integer among them
+# the small values each command runs with, in a few milliseconds; an
+# integer option of the table not named here runs with its default
 COMMAND_OPTIONS = {
-    "check-identities": ["--n", "2", "--k", "1", "--degree", "1", "--count", "1", "--seed", "3"],
-    "forms": ["--n", "2", "--k", "1", "--degree", "1", "--count", "1", "--seed", "3"],
-    "bracket": ["--seed", "3"],
-    "prolong": ["--kmax", "2", "--seed", "3"],
-    "klein": ["--builtin", "projective", "--n", "1", "--seed", "3"],
-    "extension": ["--n", "1", "--k", "3", "--m", "2", "--seed", "3"],
-    "list-builtins": [],
+    "check-identities": {"n": 2, "k": 1, "degree": 1, "count": 1, "seed": 3},
+    "forms": {"n": 2, "k": 1, "degree": 1, "count": 1, "seed": 3},
+    "bracket": {"seed": 3},
+    "prolong": {"kmax": 2, "seed": 3},
+    "klein": {"builtin": "projective", "n": 1, "seed": 3},
+    "extension": {"n": 1, "k": 3, "m": 2, "seed": 3},
+    "list-builtins": {},
 }
+
+
+def _int_options(command):
+    return [name for name, spec in COMMANDS[command][1].items() if spec.get("type") is int]
+
+
+def _command_argv(command):
+    """The command with every integer option of the table given, at its
+    value in COMMAND_OPTIONS or else its default, and the other values
+    of COMMAND_OPTIONS."""
+    defaults = {name: COMMANDS[command][1][name]["default"] for name in _int_options(command)}
+    values = {**defaults, **COMMAND_OPTIONS[command]}
+    return [command, *(word for name, v in values.items() for word in (f"--{name}", str(v)))]
+
+
 # the longest one-line error a report may carry
 MAX_ERROR = 200
 
@@ -750,12 +852,12 @@ def _mutated_scenarios(draw):
         name = draw(st.sampled_from(sorted(n for n, e in BUILTINS.items() if e["task"] == "prolongation")))
         scenario = copy.deepcopy({"task": "prolongation", **BUILTINS[name]["scenario"]})
         places = [scenario, scenario["expect"], scenario["point"], *scenario["coeffs"]]
-        argv = ["prolong", *COMMAND_OPTIONS["prolong"]]
+        argv = _command_argv("prolong")
     else:
         scenario = copy.deepcopy(BRACKET_SCENARIO)
         terms = [t for field in ("x", "y") for comp in scenario[field] for t in comp]
         places = [scenario, scenario["point"], *terms, *(t["exponents"] for t in terms)]
-        argv = ["bracket", *COMMAND_OPTIONS["bracket"]]
+        argv = _command_argv("bracket")
     target = draw(st.sampled_from(places))
     key = draw(st.sampled_from(sorted(target) if isinstance(target, dict) else range(len(target))))
     mutation, old = draw(st.sampled_from(["drop", "retype", "grow"])), target[key]
@@ -773,18 +875,18 @@ def _mutated_scenarios(draw):
 def _mutated_options(draw):
     """The argv and scenario text (None for a command that reads none) of
     one command with `--out` pointed at a directory, or one integer option
-    dropped, given a value out of range, or grown within the parser's
-    digit limit (an integer option is only given integers, as its parser
-    accepts nothing else).  The scenario is left as it is."""
-    command = draw(st.sampled_from(sorted(COMMAND_OPTIONS)))
-    argv = [command, *COMMAND_OPTIONS[command]]
+    of the table dropped, given a value out of range, or grown within the
+    parser's digit limit (an integer option is only given integers, as
+    its parser accepts nothing else).  The scenario is left as it is."""
+    command = draw(st.sampled_from(list(COMMANDS)))
+    argv = _command_argv(command)
     text = None
     if command == "prolong":
         name = draw(st.sampled_from(sorted(n for n, e in BUILTINS.items() if e["task"] == "prolongation")))
         text = json.dumps({"task": "prolongation", **BUILTINS[name]["scenario"]})
     elif command == "bracket":
         text = json.dumps(BRACKET_SCENARIO)
-    options = [i for i in range(2, len(argv), 2) if argv[i - 1] != "--builtin"]
+    options = [argv.index(f"--{name}") + 1 for name in _int_options(command)]
     if not options or draw(st.booleans()):
         return argv + ["--out", "{tmp}"], text
     i = draw(st.sampled_from(options))

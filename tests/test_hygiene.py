@@ -248,10 +248,11 @@ def test_slot_kernels_read_index_arithmetic_from_the_layout():
 
 
 def _jetcalc_modules_after(code):
-    """The jetcalc modules a fresh interpreter holds after running code."""
+    """The jetcalc modules a fresh interpreter holds after running code,
+    and `argparse` if it holds that."""
     probe = code + (
         "\nimport sys\n"
-        "print('\\n'.join(m for m in sys.modules if m.startswith('jetcalc')))\n"
+        "print('\\n'.join(m for m in sys.modules if m.startswith('jetcalc') or m == 'argparse'))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -299,9 +300,19 @@ NO_COMMAND = {"arrows", "cohomology", "form_probes", "lie_solutions"}
 
 
 def test_import_of_the_cli_loads_only_the_start_up_modules():
-    assert _jetcalc_modules_after("import jetcalc.cli") == {"jetcalc"} | {
-        f"jetcalc.{m}" for m in START_UP
-    }
+    loaded = _jetcalc_modules_after("import jetcalc.cli")
+    assert "argparse" not in loaded
+    assert loaded == {"jetcalc"} | {f"jetcalc.{m}" for m in START_UP}
+
+
+def test_help_loads_argparse():
+    """argparse renders help and refusals, so `--help` loads it, while a
+    plain command line is parsed from the option table without it."""
+    loaded = _jetcalc_modules_after(
+        "import contextlib, io\nfrom jetcalc.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n    assert main(['--help']) == 0"
+    )
+    assert "argparse" in loaded
 
 
 def test_every_module_is_start_up_a_runner_a_layer_or_loaded_by_no_command():
@@ -317,7 +328,8 @@ def test_every_module_is_start_up_a_runner_a_layer_or_loaded_by_no_command():
 def test_each_command_loads_only_its_layers(tmp_path):
     """Each subcommand, run to completion in a fresh interpreter, loads
     exactly the start-up modules, its runner module and the layers it
-    computes with, and none of the modules no command computes with."""
+    computes with, none of the modules no command computes with, and no
+    argparse."""
     scenario = tmp_path / "bracket.json"
     scenario.write_text(
         '{"task": "bracket", "n": 1, "k": 2, "point": ["0"],'
@@ -330,6 +342,7 @@ def test_each_command_loads_only_its_layers(tmp_path):
             f"from jetcalc.cli import main\nassert main({argv!r}) == 0"
         )
         modules = START_UP | layers | ({runner} if runner else set())
+        assert "argparse" not in loaded, command
         assert loaded == {"jetcalc"} | {f"jetcalc.{m}" for m in modules}, command
         assert sorted(loaded & {f"jetcalc.{m}" for m in NO_COMMAND}) == [], command
 

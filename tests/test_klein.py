@@ -49,6 +49,12 @@ def test_realization_rejects_a_base_point_of_the_wrong_dimension():
                 RealizedLieAlgebra(affine.algebra, affine.fields, point, check=check)
 
 
+def test_a_realization_needs_at_least_one_field():
+    for check in (True, False):
+        with pytest.raises(ValueError, match="a realization needs at least one field"):
+            RealizedLieAlgebra(FiniteLieAlgebra(0), [], (), check=check)
+
+
 def test_transitivity_reads_the_order_zero_jets():
     """The order-0 jets are the field values at the base point: the
     projective line is transitive everywhere, its isotropy fields x d and

@@ -77,6 +77,16 @@ def test_structure_constant_index_out_of_range_raises_whatever_check_says():
                 FiniteLieAlgebra(2, {key: 0}, check=check)
 
 
+def test_a_dimension_that_is_not_a_natural_number_raises_whatever_check_says():
+    """A negative, bool or float dim is refused at construction, not
+    when a module is built on the algebra; dimension 0 stays valid."""
+    for dim in (-1, True, 1.5):
+        for check in (True, False):
+            with pytest.raises(ValueError, match="is not a natural number"):
+                FiniteLieAlgebra(dim, check=check)
+    assert FiniteLieAlgebra(0).adjoint_module().matrices == []
+
+
 def test_validator_produces_witnesses():
     ok, witness = validate_lie_algebra(2, {(0, 1, 0): Fraction(1)})
     assert not ok and witness[0] == "antisymmetry"
